@@ -7,14 +7,17 @@ Two subcommands select verification suites over parameter grids:
 
 Each check emits one newline-delimited JSON report object with a fixed key
 order; reports are sorted by (suite, params) before emission, so output is
-byte-identical across runs (and independent of --jobs).  Exit code 0 when
-every report passes, 1 when any fails, 2 on usage errors.
+byte-identical across runs (and independent of --jobs).  A check that
+raises becomes a failing report with its own params and the error's class
+and message.  Exit code 0 when every report passes, 1 when any fails, 2 on
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -85,38 +88,30 @@ def _pieri_report(n: int, k: int) -> Report:
     )
 
 
+_WEIGHT_DISPATCH = {
+    "bbw": _bbw_report,
+    "staircase": weights.verify_staircase_pushforward,
+    "euler": weights.euler_check_Kt,
+    "phics": _phics_report,
+    "pieri": _pieri_report,
+    "vanishing": weights.vanishing_band_check,
+}
+
+
 def _run_task(task) -> dict:
-    """Execute one (suite, params) check; any exception becomes a failing
-    report instead of crashing the run."""
-    kind, check, args = task
+    """Execute one (layer, check, params) task; ``params`` are the keyword
+    arguments of the check and the params of its report.  Any exception
+    becomes a failing report with those params and the error's class and
+    message, instead of crashing the run."""
+    kind, check, params = task
+    dispatch = _FIBER_DISPATCH if kind == "fiber" else _WEIGHT_DISPATCH
     try:
-        if kind == "fiber":
-            n, t = args
-            rep = _FIBER_DISPATCH[check](n, t)
-        else:
-            n, k, t = args
-            if check == "bbw":
-                rep = _bbw_report(n, k)
-            elif check == "staircase":
-                a1, a2 = t
-                rep = weights.verify_staircase_pushforward(a1, a2, k, n)
-            elif check == "euler":
-                rep = weights.euler_check_Kt(n, k, t)
-            elif check == "phics":
-                rep = _phics_report(k)
-            elif check == "pieri":
-                rep = _pieri_report(n, k)
-            elif check == "vanishing":
-                rep = weights.vanishing_band_check(n, k)
-            else:
-                raise ValueError(f"unknown check {check}")
-    except Exception:
-        params = {"n": args[0]}
-        if kind == "fiber":
-            params["t"] = args[1]
-        else:
-            params["k"] = args[1]
-        rep = Report.make(check, params, {"ok": 1}, {"ok": 0})
+        rep = dispatch[check](**params)
+    except Exception as exc:
+        rep = Report.make(
+            check, params, {"ok": 1},
+            {"ok": 0, "error": type(exc).__name__, "detail": str(exc)},
+        )
     return rep.to_ordered_dict()
 
 
@@ -136,7 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", help="write reports to this path instead of stdout")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel worker processes (default 1)"
+        "--jobs", type=int, default=1,
+        help="parallel worker processes (default 1; at most one per task and per CPU)",
     )
     # accept the global flags after the subcommand too; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
@@ -190,7 +186,7 @@ def _fiber_tasks(args, parser) -> list:
             parser.error(f"--t out of band (0..{tmax})")
         ts = [t]
     checks = _parse_checks(args.checks, FIBER_CHECKS, parser)
-    return [("fiber", c, (n, t)) for c in checks for t in ts]
+    return [("fiber", c, {"n": n, "t": t}) for c in checks for t in ts]
 
 
 def _weight_tasks(args, parser) -> list:
@@ -210,13 +206,16 @@ def _weight_tasks(args, parser) -> list:
         if c == "staircase":
             for a1 in range(0, tmax + 1):
                 for a2 in range(0, a1 + 1):
-                    tasks.append(("weights", c, (n, k, (a1, a2))))
+                    params = {"alpha1": a1, "alpha2": a2, "k": k, "n": n}
+                    tasks.append(("weights", c, params))
         elif c == "euler":
             ts = [args.t] if args.t is not None else list(range(tmax + 1))
             for t in ts:
-                tasks.append(("weights", c, (n, k, t)))
+                tasks.append(("weights", c, {"n": n, "k": k, "t": t}))
+        elif c == "phics":
+            tasks.append(("weights", c, {"k": k}))
         else:
-            tasks.append(("weights", c, (n, k, None)))
+            tasks.append(("weights", c, {"n": n, "k": k}))
     return tasks
 
 
@@ -229,8 +228,10 @@ def run(argv=None) -> int:
         tasks = _fiber_tasks(args, parser)
     else:
         tasks = _weight_tasks(args, parser)
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # fork starts every worker at once, so never ask for more than can run
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(t) for t in tasks]

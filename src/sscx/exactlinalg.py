@@ -7,7 +7,10 @@ one elimination core, and a handful of subspace predicates.
 
 Pivot choice is deterministic (lowest column index; among candidate rows the
 sparsest one, ties broken by lowest row index), so every computation in the
-package is bit-reproducible.
+package is bit-reproducible.  The elimination core finds pivot columns and
+the rows to update through a column -> rows index (structured Gaussian
+elimination) instead of rescanning the rows; the index only replaces the
+search, so pivots and results are the ones the rule above defines.
 """
 
 from __future__ import annotations
@@ -157,60 +160,97 @@ def compose(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalM
     return a @ b
 
 
+def _subtract(
+    row: Vec, idx: int, nf: Fraction, rest: list[tuple[int, Fraction]],
+    index: dict[int, set[int]], limit: int,
+) -> None:
+    """row += nf * rest in place, keeping ``index`` (column -> ids of the rows
+    with an entry there, for columns < limit) current for row ``idx``."""
+    for c, v in rest:
+        old = row.get(c)
+        if old is None:
+            row[c] = nf * v
+            if c < limit:
+                index[c].add(idx)
+        else:
+            acc = old + nf * v
+            if acc:
+                row[c] = acc
+            else:
+                del row[c]
+                if c < limit:
+                    index[c].discard(idx)
+
+
 def _eliminate(
     rows: list[Vec], pivot_limit: int | None = None, reduce: bool = False
 ) -> tuple[list[tuple[int, Vec]], list[Vec]]:
     """Row elimination core.
 
-    ``rows`` is consumed (the dicts are mutated).  Pivots are only chosen in
-    columns < ``pivot_limit`` (all columns if None).  Returns the pivot rows
-    as (pivot_col, row) sorted by pivot column, plus the nonzero leftover
-    rows, whose support lies entirely in columns >= pivot_limit.
+    ``rows`` is consumed (the dicts are mutated) and must store no zero
+    values.  Pivots are only chosen in columns < ``pivot_limit`` (all
+    columns if None).  Returns the pivot rows as (pivot_col, row) sorted by
+    pivot column, plus the nonzero leftover rows in input order, whose
+    support lies entirely in columns >= pivot_limit.
 
     With ``reduce=True`` the pivot rows form a reduced echelon basis (each
     pivot column occurs in exactly one row, with value 1).
+
+    A column -> rows index over the columns < pivot_limit replaces any scan
+    of the rows: it is built once in O(nnz) and kept current on every fill-in
+    and cancellation, so each pivot touches only the rows with an entry in
+    its column (with ``reduce=True`` a second index serves the finished
+    pivot rows).  Pivot columns only increase, and fill-in lands only in
+    columns of the pivot row, right of the pivot, so one ascending pass over
+    the initially occupied columns finds every pivot.  The pivot row is the
+    sparsest row in the pivot column, ties broken by lowest input index, and
+    each row receives the same updates in the same order as in a plain
+    row-by-row elimination, so the result does not depend on the index.
     """
-    active = [(idx, row) for idx, row in enumerate(rows) if row]
-    done: list[tuple[int, Vec]] = []
-    while True:
-        pcol = None
-        for _, row in active:
+    limit = pivot_limit
+    if limit is None:
+        limit = 1 + max((c for row in rows for c in row), default=-1)
+    active: dict[int, Vec] = {}
+    # column < limit -> ids of the active rows with an entry there
+    index: dict[int, set[int]] = {}
+    for idx, row in enumerate(rows):
+        if row:
+            active[idx] = row
             for c in row:
-                if pivot_limit is not None and c >= pivot_limit:
-                    continue
-                if pcol is None or c < pcol:
-                    pcol = c
-        if pcol is None:
-            break
-        best = None
-        for pos, (idx, row) in enumerate(active):
-            if pcol in row:
-                key = (len(row), idx)
-                if best is None or key < best[0]:
-                    best = (key, pos)
-        pos = best[1]
-        _, prow = active.pop(pos)
+                if c < limit:
+                    index.setdefault(c, set()).add(idx)
+    # with reduce=True: column -> positions in done of the rows with an entry there
+    finished_index: dict[int, set[int]] = {c: set() for c in index} if reduce else {}
+    done: list[tuple[int, Vec]] = []
+    for pcol in sorted(index):
+        targets = index.pop(pcol)
+        if not targets:
+            continue
+        pidx = min(targets, key=lambda i: (len(active[i]), i))
+        targets.discard(pidx)
+        prow = active.pop(pidx)
         pv = prow[pcol]
         if pv != 1:
             for c in prow:
                 prow[c] /= pv
-        targets = active if not reduce else active + done
-        for _, row in targets:
-            f = row.get(pcol)
-            if f is None:
-                continue
-            for c, v in prow.items():
-                acc = row.get(c, 0) - f * v
-                if acc:
-                    row[c] = acc
-                else:
-                    row.pop(c, None)
-        active = [(idx, row) for idx, row in active if row]
+        rest = [(c, v) for c, v in prow.items() if c != pcol]
+        for c, _ in rest:
+            if c < limit:
+                index[c].discard(pidx)
+        for idx in targets:
+            row = active[idx]
+            _subtract(row, idx, -row.pop(pcol), rest, index, limit)
+            if not row:
+                del active[idx]
         if reduce:
-            done = [(pc, row) for pc, row in done if row]
+            for pos in finished_index.pop(pcol):
+                row = done[pos][1]
+                _subtract(row, pos, -row.pop(pcol), rest, finished_index, limit)
+            for c, _ in rest:
+                if c < limit:
+                    finished_index[c].add(len(done))
         done.append((pcol, prow))
-    done.sort(key=lambda t: t[0])
-    return done, [row for _, row in active]
+    return done, list(active.values())
 
 
 def rank(m: SparseRationalMatrix) -> int:
@@ -228,17 +268,15 @@ def kernel(m: SparseRationalMatrix) -> SparseRationalMatrix:
     rows = [dict(r) for r in m.rows()]
     pivots, _ = _eliminate(rows, reduce=True)
     pivot_cols = {pc for pc, _ in pivots}
-    cols: list[Vec] = []
-    for f in range(m.ncols):
-        if f in pivot_cols:
-            continue
-        vec: Vec = {f: Fraction(1)}
-        for pc, row in pivots:
-            v = row.get(f)
-            if v:
-                vec[pc] = -v
-        cols.append(vec)
-    return SparseRationalMatrix.from_columns(m.ncols, cols)
+    free: dict[int, Vec] = {
+        f: {f: Fraction(1)} for f in range(m.ncols) if f not in pivot_cols
+    }
+    # a reduced pivot row is supported on its pivot column and free columns
+    for pc, row in pivots:
+        for c, v in row.items():
+            if c != pc:
+                free[c][pc] = -v
+    return SparseRationalMatrix.from_columns(m.ncols, list(free.values()))
 
 
 @dataclass

@@ -317,7 +317,11 @@ def fiber_wedge_perp(model: FiberModel, a: int, B: int) -> SubspaceBasis:
     index = _basis_index(space)
     vectors = [{index[mono]: Fraction(1)} for mono in perp_monomials(model, a, B)]
     basis = SubspaceBasis(space.dim, vectors)
-    assert basis.dim == comb(2 * model.n - 2, a) * (B + 1)
+    expected = comb(2 * model.n - 2, a) * (B + 1)
+    if basis.dim != expected:
+        raise AssertionError(
+            f"annihilator dimension {basis.dim} != expected {expected} at (a={a}, B={B})"
+        )
     return basis
 
 

@@ -43,7 +43,8 @@ def weyl_dim_gl(lam: Weight) -> int:
             num *= lam[i] - lam[j] + j - i
             den *= j - i
     q, r = divmod(num, den)
-    assert r == 0, "Weyl product must be integral"
+    if r:
+        raise AssertionError(f"Weyl product is not integral at {lam}")
     return q
 
 

@@ -131,3 +131,66 @@ def test_failing_check_exits_one(monkeypatch):
                         "--checks", "cohomology"])
     assert code == 1
     assert json.loads(out.splitlines()[0])["status"] == "fail"
+
+
+def test_failing_reports_carry_their_params(monkeypatch):
+    import sscx.cli as cli
+
+    real = cli._WEIGHT_DISPATCH["staircase"]
+
+    def planted(alpha1, alpha2, k, n):
+        if (alpha1, alpha2) in ((2, 1), (3, 0)):
+            raise ZeroDivisionError(f"planted at {alpha1},{alpha2}")
+        return real(alpha1, alpha2, k, n)
+
+    monkeypatch.setitem(cli._WEIGHT_DISPATCH, "staircase", planted)
+    code, out = invoke(["verify-weights", "--n", "4", "--k", "3",
+                        "--checks", "staircase"])
+    assert code == 1
+    failing = [line for line in out.splitlines() if '"status":"fail"' in line]
+    assert failing == [
+        '{"suite":"staircase","params":{"alpha1":2,"alpha2":1,"k":3,"n":4},'
+        '"expected":{"ok":1},"computed":{"detail":"planted at 2,1",'
+        '"error":"ZeroDivisionError","ok":0},"status":"fail","elapsed_ms":0}',
+        '{"suite":"staircase","params":{"alpha1":3,"alpha2":0,"k":3,"n":4},'
+        '"expected":{"ok":1},"computed":{"detail":"planted at 3,0",'
+        '"error":"ZeroDivisionError","ok":0},"status":"fail","elapsed_ms":0}',
+    ]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    tasks in this process, so no worker is ever started."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "argv, cpus, workers",
+    [
+        (["verify-weights", "--n", "4", "--k", "3"], 3, [3]),
+        (["verify-fiber", "--n", "2", "--t", "0", "--checks", "cohomology,ces"], 8, [2]),
+        (["verify-weights", "--n", "4", "--k", "3"], None, []),
+    ],
+)
+def test_jobs_is_clamped(monkeypatch, argv, cpus, workers):
+    import sscx.cli as cli
+
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out = invoke(argv + ["--jobs", "10000"])
+    assert _RecordingPool.created == workers
+    assert (code, out) == invoke(argv)

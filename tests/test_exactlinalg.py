@@ -20,6 +20,7 @@ from sscx.exactlinalg import (
     subspace_equal,
     dump,
 )
+from sscx.exactlinalg import _eliminate
 
 
 def mat(rows):
@@ -73,6 +74,141 @@ class TestBasics:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mat([[1, 2]]) @ mat([[1, 2]])
+
+
+def _reference_eliminate(
+    rows, pivot_limit=None, reduce=False
+):
+    """The elimination core as it was before the column index: it rescans
+    every active row on every pivot.  Kept verbatim as the oracle that the
+    indexed core must match exactly."""
+    active = [(idx, row) for idx, row in enumerate(rows) if row]
+    done = []
+    while True:
+        pcol = None
+        for _, row in active:
+            for c in row:
+                if pivot_limit is not None and c >= pivot_limit:
+                    continue
+                if pcol is None or c < pcol:
+                    pcol = c
+        if pcol is None:
+            break
+        best = None
+        for pos, (idx, row) in enumerate(active):
+            if pcol in row:
+                key = (len(row), idx)
+                if best is None or key < best[0]:
+                    best = (key, pos)
+        pos = best[1]
+        _, prow = active.pop(pos)
+        pv = prow[pcol]
+        if pv != 1:
+            for c in prow:
+                prow[c] /= pv
+        targets = active if not reduce else active + done
+        for _, row in targets:
+            f = row.get(pcol)
+            if f is None:
+                continue
+            for c, v in prow.items():
+                acc = row.get(c, 0) - f * v
+                if acc:
+                    row[c] = acc
+                else:
+                    row.pop(c, None)
+        active = [(idx, row) for idx, row in active if row]
+        if reduce:
+            done = [(pc, row) for pc, row in done if row]
+        done.append((pcol, prow))
+    done.sort(key=lambda t: t[0])
+    return done, [row for _, row in active]
+
+
+def _reference_kernel_columns(m):
+    """Kernel read-out as it was: every free column scans every pivot row."""
+    pivots, _ = _reference_eliminate([dict(r) for r in m.rows()], reduce=True)
+    pivot_cols = {pc for pc, _ in pivots}
+    cols = []
+    for f in range(m.ncols):
+        if f in pivot_cols:
+            continue
+        vec = {f: Fraction(1)}
+        for pc, row in pivots:
+            v = row.get(f)
+            if v:
+                vec[pc] = -v
+        cols.append(vec)
+    return cols
+
+
+nonzero_fractions = st.builds(
+    Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)
+)
+
+
+@st.composite
+def elimination_rows(draw, max_rows=8, max_cols=8):
+    """Random sparse rows with empty, dependent and fill-heavy dense rows."""
+    ncols = draw(st.integers(0, max_cols))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(("sparse", "empty", "dense", "combo")))
+        if kind == "empty" or ncols == 0:
+            rows.append({})
+        elif kind == "dense":
+            rows.append({c: draw(nonzero_fractions) for c in range(ncols)})
+        elif kind == "combo" and rows:
+            a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+            fa, fb = draw(nonzero_fractions), draw(nonzero_fractions)
+            row = {}
+            for c in sorted(set(a) | set(b)):
+                v = fa * a.get(c, 0) + fb * b.get(c, 0)
+                if v:
+                    row[c] = v
+            rows.append(row)
+        else:
+            cols = draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=ncols))
+            rows.append({c: draw(nonzero_fractions) for c in cols})
+    pivot_limit = draw(st.one_of(st.none(), st.integers(0, ncols)))
+    return rows, pivot_limit
+
+
+def _ordered(pivots, leftover):
+    """Values and key order of an elimination result."""
+    return (
+        [(pc, list(row.items())) for pc, row in pivots],
+        [list(row.items()) for row in leftover],
+    )
+
+
+class TestEliminationCore:
+    @given(elimination_rows(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case, reduce):
+        rows, pivot_limit = case
+        got = _eliminate([dict(r) for r in rows], pivot_limit, reduce)
+        want = _reference_eliminate([dict(r) for r in rows], pivot_limit, reduce)
+        assert _ordered(*got) == _ordered(*want)
+
+    @given(elimination_rows(max_rows=3, max_cols=14))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_with_many_free_columns(self, case):
+        rows, _ = case
+        ncols = 1 + max((c for r in rows for c in r), default=0)
+        m = SparseRationalMatrix(
+            len(rows), ncols, {(i, c): v for i, r in enumerate(rows) for c, v in r.items()}
+        )
+        cols = kernel(m).columns()
+        want = _reference_kernel_columns(m)
+        assert [list(c.items()) for c in cols] == [list(c.items()) for c in want]
+
+    def test_kernel_of_wide_row(self):
+        m = mat([[1, 0, 2, 0, 0, 3, 0, 1, 0, 0, 5, 0]])
+        cols = kernel(m).columns()
+        assert len(cols) == 11
+        assert cols == _reference_kernel_columns(m)
+        assert (m @ kernel(m)).is_zero()
 
 
 class TestRankProperties:

@@ -1,0 +1,55 @@
+"""Verification that cannot be switched off: refutations are caught
+narrowly, other errors surface, and no check relies on `assert`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sscx
+from sscx import complexes
+from sscx.exactlinalg import SubspaceEscapeError
+
+
+def _raiser(exc_type, calls):
+    def planted(*args, **kwargs):
+        calls.append(args)
+        raise exc_type("planted")
+    return planted
+
+
+def test_escape_refutes_the_quotient_map(monkeypatch):
+    calls = []
+    monkeypatch.setattr(complexes, "solve_in_basis", _raiser(SubspaceEscapeError, calls))
+    rep = complexes.verify_snake(3, 2)
+    assert calls
+    assert rep.computed["quotient_ok"] == 0
+    assert rep.status == "fail"
+
+
+def test_escape_refutes_containment(monkeypatch):
+    monkeypatch.setattr(complexes, "build_Et", _raiser(SubspaceEscapeError, []))
+    rep = complexes.verify_Et_complex(3, 2)
+    assert rep.computed == {"containment": 0, "compositions_zero": 0}
+
+
+@pytest.mark.parametrize(
+    "name, check",
+    [
+        ("solve_in_basis", lambda: complexes.verify_snake(3, 2)),
+        ("build_Et", lambda: complexes.verify_Et_complex(3, 2)),
+    ],
+)
+def test_other_errors_propagate(monkeypatch, name, check):
+    monkeypatch.setattr(complexes, name, _raiser(TypeError, []))
+    with pytest.raises(TypeError, match="planted"):
+        check()
+
+
+def test_no_assert_statements_in_the_package():
+    found = []
+    for path in sorted(Path(sscx.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
