@@ -20,107 +20,83 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, NamedTuple
 
 from . import complexes, weights
 from .report import Report
 
-FIBER_CHECKS = ("cohomology", "bicomplex", "snake", "koszul", "ces", "d2zero")
-WEIGHT_CHECKS = ("bbw", "staircase", "euler", "phics", "pieri", "vanishing")
 
-_FIBER_DISPATCH = {
-    "cohomology": complexes.verify_Et_cohomology,
-    "bicomplex": complexes.verify_bicomplex,
-    "snake": complexes.verify_snake,
-    "koszul": complexes.verify_koszul_S,
-    "ces": complexes.verify_ces,
-    "d2zero": complexes.verify_Et_complex,
+class Check(NamedTuple):
+    """One registry entry.  ``grid(n, k, ts)`` lists the keyword arguments of
+    ``run``, which are also the params of its report; ``ts`` are the selected
+    degrees and ``k`` is None for verify-fiber."""
+
+    command: str
+    run: Callable[..., Report]
+    grid: Callable[[int, int | None, list[int]], list[dict]]
+    min_k: int = 2
+
+
+def _per_t(n, k, ts):
+    return [{"n": n, "t": t} for t in ts]
+
+
+def _per_nkt(n, k, ts):
+    return [{"n": n, "k": k, "t": t} for t in ts]
+
+
+def _per_nk(n, k, ts):
+    return [{"n": n, "k": k}]
+
+
+def _per_alpha(n, k, ts):
+    return [
+        {"alpha1": a1, "alpha2": a2, "k": k, "n": n}
+        for a1 in range(2 * n - k + 1)
+        for a2 in range(a1 + 1)
+    ]
+
+
+FIBER, WEIGHTS = "verify-fiber", "verify-weights"
+
+# The functions are read through their modules when this table is built, so
+# wrappers installed on those modules beforehand are the ones that run.
+CHECKS = {
+    "cohomology": Check(FIBER, complexes.verify_Et_cohomology, _per_t),
+    "bicomplex": Check(FIBER, complexes.verify_bicomplex, _per_t),
+    "snake": Check(FIBER, complexes.verify_snake, _per_t),
+    "koszul": Check(FIBER, complexes.verify_koszul_S, _per_t),
+    "ces": Check(FIBER, complexes.verify_ces, _per_t),
+    "d2zero": Check(FIBER, complexes.verify_Et_complex, _per_t),
+    "bbw": Check(WEIGHTS, weights.bbw_check, _per_nk, 3),
+    "staircase": Check(WEIGHTS, weights.verify_staircase_pushforward, _per_alpha, 3),
+    "euler": Check(WEIGHTS, weights.euler_check_Kt, _per_nkt),
+    # the survivor count depends on k alone
+    "phics": Check(WEIGHTS, weights.phics_check, lambda n, k, ts: [{"k": k}], 3),
+    # the identity depends on neither n nor k; they only label the report
+    "pieri": Check(WEIGHTS, weights.pieri_check, _per_nk),
+    "vanishing": Check(WEIGHTS, weights.vanishing_band_check, _per_nk, 3),
 }
 
 
-def _bbw_report(n: int, k: int) -> Report:
-    """Closed-form pushforward agreement over the full weight band; the
-    underlying routine raises on any disagreement."""
-    checked = 0
-    mismatches = 0
-    for a1 in range(-1, 2 * n - k + 1):
-        for a2 in range(-1, a1 + 1):
-            checked += 1
-            try:
-                weights.tphi_on_weight(a1, a2, k)
-            except AssertionError:
-                mismatches += 1
-    return Report.make(
-        "bbw",
-        {"n": n, "k": k},
-        {"mismatches": 0, "checked": checked},
-        {"mismatches": mismatches, "checked": checked},
-    )
-
-
-def _phics_report(k: int) -> Report:
-    survivors = weights.phi_cs_survivors(k)
-    return Report.make(
-        "phics",
-        {"k": k},
-        {"count": 1, "unique_expected": 1},
-        {
-            "count": len(survivors),
-            "unique_expected": int(survivors == [(k - 2, 0, 0)]),
-        },
-    )
-
-
-def _pieri_report(n: int, k: int) -> Report:
-    """Hook-decomposition dimension identity over all ranks up to 6."""
-    checked = 0
-    failures = 0
-    for r in range(0, 7):
-        for i in range(r + 1):
-            for j in range(r + 1):
-                checked += 1
-                if not weights.pieri_dim_check(r, i, j):
-                    failures += 1
-    return Report.make(
-        "pieri",
-        {"n": n, "k": k},
-        {"failures": 0, "checked": checked},
-        {"failures": failures, "checked": checked},
-    )
-
-
-_WEIGHT_DISPATCH = {
-    "bbw": _bbw_report,
-    "staircase": weights.verify_staircase_pushforward,
-    "euler": weights.euler_check_Kt,
-    "phics": _phics_report,
-    "pieri": _pieri_report,
-    "vanishing": weights.vanishing_band_check,
-}
+def _names(command: str) -> list[str]:
+    return [name for name, check in CHECKS.items() if check.command == command]
 
 
 def _run_task(task) -> dict:
-    """Execute one (layer, check, params) task; ``params`` are the keyword
-    arguments of the check and the params of its report.  Any exception
-    becomes a failing report with those params and the error's class and
-    message, instead of crashing the run."""
-    kind, check, params = task
-    dispatch = _FIBER_DISPATCH if kind == "fiber" else _WEIGHT_DISPATCH
+    """Execute one (check, params) task; ``params`` are the keyword arguments
+    of the check and the params of its report.  Any exception becomes a
+    failing report with those params and the error's class and message,
+    instead of crashing the run."""
+    check, params = task
     try:
-        rep = dispatch[check](**params)
+        rep = CHECKS[check].run(**params)
     except Exception as exc:
         rep = Report.make(
             check, params, {"ok": 1},
             {"ok": 0, "error": type(exc).__name__, "detail": str(exc)},
         )
     return rep.to_ordered_dict()
-
-
-def _parse_checks(value: str, allowed: tuple[str, ...], parser) -> list[str]:
-    names = [c.strip() for c in value.split(",") if c.strip()]
-    for c in names:
-        if c not in allowed:
-            parser.error(f"unknown check '{c}' (choose from {', '.join(allowed)})")
-    return names or list(allowed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,81 +118,72 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pf = sub.add_parser(
-        "verify-fiber",
+        FIBER,
         parents=[common],
         help="matrix-level checks at the fixed fiber",
     )
     pf.add_argument("--n", type=int, required=True)
     pf.add_argument("--t", default="all", help="single degree or 'all' (0..2n-2)")
-    pf.add_argument(
-        "--checks",
-        default=",".join(FIBER_CHECKS),
-        help=f"comma-separated subset of: {','.join(FIBER_CHECKS)}",
-    )
 
     pw = sub.add_parser(
-        "verify-weights",
+        WEIGHTS,
         parents=[common],
         help="weight-combinatorics checks for general rank",
     )
     pw.add_argument("--n", type=int, required=True)
     pw.add_argument("--k", type=int, required=True)
     pw.add_argument("--t", type=int, default=None, help="single degree (default: all)")
-    pw.add_argument(
-        "--checks",
-        default=",".join(WEIGHT_CHECKS),
-        help=f"comma-separated subset of: {','.join(WEIGHT_CHECKS)}",
-    )
+    for p, command in ((pf, FIBER), (pw, WEIGHTS)):
+        names = ",".join(_names(command))
+        p.add_argument(
+            "--checks", default=names, help=f"comma-separated subset of: {names}"
+        )
     return parser
 
 
-def _fiber_tasks(args, parser) -> list:
-    n = args.n
-    if n < 2:
-        parser.error("need --n >= 2")
-    tmax = 2 * n - 2
-    if args.t == "all":
-        ts = list(range(tmax + 1))
-    else:
-        try:
-            t = int(args.t)
-        except ValueError:
-            parser.error("--t must be an integer or 'all'")
-        if not (0 <= t <= tmax):
-            parser.error(f"--t out of band (0..{tmax})")
-        ts = [t]
-    checks = _parse_checks(args.checks, FIBER_CHECKS, parser)
-    return [("fiber", c, {"n": n, "t": t}) for c in checks for t in ts]
-
-
-def _weight_tasks(args, parser) -> list:
-    n, k = args.n, args.k
-    if not (2 <= k <= n):
-        parser.error("need 2 <= --k <= --n")
-    checks = _parse_checks(args.checks, WEIGHT_CHECKS, parser)
-    if k == 2:
-        needs3 = [c for c in checks if c in ("bbw", "staircase", "phics", "vanishing")]
-        if needs3:
-            parser.error(f"checks {','.join(needs3)} require --k >= 3")
-    tmax = 2 * n - k
-    if args.t is not None and not (0 <= args.t <= tmax):
+def _degrees(value, tmax: int, parser) -> list[int]:
+    """The --t selection: every degree 0..tmax, or the single one given."""
+    if value in (None, "all"):
+        return list(range(tmax + 1))
+    try:
+        t = int(value)
+    except ValueError:
+        parser.error("--t must be an integer or 'all'")
+    if not (0 <= t <= tmax):
         parser.error(f"--t out of band (0..{tmax})")
-    tasks = []
-    for c in checks:
-        if c == "staircase":
-            for a1 in range(0, tmax + 1):
-                for a2 in range(0, a1 + 1):
-                    params = {"alpha1": a1, "alpha2": a2, "k": k, "n": n}
-                    tasks.append(("weights", c, params))
-        elif c == "euler":
-            ts = [args.t] if args.t is not None else list(range(tmax + 1))
-            for t in ts:
-                tasks.append(("weights", c, {"n": n, "k": k, "t": t}))
-        elif c == "phics":
-            tasks.append(("weights", c, {"k": k}))
-        else:
-            tasks.append(("weights", c, {"n": n, "k": k}))
-    return tasks
+    return [t]
+
+
+def _select(value: str, command: str, parser) -> list[str]:
+    """The --checks selection, in the order given, each name once."""
+    allowed = _names(command)
+    names = list(dict.fromkeys(c.strip() for c in value.split(",") if c.strip()))
+    if not names:
+        parser.error(f"--checks selects no check (choose from {', '.join(allowed)})")
+    for c in names:
+        if c not in allowed:
+            parser.error(f"unknown check '{c}' (choose from {', '.join(allowed)})")
+    return names
+
+
+def _tasks(args, parser) -> list:
+    n = args.n
+    if args.command == FIBER:
+        if n < 2:
+            parser.error("need --n >= 2")
+        k, tmax = None, 2 * n - 2
+    else:
+        k, tmax = args.k, 2 * n - args.k
+        if not (2 <= k <= n):
+            parser.error("need 2 <= --k <= --n")
+    ts = _degrees(args.t, tmax, parser)
+    checks = _select(args.checks, args.command, parser)
+    if k is not None:
+        low = [c for c in checks if k < CHECKS[c].min_k]
+        if low:
+            floor = max(CHECKS[c].min_k for c in low)
+            parser.error(f"checks {','.join(low)} require --k >= {floor}")
+    return [(c, params) for c in checks for params in CHECKS[c].grid(n, k, ts)]
 
 
 def run(argv=None) -> int:
@@ -224,10 +191,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.command == "verify-fiber":
-        tasks = _fiber_tasks(args, parser)
-    else:
-        tasks = _weight_tasks(args, parser)
+    tasks = _tasks(args, parser)
     # fork starts every worker at once, so never ask for more than can run
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

@@ -56,10 +56,6 @@ class SparseRationalMatrix:
         return cls(nrows, len(cols), entries)
 
     @classmethod
-    def identity(cls, n: int) -> "SparseRationalMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    @classmethod
     def zero(cls, nrows: int, ncols: int) -> "SparseRationalMatrix":
         return cls(nrows, ncols)
 
@@ -78,9 +74,6 @@ class SparseRationalMatrix:
                 rows[r][c] = v
             self._rows = rows
         return self._rows
-
-    def column(self, j: int) -> Vec:
-        return dict(self.columns()[j])
 
     def transpose(self) -> "SparseRationalMatrix":
         return SparseRationalMatrix(
@@ -106,9 +99,6 @@ class SparseRationalMatrix:
             else:
                 entries.pop(k, None)
         return SparseRationalMatrix(self.nrows, self.ncols, entries)
-
-    def __sub__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
-        return self + other.scale(-1)
 
     def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         """Composition self o other (matrix product)."""
@@ -153,11 +143,6 @@ class SparseRationalMatrix:
 
     def __repr__(self) -> str:
         return f"SparseRationalMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
-
-
-def compose(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatrix:
-    """Exact product a o b."""
-    return a @ b
 
 
 def _subtract(
@@ -259,10 +244,6 @@ def rank(m: SparseRationalMatrix) -> int:
     return len(pivots)
 
 
-def kernel_dim(m: SparseRationalMatrix) -> int:
-    return m.ncols - rank(m)
-
-
 def kernel(m: SparseRationalMatrix) -> SparseRationalMatrix:
     """Basis of ker(m), one column per free variable, in column order."""
     rows = [dict(r) for r in m.rows()]
@@ -292,9 +273,6 @@ class SubspaceBasis:
 
     def matrix(self) -> SparseRationalMatrix:
         return SparseRationalMatrix.from_columns(self.ambient_dim, self.vectors)
-
-    def is_independent(self) -> bool:
-        return rank(self.matrix()) == len(self.vectors)
 
     @classmethod
     def full(cls, dim: int) -> "SubspaceBasis":
@@ -372,11 +350,3 @@ def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     if a.dim != b.dim:
         return False
     return spans_equal(a.matrix(), b.matrix())
-
-
-def dump(m: SparseRationalMatrix, path) -> None:
-    """Debug dump: one `row col numerator/denominator` triple per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        for (r, c) in sorted(m.entries):
-            v = m.entries[(r, c)]
-            fh.write(f"{r} {c} {v.numerator}/{v.denominator}\n")

@@ -3,9 +3,9 @@
 Everything is computed at the single point U = span(e_1, e_2) of IGr(2, 2n),
 with the symplectic form pairing e_i with e_{n+i}.  The graded pieces
 wedge^a V* (x) S^B U (x) (det U*)^c get explicit monomial bases, and all the
-structure maps between them (the two symplectic differentials, the Koszul
-differential, the trace, and wedging with the reduced symplectic form)
-become sparse rational matrices.
+structure maps between them (the two symplectic differentials, their
+normalized combination and the Koszul differential) become sparse rational
+matrices.
 
 Index convention: V* has basis e^0 ... e^{2n-1} (0-based); U is spanned by
 e_0, e_1, so the annihilator U-perp is spanned by e^j with j >= 2, and the
@@ -195,9 +195,6 @@ def _deriv(p: int, B: int, u: int):
     return B - p, p
 
 
-STRUCTURE_KINDS = ("d0", "d1", "d2", "d", "tr", "wedge_omega_bar")
-
-
 def structure_map(
     model: FiberModel, kind: str, src: TwistedSpace
 ) -> tuple[SparseRationalMatrix, TwistedSpace]:
@@ -205,34 +202,23 @@ def structure_map(
 
     d1, d2, d : (a, B, c) -> (a+1, B-1, c)      [need B >= 1]
     d0        : (a, B, c) -> (a-1, B+1, c+1)    [need a >= 1]
-    tr        : (a, B, c) -> (a-1, B-1, c)      [need a >= 1, B >= 1]
-    wedge_omega_bar : (a, B, c) -> (a+2, B, c)  [need a + 2 <= 2n]
+
+    d = d1/(B+1) + d2 is emitted term by term in one pass.
     """
     if src.n != model.n:
         raise ValueError("space does not belong to this fiber model")
-    if kind == "d":
-        m1, dst = structure_map(model, "d1", src)
-        m2, _ = structure_map(model, "d2", src)
-        return m1.scale(Fraction(1, src.B + 1)) + m2, dst
     a, B, c = src.a, src.B, src.c
-    if kind in ("d1", "d2"):
+    if kind in ("d1", "d2", "d"):
         if B < 1:
             raise ValueError(f"{kind} needs symmetric degree >= 1")
         if a + 1 > 2 * model.n:
             raise ValueError(f"{kind} needs wedge degree < 2n")
         dst = TwistedSpace(model.n, a + 1, B - 1, c)
+        w1 = {"d1": 1, "d2": 0, "d": Fraction(1, B + 1)}[kind]  # weight of d1
     elif kind == "d0":
         if a < 1:
             raise ValueError("d0 needs wedge degree >= 1")
         dst = TwistedSpace(model.n, a - 1, B + 1, c + 1)
-    elif kind == "tr":
-        if a < 1 or B < 1:
-            raise ValueError("tr needs wedge degree >= 1 and symmetric degree >= 1")
-        dst = TwistedSpace(model.n, a - 1, B - 1, c)
-    elif kind == "wedge_omega_bar":
-        if a + 2 > 2 * model.n:
-            raise ValueError("wedge_omega_bar needs wedge degree <= 2n - 2")
-        dst = TwistedSpace(model.n, a + 2, B, c)
     else:
         raise ValueError(f"unknown structure map kind: {kind}")
 
@@ -250,29 +236,7 @@ def structure_map(
             entries.pop((row, col), None)
 
     for col, (subset, p) in enumerate(basis_of(src)):
-        if kind == "d1":
-            for u in (0, 1):
-                ct = _contract(subset, u)
-                if ct is None:
-                    continue
-                dc, dp = _deriv(p, B, u)
-                if not dc:
-                    continue
-                sign, sub = ct
-                for sub2, v in _wedge2(sub, model.omega).items():
-                    put(col, sub2, dp, Fraction(sign * dc) * v)
-        elif kind == "d2":
-            for u in (0, 1):
-                dc, dp = _deriv(p, B, u)
-                if not dc:
-                    continue
-                for j, vj in model.omega_u[u].items():
-                    w = _wedge1(subset, j)
-                    if w is None:
-                        continue
-                    sign, sub = w
-                    put(col, sub, dp, Fraction(sign * dc) * vj)
-        elif kind == "d0":
+        if kind == "d0":
             ct = _contract(subset, 0)
             if ct is not None:
                 sign, sub = ct
@@ -281,19 +245,26 @@ def structure_map(
             if ct is not None:
                 sign, sub = ct
                 put(col, sub, p + 1, Fraction(-sign))  # times e_0
-        elif kind == "tr":
-            for u in (0, 1):
-                ct = _contract(subset, u)
-                if ct is None:
-                    continue
-                dc, dp = _deriv(p, B, u)
-                if not dc:
-                    continue
+            continue
+        for u in (0, 1):
+            dc, dp = _deriv(p, B, u)
+            if not dc:
+                continue
+            # d1: contract e_u, wedge the symplectic form
+            ct = _contract(subset, u) if w1 else None
+            if ct is not None:
                 sign, sub = ct
-                put(col, sub, dp, Fraction(sign * dc))
-        elif kind == "wedge_omega_bar":
-            for sub2, v in _wedge2(subset, model.omega_bar).items():
-                put(col, sub2, p, v)
+                for sub2, v in _wedge2(sub, model.omega).items():
+                    put(col, sub2, dp, w1 * sign * dc * v)
+            if kind == "d1":
+                continue
+            # d2: wedge the contraction of the symplectic form with e_u
+            for j, vj in model.omega_u[u].items():
+                w = _wedge1(subset, j)
+                if w is None:
+                    continue
+                sign, sub = w
+                put(col, sub, dp, Fraction(sign * dc) * vj)
 
     return SparseRationalMatrix(dst.dim, src.dim, entries), dst
 
@@ -390,16 +361,3 @@ def restricted_d(model: FiberModel, a: int, b: int) -> SparseRationalMatrix:
     space = TwistedSpace(model.n, a, b)
     mat, _ = structure_map(model, "d", space)
     return restrict(mat, fiber_E(model, a, b), fiber_E(model, a + 1, b - 1))
-
-
-def dimension_split_identity(n: int, a: int, b: int) -> bool:
-    """C(2n,a)(b+1) equals the sum of the four graded pieces cut out by the
-    annihilator filtration (negative-degree pieces contribute zero)."""
-    def piece(aa, bb):
-        if aa < 0 or bb < 0:
-            return 0
-        return comb(2 * n - 2, aa) * (bb + 1)
-
-    return comb(2 * n, a) * (b + 1) == (
-        piece(a, b) + piece(a - 1, b - 1) + piece(a - 1, b + 1) + piece(a - 2, b)
-    )

@@ -15,17 +15,13 @@ class Report:
     elapsed_ms: int = 0
 
     @classmethod
-    def make(cls, suite: str, params: dict, expected: dict, computed: dict,
-             elapsed_ms: int = 0) -> "Report":
+    def make(cls, suite: str, params: dict, expected: dict, computed: dict) -> "Report":
         status = "pass" if expected == computed else "fail"
-        return cls(suite, params, expected, computed, status, elapsed_ms)
+        return cls(suite, params, expected, computed, status)
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-    def sort_key(self):
-        return (self.suite, tuple(sorted(self.params.items())))
 
     def to_ordered_dict(self) -> dict:
         return {

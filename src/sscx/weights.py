@@ -4,7 +4,9 @@ Weights are plain tuples of integers.  This module provides the Weyl
 dimension formula, the Borel--Bott--Weil rho-shift pushforward along a
 Grassmannian fibration, enumeration of staircase-complex terms on Gr(2,2n),
 and the rank / Euler-characteristic checks used for k >= 3, where no fiber
-matrices are built and everything is decided by dimensions alone.
+matrices are built and everything is decided by dimensions alone.  The six
+weight checks of the CLI (bbw, staircase, euler, phics, pieri, vanishing)
+live here and return one Report each.
 """
 
 from __future__ import annotations
@@ -93,6 +95,26 @@ def tphi_on_weight(alpha1: int, alpha2: int, k: int) -> tuple[Weight, int] | Non
     return generic
 
 
+def bbw_check(n: int, k: int) -> Report:
+    """Closed-form pushforward agreement over the full weight band;
+    tphi_on_weight raises AssertionError on every disagreement."""
+    checked = 0
+    mismatches = 0
+    for a1 in range(-1, 2 * n - k + 1):
+        for a2 in range(-1, a1 + 1):
+            checked += 1
+            try:
+                tphi_on_weight(a1, a2, k)
+            except AssertionError:
+                mismatches += 1
+    return Report.make(
+        "bbw",
+        {"n": n, "k": k},
+        {"mismatches": 0, "checked": checked},
+        {"mismatches": mismatches, "checked": checked},
+    )
+
+
 @dataclass(frozen=True)
 class StaircaseTerm:
     """One term wedge^{wedge_exp} V* (x) Sigma^{weight} U* of a staircase complex."""
@@ -121,14 +143,6 @@ def staircase_terms_gr2(alpha1: int, alpha2: int, n: int) -> list[StaircaseTerm]
         terms.append(StaircaseTerm(pos, alpha1 - m, (m, alpha2)))
         pos += 1
     return terms
-
-
-def staircase_euler_gr2(alpha1: int, alpha2: int, n: int) -> int:
-    """Alternating dimension sum of the rank-2 staircase; 0 by exactness."""
-    total = 0
-    for t in staircase_terms_gr2(alpha1, alpha2, n):
-        total += (-1) ** t.position * comb(2 * n, t.wedge_exp) * weyl_dim_gl(t.weight)
-    return total
 
 
 def _expected_survivors(alpha1: int, alpha2: int, k: int, n: int):
@@ -251,6 +265,17 @@ def phi_cs_survivors(k: int) -> list[tuple[int, int, int]]:
     return survivors
 
 
+def phics_check(k: int) -> Report:
+    """The filtration has exactly one survivor, (k-2, 0, 0)."""
+    survivors = phi_cs_survivors(k)
+    return Report.make(
+        "phics",
+        {"k": k},
+        {"count": 1, "unique_expected": 1},
+        {"count": len(survivors), "unique_expected": int(survivors == [(k - 2, 0, 0)])},
+    )
+
+
 def pieri_dim_check(r: int, i: int, j: int) -> bool:
     """Dimension identity C(r,i) C(r,j) = sum of Weyl dimensions over the
     hook-shaped summands of wedge^i (x) wedge^j-dual of a rank-r space."""
@@ -265,6 +290,25 @@ def pieri_dim_check(r: int, i: int, j: int) -> bool:
         w = (1,) * (j - s) + (0,) * (r - i - j + 2 * s) + (-1,) * (i - s)
         total += weyl_dim_gl(w)
     return total == comb(r, i) * comb(r, j)
+
+
+def pieri_check(n: int, k: int) -> Report:
+    """Hook-decomposition dimension identity over all ranks up to 6; n and
+    k only label the report."""
+    checked = 0
+    failures = 0
+    for r in range(0, 7):
+        for i in range(r + 1):
+            for j in range(r + 1):
+                checked += 1
+                if not pieri_dim_check(r, i, j):
+                    failures += 1
+    return Report.make(
+        "pieri",
+        {"n": n, "k": k},
+        {"failures": 0, "checked": checked},
+        {"failures": failures, "checked": checked},
+    )
 
 
 def vanishing_band_check(n: int, k: int) -> Report:

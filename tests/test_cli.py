@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import sscx.cli as cli
 from sscx.cli import run
 
 EXPECTED_KEYS = ["suite", "params", "expected", "computed", "status", "elapsed_ms"]
@@ -17,6 +18,11 @@ def invoke(argv):
     with redirect_stdout(buf):
         code = run(argv)
     return code, buf.getvalue()
+
+
+def plant(monkeypatch, check, fn):
+    """Make the registry run ``fn`` for ``check`` during this test."""
+    monkeypatch.setitem(cli.CHECKS, check, cli.CHECKS[check]._replace(run=fn))
 
 
 def test_fiber_suite_passes():
@@ -120,13 +126,12 @@ def test_out_file(tmp_path):
 
 
 def test_failing_check_exits_one(monkeypatch):
-    import sscx.cli as cli
     from sscx.report import Report
 
     def broken(n, t):
         return Report.make("cohomology", {"n": n, "t": t}, {"h0": 1}, {"h0": 0})
 
-    monkeypatch.setitem(cli._FIBER_DISPATCH, "cohomology", broken)
+    plant(monkeypatch, "cohomology", broken)
     code, out = invoke(["verify-fiber", "--n", "3", "--t", "0",
                         "--checks", "cohomology"])
     assert code == 1
@@ -134,16 +139,14 @@ def test_failing_check_exits_one(monkeypatch):
 
 
 def test_failing_reports_carry_their_params(monkeypatch):
-    import sscx.cli as cli
-
-    real = cli._WEIGHT_DISPATCH["staircase"]
+    real = cli.CHECKS["staircase"].run
 
     def planted(alpha1, alpha2, k, n):
         if (alpha1, alpha2) in ((2, 1), (3, 0)):
             raise ZeroDivisionError(f"planted at {alpha1},{alpha2}")
         return real(alpha1, alpha2, k, n)
 
-    monkeypatch.setitem(cli._WEIGHT_DISPATCH, "staircase", planted)
+    plant(monkeypatch, "staircase", planted)
     code, out = invoke(["verify-weights", "--n", "4", "--k", "3",
                         "--checks", "staircase"])
     assert code == 1
@@ -186,11 +189,48 @@ class _RecordingPool:
     ],
 )
 def test_jobs_is_clamped(monkeypatch, argv, cpus, workers):
-    import sscx.cli as cli
-
     monkeypatch.setattr(_RecordingPool, "created", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code, out = invoke(argv + ["--jobs", "10000"])
     assert _RecordingPool.created == workers
     assert (code, out) == invoke(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, check, lines",
+    [
+        (["verify-fiber", "--n", "3"], "cohomology", 5),
+        (["verify-weights", "--n", "4", "--k", "3"], "pieri", 1),
+    ],
+)
+def test_repeated_check_runs_once(monkeypatch, argv, check, lines):
+    calls = []
+    real = cli.CHECKS[check].run
+
+    def counted(**params):
+        calls.append(params)
+        return real(**params)
+
+    plant(monkeypatch, check, counted)
+    code, out = invoke(argv + ["--checks", f"{check},{check}"])
+    assert code == 0
+    assert len(out.splitlines()) == len(calls) == lines
+    assert (code, out) == invoke(argv + ["--checks", check])
+
+
+@pytest.mark.parametrize("argv", [["verify-fiber", "--n", "3"],
+                                  ["verify-weights", "--n", "4", "--k", "3"]])
+@pytest.mark.parametrize("checks", [",", ""])
+def test_empty_selection_is_usage_error(argv, checks):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--checks", checks])
+    assert exc.value.code == 2
+
+
+def test_default_checks_at_k2_name_the_ones_needing_k3(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-weights", "--n", "4", "--k", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "checks bbw,staircase,phics,vanishing require --k >= 3" in err

@@ -11,7 +11,6 @@ from sscx.complexes import (
     build_Et,
     build_koszul_S,
     cohomology_dims,
-    dualize,
     expected_Et_cohomology,
     totalize,
     verify_bicomplex,
@@ -39,19 +38,6 @@ class TestChainComplex:
         c = ChainComplex(0, [2, 3], [SparseRationalMatrix.zero(3, 2)])
         assert cohomology_dims(c) == {0: 2, 1: 3}
 
-    def test_dualize_involution_on_dims(self):
-        c = build_Et(3, 3)
-        d = dualize(dualize(c))
-        assert d.dims == c.dims
-        assert cohomology_dims(d) == {
-            k - c.degree_offset + d.degree_offset: v
-            for k, v in cohomology_dims(c).items()
-        }
-
-    def test_dualize_single_term(self):
-        c = ChainComplex(0, [5], [])
-        assert dualize(c).dims == [5]
-
 
 class TestEt:
     def test_dims_examples(self):
@@ -63,11 +49,6 @@ class TestEt:
         assert cohomology_dims(build_Et(3, 2)) == {}
         assert cohomology_dims(build_Et(3, 1)) == {0: 2}
         assert cohomology_dims(build_Et(3, 4)) == {-1: 1}
-
-    def test_dualized_cohomology_convention(self):
-        # the dual complex carries its cohomology at degree 0 in the
-        # leftmost-at-zero convention
-        assert cohomology_dims(dualize(build_Et(3, 1))) == {0: 2}
 
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_cohomology_full_grid(self, n):

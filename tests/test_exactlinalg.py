@@ -10,15 +10,12 @@ from sscx.exactlinalg import (
     SparseRationalMatrix,
     SubspaceBasis,
     SubspaceEscapeError,
-    compose,
     kernel,
-    kernel_dim,
     rank,
     restrict,
     solve_in_basis,
     spans_equal,
     subspace_equal,
-    dump,
 )
 from sscx.exactlinalg import _eliminate
 
@@ -49,7 +46,7 @@ def sparse_matrices(draw, max_dim=6):
 
 class TestBasics:
     def test_identity_rank(self):
-        assert rank(SparseRationalMatrix.identity(2)) == 2
+        assert rank(mat([[1, 0], [0, 1]])) == 2
 
     def test_dependent_rows(self):
         assert rank(mat([[1, 2], [2, 4]])) == 1
@@ -64,7 +61,7 @@ class TestBasics:
 
     def test_compose_identity(self):
         m = mat([[1, 2], [3, 4]])
-        assert compose(SparseRationalMatrix.identity(2), m) == m
+        assert mat([[1, 0], [0, 1]]) @ m == m
 
     def test_compose_zero(self):
         m = mat([[1, 2], [3, 4]])
@@ -228,7 +225,6 @@ class TestRankProperties:
         k = kernel(m)
         assert (m @ k).is_zero()
         assert rank(k) == k.ncols == m.ncols - rank(m)
-        assert kernel_dim(m) == k.ncols
 
     @given(sparse_matrices(max_dim=4), sparse_matrices(max_dim=4))
     @settings(max_examples=40, deadline=None)
@@ -244,8 +240,8 @@ class TestRankProperties:
 class TestSubspaces:
     def test_restrict_identity(self):
         b = SubspaceBasis(3, [{0: Fraction(1)}, {2: Fraction(1)}])
-        m = restrict(SparseRationalMatrix.identity(3), b, b)
-        assert m == SparseRationalMatrix.identity(2)
+        m = restrict(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), b, b)
+        assert m == mat([[1, 0], [0, 1]])
 
     def test_restrict_escape(self):
         b = SubspaceBasis(2, [{0: Fraction(1)}])
@@ -278,11 +274,3 @@ class TestSubspaces:
     @settings(max_examples=40, deadline=None)
     def test_spans_equal_self(self, m):
         assert spans_equal(m, m)
-
-
-class TestDump:
-    def test_dump_format(self, tmp_path):
-        m = mat([[1, 0], [0, Fraction(-2, 3)]])
-        path = tmp_path / "m.txt"
-        dump(m, path)
-        assert path.read_text() == "0 0 1/1\n1 1 -2/3\n"

@@ -1,0 +1,33 @@
+"""Byte-level safety net: the CLI's stdout for a fixed set of commands must
+equal the NDJSON files in tests/golden/, which were generated once from a
+known-good tree and are never regenerated by a refactor."""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from sscx.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "fiber-n3": ["verify-fiber", "--n", "3", "--t", "all"],
+    "fiber-n4": ["verify-fiber", "--n", "4", "--t", "all"],
+    "weights-n4-k3": ["verify-weights", "--n", "4", "--k", "3"],
+    "weights-n6-k4": ["verify-weights", "--n", "6", "--k", "4"],
+    # k = 2 admits only the checks without a k >= 3 floor
+    "weights-n4-k2-euler-pieri": [
+        "verify-weights", "--n", "4", "--k", "2", "--checks", "euler,pieri",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden(name):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(COMMANDS[name])
+    assert code == 0
+    assert buf.getvalue() == (GOLDEN / f"{name}.ndjson").read_text(encoding="ascii")

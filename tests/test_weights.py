@@ -20,7 +20,6 @@ from sscx.weights import (
     pieri_dim_check,
     rank_K,
     rho,
-    staircase_euler_gr2,
     staircase_terms_gr2,
     tphi_on_weight,
     vanishing_band_check,
@@ -139,6 +138,14 @@ class TestTphi:
                 for a1 in range(-1, 2 * n - k + 1):
                     for a2 in range(-1, a1 + 1):
                         tphi_on_weight(a1, a2, k)
+
+
+def staircase_euler_gr2(alpha1: int, alpha2: int, n: int) -> int:
+    """Alternating dimension sum of the rank-2 staircase; 0 by exactness."""
+    total = 0
+    for t in staircase_terms_gr2(alpha1, alpha2, n):
+        total += (-1) ** t.position * comb(2 * n, t.wedge_exp) * weyl_dim_gl(t.weight)
+    return total
 
 
 class TestStaircase:
