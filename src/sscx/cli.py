@@ -8,9 +8,9 @@ Two subcommands select verification suites over parameter grids:
 Each check emits one newline-delimited JSON report object with a fixed key
 order; reports are sorted by (suite, params) before emission, so output is
 byte-identical across runs (and independent of --jobs).  A check that
-raises becomes a failing report with its own params and the error's class
-and message.  Exit code 0 when every report passes, 1 when any fails, 2 on
-usage errors.
+raises, or whose worker process dies under --jobs, becomes a failing report
+with its own params and the error's class and message.  Exit code 0 when
+every report passes, 1 when any fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, NamedTuple
 
 from . import complexes, weights
@@ -92,11 +93,41 @@ def _run_task(task) -> dict:
     try:
         rep = CHECKS[check].run(**params)
     except Exception as exc:
-        rep = Report.make(
-            check, params, {"ok": 1},
-            {"ok": 0, "error": type(exc).__name__, "detail": str(exc)},
-        )
+        return _error_report(task, exc)
     return rep.to_ordered_dict()
+
+
+def _error_report(task, exc: BaseException) -> dict:
+    check, params = task
+    return Report.make(
+        check, params, {"ok": 1},
+        {"ok": 0, "error": type(exc).__name__, "detail": str(exc)},
+    ).to_ordered_dict()
+
+
+def _pooled(tasks, workers: int) -> list[dict]:
+    """Run the tasks on a process pool.  A worker that dies (killed, out of
+    memory) breaks the pool; every task left unfinished then becomes a
+    failing report with its own params instead of a traceback."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [_submit(pool, task) for task in tasks]
+        results = []
+        for task, future in zip(tasks, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                results.append(_error_report(task, exc))
+    return results
+
+
+def _submit(pool, task) -> Future:
+    """pool.submit, or a future holding the error if the pool is broken."""
+    try:
+        return pool.submit(_run_task, task)
+    except BrokenProcessPool as exc:
+        future = Future()
+        future.set_exception(exc)
+        return future
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -195,8 +226,7 @@ def run(argv=None) -> int:
     # fork starts every worker at once, so never ask for more than can run
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks))
+        results = _pooled(tasks, workers)
     else:
         results = [_run_task(t) for t in tasks]
     results.sort(key=lambda r: (r["suite"], sorted(r["params"].items())))

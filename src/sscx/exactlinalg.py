@@ -11,6 +11,15 @@ package is bit-reproducible.  The elimination core finds pivot columns and
 the rows to update through a column -> rows index (structured Gaussian
 elimination) instead of rescanning the rows; the index only replaces the
 search, so pivots and results are the ones the rule above defines.
+
+Invariant: a matrix stores only non-zero ``Fraction`` values, at positions
+inside its shape.  Only the public constructor establishes it: it wraps
+every value in ``Fraction``, drops zeros and rejects positions outside the
+shape.  Every operation here starts from entries that already keep it and
+preserves it, so it builds its result through ``_trusted``, which neither
+re-checks nor re-wraps.  Accumulators store the first contribution to a key
+as it is and delete a key whose sum cancels, so no zero is stored and no
+``Fraction`` is added to an int 0.
 """
 
 from __future__ import annotations
@@ -47,13 +56,27 @@ class SparseRationalMatrix:
         self._rows: list[Vec] | None = None
 
     @classmethod
+    def _trusted(cls, nrows: int, ncols: int, entries: dict) -> "SparseRationalMatrix":
+        """A matrix on entries that already keep the invariant (non-zero
+        Fractions inside the shape); they are neither copied nor checked."""
+        m = cls.__new__(cls)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.entries = entries
+        m._cols = None
+        m._rows = None
+        return m
+
+    @classmethod
     def from_columns(cls, nrows: int, cols: list[Vec]) -> "SparseRationalMatrix":
+        """The matrix with the given sparse columns, whose values must be
+        Fractions at rows < nrows; zero values are skipped."""
         entries = {}
         for j, col in enumerate(cols):
             for i, v in col.items():
                 if v:
-                    entries[(i, j)] = Fraction(v)
-        return cls(nrows, len(cols), entries)
+                    entries[(i, j)] = v
+        return cls._trusted(nrows, len(cols), entries)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "SparseRationalMatrix":
@@ -76,29 +99,39 @@ class SparseRationalMatrix:
         return self._rows
 
     def transpose(self) -> "SparseRationalMatrix":
-        return SparseRationalMatrix(
+        return SparseRationalMatrix._trusted(
             self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()}
         )
 
     def scale(self, s) -> "SparseRationalMatrix":
+        """s times the matrix; the matrix itself when s == 1, as it is
+        immutable."""
         s = Fraction(s)
-        if not s:
-            return SparseRationalMatrix.zero(self.nrows, self.ncols)
-        return SparseRationalMatrix(
-            self.nrows, self.ncols, {k: s * v for k, v in self.entries.items()}
-        )
+        if s == 1:
+            return self
+        if s == -1:
+            entries = {k: -v for k, v in self.entries.items()}
+        elif s:
+            entries = {k: s * v for k, v in self.entries.items()}
+        else:
+            entries = {}
+        return SparseRationalMatrix._trusted(self.nrows, self.ncols, entries)
 
     def __add__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
         entries = dict(self.entries)
         for k, v in other.entries.items():
-            w = entries.get(k, 0) + v
-            if w:
-                entries[k] = w
+            old = entries.get(k)
+            if old is None:
+                entries[k] = v
             else:
-                entries.pop(k, None)
-        return SparseRationalMatrix(self.nrows, self.ncols, entries)
+                w = old + v
+                if w:
+                    entries[k] = w
+                else:
+                    del entries[k]
+        return SparseRationalMatrix._trusted(self.nrows, self.ncols, entries)
 
     def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         """Composition self o other (matrix product)."""
@@ -109,24 +142,32 @@ class SparseRationalMatrix:
         for (k, c), v in other.entries.items():
             for r, w in mycols[k].items():
                 key = (r, c)
-                acc = entries.get(key, 0) + v * w
-                if acc:
-                    entries[key] = acc
+                old = entries.get(key)
+                if old is None:
+                    entries[key] = v * w
                 else:
-                    entries.pop(key, None)
-        return SparseRationalMatrix(self.nrows, other.ncols, entries)
+                    acc = old + v * w
+                    if acc:
+                        entries[key] = acc
+                    else:
+                        del entries[key]
+        return SparseRationalMatrix._trusted(self.nrows, other.ncols, entries)
 
     def apply(self, vec: Vec) -> Vec:
-        """Image of a sparse column vector."""
+        """Image of a sparse column vector (no stored zeros)."""
         cols = self.columns()
         out: Vec = {}
         for j, v in vec.items():
             for i, w in cols[j].items():
-                acc = out.get(i, 0) + v * w
-                if acc:
-                    out[i] = acc
+                old = out.get(i)
+                if old is None:
+                    out[i] = v * w
                 else:
-                    out.pop(i, None)
+                    acc = old + v * w
+                    if acc:
+                        out[i] = acc
+                    else:
+                        del out[i]
         return out
 
     def is_zero(self) -> bool:
@@ -340,7 +381,7 @@ def spans_equal(a: SparseRationalMatrix, b: SparseRationalMatrix) -> bool:
     joint.update(a.entries)
     for (r, c), v in b.entries.items():
         joint[(r, a.ncols + c)] = v
-    return rank(SparseRationalMatrix(a.nrows, a.ncols + b.ncols, joint)) == ra
+    return rank(SparseRationalMatrix._trusted(a.nrows, a.ncols + b.ncols, joint)) == ra
 
 
 def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:

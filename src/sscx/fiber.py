@@ -180,11 +180,8 @@ def _wedge2(subset: tuple[int, ...], form: TwoForm) -> dict[tuple[int, ...], Fra
         if r2 is None:
             continue
         s2, sub2 = r2
-        acc = out.get(sub2, 0) + s1 * s2 * v
-        if acc:
-            out[sub2] = acc
-        else:
-            out.pop(sub2, None)
+        # distinct pairs (i, j) give distinct monomials: nothing to add up
+        out[sub2] = v if s1 == s2 else -v
     return out
 
 
@@ -203,7 +200,8 @@ def structure_map(
     d1, d2, d : (a, B, c) -> (a+1, B-1, c)      [need B >= 1]
     d0        : (a, B, c) -> (a-1, B+1, c+1)    [need a >= 1]
 
-    d = d1/(B+1) + d2 is emitted term by term in one pass.
+    The matrix does not depend on c, so it is built once per (kind, a, B)
+    and shared: callers must not mutate it.
     """
     if src.n != model.n:
         raise ValueError("space does not belong to this fiber model")
@@ -214,26 +212,43 @@ def structure_map(
         if a + 1 > 2 * model.n:
             raise ValueError(f"{kind} needs wedge degree < 2n")
         dst = TwistedSpace(model.n, a + 1, B - 1, c)
-        w1 = {"d1": 1, "d2": 0, "d": Fraction(1, B + 1)}[kind]  # weight of d1
     elif kind == "d0":
         if a < 1:
             raise ValueError("d0 needs wedge degree >= 1")
         dst = TwistedSpace(model.n, a - 1, B + 1, c + 1)
     else:
         raise ValueError(f"unknown structure map kind: {kind}")
+    return _structure_matrix(model, kind, a, B), dst
 
+
+@cache
+def _structure_matrix(
+    model: FiberModel, kind: str, a: int, B: int
+) -> SparseRationalMatrix:
+    """The matrix behind ``structure_map`` on (a, B), whose arguments it has
+    checked.  d = d1/(B+1) + d2 is emitted term by term in one pass."""
+    src = TwistedSpace(model.n, a, B)
+    if kind == "d0":
+        dst = TwistedSpace(model.n, a - 1, B + 1)
+    else:
+        dst = TwistedSpace(model.n, a + 1, B - 1)
+        w1 = {"d1": 1, "d2": 0, "d": Fraction(1, B + 1)}[kind]  # weight of d1
     dst_index = _basis_index(dst)
     entries: dict[tuple[int, int], Fraction] = {}
 
     def put(col, subset, p, coef):
         if not coef:
             return
-        row = dst_index[(subset, p)]
-        acc = entries.get((row, col), 0) + coef
-        if acc:
-            entries[(row, col)] = acc
+        key = (dst_index[(subset, p)], col)
+        old = entries.get(key)
+        if old is None:
+            entries[key] = coef
         else:
-            entries.pop((row, col), None)
+            acc = old + coef
+            if acc:
+                entries[key] = acc
+            else:
+                del entries[key]
 
     for col, (subset, p) in enumerate(basis_of(src)):
         if kind == "d0":
@@ -266,7 +281,7 @@ def structure_map(
                 sign, sub = w
                 put(col, sub, dp, Fraction(sign * dc) * vj)
 
-    return SparseRationalMatrix(dst.dim, src.dim, entries), dst
+    return SparseRationalMatrix(dst.dim, src.dim, entries)
 
 
 @cache

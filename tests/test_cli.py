@@ -3,6 +3,9 @@ parameter-grid coverage, and byte determinism."""
 
 import io
 import json
+import multiprocessing
+import os
+from concurrent.futures import Future
 from contextlib import redirect_stdout
 
 import pytest
@@ -176,8 +179,10 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def submit(self, fn, task):
+        future = Future()
+        future.set_result(fn(task))
+        return future
 
 
 @pytest.mark.parametrize(
@@ -195,6 +200,43 @@ def test_jobs_is_clamped(monkeypatch, argv, cpus, workers):
     code, out = invoke(argv + ["--jobs", "10000"])
     assert _RecordingPool.created == workers
     assert (code, out) == invoke(argv)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the planted check reaches the workers by fork")
+@pytest.mark.parametrize(
+    "argv, check, dies, tasks",
+    [
+        # one task kills its worker after others have been handed out
+        (["verify-fiber", "--n", "3"], "cohomology", lambda t, **_: t == 2, 5),
+        # every task kills its worker, so the pool breaks while most tasks
+        # are still to be submitted
+        (["verify-weights", "--n", "30", "--k", "3"], "staircase", lambda **_: True, 1711),
+    ],
+)
+def test_dead_worker_fails_its_unfinished_tasks(monkeypatch, argv, check, dies, tasks):
+    parent = os.getpid()
+    real = cli.CHECKS[check].run
+
+    def planted(**params):
+        if dies(**params) and os.getpid() != parent:
+            os._exit(1)  # the worker dies, as if killed
+        return real(**params)
+
+    plant(monkeypatch, check, planted)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out = invoke(argv + ["--checks", check, "--jobs", "2"])
+    assert code == 1
+    reps = [json.loads(line) for line in out.splitlines()]
+    # one report per task, each with its own params
+    assert len({json.dumps(rep["params"]) for rep in reps}) == len(reps) == tasks
+    broken = [rep for rep in reps if rep["status"] == "fail"]
+    assert all(rep in broken for rep in reps if dies(**rep["params"]))
+    for rep in broken:
+        assert rep["expected"] == {"ok": 1}
+        assert list(rep["computed"]) == ["detail", "error", "ok"]
+        assert rep["computed"]["error"] == "BrokenProcessPool"
+        assert rep["computed"]["ok"] == 0 and rep["computed"]["detail"]
 
 
 @pytest.mark.parametrize(

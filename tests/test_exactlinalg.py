@@ -30,9 +30,8 @@ def mat(rows):
 
 
 @st.composite
-def sparse_matrices(draw, max_dim=6):
-    nrows = draw(st.integers(1, max_dim))
-    ncols = draw(st.integers(1, max_dim))
+def sparse_matrices(draw, max_dim=6, shape=None):
+    nrows, ncols = shape or (draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim)))
     nnz = draw(st.integers(0, nrows * ncols))
     entries = {}
     for _ in range(nnz):
@@ -274,3 +273,64 @@ class TestSubspaces:
     @settings(max_examples=40, deadline=None)
     def test_spans_equal_self(self, m):
         assert spans_equal(m, m)
+
+
+def dense(m):
+    return [[m.entries.get((i, j), 0) for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+def assert_clean(r):
+    """r keeps the matrix invariant: the public constructor, which wraps,
+    drops zeros and range-checks, leaves its entries as they are, and every
+    stored value is a non-zero Fraction."""
+    assert r == SparseRationalMatrix(r.nrows, r.ncols, r.entries)
+    assert all(type(v) is Fraction and v for v in r.entries.values())
+
+
+@st.composite
+def matrix_triples(draw, max_dim=5):
+    """a, b of one shape and c with as many rows as a has columns."""
+    r, k, c = (draw(st.integers(1, max_dim)) for _ in range(3))
+    a = draw(sparse_matrices(shape=(r, k)))
+    b = draw(sparse_matrices(shape=(r, k)))
+    return a, b, draw(sparse_matrices(shape=(k, c)))
+
+
+class TestDerivedMatrices:
+    """Results of matrix operations skip the public constructor's checks,
+    so they must keep its invariant on their own."""
+
+    @given(matrix_triples(), st.sampled_from([0, 1, -1, Fraction(2, 3), -5]))
+    @settings(max_examples=80, deadline=None)
+    def test_operations_keep_the_invariant(self, mats, s):
+        a, b, c = mats
+        scaled = a.scale(s)
+        assert_clean(scaled)
+        assert dense(scaled) == [[s * v for v in row] for row in dense(a)]
+        assert (a.scale(1) is a) and a.scale(0).is_zero()
+        for total in (a + b, b + a, a + a.scale(-1), (a + b) + b.scale(-1)):
+            assert_clean(total)
+        assert dense(a + b) == [
+            [x + y for x, y in zip(ra, rb)] for ra, rb in zip(dense(a), dense(b))
+        ]
+        assert (a + a.scale(-1)).is_zero() and (a + b) + b.scale(-1) == a
+        prod = a @ c
+        assert_clean(prod)
+        cols = list(zip(*dense(c)))
+        assert dense(prod) == [[sum(x * y for x, y in zip(row, col)) for col in cols]
+                               for row in dense(a)]
+        for j, col in enumerate(c.columns()):
+            assert a.apply(col) == prod.columns()[j]
+        assert_clean(a.transpose())
+        assert a.transpose().transpose() == a
+        rebuilt = SparseRationalMatrix.from_columns(a.nrows, a.columns())
+        assert_clean(rebuilt)
+        assert rebuilt == a
+        assert_clean(kernel(a))
+        full_dom, full_cod = SubspaceBasis.full(a.ncols), SubspaceBasis.full(a.nrows)
+        assert_clean(restrict(a, full_dom, full_cod))
+        assert restrict(a, full_dom, full_cod) == a
+        ker = kernel(prod)
+        on_kernel = restrict(c, SubspaceBasis(c.ncols, ker.columns()), SubspaceBasis.full(c.nrows))
+        assert_clean(on_kernel)
+        assert on_kernel == c @ ker

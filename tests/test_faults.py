@@ -11,18 +11,19 @@ import pytest
 from sscx import complexes, fiber
 from sscx.cli import run
 
-CACHED = ("fiber_E", "restricted_d", "fiber_wedge_perp", "perp_monomials")
+# every functools.cache of the fiber layer, the structure matrices included
+CACHED = [f for f in vars(fiber).values() if hasattr(f, "cache_clear")]
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Cached fibers built from a planted map must not outlive the test, and
-    fibers cached by earlier tests must not hide the planted map."""
-    for name in CACHED:
-        getattr(fiber, name).cache_clear()
+    """Matrices and fibers built from a planted map must not outlive the
+    test, and ones cached by earlier tests must not hide the planted map."""
+    for f in CACHED:
+        f.cache_clear()
     yield
-    for name in CACHED:
-        getattr(fiber, name).cache_clear()
+    for f in CACHED:
+        f.cache_clear()
 
 
 def reports(checks):
@@ -78,3 +79,28 @@ def test_wrong_d_coefficient_breaks_containment(monkeypatch):
         else:
             assert rep["status"] == "fail"
             assert rep["computed"]["error"] == "SubspaceEscapeError"
+
+
+def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch):
+    real = fiber._contract
+
+    def planted(subset, i):
+        out = real(subset, i)
+        if out is not None and len(subset) == 3:
+            sign, rest = out
+            return -sign, rest
+        return out
+
+    # the structure matrices are built from _contract; a genuine one left in
+    # the cache would hide the planted sign
+    assert fiber._structure_matrix.cache_info().currsize == 0
+    monkeypatch.setattr(fiber, "_contract", planted)
+    code, reps = reports("d2zero,cohomology,snake,bicomplex,koszul,ces")
+    assert code == 1
+    failing = {(rep["suite"], rep["params"]["t"]) for rep in reps
+               if rep["status"] == "fail"}
+    assert failing == {("bicomplex", 3)} | {
+        (suite, t)
+        for suite in ("d2zero", "cohomology", "snake", "bicomplex")
+        for t in range(4, 7)
+    }

@@ -1,11 +1,15 @@
 """Tests for the fiber model: bases, structure maps, truncation subspaces,
 and the composition / anticommutation identities of the resolution grid."""
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from sscx import fiber
+from sscx.cli import run
 from sscx.exactlinalg import SubspaceEscapeError, rank, subspace_equal
 from sscx.fiber import (
     FiberModel,
@@ -102,6 +106,47 @@ class TestStructureMaps:
         mat, _ = structure_map(m3, "d0", TwistedSpace(3, 1, 1))
         assert mat.ncols == 12
         assert rank(mat) == 3
+
+    @pytest.mark.parametrize("kind, a, B", [("d1", 1, 2), ("d2", 2, 1), ("d", 0, 3),
+                                            ("d", 3, 2), ("d0", 2, 2), ("d0", 4, 0)])
+    def test_matrix_does_not_depend_on_c(self, m3, kind, a, B):
+        fresh = fiber._structure_matrix.__wrapped__(m3, kind, a, B)
+        first, _ = structure_map(m3, kind, TwistedSpace(3, a, B))
+        assert first == fresh
+        for c in range(-2, 4):
+            mat, dst = structure_map(m3, kind, TwistedSpace(3, a, B, c))
+            assert mat is first
+            if kind == "d0":
+                assert dst == TwistedSpace(3, a - 1, B + 1, c + 1)
+            else:
+                assert dst == TwistedSpace(3, a + 1, B - 1, c)
+
+
+def test_shared_structure_matrices_stay_unmutated():
+    """Every check shares the cached structure matrices, so after a full run
+    each cached matrix (with its column and row views) must still equal a
+    fresh build: no caller mutated one."""
+    for f in vars(fiber).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    with redirect_stdout(io.StringIO()):
+        assert run(["verify-fiber", "--n", "4", "--t", "all"]) == 0
+    model = FiberModel(4)
+    cache = fiber._structure_matrix
+    cached = cache.cache_info().currsize
+    checked = 0
+    for kind in ("d1", "d2", "d", "d0"):
+        for a in range(1, 9) if kind == "d0" else range(8):
+            for B in range(8) if kind == "d0" else range(1, 8):
+                hits = cache.cache_info().hits
+                mat = cache(model, kind, a, B)
+                if cache.cache_info().hits == hits:
+                    continue  # not built by the run
+                checked += 1
+                new = cache.__wrapped__(model, kind, a, B)
+                assert mat == new
+                assert mat.columns() == new.columns() and mat.rows() == new.rows()
+    assert checked == cached > 0
 
 
 class TestFiberE:
