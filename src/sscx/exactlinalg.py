@@ -12,14 +12,15 @@ the rows to update through a column -> rows index (structured Gaussian
 elimination) instead of rescanning the rows; the index only replaces the
 search, so pivots and results are the ones the rule above defines.
 
-Invariant: a matrix stores only non-zero ``Fraction`` values, at positions
-inside its shape.  Only the public constructor establishes it: it wraps
-every value in ``Fraction``, drops zeros and rejects positions outside the
-shape.  Every operation here starts from entries that already keep it and
-preserves it, so it builds its result through ``_trusted``, which neither
-re-checks nor re-wraps.  Accumulators store the first contribution to a key
-as it is and delete a key whose sum cancels, so no zero is stored and no
-``Fraction`` is added to an int 0.
+A matrix is stored one way only: as its list of sparse columns, each a
+``{row: value}`` dict.  Invariant: every stored value is a non-zero
+``Fraction`` at a row inside the shape.  Only the public constructor checks
+it: it wraps every value in ``Fraction``, drops zeros and rejects positions
+outside the shape.  ``from_columns`` trusts its input and takes the column
+dicts over as they are; every operation here builds its result through it
+from columns that already keep the invariant.  Accumulators store the first
+contribution to a key as it is and delete a key whose sum cancels, so no
+zero is stored and no ``Fraction`` is added to an int 0.
 """
 
 from __future__ import annotations
@@ -35,73 +36,55 @@ class SubspaceEscapeError(Exception):
 
 
 class SparseRationalMatrix:
-    """Immutable sparse matrix over Q, stored as {(row, col): value}."""
+    """Immutable sparse matrix over Q, stored as its sparse columns."""
 
-    __slots__ = ("nrows", "ncols", "entries", "_cols", "_rows")
+    __slots__ = ("nrows", "ncols", "_cols")
 
     def __init__(self, nrows: int, ncols: int, entries: dict | None = None):
+        """The matrix with the given {(row, col): value} entries, checked and
+        wrapped in Fraction; zero values are dropped."""
         if nrows < 0 or ncols < 0:
             raise ValueError("negative matrix dimension")
-        self.nrows = nrows
-        self.ncols = ncols
-        clean: dict[tuple[int, int], Fraction] = {}
+        cols: list[Vec] = [dict() for _ in range(ncols)]
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise ValueError(f"entry ({r},{c}) out of range")
             v = Fraction(v)
             if v:
-                clean[(r, c)] = v
-        self.entries = clean
-        self._cols: list[Vec] | None = None
-        self._rows: list[Vec] | None = None
-
-    @classmethod
-    def _trusted(cls, nrows: int, ncols: int, entries: dict) -> "SparseRationalMatrix":
-        """A matrix on entries that already keep the invariant (non-zero
-        Fractions inside the shape); they are neither copied nor checked."""
-        m = cls.__new__(cls)
-        m.nrows = nrows
-        m.ncols = ncols
-        m.entries = entries
-        m._cols = None
-        m._rows = None
-        return m
+                cols[c][r] = v
+        self.nrows = nrows
+        self.ncols = ncols
+        self._cols = cols
 
     @classmethod
     def from_columns(cls, nrows: int, cols: list[Vec]) -> "SparseRationalMatrix":
-        """The matrix with the given sparse columns, whose values must be
-        Fractions at rows < nrows; zero values are skipped."""
-        entries = {}
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                if v:
-                    entries[(i, j)] = v
-        return cls._trusted(nrows, len(cols), entries)
+        """The matrix with the given sparse columns, which must keep the
+        invariant (non-zero Fractions at rows < nrows).  Neither checked nor
+        copied: the list and its dicts become the matrix's own."""
+        m = cls.__new__(cls)
+        m.nrows = nrows
+        m.ncols = len(cols)
+        m._cols = cols
+        return m
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "SparseRationalMatrix":
-        return cls(nrows, ncols)
+    @property
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        """A fresh {(row, col): value} dict of the stored values (read by
+        the tests and by perfbench's tracer; nothing in the package uses it)."""
+        return {(r, c): v for c, col in enumerate(self._cols) for r, v in col.items()}
 
     def columns(self) -> list[Vec]:
-        if self._cols is None:
-            cols: list[Vec] = [dict() for _ in range(self.ncols)]
-            for (r, c), v in self.entries.items():
-                cols[c][r] = v
-            self._cols = cols
+        """The stored columns themselves: shared, so callers must not modify
+        them."""
         return self._cols
 
     def rows(self) -> list[Vec]:
-        if self._rows is None:
-            rows: list[Vec] = [dict() for _ in range(self.nrows)]
-            for (r, c), v in self.entries.items():
+        """Fresh row dicts, which the caller may consume."""
+        rows: list[Vec] = [dict() for _ in range(self.nrows)]
+        for c, col in enumerate(self._cols):
+            for r, v in col.items():
                 rows[r][c] = v
-            self._rows = rows
-        return self._rows
-
-    def transpose(self) -> "SparseRationalMatrix":
-        return SparseRationalMatrix._trusted(
-            self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
+        return rows
 
     def scale(self, s) -> "SparseRationalMatrix":
         """s times the matrix; the matrix itself when s == 1, as it is
@@ -110,52 +93,43 @@ class SparseRationalMatrix:
         if s == 1:
             return self
         if s == -1:
-            entries = {k: -v for k, v in self.entries.items()}
+            cols = [{r: -v for r, v in col.items()} for col in self._cols]
         elif s:
-            entries = {k: s * v for k, v in self.entries.items()}
+            cols = [{r: s * v for r, v in col.items()} for col in self._cols]
         else:
-            entries = {}
-        return SparseRationalMatrix._trusted(self.nrows, self.ncols, entries)
+            cols = [dict() for _ in range(self.ncols)]
+        return SparseRationalMatrix.from_columns(self.nrows, cols)
 
     def __add__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            old = entries.get(k)
-            if old is None:
-                entries[k] = v
-            else:
-                w = old + v
-                if w:
-                    entries[k] = w
+        cols = []
+        for mine, theirs in zip(self._cols, other._cols):
+            col = dict(mine)
+            for r, v in theirs.items():
+                old = col.get(r)
+                if old is None:
+                    col[r] = v
                 else:
-                    del entries[k]
-        return SparseRationalMatrix._trusted(self.nrows, self.ncols, entries)
+                    w = old + v
+                    if w:
+                        col[r] = w
+                    else:
+                        del col[r]
+            cols.append(col)
+        return SparseRationalMatrix.from_columns(self.nrows, cols)
 
     def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         """Composition self o other (matrix product)."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch in composition")
-        mycols = self.columns()
-        entries: dict[tuple[int, int], Fraction] = {}
-        for (k, c), v in other.entries.items():
-            for r, w in mycols[k].items():
-                key = (r, c)
-                old = entries.get(key)
-                if old is None:
-                    entries[key] = v * w
-                else:
-                    acc = old + v * w
-                    if acc:
-                        entries[key] = acc
-                    else:
-                        del entries[key]
-        return SparseRationalMatrix._trusted(self.nrows, other.ncols, entries)
+        return SparseRationalMatrix.from_columns(
+            self.nrows, [self.apply(col) for col in other.columns()]
+        )
 
     def apply(self, vec: Vec) -> Vec:
         """Image of a sparse column vector (no stored zeros)."""
-        cols = self.columns()
+        cols = self._cols
         out: Vec = {}
         for j, v in vec.items():
             for i, w in cols[j].items():
@@ -171,7 +145,7 @@ class SparseRationalMatrix:
         return out
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self._cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseRationalMatrix):
@@ -179,11 +153,12 @@ class SparseRationalMatrix:
         return (
             self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self._cols == other._cols
         )
 
     def __repr__(self) -> str:
-        return f"SparseRationalMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
+        nnz = sum(map(len, self._cols))
+        return f"SparseRationalMatrix({self.nrows}x{self.ncols}, nnz={nnz})"
 
 
 def _subtract(
@@ -280,15 +255,13 @@ def _eliminate(
 
 
 def rank(m: SparseRationalMatrix) -> int:
-    rows = [dict(r) for r in m.rows()]
-    pivots, _ = _eliminate(rows)
+    pivots, _ = _eliminate(m.rows())
     return len(pivots)
 
 
 def kernel(m: SparseRationalMatrix) -> SparseRationalMatrix:
     """Basis of ker(m), one column per free variable, in column order."""
-    rows = [dict(r) for r in m.rows()]
-    pivots, _ = _eliminate(rows, reduce=True)
+    pivots, _ = _eliminate(m.rows(), reduce=True)
     pivot_cols = {pc for pc, _ in pivots}
     free: dict[int, Vec] = {
         f: {f: Fraction(1)} for f in range(m.ncols) if f not in pivot_cols
@@ -377,11 +350,8 @@ def spans_equal(a: SparseRationalMatrix, b: SparseRationalMatrix) -> bool:
     rb = rank(b)
     if ra != rb:
         return False
-    joint = {}
-    joint.update(a.entries)
-    for (r, c), v in b.entries.items():
-        joint[(r, a.ncols + c)] = v
-    return rank(SparseRationalMatrix._trusted(a.nrows, a.ncols + b.ncols, joint)) == ra
+    joint = SparseRationalMatrix.from_columns(a.nrows, a.columns() + b.columns())
+    return rank(joint) == ra
 
 
 def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:

@@ -226,7 +226,8 @@ def _structure_matrix(
     model: FiberModel, kind: str, a: int, B: int
 ) -> SparseRationalMatrix:
     """The matrix behind ``structure_map`` on (a, B), whose arguments it has
-    checked.  d = d1/(B+1) + d2 is emitted term by term in one pass."""
+    checked, one column per source monomial.  d = d1/(B+1) + d2 is emitted
+    term by term in one pass."""
     src = TwistedSpace(model.n, a, B)
     if kind == "d0":
         dst = TwistedSpace(model.n, a - 1, B + 1)
@@ -234,23 +235,25 @@ def _structure_matrix(
         dst = TwistedSpace(model.n, a + 1, B - 1)
         w1 = {"d1": 1, "d2": 0, "d": Fraction(1, B + 1)}[kind]  # weight of d1
     dst_index = _basis_index(dst)
-    entries: dict[tuple[int, int], Fraction] = {}
 
     def put(col, subset, p, coef):
         if not coef:
             return
-        key = (dst_index[(subset, p)], col)
-        old = entries.get(key)
+        row = dst_index[(subset, p)]
+        old = col.get(row)
         if old is None:
-            entries[key] = coef
+            col[row] = coef
         else:
             acc = old + coef
             if acc:
-                entries[key] = acc
+                col[row] = acc
             else:
-                del entries[key]
+                del col[row]
 
-    for col, (subset, p) in enumerate(basis_of(src)):
+    cols: list[dict[int, Fraction]] = []
+    for subset, p in basis_of(src):
+        col: dict[int, Fraction] = {}
+        cols.append(col)
         if kind == "d0":
             ct = _contract(subset, 0)
             if ct is not None:
@@ -281,7 +284,7 @@ def _structure_matrix(
                 sign, sub = w
                 put(col, sub, dp, Fraction(sign * dc) * vj)
 
-    return SparseRationalMatrix(dst.dim, src.dim, entries)
+    return SparseRationalMatrix.from_columns(dst.dim, cols)
 
 
 @cache

@@ -19,10 +19,6 @@ class Report:
         status = "pass" if expected == computed else "fail"
         return cls(suite, params, expected, computed, status)
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
     def to_ordered_dict(self) -> dict:
         return {
             "suite": self.suite,

@@ -96,8 +96,10 @@ def tphi_on_weight(alpha1: int, alpha2: int, k: int) -> tuple[Weight, int] | Non
 
 
 def bbw_check(n: int, k: int) -> Report:
-    """Closed-form pushforward agreement over the full weight band;
-    tphi_on_weight raises AssertionError on every disagreement."""
+    """Closed-form pushforward agreement for alpha1 >= alpha2 >= -1;
+    tphi_on_weight raises AssertionError on every disagreement.  The band
+    never reaches the far-shift case (alpha2 <= 1 - k): only the staircase
+    check covers that one."""
     checked = 0
     mismatches = 0
     for a1 in range(-1, 2 * n - k + 1):

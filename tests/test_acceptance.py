@@ -61,7 +61,7 @@ def test_criterion_01_cohomology_ranks():
 def test_criterion_02_complex_condition():
     start = time.monotonic()
     ok = all(
-        verify_Et_complex(n, t).passed
+        verify_Et_complex(n, t).status == "pass"
         for n in (3, 4, 5)
         for t in range(0, 2 * n - 1)
     )
@@ -85,7 +85,7 @@ def test_criterion_03_grid_identities():
 def test_criterion_04_bicomplex():
     start = time.monotonic()
     ok = all(
-        verify_bicomplex(n, t).passed for n in (3, 4) for t in range(0, 2 * n - 1)
+        verify_bicomplex(n, t).status == "pass" for n in (3, 4) for t in range(0, 2 * n - 1)
     )
     _report(4, "bicomplex and totalization", ok, time.monotonic() - start)
 
@@ -93,7 +93,7 @@ def test_criterion_04_bicomplex():
 def test_criterion_05_snake():
     start = time.monotonic()
     ok = all(
-        verify_snake(n, t).passed for n in (3, 4) for t in range(0, 2 * n - 1)
+        verify_snake(n, t).status == "pass" for n in (3, 4) for t in range(0, 2 * n - 1)
     )
     _report(5, "snake structure", ok, time.monotonic() - start)
 
@@ -114,7 +114,7 @@ def test_criterion_06_pushforward_layer():
         for n in range(k, 6):
             for a1 in range(0, 2 * n - k + 1):
                 for a2 in range(0, a1 + 1):
-                    if not verify_staircase_pushforward(a1, a2, k, n).passed:
+                    if verify_staircase_pushforward(a1, a2, k, n).status != "pass":
                         ok = False
     # vanishing band: every leading resolution term pushes to zero
     for k in range(3, 7):
@@ -131,7 +131,7 @@ def test_criterion_06_pushforward_layer():
 def test_criterion_07_euler_characteristics():
     start = time.monotonic()
     ok = all(
-        euler_check_Kt(n, k, t).passed
+        euler_check_Kt(n, k, t).status == "pass"
         for k in range(2, 7)
         for n in range(k, 7)
         for t in range(0, 2 * n - k + 1)

@@ -1,5 +1,6 @@
-"""Planted defects in the structure maps must make the responsible suite
-fail: the verifier is run end to end through the CLI at n = 4."""
+"""Planted defects must make the responsible suite fail: the verifier is run
+end to end through the CLI, at n = 4 for the structure maps and at
+(n, k) = (6, 4) for the weight closed forms."""
 
 import io
 import json
@@ -8,11 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from sscx import complexes, fiber
+from sscx import complexes, fiber, weights
 from sscx.cli import run
 
-# every functools.cache of the fiber layer, the structure matrices included
-CACHED = [f for f in vars(fiber).values() if hasattr(f, "cache_clear")]
+# every functools.cache of the fiber and complexes layers, the structure
+# matrices and the truncation complexes' cohomology included
+CACHED = [
+    f for module in (fiber, complexes) for f in vars(module).values()
+    if hasattr(f, "cache_clear")
+]
+FIBER_N4 = ("verify-fiber", "--n", "4", "--t", "all", "--checks")
 
 
 @pytest.fixture(autouse=True)
@@ -26,10 +32,10 @@ def fresh_caches():
         f.cache_clear()
 
 
-def reports(checks):
+def reports(*argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = run(["verify-fiber", "--n", "4", "--t", "all", "--checks", checks])
+        code = run(list(argv))
     return code, [json.loads(line) for line in buf.getvalue().splitlines()]
 
 
@@ -44,7 +50,7 @@ def test_unsigned_odd_depths_break_the_squares(monkeypatch):
         return bc
 
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
-    code, reps = reports("bicomplex,snake")
+    code, reps = reports(*FIBER_N4, "bicomplex,snake")
     assert code == 1
     for rep in reps:
         t = rep["params"]["t"]
@@ -68,7 +74,7 @@ def test_wrong_d_coefficient_breaks_containment(monkeypatch):
     # complexes imported the name, so both bindings carry the planted map
     monkeypatch.setattr(fiber, "structure_map", planted)
     monkeypatch.setattr(complexes, "structure_map", planted)
-    code, reps = reports("d2zero,bicomplex")
+    code, reps = reports(*FIBER_N4, "d2zero,bicomplex")
     assert code == 1
     for rep in reps:
         t = rep["params"]["t"]
@@ -95,7 +101,7 @@ def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch):
     # the cache would hide the planted sign
     assert fiber._structure_matrix.cache_info().currsize == 0
     monkeypatch.setattr(fiber, "_contract", planted)
-    code, reps = reports("d2zero,cohomology,snake,bicomplex,koszul,ces")
+    code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
     assert code == 1
     failing = {(rep["suite"], rep["params"]["t"]) for rep in reps
                if rep["status"] == "fail"}
@@ -103,4 +109,32 @@ def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch):
         (suite, t)
         for suite in ("d2zero", "cohomology", "snake", "bicomplex")
         for t in range(4, 7)
+    }
+
+
+def test_far_shift_off_by_one_breaks_only_the_staircase(monkeypatch):
+    def planted(alpha1, alpha2, k):
+        """tphi_on_weight with k - 1 + alpha2 for k - 2 + alpha2 in the last
+        entry of the far-shift closed form."""
+        if not (alpha1 >= alpha2 and alpha1 >= -1 and k >= 3):
+            raise ValueError("need alpha1 >= alpha2, alpha1 >= -1, k >= 3")
+        generic = weights.bbw_pushforward((alpha1, alpha2) + (0,) * (k - 2))
+        if alpha2 >= 0:
+            closed = ((alpha1, alpha2) + (0,) * (k - 2), 0)
+        elif alpha2 >= 2 - k:
+            closed = None
+        else:
+            closed = ((alpha1,) + (-1,) * (k - 2) + (k - 1 + alpha2,), k - 2)
+        if generic != closed:
+            raise AssertionError(f"closed form disagrees at ({alpha1},{alpha2},k={k})")
+        return generic
+
+    monkeypatch.setattr(weights, "tphi_on_weight", planted)
+    code, reps = reports("verify-weights", "--n", "6", "--k", "4")
+    assert code == 1
+    failing = [rep for rep in reps if rep["status"] == "fail"]
+    assert len(failing) == 45
+    assert all(rep["suite"] == "staircase" for rep in failing)
+    assert {rep["suite"] for rep in reps if rep["status"] == "pass"} == {
+        "bbw", "euler", "phics", "pieri", "vanishing"
     }
