@@ -247,6 +247,13 @@ def verify_snake(n: int, t: int) -> Report:
     return Report.make("snake", {"n": n, "t": t}, expected, computed)
 
 
+# A bicomplex map: (s, m) stands for s times the matrix m, a structure matrix
+# shared with every other degree, grid entry and check.
+ScaledMap = tuple[Fraction, SparseRationalMatrix]
+# (s, x, y) stands for s (x @ y)
+Term = tuple[Fraction, SparseRationalMatrix, SparseRationalMatrix]
+
+
 @dataclass
 class Bicomplex:
     """Grid of twisted spaces: column b (0..t) resolves the truncation fiber
@@ -257,8 +264,8 @@ class Bicomplex:
     n: int
     t: int
     grid: list[list[TwistedSpace]]
-    horizontal: dict[tuple[int, int], SparseRationalMatrix]
-    vertical: dict[tuple[int, int], SparseRationalMatrix]
+    horizontal: dict[tuple[int, int], ScaledMap]
+    vertical: dict[tuple[int, int], ScaledMap]
 
 
 def build_bicomplex(n: int, t: int) -> Bicomplex:
@@ -266,7 +273,8 @@ def build_bicomplex(n: int, t: int) -> Bicomplex:
 
     The horizontal map on the (b, c) entry (b >= 1) is
     (-1)^c (b/(B(B+1)) d1 + (b/B) d2) with B = b+c, which equals
-    (-1)^c (b/B) d since d = d1/(B+1) + d2 there; vertical maps are d0.
+    (-1)^c (b/B) d since d = d1/(B+1) + d2 there, and is kept as the pair
+    ((-1)^c b/B, d); the vertical maps are the pairs (1, d0).
     """
     if not (0 <= t <= 2 * n - 2):
         raise ValueError("t outside the admissible band")
@@ -275,23 +283,42 @@ def build_bicomplex(n: int, t: int) -> Bicomplex:
         [TwistedSpace(n, t - b - c, b + c, c) for c in range(t - b + 1)]
         for b in range(t + 1)
     ]
-    horizontal: dict[tuple[int, int], SparseRationalMatrix] = {}
-    vertical: dict[tuple[int, int], SparseRationalMatrix] = {}
+    horizontal: dict[tuple[int, int], ScaledMap] = {}
+    vertical: dict[tuple[int, int], ScaledMap] = {}
     for b in range(t + 1):
         for c in range(t - b + 1):
             src = grid[b][c]
             if b >= 1:
                 d, dst = structure_map(model, "d", src)
-                h = d.scale(Fraction((-1) ** c * b, b + c))
                 if dst != grid[b - 1][c]:
                     raise AssertionError(f"horizontal map at {(b, c)} leaves the grid")
-                horizontal[(b, c)] = h
+                horizontal[(b, c)] = (Fraction((-1) ** c * b, b + c), d)
             if c < t - b:
                 v, dst = structure_map(model, "d0", src)
                 if dst != grid[b][c + 1]:
                     raise AssertionError(f"vertical map at {(b, c)} leaves the grid")
-                vertical[(b, c)] = v
+                vertical[(b, c)] = (Fraction(1), v)
     return Bicomplex(n, t, grid, horizontal, vertical)
+
+
+def _layout(bc: Bicomplex) -> tuple[list[list[tuple[int, int]]], dict, list[int]]:
+    """The blocks (b, c) of each total degree c - b from -t to t, by b
+    within a degree; each block's row offset within its degree; and the
+    dimension of each degree."""
+    t = bc.t
+    layout = [
+        [(b, b + deg) for b in range(max(0, -deg), (t - deg) // 2 + 1)]
+        for deg in range(-t, t + 1)
+    ]
+    offsets: dict[tuple[int, int], int] = {}
+    dims = []
+    for blocks in layout:
+        pos = 0
+        for b, c in blocks:
+            offsets[(b, c)] = pos
+            pos += bc.grid[b][c].dim
+        dims.append(pos)
+    return layout, offsets, dims
 
 
 def totalize(bc: Bicomplex) -> ChainComplex:
@@ -299,40 +326,118 @@ def totalize(bc: Bicomplex) -> ChainComplex:
 
     The (b, c) entry sits in total degree c - b; both structure maps raise
     that degree by one.  The vertical map on column b enters with the sign
-    (-1)^b, which makes the total differential square to zero.
+    (-1)^b, which makes the total differential square to zero.  Each map's
+    scalar is applied to its shared matrix here, one block at a time, and
+    the columns are written at the target entry's row offset.
     """
-    t = bc.t
-    blocks: dict[int, list[tuple[int, int]]] = {}
-    for b in range(t + 1):
-        for c in range(t - b + 1):
-            blocks.setdefault(c - b, []).append((b, c))
-    degrees = sorted(blocks)
-    for d in degrees:
-        blocks[d].sort()
-    offsets: dict[tuple[int, int], int] = {}
-    dims = []
-    for d in degrees:
-        pos = 0
-        for key in blocks[d]:
-            offsets[key] = pos
-            pos += bc.grid[key[0]][key[1]].dim
-        dims.append(pos)
+    layout, offsets, dims = _layout(bc)
     diffs = []
-    for di, d in enumerate(degrees[:-1]):
+    for blocks, nrows in zip(layout, dims[1:]):
         cols: list[dict[int, Fraction]] = []
-        for (b, c) in blocks[d]:
-            # the two maps out of (b, c) land in different blocks of degree d + 1
+        for b, c in blocks:
+            # the two maps out of (b, c) land in different blocks of the next degree
             pieces = []
             if (b, c) in bc.horizontal:
-                pieces.append((bc.horizontal[(b, c)], offsets[(b - 1, c)]))
+                s, m = bc.horizontal[(b, c)]
+                pieces.append((m.scale(s), offsets[(b - 1, c)]))
             if (b, c) in bc.vertical:
-                pieces.append((bc.vertical[(b, c)].scale((-1) ** b), offsets[(b, c + 1)]))
+                s, m = bc.vertical[(b, c)]
+                pieces.append((m.scale((-1) ** b * s), offsets[(b, c + 1)]))
             for j in range(bc.grid[b][c].dim):
                 cols.append(
                     {row0 + r: v for m, row0 in pieces for r, v in m.columns()[j].items()}
                 )
-        diffs.append(SparseRationalMatrix.from_columns(dims[di + 1], cols))
-    return ChainComplex(degrees[0], dims, diffs)
+        diffs.append(SparseRationalMatrix.from_columns(nrows, cols))
+    return ChainComplex(-bc.t, dims, diffs)
+
+
+class _Same:
+    """A matrix as a memo key: equal to another key only when both hold the
+    very same object.  The key keeps the matrix alive, so its ``id`` cannot
+    be reused by another matrix while the memo holds the key."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: SparseRationalMatrix):
+        self.m = m
+
+    def __hash__(self) -> int:
+        return id(self.m)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Same) and self.m is other.m
+
+
+def _compose(p: ScaledMap, q: ScaledMap) -> Term:
+    """The composition p o q as a term."""
+    return p[0] * q[0], p[1], q[1]
+
+
+def _vanishes(*terms: Term) -> bool:
+    """Whether the sum of s (x @ y) over the terms (s, x, y) is zero.
+
+    The terms are normalized by the first non-zero scalar, so each sum is
+    decided once per process for its matrix objects and scalar ratios: in
+    the bicomplex every degree t and grid entry asks about the same few
+    sums of products of shared structure matrices.
+    """
+    terms = tuple(term for term in terms if term[0])
+    if not terms:
+        return True
+    s0 = terms[0][0]
+    return _sum_vanishes(
+        tuple((Fraction(s) / s0, _Same(x), _Same(y)) for s, x, y in terms)
+    )
+
+
+@cache
+def _sum_vanishes(terms: tuple[tuple[Fraction, _Same, _Same], ...]) -> bool:
+    """``_vanishes`` on normalized terms.  Only the verdict is kept: the
+    products are dropped once summed."""
+    total = None
+    for s, x, y in terms:
+        p = (x.m @ y.m).scale(s)
+        total = p if total is None else total + p
+    return total.is_zero()
+
+
+@cache
+def _rank_of(m: _Same) -> int:
+    """Rank of a shared matrix, computed once per process."""
+    return rank(m.m)
+
+
+def _is_totalization(bc: Bicomplex, vertical: dict, total: ChainComplex) -> bool:
+    """Whether ``total`` holds exactly the maps of the bicomplex, each at the
+    row offset of its target block: the horizontal maps with their scalars
+    and the vertical ones with the scalars in ``vertical``.  One pass over
+    the stored entries, comparing w = s v as wn sd vd = sn vn wd in
+    integers rather than building s v."""
+    layout, offsets, dims = _layout(bc)
+    if total.degree_offset != -bc.t or total.dims != dims:
+        return False
+    for blocks, diff in zip(layout, total.differentials):
+        cols = iter(diff.columns())
+        for b, c in blocks:
+            pieces = []
+            if (b, c) in bc.horizontal:
+                pieces.append((*bc.horizontal[(b, c)], offsets[(b - 1, c)]))
+            if (b, c) in vertical:
+                pieces.append((*vertical[(b, c)], offsets[(b, c + 1)]))
+            for j in range(bc.grid[b][c].dim):
+                col = next(cols)
+                if len(col) != sum(len(m.columns()[j]) for _, m, _ in pieces):
+                    return False
+                for s, m, row0 in pieces:
+                    sn, sd = s.numerator, s.denominator
+                    for r, v in m.columns()[j].items():
+                        w = col.get(row0 + r)
+                        if w is None or (
+                            w.numerator * sd * v.denominator
+                            != sn * v.numerator * w.denominator
+                        ):
+                            return False
+    return True
 
 
 def verify_bicomplex(n: int, t: int) -> Report:
@@ -343,14 +448,28 @@ def verify_bicomplex(n: int, t: int) -> Report:
     anticommutes once the vertical maps carry the column sign; the total
     complex squares to zero and reproduces the cohomology of the truncation
     complex (acyclic at t = n - 1).
+
+    Every map is a scalar times a shared structure matrix, so each identity
+    made of products is a sum of scaled products of structure matrices,
+    decided once per process (``_vanishes``) with the scalars of the
+    assembled bicomplex; column ranks are likewise computed once per
+    matrix.  The total d² is zero exactly when its blocks are: d o d in the
+    rows, d0 o d0 in the columns, the squares, and the squares cut off by
+    the antidiagonal, where only the path through column b - 1 exists.  So
+    ``total_d2`` is those verdicts together with a check that ``totalize``
+    put every map at its block with its sign; ``cohomology_match`` ranks
+    the total complex itself.
     """
     bc = build_bicomplex(n, t)
     model = FiberModel(n)
-    rows_ok = 1
-    for b in range(2, t + 1):
-        for c in range(t - b + 1):
-            if not (bc.horizontal[(b - 1, c)] @ bc.horizontal[(b, c)]).is_zero():
-                rows_ok = 0
+    hor = bc.horizontal
+    # the vertical maps with the column sign they carry in the total complex
+    ver = {(b, c): ((-1) ** b * s, m) for (b, c), (s, m) in bc.vertical.items()}
+    rows_ok = int(all(
+        _vanishes(_compose(hor[(b - 1, c)], hor[(b, c)]))
+        for b in range(2, t + 1)
+        for c in range(t - b + 1)
+    ))
     cols_exact = 1
     top_kernels = 1
     for b in range(t + 1):
@@ -360,10 +479,11 @@ def verify_bicomplex(n: int, t: int) -> Report:
             if top.dim != bc.grid[b][0].dim:
                 top_kernels = 0
             continue
-        ranks = [rank(bc.vertical[(b, c)]) for c in range(height - 1)]
+        maps = [bc.vertical[(b, c)] for c in range(height - 1)]
+        ranks = [_rank_of(_Same(m)) if s else 0 for s, m in maps]
         # the independent basis of the fiber lies in ker d0 and has its dimension
         if bc.grid[b][0].dim - ranks[0] != top.dim or any(
-            map(bc.vertical[(b, 0)].apply, top.vectors)
+            map(maps[0][1].apply, top.vectors)
         ):
             top_kernels = 0
         for c in range(1, height - 1):
@@ -371,16 +491,29 @@ def verify_bicomplex(n: int, t: int) -> Report:
                 cols_exact = 0
         if ranks[height - 2] != bc.grid[b][height - 1].dim:
             cols_exact = 0
-    squares = 1
-    for b in range(1, t + 1):
-        for c in range(t - b):
-            anti = bc.vertical[(b - 1, c)].scale((-1) ** (b - 1)) @ bc.horizontal[
-                (b, c)
-            ] + bc.horizontal[(b, c + 1)] @ bc.vertical[(b, c)].scale((-1) ** b)
-            if not anti.is_zero():
-                squares = 0
+    squares = int(all(
+        _vanishes(
+            _compose(ver[(b - 1, c)], hor[(b, c)]),
+            _compose(hor[(b, c + 1)], ver[(b, c)]),
+        )
+        for b in range(1, t + 1)
+        for c in range(t - b)
+    ))
     total = totalize(bc)
-    total_d2 = int(verify_complex(total))
+    total_d2 = int(
+        rows_ok
+        and squares
+        and all(
+            _vanishes(_compose(ver[(b, c + 1)], ver[(b, c)]))
+            for b in range(t + 1)
+            for c in range(t - b - 1)
+        )
+        and all(
+            _vanishes(_compose(ver[(b - 1, t - b)], hor[(b, t - b)]))
+            for b in range(1, t + 1)
+        )
+        and _is_totalization(bc, ver, total)
+    )
     et_coh = _Et_cohomology(n, t)
     # only a complex has cohomology (cohomology_dims may raise otherwise);
     # computed once for both flags

@@ -85,7 +85,9 @@ def test_criterion_03_grid_identities():
 def test_criterion_04_bicomplex():
     start = time.monotonic()
     ok = all(
-        verify_bicomplex(n, t).status == "pass" for n in (3, 4) for t in range(0, 2 * n - 1)
+        verify_bicomplex(n, t).status == "pass"
+        for n in (3, 4, 5)
+        for t in range(0, 2 * n - 1)
     )
     _report(4, "bicomplex and totalization", ok, time.monotonic() - start)
 
@@ -93,7 +95,9 @@ def test_criterion_04_bicomplex():
 def test_criterion_05_snake():
     start = time.monotonic()
     ok = all(
-        verify_snake(n, t).status == "pass" for n in (3, 4) for t in range(0, 2 * n - 1)
+        verify_snake(n, t).status == "pass"
+        for n in (3, 4, 5)
+        for t in range(0, 2 * n - 1)
     )
     _report(5, "snake structure", ok, time.monotonic() - start)
 

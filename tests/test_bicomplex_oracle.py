@@ -1,0 +1,114 @@
+"""Differential test of the bicomplex's product flags.
+
+``verify_bicomplex`` decides ``rows_ok``, ``squares`` and ``total_d2`` from
+memoized verdicts on sums of products of shared structure matrices.  The
+oracle here forms every product on the grid instead, as the check did before
+the memo: each row composition, each square, and the square of every total
+differential.  Both must agree on every degree up to n = 4 and on bicomplexes
+with a planted scalar or a planted coefficient of d.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from sscx import complexes
+from sscx.complexes import build_bicomplex, totalize, verify_bicomplex, verify_complex
+from tests.test_faults import CACHED
+
+FLAGS = ("rows_ok", "squares", "total_d2")
+
+
+@pytest.fixture
+def fresh_caches():
+    """Matrices built from a planted map must not outlive the test."""
+    for f in CACHED:
+        f.cache_clear()
+    yield
+    for f in CACHED:
+        f.cache_clear()
+
+
+def product_flags(bc) -> dict[str, int]:
+    """The three flags with every product formed on the grid."""
+    t = bc.t
+    hor = {key: m.scale(s) for key, (s, m) in bc.horizontal.items()}
+    ver = {key: m.scale(s) for key, (s, m) in bc.vertical.items()}
+    rows_ok = 1
+    for b in range(2, t + 1):
+        for c in range(t - b + 1):
+            if not (hor[(b - 1, c)] @ hor[(b, c)]).is_zero():
+                rows_ok = 0
+    squares = 1
+    for b in range(1, t + 1):
+        for c in range(t - b):
+            anti = ver[(b - 1, c)].scale((-1) ** (b - 1)) @ hor[(b, c)] + hor[
+                (b, c + 1)
+            ] @ ver[(b, c)].scale((-1) ** b)
+            if not anti.is_zero():
+                squares = 0
+    total_d2 = int(verify_complex(totalize(bc)))
+    return {"rows_ok": rows_ok, "squares": squares, "total_d2": total_d2}
+
+
+def memo_flags(n: int, t: int) -> dict[str, int]:
+    computed = verify_bicomplex(n, t).computed
+    return {flag: computed[flag] for flag in FLAGS}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_memoized_flags_match_the_products(n):
+    for t in range(0, 2 * n - 1):
+        assert memo_flags(n, t) == product_flags(build_bicomplex(n, t)), (n, t)
+
+
+def _replace_map(maps: dict, key, scalar) -> dict:
+    """A copy of ``maps`` with the scalar of the map at ``key`` replaced."""
+    return {**maps, key: (scalar(maps[key][0]), maps[key][1])}
+
+
+PLANTS = {
+    "negated horizontal scalar": lambda bc: dataclasses.replace(
+        bc, horizontal=_replace_map(bc.horizontal, (1, 0), lambda s: -s)
+    ),
+    "vertical scalar 2": lambda bc: dataclasses.replace(
+        bc, vertical=_replace_map(bc.vertical, (0, 0), lambda s: Fraction(2))
+    ),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTS))
+def test_planted_scalar_flags_match_the_products(plant, monkeypatch, fresh_caches):
+    real = complexes.build_bicomplex
+
+    def planted(n, t):
+        return PLANTS[plant](real(n, t))
+
+    monkeypatch.setattr(complexes, "build_bicomplex", planted)
+    for t in range(2, 7):
+        flags = memo_flags(4, t)
+        assert flags == product_flags(planted(4, t)), t
+        assert flags["squares"] == 0 and flags["total_d2"] == 0, t
+
+
+def test_planted_d_coefficient_flags_match_the_products(monkeypatch, fresh_caches):
+    real = complexes.structure_map
+
+    def planted(model, kind, src):
+        """d with the weight 1/(B+2) of d1 instead of 1/(B+1)."""
+        if kind != "d":
+            return real(model, kind, src)
+        m1, dst = real(model, "d1", src)
+        m2, _ = real(model, "d2", src)
+        return m1.scale(Fraction(1, src.B + 2)) + m2, dst
+
+    # only the bicomplex sees the planted map: the truncation complexes it is
+    # compared with keep the true d
+    monkeypatch.setattr(complexes, "structure_map", planted)
+    broken = 0
+    for t in range(0, 7):
+        flags = memo_flags(4, t)
+        assert flags == product_flags(build_bicomplex(4, t)), t
+        broken += flags != dict.fromkeys(FLAGS, 1)
+    assert broken

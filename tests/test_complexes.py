@@ -125,7 +125,8 @@ class TestBicomplex:
         bc = build_bicomplex(3, 2)
         model = FiberModel(3)
         d, _ = structure_map(model, "d", TwistedSpace(3, 1, 1))
-        assert bc.horizontal[(1, 0)] == d
+        scalar, mat = bc.horizontal[(1, 0)]
+        assert scalar == 1 and mat is d
 
     def test_totalize_examples(self):
         assert cohomology_dims(totalize(build_bicomplex(3, 2))) == {}  # acyclic

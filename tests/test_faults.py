@@ -2,6 +2,7 @@
 end to end through the CLI, at n = 4 for the structure maps and at
 (n, k) = (6, 4) for the weight closed forms."""
 
+import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -12,8 +13,9 @@ import pytest
 from sscx import complexes, fiber, weights
 from sscx.cli import run
 
-# every functools.cache of the fiber and complexes layers, the structure
-# matrices and the truncation complexes' cohomology included
+# every functools.cache of the fiber and complexes layers: the structure
+# matrices, the truncation complexes' cohomology, and the bicomplex's
+# verdict and rank memos included
 CACHED = [
     f for module in (fiber, complexes) for f in vars(module).values()
     if hasattr(f, "cache_clear")
@@ -25,6 +27,7 @@ FIBER_N4 = ("verify-fiber", "--n", "4", "--t", "all", "--checks")
 def fresh_caches():
     """Matrices and fibers built from a planted map must not outlive the
     test, and ones cached by earlier tests must not hide the planted map."""
+    assert {complexes._sum_vanishes, complexes._rank_of} <= set(CACHED)
     for f in CACHED:
         f.cache_clear()
     yield
@@ -44,9 +47,9 @@ def test_unsigned_odd_depths_break_the_squares(monkeypatch):
 
     def planted(n, t):
         bc = real(n, t)
-        for (b, c), h in bc.horizontal.items():
+        for (b, c), (s, m) in bc.horizontal.items():
             if c % 2:
-                bc.horizontal[(b, c)] = h.scale(-1)
+                bc.horizontal[(b, c)] = (-s, m)
         return bc
 
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
@@ -59,6 +62,58 @@ def test_unsigned_odd_depths_break_the_squares(monkeypatch):
         else:
             assert rep["status"] == "fail", rep
             assert rep["computed"]["squares"] == 0
+
+
+def _fails_only_the_total(reps):
+    """Every report below t = 2 passes; from t = 2 on each fails exactly the
+    flags about the total complex."""
+    for rep in reps:
+        if rep["params"]["t"] < 2:
+            assert rep["status"] == "pass", rep
+        else:
+            assert rep["status"] == "fail", rep
+            failing = {k for k, v in rep["computed"].items() if v != rep["expected"][k]}
+            assert failing == {"total_d2", "cohomology_match"}, rep
+
+
+def test_totalize_with_one_unsigned_block_fails(monkeypatch):
+    real = complexes.totalize
+
+    def planted(bc):
+        """The vertical map out of the (1, 0) entry enters the total
+        differential without its column sign (-1)^1."""
+        if (1, 0) not in bc.vertical:
+            return real(bc)
+        s, m = bc.vertical[(1, 0)]
+        return real(dataclasses.replace(bc, vertical={**bc.vertical, (1, 0): (-s, m)}))
+
+    monkeypatch.setattr(complexes, "totalize", planted)
+    code, reps = reports(*FIBER_N4, "bicomplex")
+    assert code == 1
+    _fails_only_the_total(reps)
+
+
+def test_totalize_with_one_shifted_block_fails(monkeypatch):
+    real, real_layout = complexes.totalize, complexes._layout
+
+    def shifted_layout(bc):
+        """The (0, 0) block of total degree 0 one row lower, onto the first
+        row of the (1, 1) block after it."""
+        layout, offsets, dims = real_layout(bc)
+        offsets[(0, 0)] += 1
+        return layout, offsets, dims
+
+    def planted(bc):
+        if bc.t < 2:
+            return real(bc)
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes, "_layout", shifted_layout)
+            return real(bc)
+
+    monkeypatch.setattr(complexes, "totalize", planted)
+    code, reps = reports(*FIBER_N4, "bicomplex")
+    assert code == 1
+    _fails_only_the_total(reps)
 
 
 def test_wrong_d_coefficient_breaks_containment(monkeypatch):
