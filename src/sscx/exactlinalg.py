@@ -3,7 +3,7 @@
 Everything downstream (fiber maps, chain complexes, bicomplexes) reduces to
 rank, kernel and change-of-basis computations on sparse matrices with small
 rational entries, so this module is deliberately minimal: one matrix type,
-one elimination core, and a handful of subspace predicates.
+one elimination core, and the restriction of a map to subspaces.
 
 Pivot choice is deterministic (lowest column index; among candidate rows the
 sparsest one, ties broken by lowest row index), so every computation in the
@@ -14,13 +14,11 @@ search, so pivots and results are the ones the rule above defines.
 
 A matrix is stored one way only: as its list of sparse columns, each a
 ``{row: value}`` dict.  Invariant: every stored value is a non-zero
-``Fraction`` at a row inside the shape.  Only the public constructor checks
-it: it wraps every value in ``Fraction``, drops zeros and rejects positions
-outside the shape.  ``from_columns`` trusts its input and takes the column
-dicts over as they are; every operation here builds its result through it
-from columns that already keep the invariant.  Accumulators store the first
-contribution to a key as it is and delete a key whose sum cancels, so no
-zero is stored and no ``Fraction`` is added to an int 0.
+``Fraction`` at a row inside the shape.  The constructor trusts its input
+and takes the column dicts over as they are, so every caller builds columns
+that keep the invariant.  Accumulators store the first contribution to a key
+as it is and delete a key whose sum cancels, so no zero is stored and no
+``Fraction`` is added to an int 0.
 """
 
 from __future__ import annotations
@@ -40,32 +38,13 @@ class SparseRationalMatrix:
 
     __slots__ = ("nrows", "ncols", "_cols")
 
-    def __init__(self, nrows: int, ncols: int, entries: dict | None = None):
-        """The matrix with the given {(row, col): value} entries, checked and
-        wrapped in Fraction; zero values are dropped."""
-        if nrows < 0 or ncols < 0:
-            raise ValueError("negative matrix dimension")
-        cols: list[Vec] = [dict() for _ in range(ncols)]
-        for (r, c), v in (entries or {}).items():
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise ValueError(f"entry ({r},{c}) out of range")
-            v = Fraction(v)
-            if v:
-                cols[c][r] = v
-        self.nrows = nrows
-        self.ncols = ncols
-        self._cols = cols
-
-    @classmethod
-    def from_columns(cls, nrows: int, cols: list[Vec]) -> "SparseRationalMatrix":
+    def __init__(self, nrows: int, cols: list[Vec]):
         """The matrix with the given sparse columns, which must keep the
         invariant (non-zero Fractions at rows < nrows).  Neither checked nor
         copied: the list and its dicts become the matrix's own."""
-        m = cls.__new__(cls)
-        m.nrows = nrows
-        m.ncols = len(cols)
-        m._cols = cols
-        return m
+        self.nrows = nrows
+        self.ncols = len(cols)
+        self._cols = cols
 
     @property
     def entries(self) -> dict[tuple[int, int], Fraction]:
@@ -98,7 +77,7 @@ class SparseRationalMatrix:
             cols = [{r: s * v for r, v in col.items()} for col in self._cols]
         else:
             cols = [dict() for _ in range(self.ncols)]
-        return SparseRationalMatrix.from_columns(self.nrows, cols)
+        return SparseRationalMatrix(self.nrows, cols)
 
     def __add__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -117,13 +96,13 @@ class SparseRationalMatrix:
                     else:
                         del col[r]
             cols.append(col)
-        return SparseRationalMatrix.from_columns(self.nrows, cols)
+        return SparseRationalMatrix(self.nrows, cols)
 
     def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         """Composition self o other (matrix product)."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch in composition")
-        return SparseRationalMatrix.from_columns(
+        return SparseRationalMatrix(
             self.nrows, [self.apply(col) for col in other.columns()]
         )
 
@@ -271,7 +250,7 @@ def kernel(m: SparseRationalMatrix) -> SparseRationalMatrix:
         for c, v in row.items():
             if c != pc:
                 free[c][pc] = -v
-    return SparseRationalMatrix.from_columns(m.ncols, list(free.values()))
+    return SparseRationalMatrix(m.ncols, list(free.values()))
 
 
 @dataclass
@@ -284,9 +263,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def matrix(self) -> SparseRationalMatrix:
-        return SparseRationalMatrix.from_columns(self.ambient_dim, self.vectors)
 
     @classmethod
     def full(cls, dim: int) -> "SubspaceBasis":
@@ -339,25 +315,4 @@ def restrict(
         raise ValueError("codomain ambient dimension does not match matrix")
     images = [m.apply(v) for v in dom.vectors]
     coords = solve_in_basis(cod, images)
-    return SparseRationalMatrix.from_columns(cod.dim, coords)
-
-
-def spans_equal(a: SparseRationalMatrix, b: SparseRationalMatrix) -> bool:
-    """Whether the column spans of two matrices (any generating sets) agree."""
-    if a.nrows != b.nrows:
-        raise ValueError("ambient dimension mismatch")
-    ra = rank(a)
-    rb = rank(b)
-    if ra != rb:
-        return False
-    joint = SparseRationalMatrix.from_columns(a.nrows, a.columns() + b.columns())
-    return rank(joint) == ra
-
-
-def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    """Whether two subspaces (given by bases) coincide."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if a.dim != b.dim:
-        return False
-    return spans_equal(a.matrix(), b.matrix())
+    return SparseRationalMatrix(cod.dim, coords)

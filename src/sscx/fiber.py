@@ -21,12 +21,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .exactlinalg import (
-    SparseRationalMatrix,
-    SubspaceBasis,
-    kernel,
-    subspace_equal,
-)
+from .exactlinalg import SparseRationalMatrix, SubspaceBasis, kernel, rank, restrict
 
 TwoForm = dict[tuple[int, int], Fraction]
 OneForm = dict[int, Fraction]
@@ -284,7 +279,7 @@ def _structure_matrix(
                 sign, sub = w
                 put(col, sub, dp, Fraction(sign * dc) * vj)
 
-    return SparseRationalMatrix.from_columns(dst.dim, cols)
+    return SparseRationalMatrix(dst.dim, cols)
 
 
 @cache
@@ -329,15 +324,38 @@ def _xi_lift(model: FiberModel, a: int, b: int, mono) -> dict[int, Fraction]:
     return {k: v for k, v in out.items() if v}
 
 
+def _lift_vectors(model: FiberModel, a: int, b: int) -> list[dict[int, Fraction]]:
+    """The second construction of the fiber of degree (a, b), a >= 1: the
+    annihilator monomials together with the lifts of the annihilator
+    monomials of degree (a-1, b-1)."""
+    vectors = list(fiber_wedge_perp(model, a, b).vectors)
+    if b >= 1:
+        for mono in perp_monomials(model, a - 1, b - 1):
+            vectors.append(_xi_lift(model, a, b, mono))
+    return vectors
+
+
+def _spans_kernel(
+    mat: SparseRationalMatrix, vectors: list[dict[int, Fraction]], dim: int
+) -> bool:
+    """Whether the vectors span ker(mat), given that ``dim`` is its
+    dimension: they lie in it and have rank ``dim``."""
+    return not any(map(mat.apply, vectors)) and rank(
+        SparseRationalMatrix(mat.ncols, vectors)
+    ) == dim
+
+
 @cache
 def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
     """Fiber of the truncation subbundle of degree (a, b).
 
     Canonically the kernel of the Koszul-type differential d0 (the full
-    space for a = 0); cross-checked against the second construction, the
-    span of the annihilator monomials together with the lifted vectors, and
-    against the rank predicted by the two-step filtration.  Any mismatch is
-    a hard failure, since it refutes the sign conventions of this module.
+    space for a = 0), whose dimension must be the one predicted by the
+    two-step filtration.  It is cross-checked against the second
+    construction: the annihilator monomials together with the lifted
+    vectors must lie in the kernel and have that rank, so they span it.
+    Any mismatch is a hard failure, since it refutes the sign conventions
+    of this module.
     """
     tn = 2 * model.n
     if not (0 <= a and 0 <= b and a + b <= tn - 2):
@@ -352,12 +370,7 @@ def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
         raise AssertionError(
             f"kernel dimension {basis.dim} != expected {expected} at (a={a}, b={b})"
         )
-    alt_vectors = list(fiber_wedge_perp(model, a, b).vectors)
-    if b >= 1:
-        for mono in perp_monomials(model, a - 1, b - 1):
-            alt_vectors.append(_xi_lift(model, a, b, mono))
-    alt = SubspaceBasis(space.dim, alt_vectors)
-    if alt.dim != expected or not subspace_equal(basis, alt):
+    if not _spans_kernel(mat, _lift_vectors(model, a, b), expected):
         raise AssertionError(
             f"lift construction disagrees with the kernel at (a={a}, b={b})"
         )
@@ -374,8 +387,6 @@ def restricted_d(model: FiberModel, a: int, b: int) -> SparseRationalMatrix:
     """
     if b < 1:
         raise ValueError("need symmetric degree >= 1 to lower it")
-    from .exactlinalg import restrict
-
     space = TwistedSpace(model.n, a, b)
     mat, _ = structure_map(model, "d", space)
     return restrict(mat, fiber_E(model, a, b), fiber_E(model, a + 1, b - 1))

@@ -167,6 +167,64 @@ def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch):
     }
 
 
+def _lift_plant_failures(monkeypatch, planted):
+    """Run every fiber check at n = 4 with ``_xi_lift`` replaced by
+    ``planted`` and return the failing (suite, t) pairs, checking on the way
+    that each failure of a suite built on the truncation fibers is the lift
+    cross-check of ``fiber_E`` and each snake failure is its quotient flag."""
+    # complexes imported the name, so both bindings carry the planted lift
+    monkeypatch.setattr(fiber, "_xi_lift", planted)
+    monkeypatch.setattr(complexes, "_xi_lift", planted)
+    code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
+    assert code == 1
+    failing = set()
+    for rep in reps:
+        if rep["status"] == "pass":
+            continue
+        failing.add((rep["suite"], rep["params"]["t"]))
+        if rep["suite"] == "snake":
+            assert rep["computed"]["quotient_ok"] == 0, rep
+        else:
+            assert rep["computed"]["error"] == "AssertionError", rep
+            assert rep["computed"]["detail"].startswith("lift construction disagrees"), rep
+    return failing
+
+
+def _lift_failures(first_t):
+    return {
+        (suite, t)
+        for suite in ("d2zero", "cohomology", "snake", "bicomplex", "ces")
+        for t in range(first_t, 7)
+    }
+
+
+def test_lift_leaving_the_kernel_fails(monkeypatch):
+    real = fiber._xi_lift
+
+    def planted(model, a, b, mono):
+        """The lift with its lowest entry negated: its two terms no longer
+        cancel under d0, so it leaves ker d0."""
+        lift = real(model, a, b, mono)
+        low = min(lift)
+        return {**lift, low: -lift[low]}
+
+    assert _lift_plant_failures(monkeypatch, planted) == _lift_failures(2)
+
+
+def test_lift_repeating_a_vector_fails(monkeypatch):
+    real = fiber._xi_lift
+
+    def planted(model, a, b, mono):
+        """The lift of (subset, 1) in place of that of (subset, 0): every
+        lift stays in ker d0, but one is repeated, so the rank drops."""
+        subset, p = mono
+        if p == 0 and b >= 2:
+            mono = (subset, 1)
+        return real(model, a, b, mono)
+
+    assert _lift_plant_failures(monkeypatch, planted) == _lift_failures(3)
+
+
 def test_far_shift_off_by_one_breaks_only_the_staircase(monkeypatch):
     def planted(alpha1, alpha2, k):
         """tphi_on_weight with k - 1 + alpha2 for k - 2 + alpha2 in the last

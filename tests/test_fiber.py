@@ -10,7 +10,7 @@ import pytest
 
 from sscx import fiber
 from sscx.cli import run
-from sscx.exactlinalg import SubspaceEscapeError, rank, subspace_equal
+from sscx.exactlinalg import SubspaceEscapeError, rank
 from sscx.fiber import (
     FiberModel,
     TwistedSpace,
@@ -20,6 +20,7 @@ from sscx.fiber import (
     restricted_d,
     structure_map,
 )
+from linalg_oracle import subspace_equal
 
 
 def dimension_split_identity(n: int, a: int, b: int) -> bool:
