@@ -27,10 +27,9 @@ from .fiber import (
     FiberModel,
     TwistedSpace,
     _wedge2,
-    _xi_lift,
     fiber_E,
     fiber_wedge_perp,
-    perp_monomials,
+    lift_matrix,
     restricted_d,
     structure_map,
 )
@@ -146,43 +145,15 @@ def verify_koszul_S(n: int, t: int) -> Report:
     return Report.make("koszul", {"n": n, "t": t}, expected, computed)
 
 
-def _xi_matrix(model: FiberModel, a: int, b: int) -> SparseRationalMatrix:
-    """Lift map from the annihilator subspace in degree (a-1, b-1) into the
-    ambient space of degree (a, b), one column per lifted monomial."""
-    space = TwistedSpace(model.n, a, b)
-    monos = perp_monomials(model, a - 1, b - 1) if a >= 1 and b >= 1 else ()
-    cols = [_xi_lift(model, a, b, mono) for mono in monos]
-    return SparseRationalMatrix(space.dim, cols)
-
-
-def _quotient_indices(model: FiberModel) -> tuple[int, ...]:
-    """Functional indices spanning the rank-(2n-4) quotient of the
-    annihilator by the image of the plane under the symplectic form."""
-    n = model.n
-    return tuple(i for i in model.perp_indices if i not in (n, n + 1))
-
-
-def _omega_bar_quotient(model: FiberModel) -> dict[tuple[int, int], Fraction]:
-    """Image of the reduced form in the second wedge of the quotient: drop
-    the components touching the symplectic image of the plane."""
-    drop = {model.n, model.n + 1}
-    return {
-        (i, j): v
-        for (i, j), v in model.omega_bar.items()
-        if i not in drop and j not in drop
-    }
-
-
 def _wedge_form_matrix(model: FiberModel, t: int) -> SparseRationalMatrix:
     """Matrix of wedging with the reduced form on the quotient,
     wedge^{t-2} -> wedge^t of the rank-(2n-4) quotient space."""
-    idx = _quotient_indices(model)
-    form = _omega_bar_quotient(model)
+    idx = model.quotient_indices
     dom = list(itertools.combinations(idx, t - 2)) if t >= 2 else []
     cod = list(itertools.combinations(idx, t)) if t <= len(idx) else []
     cod_index = {s: i for i, s in enumerate(cod)}
     cols = [
-        {cod_index[sub2]: v for sub2, v in _wedge2(subset, form).items()}
+        {cod_index[sub2]: v for sub2, v in _wedge2(subset, model.omega_bar).items()}
         for subset in dom
     ]
     return SparseRationalMatrix(len(cod), cols)
@@ -217,11 +188,11 @@ def verify_snake(n: int, t: int) -> Report:
         if sub != _perp_d2(model, a, b):
             filtration_ok = 0
         # (b) induced quotient map is minus the Koszul differential
-        xi_src = _xi_matrix(model, a, b)
+        xi_src = lift_matrix(model, a, b)
         if xi_src.ncols:
             m = dmat @ xi_src
             if b >= 2:
-                m = m + _xi_matrix(model, a + 1, b - 1) @ _perp_d2(model, a - 1, b - 1)
+                m = m + lift_matrix(model, a + 1, b - 1) @ _perp_d2(model, a - 1, b - 1)
             try:
                 solve_in_basis(
                     fiber_wedge_perp(model, a + 1, b - 1), m.columns()

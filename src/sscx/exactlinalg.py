@@ -279,13 +279,7 @@ def solve_in_basis(
     """
     nb = basis.dim
     nt = len(targets)
-    rows: list[Vec] = [dict() for _ in range(basis.ambient_dim)]
-    for j, col in enumerate(basis.vectors):
-        for i, v in col.items():
-            rows[i][j] = v
-    for t, col in enumerate(targets):
-        for i, v in col.items():
-            rows[i][nb + t] = v
+    rows = SparseRationalMatrix(basis.ambient_dim, basis.vectors + targets).rows()
     pivots, leftover = _eliminate(rows, pivot_limit=nb, reduce=True)
     for row in leftover:
         if row:

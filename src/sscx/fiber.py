@@ -27,40 +27,10 @@ TwoForm = dict[tuple[int, int], Fraction]
 OneForm = dict[int, Fraction]
 
 
-def _contract2(form: TwoForm, i: int) -> OneForm:
-    """Evaluation of a 2-form (keys (a,b) with a<b) on e_i in its last slot.
-
-    Last-slot insertion is used consistently for every structure map in this
-    module; it is the convention under which the printed coefficients of the
-    maps below satisfy all the composition and anticommutation identities,
-    and under which the reduced form lands in the annihilator of the plane.
-    """
-    out: OneForm = {}
-    for (a, b), v in form.items():
-        if a == i:
-            out[b] = out.get(b, 0) - v
-        elif b == i:
-            out[a] = out.get(a, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _one_wedge_one(f: OneForm, g: OneForm) -> TwoForm:
-    out: TwoForm = {}
-    for i, vi in f.items():
-        for j, vj in g.items():
-            if i == j:
-                continue
-            key, sign = ((i, j), 1) if i < j else ((j, i), -1)
-            acc = out.get(key, 0) + sign * vi * vj
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
-
-
 class FiberModel:
-    """Fixed fiber data: dimension, symplectic form, base plane, lifts."""
+    """Fixed fiber data: dimension, symplectic form, its contractions with
+    the plane, the reduced form and the index sets of the annihilator and of
+    the quotient."""
 
     def __init__(self, n: int):
         if n < 2:
@@ -70,27 +40,28 @@ class FiberModel:
         self.omega: TwoForm = {(i, n + i): Fraction(1) for i in range(n)}
         # contractions of omega with the plane basis e_0, e_1
         self.omega_u: list[OneForm] = [
-            _contract2(self.omega, 0),
-            _contract2(self.omega, 1),
+            {j: v for (j,), v in _contract_form(self.omega, u).items()} for u in (0, 1)
         ]
         self.perp_indices = tuple(range(2, 2 * n))
-        # reduced form: add the lift corrections so that both evaluations
-        # against the plane vanish
+        # the rank-(2n-4) quotient of the annihilator by the symplectic image
+        # of the plane
+        self.quotient_indices = tuple(
+            i for i in self.perp_indices if i not in (n, n + 1)
+        )
+        # reduced form: add e^u ^ omega_u so that both evaluations against
+        # the plane vanish (j != u, so every wedge is non-zero)
         bar = dict(self.omega)
         for u in (0, 1):
-            for (i, j), v in _one_wedge_one({u: Fraction(1)}, self.omega_u[u]).items():
-                acc = bar.get((i, j), 0) + v
-                if acc:
-                    bar[(i, j)] = acc
-                else:
-                    bar.pop((i, j), None)
-        self.omega_bar: TwoForm = bar
+            for j, v in self.omega_u[u].items():
+                sign, key = _wedge1((u,), j)
+                bar[key] = bar.get(key, 0) + sign * v
+        self.omega_bar: TwoForm = {key: v for key, v in bar.items() if v}
         for u in (0, 1):
-            if _contract2(self.omega_bar, u):
+            if _contract_form(self.omega_bar, u):
                 raise AssertionError("reduced form fails to annihilate the plane")
-        for (i, j) in self.omega_bar:
-            if i < 2 or j < 2:
-                raise AssertionError("reduced form escapes the annihilator")
+        quotient = set(self.quotient_indices)
+        if not all(quotient.issuperset(key) for key in self.omega_bar):
+            raise AssertionError("reduced form escapes the quotient")
 
     def __hash__(self):
         return hash(("FiberModel", self.n))
@@ -145,7 +116,12 @@ def _basis_index(space: TwistedSpace) -> dict:
 
 
 def _contract(subset: tuple[int, ...], i: int):
-    """Last-slot insertion of e_i into a wedge monomial; None if i absent."""
+    """Last-slot insertion of e_i into a wedge monomial; None if i absent.
+
+    Every structure map and form in this module uses last-slot insertion:
+    under it the maps below satisfy all the composition and anticommutation
+    identities, and the reduced form lands in the annihilator of the plane.
+    """
     try:
         pos = subset.index(i)
     except ValueError:
@@ -161,6 +137,18 @@ def _wedge1(subset: tuple[int, ...], j: int):
         return None
     sign = (-1) ** (len(subset) - pos)
     return sign, subset[:pos] + (j,) + subset[pos:]
+
+
+def _contract_form(form: TwoForm, i: int) -> dict[tuple[int, ...], Fraction]:
+    """Last-slot insertion of e_i into a form, one monomial at a time: the
+    monomials containing i leave distinct rests, so nothing adds up."""
+    out = {}
+    for subset, v in form.items():
+        ct = _contract(subset, i)
+        if ct is not None:
+            sign, rest = ct
+            out[rest] = sign * v
+    return out
 
 
 def _wedge2(subset: tuple[int, ...], form: TwoForm) -> dict[tuple[int, ...], Fraction]:
@@ -311,28 +299,32 @@ def fiber_wedge_perp(model: FiberModel, a: int, B: int) -> SubspaceBasis:
 
 def _xi_lift(model: FiberModel, a: int, b: int, mono) -> dict[int, Fraction]:
     """Lift of an annihilator monomial mu (x) Q from degree (a-1, b-1) to the
-    ambient space of degree (a, b): (mu ^ e^0)(x)(e_0 Q) + (mu ^ e^1)(x)(e_1 Q)."""
+    ambient space of degree (a, b): (mu ^ e^0)(x)(e_0 Q) + (mu ^ e^1)(x)(e_1 Q).
+    mu avoids e^0 and e^1, so the two terms are distinct monomials."""
     subset, p = mono
-    space = TwistedSpace(model.n, a, b)
-    index = _basis_index(space)
-    out: dict[int, Fraction] = {}
+    index = _basis_index(TwistedSpace(model.n, a, b))
     s0, sub0 = _wedge1(subset, 0)
-    out[index[(sub0, p + 1)]] = Fraction(s0)  # times e_0
     s1, sub1 = _wedge1(subset, 1)
-    acc = out.get(index[(sub1, p)], 0) + s1  # times e_1
-    out[index[(sub1, p)]] = Fraction(acc)
-    return {k: v for k, v in out.items() if v}
+    return {index[(sub0, p + 1)]: Fraction(s0), index[(sub1, p)]: Fraction(s1)}
+
+
+@cache
+def lift_matrix(model: FiberModel, a: int, b: int) -> SparseRationalMatrix:
+    """Lift map from the annihilator subspace of degree (a-1, b-1) into the
+    ambient space of degree (a, b), one column per annihilator monomial (no
+    column when a or b is 0).  Built once per process for the lift
+    cross-check of ``fiber_E`` and the snake check; callers must not mutate
+    it."""
+    monos = perp_monomials(model, a - 1, b - 1) if a >= 1 and b >= 1 else ()
+    cols = [_xi_lift(model, a, b, mono) for mono in monos]
+    return SparseRationalMatrix(TwistedSpace(model.n, a, b).dim, cols)
 
 
 def _lift_vectors(model: FiberModel, a: int, b: int) -> list[dict[int, Fraction]]:
     """The second construction of the fiber of degree (a, b), a >= 1: the
     annihilator monomials together with the lifts of the annihilator
     monomials of degree (a-1, b-1)."""
-    vectors = list(fiber_wedge_perp(model, a, b).vectors)
-    if b >= 1:
-        for mono in perp_monomials(model, a - 1, b - 1):
-            vectors.append(_xi_lift(model, a, b, mono))
-    return vectors
+    return fiber_wedge_perp(model, a, b).vectors + lift_matrix(model, a, b).columns()
 
 
 def _spans_kernel(

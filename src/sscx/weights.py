@@ -4,9 +4,11 @@ Weights are plain tuples of integers.  This module provides the Weyl
 dimension formula, the Borel--Bott--Weil rho-shift pushforward along a
 Grassmannian fibration, enumeration of staircase-complex terms on Gr(2,2n),
 and the rank / Euler-characteristic checks used for k >= 3, where no fiber
-matrices are built and everything is decided by dimensions alone.  The six
-weight checks of the CLI (bbw, staircase, euler, phics, pieri, vanishing)
-live here and return one Report each.
+matrices are built and everything is decided by dimensions alone.  A
+truncation is the staircase without its negative-weight terms: ``rank_K``
+sums the terms it keeps, ``vanishing_band_check`` walks the ones it drops.
+The six weight checks of the CLI (bbw, staircase, euler, phics, pieri,
+vanishing) live here and return one Report each.
 """
 
 from __future__ import annotations
@@ -71,22 +73,27 @@ def bbw_pushforward(gamma: Weight) -> tuple[Weight, int] | None:
     return tuple(b - x for b, x in zip(beta, r)), shift
 
 
+def _closed_form(alpha1: int, alpha2: int, k: int) -> tuple[Weight, int] | None:
+    """Pushforward of the rank-2 weight (alpha1, alpha2) padded to length k,
+    by the three-case closed form: dominant case / vanishing band / far
+    shift."""
+    if alpha2 >= 0:
+        return (alpha1, alpha2) + (0,) * (k - 2), 0
+    if alpha2 >= 2 - k:
+        return None
+    return (alpha1,) + (-1,) * (k - 2) + (k - 2 + alpha2,), k - 2
+
+
 def tphi_on_weight(alpha1: int, alpha2: int, k: int) -> tuple[Weight, int] | None:
     """Pushforward of the rank-2 weight (alpha1, alpha2) padded to length k.
 
-    Cross-checks the generic rho-shift computation against the closed
-    three-case form (dominant case / vanishing band / far shift) and raises
-    if they ever disagree.
+    Cross-checks the generic rho-shift computation against the closed form
+    and raises if they ever disagree.
     """
     if not (alpha1 >= alpha2 and alpha1 >= -1 and k >= 3):
         raise ValueError("need alpha1 >= alpha2, alpha1 >= -1, k >= 3")
     generic = bbw_pushforward((alpha1, alpha2) + (0,) * (k - 2))
-    if alpha2 >= 0:
-        closed = ((alpha1, alpha2) + (0,) * (k - 2), 0)
-    elif alpha2 >= 2 - k:
-        closed = None
-    else:
-        closed = ((alpha1,) + (-1,) * (k - 2) + (k - 2 + alpha2,), k - 2)
+    closed = _closed_form(alpha1, alpha2, k)
     if generic != closed:
         raise AssertionError(
             f"closed form disagrees with rho-shift at ({alpha1},{alpha2},k={k}): "
@@ -149,20 +156,13 @@ def staircase_terms_gr2(alpha1: int, alpha2: int, n: int) -> list[StaircaseTerm]
 
 def _expected_survivors(alpha1: int, alpha2: int, k: int, n: int):
     """Survivor list of the pushed staircase, built directly from the
-    three-case closed form: (shifted position, wedge exponent, weight)."""
+    closed form: (shifted position, wedge exponent, weight)."""
     out = []
     for t in staircase_terms_gr2(alpha1, alpha2, n):
-        w1, w2 = t.weight
-        if w2 >= 0:
-            out.append((t.position, t.wedge_exp, (w1, w2) + (0,) * (k - 2)))
-        elif w2 <= 1 - k:
-            out.append(
-                (
-                    t.position + k - 2,
-                    t.wedge_exp,
-                    (w1,) + (-1,) * (k - 2) + (k - 2 + w2,),
-                )
-            )
+        push = _closed_form(t.weight[0], t.weight[1], k)
+        if push is not None:
+            weight, shift = push
+            out.append((t.position + shift, t.wedge_exp, weight))
     return out
 
 
@@ -198,19 +198,16 @@ def verify_staircase_pushforward(
 
 def rank_K(alpha1: int, alpha2: int, k: int, n: int) -> int:
     """Rank of the truncation bundle with label (alpha1, alpha2) on Gr(k,2n),
-    as the alternating dimension sum along its two-row resolution."""
+    as the alternating dimension sum along its two-row resolution: the
+    staircase terms without a negative weight entry, signed from the first
+    of them."""
     if not (2 * n - k >= alpha1 >= alpha2 >= 0 and 2 <= k <= n):
         raise ValueError("parameters outside the resolution band")
-    total = 0
-    pos = 0
-    for m in range(alpha2):
-        w = (alpha2 - 1, m) + (0,) * (k - 2)
-        total += (-1) ** pos * comb(2 * n, alpha1 + 1 - m) * weyl_dim_gl(w)
-        pos += 1
-    for m in range(alpha2, alpha1 + 1):
-        w = (m, alpha2) + (0,) * (k - 2)
-        total += (-1) ** pos * comb(2 * n, alpha1 - m) * weyl_dim_gl(w)
-        pos += 1
+    kept = [t for t in staircase_terms_gr2(alpha1, alpha2, n) if min(t.weight) >= 0]
+    total = sum(
+        (-1) ** pos * comb(2 * n, t.wedge_exp) * weyl_dim_gl(t.weight + (0,) * (k - 2))
+        for pos, t in enumerate(kept)
+    )
     if total < 0:
         raise AssertionError(f"negative rank {total} at {(alpha1, alpha2, k, n)}")
     return total
@@ -314,18 +311,20 @@ def pieri_check(n: int, k: int) -> Report:
 
 
 def vanishing_band_check(n: int, k: int) -> Report:
-    """For labels just above the truncation band, every leading resolution
-    term must push forward to zero, so the whole bundle maps to zero."""
+    """For labels just above the truncation band, every staircase term the
+    truncation drops (those with a negative weight entry) must push forward
+    to zero, so the whole bundle maps to zero."""
     if not (3 <= k <= n):
         raise ValueError("need 3 <= k <= n")
     failures = 0
     checked = 0
     for alpha1 in range(2 * n - k + 1, 2 * n - 1):
         for alpha2 in range(0, alpha1 + 1):
-            for m in range(alpha1 + 1 - 2 * n, 0):
-                checked += 1
-                if tphi_on_weight(alpha2 - 1, m, k) is not None:
-                    failures += 1
+            for t in staircase_terms_gr2(alpha1, alpha2, n):
+                if min(t.weight) < 0:
+                    checked += 1
+                    if tphi_on_weight(t.weight[0], t.weight[1], k) is not None:
+                        failures += 1
     return Report.make(
         "vanishing",
         {"n": n, "k": k},

@@ -7,7 +7,6 @@ import pytest
 from sscx.complexes import (
     ChainComplex,
     _wedge_form_matrix,
-    _xi_matrix,
     build_bicomplex,
     build_Et,
     build_koszul_S,
@@ -22,7 +21,7 @@ from sscx.complexes import (
     verify_koszul_S,
     verify_snake,
 )
-from sscx.fiber import FiberModel, TwistedSpace, structure_map
+from sscx.fiber import FiberModel, TwistedSpace, lift_matrix, structure_map
 from linalg_oracle import checked_matrix
 
 
@@ -174,7 +173,7 @@ def test_matrices_built_from_columns_keep_the_invariant():
     ]
     mats += [structure_map(m3, "d0", TwistedSpace(3, a, B))[0]
              for a in range(1, 7) for B in range(4)]
-    mats += [_xi_matrix(m3, a, b) for a in range(5) for b in range(4)]
+    mats += [lift_matrix(m3, a, b) for a in range(5) for b in range(4)]
     mats += [_wedge_form_matrix(m4, t) for t in range(7)]
     mats += [d for t in range(5) for d in totalize(build_bicomplex(3, t)).differentials]
     for m in mats:

@@ -1,17 +1,19 @@
 """Planted defects must make the responsible suite fail: the verifier is run
 end to end through the CLI, at n = 4 for the structure maps and at
-(n, k) = (6, 4) for the weight closed forms."""
+(n, k) = (6, 4) for the weight closed forms and the truncation."""
 
 import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from sscx import complexes, fiber, weights
 from sscx.cli import run
+from sscx.exactlinalg import SparseRationalMatrix
 
 # every functools.cache of the fiber and complexes layers: the structure
 # matrices, the truncation complexes' cohomology, and the bicomplex's
@@ -142,6 +144,38 @@ def test_wrong_d_coefficient_breaks_containment(monkeypatch):
             assert rep["computed"]["error"] == "SubspaceEscapeError"
 
 
+def test_scaled_koszul_column_breaks_koszul_and_snake(monkeypatch):
+    real = fiber.structure_map
+
+    def planted(model, kind, src):
+        """d2 with its last column scaled by 2: the image of the last
+        monomial, which lies in the annihilator."""
+        mat, dst = real(model, kind, src)
+        if kind != "d2":
+            return mat, dst
+        *cols, last = mat.columns()
+        cols.append({r: 2 * v for r, v in last.items()})
+        return SparseRationalMatrix(mat.nrows, cols), dst
+
+    # complexes imported the name, so both bindings carry the planted map
+    monkeypatch.setattr(fiber, "structure_map", planted)
+    monkeypatch.setattr(complexes, "structure_map", planted)
+    code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
+    assert code == 1
+    failing = set()
+    for rep in reps:
+        if rep["status"] == "pass":
+            continue
+        failing.add((rep["suite"], rep["params"]["t"]))
+        if rep["suite"] == "koszul":
+            assert rep["computed"]["complex"] == 0, rep
+        else:
+            assert rep["computed"]["filtration_ok"] == 0, rep
+    assert failing == {("koszul", t) for t in range(4, 7)} | {
+        ("snake", t) for t in range(1, 7)
+    }
+
+
 def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch):
     real = fiber._contract
 
@@ -172,9 +206,9 @@ def _lift_plant_failures(monkeypatch, planted):
     ``planted`` and return the failing (suite, t) pairs, checking on the way
     that each failure of a suite built on the truncation fibers is the lift
     cross-check of ``fiber_E`` and each snake failure is its quotient flag."""
-    # complexes imported the name, so both bindings carry the planted lift
+    # fiber.lift_matrix, which both fiber_E and the snake check read, is the
+    # only caller of _xi_lift
     monkeypatch.setattr(fiber, "_xi_lift", planted)
-    monkeypatch.setattr(complexes, "_xi_lift", planted)
     code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
     assert code == 1
     failing = set()
@@ -250,4 +284,28 @@ def test_far_shift_off_by_one_breaks_only_the_staircase(monkeypatch):
     assert all(rep["suite"] == "staircase" for rep in failing)
     assert {rep["suite"] for rep in reps if rep["status"] == "pass"} == {
         "bbw", "euler", "phics", "pieri", "vanishing"
+    }
+
+
+def test_truncation_dropping_its_last_term_breaks_only_euler(monkeypatch):
+    def planted(alpha1, alpha2, k, n):
+        """rank_K over the kept staircase terms but the last."""
+        kept = [
+            t for t in weights.staircase_terms_gr2(alpha1, alpha2, n)
+            if min(t.weight) >= 0
+        ]
+        return sum(
+            (-1) ** pos * comb(2 * n, t.wedge_exp)
+            * weights.weyl_dim_gl(t.weight + (0,) * (k - 2))
+            for pos, t in enumerate(kept[:-1])
+        )
+
+    monkeypatch.setattr(weights, "rank_K", planted)
+    code, reps = reports("verify-weights", "--n", "6", "--k", "4")
+    assert code == 1
+    failing = {(rep["suite"], rep["params"].get("t")) for rep in reps
+               if rep["status"] == "fail"}
+    assert failing == {("euler", t) for t in range(9)}
+    assert {rep["suite"] for rep in reps if rep["status"] == "pass"} == {
+        "bbw", "staircase", "phics", "pieri", "vanishing"
     }

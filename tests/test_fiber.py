@@ -48,6 +48,13 @@ class TestFiberModel:
         for (i, j) in model.omega_bar:
             assert i >= 2 and j >= 2
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_forms_and_quotient(self, n):
+        model = FiberModel(n)
+        assert model.omega_u == [{n: -1}, {n + 1: -1}]
+        assert model.omega_bar == {(i, n + i): 1 for i in range(2, n)}
+        assert model.quotient_indices == tuple(range(2, n)) + tuple(range(n + 2, 2 * n))
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             FiberModel(1)
@@ -123,31 +130,56 @@ class TestStructureMaps:
                 assert dst == TwistedSpace(3, a + 1, B - 1, c)
 
 
-def test_shared_structure_matrices_stay_unmutated():
-    """Every check shares the cached structure matrices, so after a full run
-    each cached matrix (with its column and row views) must still equal a
-    fresh build: no caller mutated one."""
+def _compare_with_fresh_builds(cache, keys) -> tuple[int, int]:
+    """Compare each matrix that ``cache`` holds under one of ``keys`` (and
+    its column and row views) with an uncached build; return how many it
+    held and their total column count."""
+    held = columns = 0
+    for key in keys:
+        hits = cache.cache_info().hits
+        mat = cache(*key)
+        if cache.cache_info().hits == hits:
+            continue  # not built by the run
+        held += 1
+        columns += mat.ncols
+        new = cache.__wrapped__(*key)
+        assert mat == new
+        assert mat.columns() == new.columns() and mat.rows() == new.rows()
+    return held, columns
+
+
+def test_shared_structure_matrices_stay_unmutated(monkeypatch):
+    """Every check shares the cached structure and lift matrices, so after a
+    full run each cached matrix must still equal a fresh build: no caller
+    mutated one.  Each lift column is built once, by the lift builder."""
     for f in vars(fiber).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
+    real_lift, lifts = fiber._xi_lift, []
+
+    def counted(*args):
+        lifts.append(args)
+        return real_lift(*args)
+
+    monkeypatch.setattr(fiber, "_xi_lift", counted)
     with redirect_stdout(io.StringIO()):
         assert run(["verify-fiber", "--n", "4", "--t", "all"]) == 0
+    built = len(lifts)
     model = FiberModel(4)
     cache = fiber._structure_matrix
     cached = cache.cache_info().currsize
-    checked = 0
-    for kind in ("d1", "d2", "d", "d0"):
-        for a in range(1, 9) if kind == "d0" else range(8):
-            for B in range(8) if kind == "d0" else range(1, 8):
-                hits = cache.cache_info().hits
-                mat = cache(model, kind, a, B)
-                if cache.cache_info().hits == hits:
-                    continue  # not built by the run
-                checked += 1
-                new = cache.__wrapped__(model, kind, a, B)
-                assert mat == new
-                assert mat.columns() == new.columns() and mat.rows() == new.rows()
-    assert checked == cached > 0
+    keys = [
+        (model, kind, a, B)
+        for kind in ("d1", "d2", "d", "d0")
+        for a in (range(1, 9) if kind == "d0" else range(8))
+        for B in (range(8) if kind == "d0" else range(1, 8))
+    ]
+    assert _compare_with_fresh_builds(cache, keys)[0] == cached > 0
+    cache = fiber.lift_matrix
+    cached = cache.cache_info().currsize
+    keys = [(model, a, b) for a in range(9) for b in range(9)]
+    assert _compare_with_fresh_builds(cache, keys) == (cached, built)
+    assert cached > 0 and built > 0
 
 
 class TestFiberE:
