@@ -13,17 +13,14 @@ vanishing) live here and return one Report each.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
+from itertools import combinations, groupby
+from math import comb, perm
 
 from .report import Report
 
 Weight = tuple[int, ...]
-
-
-def dominant(w: Weight) -> bool:
-    """Weakly decreasing entries."""
-    return all(w[i] >= w[i + 1] for i in range(len(w) - 1))
 
 
 def rho(k: int) -> Weight:
@@ -36,20 +33,38 @@ def weyl_dim_gl(lam: Weight) -> int:
 
     Negative entries are allowed (the formula is invariant under adding a
     constant to all entries, i.e. under determinant twists).
+
+    The Weyl product over pairs i < j of (lam_i - lam_j + j - i) / (j - i)
+    is taken over runs of equal entries: a pair inside one run contributes
+    (j - i) / (j - i).  For a run of value x at positions p..p+a-1 before
+    one of value y at q..q+b-1, the pairs with first index i give
+    perm(x - y + q + b - 1 - i, b) / perm(q + b - 1 - i, b), and those with
+    second index j give perm(x - y + j - p, a) / perm(j - p, a); each pair
+    of runs multiplies the factors over the entries of its shorter run.
     """
-    if not dominant(lam):
-        raise ValueError("non-dominant weight")
-    k = len(lam)
+    runs = []
+    start = 0
+    for value, group in groupby(lam):
+        if runs and value > runs[-1][0]:
+            raise ValueError("non-dominant weight")
+        length = len(list(group))
+        runs.append((value, start, length))
+        start += length
     num = 1
     den = 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    q, r = divmod(num, den)
-    if r:
+    for (x, p, a), (y, q, b) in combinations(runs, 2):
+        if a <= b:
+            for i in range(p, p + a):
+                num *= perm(x - y + q + b - 1 - i, b)
+                den *= perm(q + b - 1 - i, b)
+        else:
+            for j in range(q, q + b):
+                num *= perm(x - y + j - p, a)
+                den *= perm(j - p, a)
+    dim, rem = divmod(num, den)
+    if rem:
         raise AssertionError(f"Weyl product is not integral at {lam}")
-    return q
+    return dim
 
 
 def bbw_pushforward(gamma: Weight) -> tuple[Weight, int] | None:
@@ -57,7 +72,10 @@ def bbw_pushforward(gamma: Weight) -> tuple[Weight, int] | None:
 
     Returns None when gamma + rho has a repeated entry (the derived
     pushforward vanishes); otherwise (sorted(gamma + rho) - rho, shift),
-    where shift is the length of the minimal sorting permutation.
+    where shift is the length of the minimal sorting permutation: the
+    number of pairs i < j with beta_i < beta_j for beta = gamma + rho.  It is
+    counted from right to left: bisection finds how many of the entries
+    already passed, kept sorted, exceed the next one.
     """
     k = len(gamma)
     if k < 1:
@@ -66,11 +84,13 @@ def bbw_pushforward(gamma: Weight) -> tuple[Weight, int] | None:
     beta = [g + x for g, x in zip(gamma, r)]
     if len(set(beta)) < k:
         return None
-    shift = sum(
-        1 for i in range(k) for j in range(i + 1, k) if beta[i] < beta[j]
-    )
-    beta.sort(reverse=True)
-    return tuple(b - x for b, x in zip(beta, r)), shift
+    passed = []
+    shift = 0
+    for i, b in enumerate(reversed(beta)):
+        pos = bisect_left(passed, b)
+        shift += i - pos
+        passed.insert(pos, b)
+    return tuple(b - x for b, x in zip(reversed(passed), r)), shift
 
 
 def _closed_form(alpha1: int, alpha2: int, k: int) -> tuple[Weight, int] | None:
@@ -143,15 +163,34 @@ def staircase_terms_gr2(alpha1: int, alpha2: int, n: int) -> list[StaircaseTerm]
     """
     if not (alpha1 >= alpha2 >= alpha1 - 2 * n + 2):
         raise ValueError("weight outside the staircase validity band")
-    terms = []
-    pos = 0
-    for m in range(alpha1 - 2 * n + 1, alpha2):
-        terms.append(StaircaseTerm(pos, alpha1 + 1 - m, (alpha2 - 1, m)))
-        pos += 1
-    for m in range(alpha2, alpha1 + 1):
-        terms.append(StaircaseTerm(pos, alpha1 - m, (m, alpha2)))
-        pos += 1
-    return terms
+    return _staircase_slice(alpha1, alpha2, n, alpha1 - 2 * n + 1, alpha1 + 1)
+
+
+def _staircase_slice(
+    alpha1: int, alpha2: int, n: int, lo: int, hi: int
+) -> list[StaircaseTerm]:
+    """The staircase terms whose climbing weight entry m runs over lo..hi-1:
+    the term of m sits at position m - (alpha1 - 2n + 1), in the first row
+    when m < alpha2 and in the second otherwise."""
+    start = alpha1 - 2 * n + 1
+    return [
+        StaircaseTerm(m - start, alpha1 + 1 - m, (alpha2 - 1, m)) if m < alpha2
+        else StaircaseTerm(m - start, alpha1 - m, (m, alpha2))
+        for m in range(lo, hi)
+    ]
+
+
+def _kept_terms(alpha1: int, alpha2: int, n: int) -> list[StaircaseTerm]:
+    """The staircase terms a truncation keeps, those without a negative
+    weight entry.  For alpha2 >= 0 the second row is non-negative and a
+    first-row term (alpha2 - 1, m) is negative exactly when m < 0."""
+    return _staircase_slice(alpha1, alpha2, n, max(alpha1 - 2 * n + 1, 0), alpha1 + 1)
+
+
+def _dropped_terms(alpha1: int, alpha2: int, n: int) -> list[StaircaseTerm]:
+    """The staircase terms a truncation drops, for alpha2 >= 0: the
+    first-row terms with m < 0."""
+    return _staircase_slice(alpha1, alpha2, n, alpha1 - 2 * n + 1, 0)
 
 
 def _expected_survivors(alpha1: int, alpha2: int, k: int, n: int):
@@ -203,10 +242,9 @@ def rank_K(alpha1: int, alpha2: int, k: int, n: int) -> int:
     of them."""
     if not (2 * n - k >= alpha1 >= alpha2 >= 0 and 2 <= k <= n):
         raise ValueError("parameters outside the resolution band")
-    kept = [t for t in staircase_terms_gr2(alpha1, alpha2, n) if min(t.weight) >= 0]
     total = sum(
         (-1) ** pos * comb(2 * n, t.wedge_exp) * weyl_dim_gl(t.weight + (0,) * (k - 2))
-        for pos, t in enumerate(kept)
+        for pos, t in enumerate(_kept_terms(alpha1, alpha2, n))
     )
     if total < 0:
         raise AssertionError(f"negative rank {total} at {(alpha1, alpha2, k, n)}")
@@ -320,11 +358,10 @@ def vanishing_band_check(n: int, k: int) -> Report:
     checked = 0
     for alpha1 in range(2 * n - k + 1, 2 * n - 1):
         for alpha2 in range(0, alpha1 + 1):
-            for t in staircase_terms_gr2(alpha1, alpha2, n):
-                if min(t.weight) < 0:
-                    checked += 1
-                    if tphi_on_weight(t.weight[0], t.weight[1], k) is not None:
-                        failures += 1
+            for t in _dropped_terms(alpha1, alpha2, n):
+                checked += 1
+                if tphi_on_weight(t.weight[0], t.weight[1], k) is not None:
+                    failures += 1
     return Report.make(
         "vanishing",
         {"n": n, "k": k},

@@ -1,13 +1,15 @@
 """Planted defects must make the responsible suite fail: the verifier is run
 end to end through the CLI, at n = 4 for the structure maps and at
-(n, k) = (6, 4) for the weight closed forms and the truncation."""
+(n, k) = (6, 4) for the weight closed forms, the dimension formula and the
+truncation."""
 
 import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import comb
+from itertools import combinations, groupby
+from math import comb, perm
 
 import pytest
 
@@ -308,4 +310,48 @@ def test_truncation_dropping_its_last_term_breaks_only_euler(monkeypatch):
     assert failing == {("euler", t) for t in range(9)}
     assert {rep["suite"] for rep in reps if rep["status"] == "pass"} == {
         "bbw", "staircase", "phics", "pieri", "vanishing"
+    }
+
+
+def test_weyl_run_pair_one_term_short_breaks_the_dimension_suites(monkeypatch):
+    def planted(lam):
+        """weyl_dim_gl over runs of equal entries, each run-pair factor one
+        term short: the falling factorials over the longer run stop one
+        entry early."""
+        runs = []
+        start = 0
+        for value, group in groupby(lam):
+            if runs and value > runs[-1][0]:
+                raise ValueError("non-dominant weight")
+            length = len(list(group))
+            runs.append((value, start, length))
+            start += length
+        num = den = 1
+        for (x, p, a), (y, q, b) in combinations(runs, 2):
+            if a <= b:
+                for i in range(p, p + a):
+                    num *= perm(x - y + q + b - 1 - i, b - 1)
+                    den *= perm(q + b - 1 - i, b - 1)
+            else:
+                for j in range(q, q + b):
+                    num *= perm(x - y + j - p, a - 1)
+                    den *= perm(j - p, a - 1)
+        quo, rem = divmod(num, den)
+        if rem:
+            raise AssertionError(f"Weyl product is not integral at {lam}")
+        return quo
+
+    monkeypatch.setattr(weights, "weyl_dim_gl", planted)
+    code, reps = reports("verify-weights", "--n", "6", "--k", "4")
+    assert code == 1
+    failing = {(rep["suite"], tuple(rep["params"].items())) for rep in reps
+               if rep["status"] == "fail"}
+    # every report of the three suites that sum Weyl dimensions
+    assert failing == {
+        (rep["suite"], tuple(rep["params"].items())) for rep in reps
+        if rep["suite"] in ("staircase", "euler", "pieri")
+    }
+    assert len(failing) == 45 + 9 + 1
+    assert {rep["suite"] for rep in reps if rep["status"] == "pass"} == {
+        "bbw", "phics", "vanishing"
     }

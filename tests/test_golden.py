@@ -17,6 +17,9 @@ COMMANDS = {
     "fiber-n4": ["verify-fiber", "--n", "4", "--t", "all"],
     "weights-n4-k3": ["verify-weights", "--n", "4", "--k", "3"],
     "weights-n6-k4": ["verify-weights", "--n", "6", "--k", "4"],
+    # staircase and euler weights of length 6, with runs of 4 to 6 equal
+    # entries; at (6, 4) they have length 4
+    "weights-n12-k6": ["verify-weights", "--n", "12", "--k", "6"],
     # k = 2 admits only the checks without a k >= 3 floor
     "weights-n4-k2-euler-pieri": [
         "verify-weights", "--n", "4", "--k", "2", "--checks", "euler,pieri",

@@ -1,6 +1,7 @@
 """Tests for the weight-combinatorics layer, with independent oracles:
-semistandard-tableau counting for the dimension formula and a brute-force
-wedge/rank computation for the symplectic wedge ranks."""
+semistandard-tableau counting and the pairwise Weyl product for the
+dimension formula, a brute-force inversion count for the rho-shift, and a
+brute-force wedge/rank computation for the symplectic wedge ranks."""
 
 import itertools
 from fractions import Fraction
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 from sscx.exactlinalg import rank
 from sscx.weights import (
+    _dropped_terms,
+    _kept_terms,
     bbw_pushforward,
     dim_wedge_sp,
-    dominant,
     euler_check_Kt,
     phi_cs_survivors,
     pieri_dim_check,
@@ -27,6 +29,39 @@ from sscx.weights import (
     weyl_dim_gl,
 )
 from linalg_oracle import checked_matrix
+
+
+def dominant(w) -> bool:
+    """Weakly decreasing entries."""
+    return all(w[i] >= w[i + 1] for i in range(len(w) - 1))
+
+
+def weyl_product_pairwise(lam) -> Fraction:
+    """The Weyl product over all pairs i < j of
+    (lam_i - lam_j + j - i) / (j - i): the oracle for the run-by-run
+    product of weyl_dim_gl."""
+    num = den = 1
+    for i, j in itertools.combinations(range(len(lam)), 2):
+        num *= lam[i] - lam[j] + j - i
+        den *= j - i
+    return Fraction(num, den)
+
+
+def inversions(beta) -> int:
+    """Number of pairs i < j with beta_i < beta_j, pair by pair."""
+    return sum(1 for i, j in itertools.combinations(range(len(beta)), 2)
+               if beta[i] < beta[j])
+
+
+# dominant weights of length 0..24 with 1-4 distinct values, so with long
+# runs of equal entries
+few_valued_weights = st.lists(
+    st.integers(-12, 12), min_size=1, max_size=4, unique=True
+).flatmap(
+    lambda values: st.lists(st.sampled_from(values), max_size=24).map(
+        lambda xs: tuple(sorted(xs, reverse=True))
+    )
+)
 
 
 def count_ssyt(shape: tuple[int, ...]) -> int:
@@ -80,8 +115,25 @@ class TestWeylDim:
         assert weyl_dim_gl((0, -1, -2)) == weyl_dim_gl((2, 1, 0))
 
     def test_non_dominant_rejected(self):
+        # a rise after the first run is caught too
+        for lam in [(0, 1), (1, 1, 2), (3, 0, 0, 1), (2, 2, 1, 1, 2)]:
+            with pytest.raises(ValueError):
+                weyl_dim_gl(lam)
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=2, max_size=10)
+        .map(tuple)
+        .filter(lambda w: not dominant(w))
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rising_anywhere_rejected(self, lam):
         with pytest.raises(ValueError):
-            weyl_dim_gl((0, 1))
+            weyl_dim_gl(lam)
+
+    @given(few_valued_weights)
+    @settings(max_examples=300, deadline=None)
+    def test_against_pairwise_product(self, lam):
+        assert weyl_dim_gl(lam) == weyl_product_pairwise(lam)
 
 
 class TestBBW:
@@ -100,6 +152,16 @@ class TestBBW:
     @settings(max_examples=80, deadline=None)
     def test_dominant_shift_zero(self, lam):
         assert bbw_pushforward(lam) == (lam, 0)
+
+    @given(st.lists(st.integers(-8, 8), min_size=1, max_size=24).map(tuple))
+    @settings(max_examples=200, deadline=None)
+    def test_shift_is_the_inversion_count(self, gamma):
+        beta = [g + x for g, x in zip(gamma, rho(len(gamma)))]
+        res = bbw_pushforward(gamma)
+        if len(set(beta)) < len(beta):
+            assert res is None
+        else:
+            assert res[1] == inversions(beta)
 
     @given(st.lists(st.integers(-8, 8), min_size=1, max_size=6).map(tuple))
     @settings(max_examples=120, deadline=None)
@@ -156,6 +218,18 @@ class TestStaircase:
         assert [t.wedge_exp for t in terms] == [6, 5, 4, 3, 1, 0]
         assert terms[0].weight == (0, -3)
         assert terms[-1].weight == (2, 1)
+
+    def test_truncation_splits_the_staircase(self):
+        # every label with alpha2 >= 0 in the staircase validity band
+        for n in range(1, 9):
+            for a1 in range(0, 2 * n - 1):
+                for a2 in range(0, a1 + 1):
+                    terms = staircase_terms_gr2(a1, a2, n)
+                    kept = _kept_terms(a1, a2, n)
+                    dropped = _dropped_terms(a1, a2, n)
+                    assert sorted(kept + dropped, key=lambda t: t.position) == terms
+                    assert all(min(t.weight) >= 0 for t in kept), (n, a1, a2)
+                    assert all(min(t.weight) < 0 for t in dropped), (n, a1, a2)
 
     def test_degenerate_corner(self):
         assert staircase_euler_gr2(0, 0, 3) == 0
