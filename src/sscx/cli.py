@@ -108,14 +108,24 @@ def _error_report(task, exc: BaseException) -> dict:
 def _pooled(tasks, workers: int) -> list[dict]:
     """Run the tasks on a process pool.  A worker that dies (killed, out of
     memory) breaks the pool; every task left unfinished then becomes a
-    failing report with its own params instead of a traceback."""
+    failing report with its own params instead of a traceback.
+
+    A broken pool completes no further future, and one whose ``submit``
+    raced the break can stay pending for ever (CPython 3.11 marks the pool
+    broken without the lock ``submit`` holds), so once a future has failed
+    with BrokenProcessPool, a future still pending gets that error too."""
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [_submit(pool, task) for task in tasks]
         results = []
+        broken = None
         for task, future in zip(tasks, futures):
+            if broken is not None and not future.done():
+                results.append(_error_report(task, broken))
+                continue
             try:
                 results.append(future.result())
             except BrokenProcessPool as exc:
+                broken = exc
                 results.append(_error_report(task, exc))
     return results
 

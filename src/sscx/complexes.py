@@ -26,6 +26,8 @@ from .exactlinalg import (
 from .fiber import (
     FiberModel,
     TwistedSpace,
+    _Same,
+    _rank_of,
     _wedge2,
     fiber_E,
     fiber_wedge_perp,
@@ -323,23 +325,6 @@ def totalize(bc: Bicomplex) -> ChainComplex:
     return ChainComplex(-bc.t, dims, diffs)
 
 
-class _Same:
-    """A matrix as a memo key: equal to another key only when both hold the
-    very same object.  The key keeps the matrix alive, so its ``id`` cannot
-    be reused by another matrix while the memo holds the key."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: SparseRationalMatrix):
-        self.m = m
-
-    def __hash__(self) -> int:
-        return id(self.m)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Same) and self.m is other.m
-
-
 def _compose(p: ScaledMap, q: ScaledMap) -> Term:
     """The composition p o q as a term."""
     return p[0] * q[0], p[1], q[1]
@@ -371,12 +356,6 @@ def _sum_vanishes(terms: tuple[tuple[Fraction, _Same, _Same], ...]) -> bool:
         p = (x.m @ y.m).scale(s)
         total = p if total is None else total + p
     return total.is_zero()
-
-
-@cache
-def _rank_of(m: _Same) -> int:
-    """Rank of a shared matrix, computed once per process."""
-    return rank(m.m)
 
 
 def _is_totalization(bc: Bicomplex, vertical: dict, total: ChainComplex) -> bool:

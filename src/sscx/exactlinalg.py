@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything downstream (fiber maps, chain complexes, bicomplexes) reduces to
-rank, kernel and change-of-basis computations on sparse matrices with small
-rational entries, so this module is deliberately minimal: one matrix type,
-one elimination core, and the restriction of a map to subspaces.
+Everything downstream (fiber maps, chain complexes, bicomplexes) comes down
+to ranks and changes of basis of sparse matrices with small rational
+entries, so this module is deliberately minimal: one matrix type, one
+elimination core for ranks, and the restriction of a map to subspaces,
+whose bases own private rows where coordinates are read off.
 
 Pivot choice is deterministic (lowest column index; among candidate rows the
-sparsest one, ties broken by lowest row index), so every computation in the
+sparsest one, ties broken by lowest row index), so every rank in the
 package is bit-reproducible.  The elimination core finds pivot columns and
 the rows to update through a column -> rows index (structured Gaussian
 elimination) instead of rescanning the rows; the index only replaces the
@@ -23,6 +24,7 @@ as it is and delete a key whose sum cancels, so no zero is stored and no
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,67 +142,29 @@ class SparseRationalMatrix:
         return f"SparseRationalMatrix({self.nrows}x{self.ncols}, nnz={nnz})"
 
 
-def _subtract(
-    row: Vec, idx: int, nf: Fraction, rest: list[tuple[int, Fraction]],
-    index: dict[int, set[int]], limit: int,
-) -> None:
-    """row += nf * rest in place, keeping ``index`` (column -> ids of the rows
-    with an entry there, for columns < limit) current for row ``idx``."""
-    for c, v in rest:
-        old = row.get(c)
-        if old is None:
-            row[c] = nf * v
-            if c < limit:
-                index[c].add(idx)
-        else:
-            acc = old + nf * v
-            if acc:
-                row[c] = acc
-            else:
-                del row[c]
-                if c < limit:
-                    index[c].discard(idx)
-
-
-def _eliminate(
-    rows: list[Vec], pivot_limit: int | None = None, reduce: bool = False
-) -> tuple[list[tuple[int, Vec]], list[Vec]]:
-    """Row elimination core.
+def _eliminate(rows: list[Vec]) -> list[tuple[int, Vec]]:
+    """Row elimination core: the pivot rows as (pivot_col, row), in pivot
+    order.
 
     ``rows`` is consumed (the dicts are mutated) and must store no zero
-    values.  Pivots are only chosen in columns < ``pivot_limit`` (all
-    columns if None).  Returns the pivot rows as (pivot_col, row) sorted by
-    pivot column, plus the nonzero leftover rows in input order, whose
-    support lies entirely in columns >= pivot_limit.
-
-    With ``reduce=True`` the pivot rows form a reduced echelon basis (each
-    pivot column occurs in exactly one row, with value 1).
-
-    A column -> rows index over the columns < pivot_limit replaces any scan
-    of the rows: it is built once in O(nnz) and kept current on every fill-in
-    and cancellation, so each pivot touches only the rows with an entry in
-    its column (with ``reduce=True`` a second index serves the finished
-    pivot rows).  Pivot columns only increase, and fill-in lands only in
-    columns of the pivot row, right of the pivot, so one ascending pass over
-    the initially occupied columns finds every pivot.  The pivot row is the
-    sparsest row in the pivot column, ties broken by lowest input index, and
-    each row receives the same updates in the same order as in a plain
+    values.  A column -> rows index replaces any scan of the rows: it is
+    built once in O(nnz) and kept current on every fill-in and
+    cancellation, so each pivot touches only the rows with an entry in its
+    column.  Pivot columns only increase, and fill-in lands only in columns
+    of the pivot row, right of the pivot, so one ascending pass over the
+    initially occupied columns finds every pivot.  The pivot row is the
+    sparsest row in the pivot column, ties broken by lowest input index,
+    and each row receives the same updates in the same order as in a plain
     row-by-row elimination, so the result does not depend on the index.
     """
-    limit = pivot_limit
-    if limit is None:
-        limit = 1 + max((c for row in rows for c in row), default=-1)
     active: dict[int, Vec] = {}
-    # column < limit -> ids of the active rows with an entry there
+    # column -> ids of the active rows with an entry there
     index: dict[int, set[int]] = {}
     for idx, row in enumerate(rows):
         if row:
             active[idx] = row
             for c in row:
-                if c < limit:
-                    index.setdefault(c, set()).add(idx)
-    # with reduce=True: column -> positions in done of the rows with an entry there
-    finished_index: dict[int, set[int]] = {c: set() for c in index} if reduce else {}
+                index.setdefault(c, set()).add(idx)
     done: list[tuple[int, Vec]] = []
     for pcol in sorted(index):
         targets = index.pop(pcol)
@@ -215,42 +179,31 @@ def _eliminate(
                 prow[c] /= pv
         rest = [(c, v) for c, v in prow.items() if c != pcol]
         for c, _ in rest:
-            if c < limit:
-                index[c].discard(pidx)
+            index[c].discard(pidx)
         for idx in targets:
+            # row += nf * prow, keeping the index current for row idx
             row = active[idx]
-            _subtract(row, idx, -row.pop(pcol), rest, index, limit)
+            nf = -row.pop(pcol)
+            for c, v in rest:
+                old = row.get(c)
+                if old is None:
+                    row[c] = nf * v
+                    index[c].add(idx)
+                else:
+                    acc = old + nf * v
+                    if acc:
+                        row[c] = acc
+                    else:
+                        del row[c]
+                        index[c].discard(idx)
             if not row:
                 del active[idx]
-        if reduce:
-            for pos in finished_index.pop(pcol):
-                row = done[pos][1]
-                _subtract(row, pos, -row.pop(pcol), rest, finished_index, limit)
-            for c, _ in rest:
-                if c < limit:
-                    finished_index[c].add(len(done))
         done.append((pcol, prow))
-    return done, list(active.values())
+    return done
 
 
 def rank(m: SparseRationalMatrix) -> int:
-    pivots, _ = _eliminate(m.rows())
-    return len(pivots)
-
-
-def kernel(m: SparseRationalMatrix) -> SparseRationalMatrix:
-    """Basis of ker(m), one column per free variable, in column order."""
-    pivots, _ = _eliminate(m.rows(), reduce=True)
-    pivot_cols = {pc for pc, _ in pivots}
-    free: dict[int, Vec] = {
-        f: {f: Fraction(1)} for f in range(m.ncols) if f not in pivot_cols
-    }
-    # a reduced pivot row is supported on its pivot column and free columns
-    for pc, row in pivots:
-        for c, v in row.items():
-            if c != pc:
-                free[c][pc] = -v
-    return SparseRationalMatrix(m.ncols, list(free.values()))
+    return len(_eliminate(m.rows()))
 
 
 @dataclass
@@ -268,37 +221,70 @@ class SubspaceBasis:
     def full(cls, dim: int) -> "SubspaceBasis":
         return cls(dim, [{i: Fraction(1)} for i in range(dim)])
 
+    def private_rows(self) -> list[int] | None:
+        """For each vector, its first row that no other vector touches; None
+        if some vector has no such row.  Private rows make the vectors
+        independent, and finding them takes O(nnz)."""
+        count = Counter(r for vec in self.vectors for r in vec)
+        rows = [next((r for r in vec if count[r] == 1), None) for vec in self.vectors]
+        return None if None in rows else rows
 
-def solve_in_basis(
-    basis: SubspaceBasis, targets: list[Vec]
-) -> list[Vec]:
-    """Coordinates of each target vector in the given basis.
 
-    Raises SubspaceEscapeError if some target is not in the span.  The basis
-    vectors are assumed independent, so coordinates are unique.
+def solve_in_basis(basis: SubspaceBasis, targets: list[Vec]) -> list[Vec]:
+    """Coordinates of each target vector in the given basis, read off at its
+    private rows (ValueError, before any target is read, if it has none):
+    the target's entry there over the vector's, which is ±1 in every basis
+    of the package, so integral targets get integral coordinates.  The
+    target minus that combination must be exactly zero; otherwise it is not
+    in the span and SubspaceEscapeError is raised.
     """
-    nb = basis.dim
-    nt = len(targets)
-    rows = SparseRationalMatrix(basis.ambient_dim, basis.vectors + targets).rows()
-    pivots, leftover = _eliminate(rows, pivot_limit=nb, reduce=True)
-    for row in leftover:
-        if row:
-            bad = sorted(c - nb for c in row)
+    pivots = basis.private_rows()
+    if pivots is None:
+        raise ValueError("basis vector without a private row")
+    # private row -> (vector index, 1 / the vector's entry there, or None
+    # for an entry 1, and the vector's other entries)
+    owner = {}
+    for i, (r, vec) in enumerate(zip(pivots, basis.vectors)):
+        pv = vec[r]
+        others = [(s, w) for s, w in vec.items() if s != r]
+        owner[r] = (i, None if pv == 1 else 1 / pv, others)
+    coords: list[Vec] = []
+    for k, target in enumerate(targets):
+        coord: Vec = {}
+        rest = dict(target)
+        for r, v in target.items():
+            hit = owner.get(r)
+            if hit is None:
+                continue
+            i, inv, others = hit
+            x = v if inv is None else v * inv
+            coord[i] = x
+            # x times the vector cancels the target at the private row
+            del rest[r]
+            for row, w in others:
+                old = rest.get(row)
+                if old is None:
+                    rest[row] = -x * w
+                else:
+                    acc = old - x * w
+                    if acc:
+                        rest[row] = acc
+                    else:
+                        del rest[row]
+        if rest:
             raise SubspaceEscapeError(
-                f"image escapes codomain subspace (columns {bad})"
+                f"image escapes codomain subspace (target {k}, rows {sorted(rest)})"
             )
-    coords: list[Vec] = [dict() for _ in range(nt)]
-    for pc, row in pivots:
-        for c, v in row.items():
-            if c >= nb and v:
-                coords[c - nb][pc] = v
+        coords.append(coord)
     return coords
 
 
 def restrict(
     m: SparseRationalMatrix, dom: SubspaceBasis, cod: SubspaceBasis
 ) -> SparseRationalMatrix:
-    """Matrix of m restricted to dom, expressed in cod coordinates.
+    """Matrix of m restricted to dom, expressed in cod coordinates, which
+    ``solve_in_basis`` reads off at cod's private rows (ValueError if cod
+    has none).
 
     Raises SubspaceEscapeError if m(dom) is not contained in span(cod); that
     failure mode is itself meaningful, as it refutes a containment claim.

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .exactlinalg import SparseRationalMatrix, SubspaceBasis, kernel, rank, restrict
+from .exactlinalg import SparseRationalMatrix, SubspaceBasis, rank, restrict
 
 TwoForm = dict[tuple[int, int], Fraction]
 OneForm = dict[int, Fraction]
@@ -312,42 +312,57 @@ def _xi_lift(model: FiberModel, a: int, b: int, mono) -> dict[int, Fraction]:
 def lift_matrix(model: FiberModel, a: int, b: int) -> SparseRationalMatrix:
     """Lift map from the annihilator subspace of degree (a-1, b-1) into the
     ambient space of degree (a, b), one column per annihilator monomial (no
-    column when a or b is 0).  Built once per process for the lift
-    cross-check of ``fiber_E`` and the snake check; callers must not mutate
-    it."""
+    column when a or b is 0).  Built once per process for the basis of
+    ``fiber_E``, which holds its very columns, and the snake check; callers
+    must not mutate it."""
     monos = perp_monomials(model, a - 1, b - 1) if a >= 1 and b >= 1 else ()
     cols = [_xi_lift(model, a, b, mono) for mono in monos]
     return SparseRationalMatrix(TwistedSpace(model.n, a, b).dim, cols)
 
 
 def _lift_vectors(model: FiberModel, a: int, b: int) -> list[dict[int, Fraction]]:
-    """The second construction of the fiber of degree (a, b), a >= 1: the
-    annihilator monomials together with the lifts of the annihilator
-    monomials of degree (a-1, b-1)."""
+    """The basis of the fiber of degree (a, b), a >= 1: the annihilator
+    monomials together with the lifts (mu ^ e^0)(x)(e_0 Q) + (mu ^ e^1)(x)(e_1 Q)
+    of the annihilator monomials of degree (a-1, b-1).  The vectors are the
+    cached ones, so callers must not mutate them."""
     return fiber_wedge_perp(model, a, b).vectors + lift_matrix(model, a, b).columns()
 
 
-def _spans_kernel(
-    mat: SparseRationalMatrix, vectors: list[dict[int, Fraction]], dim: int
-) -> bool:
-    """Whether the vectors span ker(mat), given that ``dim`` is its
-    dimension: they lie in it and have rank ``dim``."""
-    return not any(map(mat.apply, vectors)) and rank(
-        SparseRationalMatrix(mat.ncols, vectors)
-    ) == dim
+class _Same:
+    """A matrix as a memo key: equal to another key only when both hold the
+    very same object.  The key keeps the matrix alive, so its ``id`` cannot
+    be reused by another matrix while the memo holds the key."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: SparseRationalMatrix):
+        self.m = m
+
+    def __hash__(self) -> int:
+        return id(self.m)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Same) and self.m is other.m
+
+
+@cache
+def _rank_of(m: _Same) -> int:
+    """Rank of a shared matrix, computed once per process."""
+    return rank(m.m)
 
 
 @cache
 def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
-    """Fiber of the truncation subbundle of degree (a, b).
+    """Fiber of the truncation subbundle of degree (a, b): the kernel of the
+    Koszul-type differential d0, or the full space for a = 0.
 
-    Canonically the kernel of the Koszul-type differential d0 (the full
-    space for a = 0), whose dimension must be the one predicted by the
-    two-step filtration.  It is cross-checked against the second
-    construction: the annihilator monomials together with the lifted
-    vectors must lie in the kernel and have that rank, so they span it.
-    Any mismatch is a hard failure, since it refutes the sign conventions
-    of this module.
+    Its basis is the two-step filtration (``_lift_vectors``), entries ±1 and
+    at most two per vector, certified as a basis of ker d0 in three steps:
+    d0 kills every vector (exact ``apply``); every vector owns a private row,
+    so they are independent; and there are dim - rank(d0) of them, which
+    must also be the dimension the filtration predicts.  rank(d0) comes from
+    the ``_rank_of`` memo the bicomplex and ces checks share.  Any mismatch
+    is a hard failure, since it refutes the sign conventions of this module.
     """
     tn = 2 * model.n
     if not (0 <= a and 0 <= b and a + b <= tn - 2):
@@ -356,13 +371,18 @@ def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
     if a == 0:
         return SubspaceBasis.full(space.dim)
     mat, _ = structure_map(model, "d0", space)
-    basis = SubspaceBasis(space.dim, kernel(mat).columns())
+    dim = space.dim - _rank_of(_Same(mat))
     expected = comb(tn - 2, a) * (b + 1) + comb(tn - 2, a - 1) * b
-    if basis.dim != expected:
+    if dim != expected:
         raise AssertionError(
-            f"kernel dimension {basis.dim} != expected {expected} at (a={a}, b={b})"
+            f"kernel dimension {dim} != expected {expected} at (a={a}, b={b})"
         )
-    if not _spans_kernel(mat, _lift_vectors(model, a, b), expected):
+    basis = SubspaceBasis(space.dim, _lift_vectors(model, a, b))
+    if (
+        basis.dim != dim
+        or basis.private_rows() is None
+        or any(map(mat.apply, basis.vectors))
+    ):
         raise AssertionError(
             f"lift construction disagrees with the kernel at (a={a}, b={b})"
         )

@@ -6,11 +6,24 @@ from its own columns can be compared with its checked rebuild.
 ``spans_equal`` and ``subspace_equal`` decide subspace equality by three
 plain ranks; the verifier decides it by containment plus dimension, and
 these are the oracle it must agree with.
+
+``eliminate``, ``kernel`` and ``solve_in_basis`` are the reduced
+elimination the verifier used before its fibers got the lift basis: a
+rational kernel basis with one vector per free column, and coordinates in
+any independent basis by elimination.  The package now certifies the lift
+basis against one rank and reads coordinates off private rows; these are
+the reference it must agree with.
 """
 
 from fractions import Fraction
 
-from sscx.exactlinalg import SparseRationalMatrix, SubspaceBasis, rank
+from sscx.exactlinalg import (
+    SparseRationalMatrix,
+    SubspaceBasis,
+    SubspaceEscapeError,
+    Vec,
+    rank,
+)
 
 
 def checked_matrix(nrows: int, ncols: int, entries: dict | None = None) -> SparseRationalMatrix:
@@ -48,3 +61,137 @@ def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
         SparseRationalMatrix(a.ambient_dim, a.vectors),
         SparseRationalMatrix(b.ambient_dim, b.vectors),
     )
+
+
+def _subtract(
+    row: Vec, idx: int, nf: Fraction, rest: list[tuple[int, Fraction]],
+    index: dict[int, set[int]], limit: int,
+) -> None:
+    """row += nf * rest in place, keeping ``index`` (column -> ids of the rows
+    with an entry there, for columns < limit) current for row ``idx``."""
+    for c, v in rest:
+        old = row.get(c)
+        if old is None:
+            row[c] = nf * v
+            if c < limit:
+                index[c].add(idx)
+        else:
+            acc = old + nf * v
+            if acc:
+                row[c] = acc
+            else:
+                del row[c]
+                if c < limit:
+                    index[c].discard(idx)
+
+
+def eliminate(
+    rows: list[Vec], pivot_limit: int | None = None, reduce: bool = False
+) -> tuple[list[tuple[int, Vec]], list[Vec]]:
+    """Row elimination core.
+
+    ``rows`` is consumed (the dicts are mutated) and must store no zero
+    values.  Pivots are only chosen in columns < ``pivot_limit`` (all
+    columns if None).  Returns the pivot rows as (pivot_col, row) sorted by
+    pivot column, plus the nonzero leftover rows in input order, whose
+    support lies entirely in columns >= pivot_limit.
+
+    With ``reduce=True`` the pivot rows form a reduced echelon basis (each
+    pivot column occurs in exactly one row, with value 1).
+
+    A column -> rows index over the columns < pivot_limit replaces any scan
+    of the rows: it is built once in O(nnz) and kept current on every fill-in
+    and cancellation, so each pivot touches only the rows with an entry in
+    its column (with ``reduce=True`` a second index serves the finished
+    pivot rows).  Pivot columns only increase, and fill-in lands only in
+    columns of the pivot row, right of the pivot, so one ascending pass over
+    the initially occupied columns finds every pivot.  The pivot row is the
+    sparsest row in the pivot column, ties broken by lowest input index, and
+    each row receives the same updates in the same order as in a plain
+    row-by-row elimination, so the result does not depend on the index.
+    """
+    limit = pivot_limit
+    if limit is None:
+        limit = 1 + max((c for row in rows for c in row), default=-1)
+    active: dict[int, Vec] = {}
+    # column < limit -> ids of the active rows with an entry there
+    index: dict[int, set[int]] = {}
+    for idx, row in enumerate(rows):
+        if row:
+            active[idx] = row
+            for c in row:
+                if c < limit:
+                    index.setdefault(c, set()).add(idx)
+    # with reduce=True: column -> positions in done of the rows with an entry there
+    finished_index: dict[int, set[int]] = {c: set() for c in index} if reduce else {}
+    done: list[tuple[int, Vec]] = []
+    for pcol in sorted(index):
+        targets = index.pop(pcol)
+        if not targets:
+            continue
+        pidx = min(targets, key=lambda i: (len(active[i]), i))
+        targets.discard(pidx)
+        prow = active.pop(pidx)
+        pv = prow[pcol]
+        if pv != 1:
+            for c in prow:
+                prow[c] /= pv
+        rest = [(c, v) for c, v in prow.items() if c != pcol]
+        for c, _ in rest:
+            if c < limit:
+                index[c].discard(pidx)
+        for idx in targets:
+            row = active[idx]
+            _subtract(row, idx, -row.pop(pcol), rest, index, limit)
+            if not row:
+                del active[idx]
+        if reduce:
+            for pos in finished_index.pop(pcol):
+                row = done[pos][1]
+                _subtract(row, pos, -row.pop(pcol), rest, finished_index, limit)
+            for c, _ in rest:
+                if c < limit:
+                    finished_index[c].add(len(done))
+        done.append((pcol, prow))
+    return done, list(active.values())
+
+
+def kernel(m: SparseRationalMatrix) -> SparseRationalMatrix:
+    """Basis of ker(m), one column per free variable, in column order."""
+    pivots, _ = eliminate(m.rows(), reduce=True)
+    pivot_cols = {pc for pc, _ in pivots}
+    free: dict[int, Vec] = {
+        f: {f: Fraction(1)} for f in range(m.ncols) if f not in pivot_cols
+    }
+    # a reduced pivot row is supported on its pivot column and free columns
+    for pc, row in pivots:
+        for c, v in row.items():
+            if c != pc:
+                free[c][pc] = -v
+    return SparseRationalMatrix(m.ncols, list(free.values()))
+
+
+def solve_in_basis(
+    basis: SubspaceBasis, targets: list[Vec]
+) -> list[Vec]:
+    """Coordinates of each target vector in the given basis.
+
+    Raises SubspaceEscapeError if some target is not in the span.  The basis
+    vectors are assumed independent, so coordinates are unique.
+    """
+    nb = basis.dim
+    nt = len(targets)
+    rows = SparseRationalMatrix(basis.ambient_dim, basis.vectors + targets).rows()
+    pivots, leftover = eliminate(rows, pivot_limit=nb, reduce=True)
+    for row in leftover:
+        if row:
+            bad = sorted(c - nb for c in row)
+            raise SubspaceEscapeError(
+                f"image escapes codomain subspace (columns {bad})"
+            )
+    coords: list[Vec] = [dict() for _ in range(nt)]
+    for pc, row in pivots:
+        for c, v in row.items():
+            if c >= nb and v:
+                coords[c - nb][pc] = v
+    return coords

@@ -168,7 +168,7 @@ def test_criterion_09_cross_construction():
                     fiber_E(model, a, b)  # raises when constructions disagree
                 except AssertionError:
                     ok = False
-    _report(9, "kernel vs lift construction", ok, time.monotonic() - start)
+    _report(9, "lift basis certified against rank(d0)", ok, time.monotonic() - start)
 
 
 def test_criterion_10_determinism():

@@ -5,7 +5,9 @@ import io
 import json
 import multiprocessing
 import os
+import threading
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import redirect_stdout
 
 import pytest
@@ -200,6 +202,45 @@ def test_jobs_is_clamped(monkeypatch, argv, cpus, workers):
     code, out = invoke(argv + ["--jobs", "10000"])
     assert _RecordingPool.created == workers
     assert (code, out) == invoke(argv)
+
+
+class _BreakingPool(_RecordingPool):
+    """Stands in for a ProcessPoolExecutor that breaks while the tasks are
+    being submitted: the first two futures complete (a report, then
+    BrokenProcessPool), and every later one stays pending for ever, like a
+    future whose submit raced the break."""
+
+    def __init__(self, max_workers):
+        self.futures = []
+
+    def submit(self, fn, task):
+        future = Future()
+        submitted = len(self.futures)
+        if submitted == 0:
+            future.set_result(fn(task))
+        elif submitted == 1:
+            future.set_exception(BrokenProcessPool("planted break"))
+        self.futures.append(future)
+        return future
+
+
+def test_futures_left_pending_by_a_broken_pool_fail(monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _BreakingPool)
+    tasks = [("cohomology", {"n": 3, "t": t}) for t in range(4)]
+    results = []
+    # a daemon thread, so that a regression hangs only this test's thread
+    worker = threading.Thread(
+        target=lambda: results.extend(cli._pooled(tasks, 2)), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert [rep["params"]["t"] for rep in results] == [0, 1, 2, 3]
+    assert results[0]["status"] == "pass"
+    for rep in results[1:]:
+        assert rep["status"] == "fail"
+        assert rep["computed"]["error"] == "BrokenProcessPool"
+        assert rep["computed"]["detail"] == "planted break"
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

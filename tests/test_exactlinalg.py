@@ -10,13 +10,13 @@ from sscx.exactlinalg import (
     SparseRationalMatrix,
     SubspaceBasis,
     SubspaceEscapeError,
-    kernel,
     rank,
     restrict,
     solve_in_basis,
 )
 from sscx.exactlinalg import _eliminate
-from linalg_oracle import checked_matrix, spans_equal, subspace_equal
+import linalg_oracle as oracle
+from linalg_oracle import checked_matrix, kernel, spans_equal, subspace_equal
 
 
 def mat(rows):
@@ -75,7 +75,8 @@ class TestBasics:
     @settings(max_examples=60, deadline=None)
     def test_rows_may_be_consumed(self, m):
         copy = checked_matrix(m.nrows, m.ncols, m.entries)
-        _eliminate(m.rows(), reduce=True)
+        _eliminate(m.rows())
+        oracle.eliminate(m.rows(), reduce=True)
         assert m == copy and m.rows() == copy.rows()
 
 
@@ -84,7 +85,8 @@ def _reference_eliminate(
 ):
     """The elimination core as it was before the column index: it rescans
     every active row on every pivot.  Kept verbatim as the oracle that the
-    indexed core must match exactly."""
+    indexed rank core, and with ``pivot_limit`` and ``reduce`` the reduced
+    elimination of ``linalg_oracle``, must match exactly."""
     active = [(idx, row) for idx, row in enumerate(rows) if row]
     done = []
     while True:
@@ -177,6 +179,22 @@ def elimination_rows(draw, max_rows=8, max_cols=8):
     return rows, pivot_limit
 
 
+@st.composite
+def private_row_bases(draw, max_dim=7):
+    """Bases whose vectors each own a row no other vector touches, with
+    further entries on the rows that no vector owns."""
+    ambient = draw(st.integers(1, max_dim))
+    owned = draw(st.lists(st.integers(0, ambient - 1), unique=True, max_size=ambient))
+    shared = [r for r in range(ambient) if r not in owned]
+    vectors = []
+    for r in owned:
+        vec = {r: draw(nonzero_fractions)}
+        for s in draw(st.lists(st.sampled_from(shared), unique=True)) if shared else []:
+            vec[s] = draw(nonzero_fractions)
+        vectors.append(vec)
+    return SubspaceBasis(ambient, vectors)
+
+
 def _ordered(pivots, leftover):
     """Values and key order of an elimination result."""
     return (
@@ -186,11 +204,20 @@ def _ordered(pivots, leftover):
 
 
 class TestEliminationCore:
+    @given(elimination_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_core_matches_reference(self, case):
+        rows, _ = case
+        got = _eliminate([dict(r) for r in rows])
+        want, leftover = _reference_eliminate([dict(r) for r in rows])
+        assert leftover == []
+        assert _ordered(got, []) == _ordered(want, [])
+
     @given(elimination_rows(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, case, reduce):
         rows, pivot_limit = case
-        got = _eliminate([dict(r) for r in rows], pivot_limit, reduce)
+        got = oracle.eliminate([dict(r) for r in rows], pivot_limit, reduce)
         want = _reference_eliminate([dict(r) for r in rows], pivot_limit, reduce)
         assert _ordered(*got) == _ordered(*want)
 
@@ -261,6 +288,85 @@ class TestSubspaces:
         target = {0: Fraction(2), 1: Fraction(4), 2: Fraction(3)}
         coords = solve_in_basis(basis, [target])
         assert coords == [{0: Fraction(2), 1: Fraction(1)}]
+
+    def test_solve_in_basis_reads_private_rows(self):
+        # rows 1 and 3 are shared; rows 0, 2 and 4 are private
+        basis = SubspaceBasis(5, [
+            {0: Fraction(-1), 1: Fraction(1)},
+            {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)},
+            {3: Fraction(2), 4: Fraction(1)},
+        ])
+        assert basis.private_rows() == [0, 2, 4]
+        target = {0: Fraction(3), 1: Fraction(-1), 2: Fraction(2), 3: Fraction(4),
+                  4: Fraction(1)}
+        assert solve_in_basis(basis, [target]) == [{0: -3, 1: 2, 2: 1}]
+
+    @pytest.mark.parametrize("vectors", [
+        [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1)}],
+        [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 2: Fraction(1)},
+         {1: Fraction(1), 3: Fraction(1)}],
+        [{0: Fraction(1)}, {}],
+    ], ids=["repeated", "all-rows-shared", "zero"])
+    def test_basis_without_private_rows_is_rejected(self, vectors):
+        # the all-rows-shared basis is independent, yet its first vector has
+        # no row of its own; the first target lies outside every span, so
+        # the basis must be rejected before any target is read
+        basis = SubspaceBasis(4, vectors)
+        assert basis.private_rows() is None
+        with pytest.raises(ValueError, match="private row"):
+            solve_in_basis(basis, [{3: Fraction(1), 2: Fraction(1)}, {0: Fraction(1)}])
+        with pytest.raises(ValueError, match="private row"):
+            restrict(mat([[1, 0], [0, 1], [0, 0], [0, 0]]), SubspaceBasis.full(2), basis)
+
+    @pytest.mark.parametrize("row, value", [
+        (1, 1),  # the first vector's second private row, off by one
+        (2, 5),  # a shared row
+        (4, 1),  # a row no vector touches
+    ])
+    def test_entry_beyond_the_private_rows_escapes(self, row, value):
+        # private rows 0 and 3; the target matches there in every case
+        basis = SubspaceBasis(5, [
+            {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)},
+            {2: Fraction(-1), 3: Fraction(1)},
+        ])
+        assert basis.private_rows() == [0, 3]
+        inside = {0: Fraction(2), 1: Fraction(2), 2: Fraction(1), 3: Fraction(1)}
+        assert solve_in_basis(basis, [inside]) == [{0: 2, 1: 1}]
+        outside = {**inside, row: inside.get(row, 0) + value}
+        with pytest.raises(SubspaceEscapeError):
+            solve_in_basis(basis, [inside, outside])
+        m = checked_matrix(5, 2, {(r, j): v for j, vec in enumerate([inside, outside])
+                                  for r, v in vec.items()})
+        with pytest.raises(SubspaceEscapeError):
+            restrict(m, SubspaceBasis.full(2), basis)
+
+    @given(private_row_bases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_in_basis_matches_the_reduced_elimination(self, basis, data):
+        """Combinations of the basis vectors, some with one entry changed:
+        reading coordinates off the private rows must give exactly what the
+        reduced elimination of the oracle gives, or escape where it does."""
+        targets = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            coefs = data.draw(st.lists(st.integers(-3, 3), min_size=basis.dim,
+                                       max_size=basis.dim))
+            target = {}
+            for c, vec in zip(coefs, basis.vectors):
+                for r, v in vec.items():
+                    target[r] = target.get(r, 0) + c * v
+            if data.draw(st.booleans()):
+                r = data.draw(st.integers(0, basis.ambient_dim - 1))
+                target[r] = target.get(r, 0) + data.draw(nonzero_fractions)
+            targets.append({r: Fraction(v) for r, v in target.items() if v})
+        try:
+            want = oracle.solve_in_basis(basis, targets)
+        except SubspaceEscapeError:
+            with pytest.raises(SubspaceEscapeError):
+                solve_in_basis(basis, targets)
+        else:
+            got = solve_in_basis(basis, targets)
+            assert got == want
+            assert all(type(v) is Fraction and v for col in got for v in col.values())
 
     def test_subspace_equal_permuted(self):
         a = SubspaceBasis(3, [{0: Fraction(1)}, {1: Fraction(1)}])

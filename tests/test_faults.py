@@ -207,7 +207,7 @@ def _lift_plant_failures(monkeypatch, planted):
     """Run every fiber check at n = 4 with ``_xi_lift`` replaced by
     ``planted`` and return the failing (suite, t) pairs, checking on the way
     that each failure of a suite built on the truncation fibers is the lift
-    cross-check of ``fiber_E`` and each snake failure is its quotient flag."""
+    certificate of ``fiber_E`` and each snake failure is its quotient flag."""
     # fiber.lift_matrix, which both fiber_E and the snake check read, is the
     # only caller of _xi_lift
     monkeypatch.setattr(fiber, "_xi_lift", planted)

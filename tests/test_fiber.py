@@ -200,7 +200,7 @@ class TestFiberE:
             fiber_E(m3, 3, 2)
 
     def test_cross_construction_full_grid(self):
-        # fiber_E itself raises if the kernel and lift constructions differ
+        # fiber_E itself raises if its lift basis fails the kernel certificate
         for n in (3, 4):
             model = FiberModel(n)
             for a in range(0, 2 * n - 1):

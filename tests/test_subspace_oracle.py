@@ -1,21 +1,24 @@
-"""The two subspace equalities the verifier decides by containment plus
-dimension must agree with the rank oracle ``linalg_oracle``: the lift
-cross-check of ``fiber_E`` and the image flag of the ``ces`` check, for
-every degree at n <= 4, on the genuine maps and on perturbed ones."""
+"""The subspace equalities the verifier decides by containment plus
+dimension must agree with the oracle ``linalg_oracle``: the certificate of
+``fiber_E``'s lift basis and the image flag of the ``ces`` check, for every
+degree at n <= 4, on the genuine maps and on perturbed ones.  And the lift
+basis must span the kernel the reduced elimination computes, with the same
+ranks and cohomology over both bases, at n <= 5."""
 
 import pytest
 
-from sscx import complexes
-from sscx.exactlinalg import SparseRationalMatrix, SubspaceBasis
+from sscx import complexes, fiber
+from sscx.complexes import ChainComplex, _Et_cohomology, cohomology_dims
+from sscx.exactlinalg import SparseRationalMatrix, SubspaceBasis, rank
 from sscx.fiber import (
     FiberModel,
     TwistedSpace,
-    _lift_vectors,
-    _spans_kernel,
     fiber_E,
+    restricted_d,
     structure_map,
 )
-from linalg_oracle import spans_equal, subspace_equal
+import linalg_oracle as oracle
+from linalg_oracle import kernel, spans_equal, subspace_equal
 
 NS = (2, 3, 4)
 
@@ -32,26 +35,73 @@ def _negate_lowest(vec):
 
 def _variants(vectors):
     """The vectors as they are, with the last one's lowest entry negated,
-    and with the last one replaced by the first."""
+    with the last one replaced by the first, and without the last one."""
     return [
         vectors,
         vectors[:-1] + [_negate_lowest(vectors[-1])],
         vectors[:-1] + [vectors[0]],
+        vectors[:-1],
     ]
 
 
+def _certified(model, a, b):
+    """Whether an uncached ``fiber_E`` certifies its lift vectors as a basis
+    of ker d0; False when it reports that the constructions disagree."""
+    try:
+        fiber.fiber_E.__wrapped__(model, a, b)
+    except AssertionError as err:
+        if not str(err).startswith("lift construction disagrees"):
+            raise
+        return False
+    return True
+
+
 @pytest.mark.parametrize("n", NS)
-def test_lift_predicate_matches_the_oracle(n):
+def test_lift_predicate_matches_the_oracle(n, monkeypatch):
     model = FiberModel(n)
+    real = fiber._lift_vectors
     verdicts = set()
     for a, b in _degrees(n):
         d0, _ = structure_map(model, "d0", TwistedSpace(n, a, b))
-        basis = fiber_E(model, a, b)
-        for vectors in _variants(_lift_vectors(model, a, b)):
-            new = _spans_kernel(d0, vectors, basis.dim)
-            assert new == subspace_equal(basis, SubspaceBasis(basis.ambient_dim, vectors)), (a, b)
+        ker = SubspaceBasis(d0.ncols, kernel(d0).columns())
+        for vectors in _variants(real(model, a, b)):
+            monkeypatch.setattr(fiber, "_lift_vectors", lambda *args, v=vectors: v)
+            new = _certified(model, a, b)
+            assert new == subspace_equal(ker, SubspaceBasis(d0.ncols, vectors)), (a, b)
             verdicts.add(new)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_lift_basis_matches_the_reduced_kernel(n):
+    """Every fiber spans the kernel of d0 that the reduced elimination
+    computes (the full space at a = 0), and each restricted differential
+    and each truncation complex has the same ranks and cohomology in the
+    reduced kernel bases, with coordinates by elimination, as in the lift
+    bases."""
+    model = FiberModel(n)
+    old = {}
+    for t in range(2 * n - 1):
+        for a in range(t + 1):
+            basis = fiber_E(model, a, t - a)
+            if a == 0:
+                old[(a, t - a)] = basis
+                continue
+            d0, _ = structure_map(model, "d0", TwistedSpace(n, a, t - a))
+            ker = kernel(d0)
+            assert spans_equal(SparseRationalMatrix(basis.ambient_dim, basis.vectors), ker)
+            old[(a, t - a)] = SubspaceBasis(ker.nrows, ker.columns())
+    for t in range(2 * n - 1):
+        diffs = []
+        for a in range(t):
+            b = t - a
+            d, _ = structure_map(model, "d", TwistedSpace(n, a, b))
+            cod = old[(a + 1, b - 1)]
+            coords = oracle.solve_in_basis(cod, [d.apply(v) for v in old[(a, b)].vectors])
+            diffs.append(SparseRationalMatrix(cod.dim, coords))
+            assert rank(diffs[-1]) == rank(restricted_d(model, a, b)), (t, a)
+        dims = [old[(a, t - a)].dim for a in range(t + 1)]
+        assert cohomology_dims(ChainComplex(-t, dims, diffs)) == _Et_cohomology(n, t), t
 
 
 def _column_variants(m):
