@@ -5,7 +5,7 @@ E^{1,t-1} -> ... -> E^{t,0}, its Koszul companion on the annihilator
 subspaces, and the two-dimensional grid whose columns resolve the truncation
 fibers; verifies complex conditions, column exactness, square
 anticommutativity, and the predicted cohomology dimensions, all in exact
-rational arithmetic.
+arithmetic: integer matrices, each with one rational scalar.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, lcm
 
 from .exactlinalg import (
     SparseRationalMatrix,
@@ -195,6 +195,8 @@ def verify_snake(n: int, t: int) -> Report:
             m = dmat @ xi_src
             if b >= 2:
                 m = m + lift_matrix(model, a + 1, b - 1) @ _perp_d2(model, a - 1, b - 1)
+            # whether m's columns lie in the annihilator does not depend on
+            # its scalar, so its stored integer columns are tested
             try:
                 solve_in_basis(
                     fiber_wedge_perp(model, a + 1, b - 1), m.columns()
@@ -300,28 +302,38 @@ def totalize(bc: Bicomplex) -> ChainComplex:
 
     The (b, c) entry sits in total degree c - b; both structure maps raise
     that degree by one.  The vertical map on column b enters with the sign
-    (-1)^b, which makes the total differential square to zero.  Each map's
-    scalar is applied to its shared matrix here, one block at a time, and
-    the columns are written at the target entry's row offset.
+    (-1)^b, which makes the total differential square to zero.  Each degree
+    is one integer matrix with the scalar 1/L, where L is the least common
+    denominator of the values s m.scalar of the maps (s, m) out of its
+    blocks; each map enters as its stored integer columns times the integer
+    s m.scalar L, written at the target entry's row offset.  A non-zero
+    scalar leaves the rank as it is.
     """
     layout, offsets, dims = _layout(bc)
     diffs = []
     for blocks, nrows in zip(layout, dims[1:]):
-        cols: list[dict[int, Fraction]] = []
+        # per block: the maps out of it as (s m.scalar, columns, row offset);
+        # the two land in different blocks of the next degree
+        pieces = []
         for b, c in blocks:
-            # the two maps out of (b, c) land in different blocks of the next degree
-            pieces = []
+            maps = []
             if (b, c) in bc.horizontal:
                 s, m = bc.horizontal[(b, c)]
-                pieces.append((m.scale(s), offsets[(b - 1, c)]))
+                maps.append((s * m.scalar, m.columns(), offsets[(b - 1, c)]))
             if (b, c) in bc.vertical:
                 s, m = bc.vertical[(b, c)]
-                pieces.append((m.scale((-1) ** b * s), offsets[(b, c + 1)]))
+                maps.append(((-1) ** b * s * m.scalar, m.columns(), offsets[(b, c + 1)]))
+            # a map with the scalar 0 leaves its block empty
+            pieces.append([piece for piece in maps if piece[0]])
+        den = lcm(*(f.denominator for maps in pieces for f, _, _ in maps))
+        cols: list[dict[int, int]] = []
+        for (b, c), maps in zip(blocks, pieces):
+            ints = [((f * den).numerator, mcols, row0) for f, mcols, row0 in maps]
             for j in range(bc.grid[b][c].dim):
                 cols.append(
-                    {row0 + r: v for m, row0 in pieces for r, v in m.columns()[j].items()}
+                    {row0 + r: k * v for k, mcols, row0 in ints for r, v in mcols[j].items()}
                 )
-        diffs.append(SparseRationalMatrix(nrows, cols))
+        diffs.append(SparseRationalMatrix(nrows, cols, Fraction(1, den)))
     return ChainComplex(-bc.t, dims, diffs)
 
 
@@ -362,31 +374,33 @@ def _is_totalization(bc: Bicomplex, vertical: dict, total: ChainComplex) -> bool
     """Whether ``total`` holds exactly the maps of the bicomplex, each at the
     row offset of its target block: the horizontal maps with their scalars
     and the vertical ones with the scalars in ``vertical``.  One pass over
-    the stored entries, comparing w = s v as wn sd vd = sn vn wd in
-    integers rather than building s v."""
+    the stored integers: a total entry w with the degree's scalar T must be
+    s m.scalar v, which is decided as w T.num f.den == v f.num T.den with
+    f = s m.scalar, both factors computed once per block."""
     layout, offsets, dims = _layout(bc)
     if total.degree_offset != -bc.t or total.dims != dims:
         return False
     for blocks, diff in zip(layout, total.differentials):
         cols = iter(diff.columns())
+        tn, td = diff.scalar.numerator, diff.scalar.denominator
         for b, c in blocks:
-            pieces = []
+            maps = []
             if (b, c) in bc.horizontal:
-                pieces.append((*bc.horizontal[(b, c)], offsets[(b - 1, c)]))
+                maps.append((*bc.horizontal[(b, c)], offsets[(b - 1, c)]))
             if (b, c) in vertical:
-                pieces.append((*vertical[(b, c)], offsets[(b, c + 1)]))
+                maps.append((*vertical[(b, c)], offsets[(b, c + 1)]))
+            pieces = []
+            for s, m, row0 in maps:
+                f = s * m.scalar
+                pieces.append((m.columns(), row0, tn * f.denominator, f.numerator * td))
             for j in range(bc.grid[b][c].dim):
                 col = next(cols)
-                if len(col) != sum(len(m.columns()[j]) for _, m, _ in pieces):
+                if len(col) != sum(len(mcols[j]) for mcols, _, _, _ in pieces):
                     return False
-                for s, m, row0 in pieces:
-                    sn, sd = s.numerator, s.denominator
-                    for r, v in m.columns()[j].items():
+                for mcols, row0, p, q in pieces:
+                    for r, v in mcols[j].items():
                         w = col.get(row0 + r)
-                        if w is None or (
-                            w.numerator * sd * v.denominator
-                            != sn * v.numerator * w.denominator
-                        ):
+                        if w is None or w * p != v * q:
                             return False
     return True
 

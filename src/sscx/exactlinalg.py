@@ -13,13 +13,23 @@ the rows to update through a column -> rows index (structured Gaussian
 elimination) instead of rescanning the rows; the index only replaces the
 search, so pivots and results are the ones the rule above defines.
 
-A matrix is stored one way only: as its list of sparse columns, each a
-``{row: value}`` dict.  Invariant: every stored value is a non-zero
-``Fraction`` at a row inside the shape.  The constructor trusts its input
-and takes the column dicts over as they are, so every caller builds columns
-that keep the invariant.  Accumulators store the first contribution to a key
-as it is and delete a key whose sum cancels, so no zero is stored and no
-``Fraction`` is added to an int 0.
+A matrix is stored one way only: a ``scalar`` times its list of sparse
+columns, each a ``{row: value}`` dict.  Invariant: every stored value is a
+non-zero Python ``int`` at a row inside the shape, and ``scalar`` is one
+non-zero ``Fraction``; a zero matrix has empty columns and the scalar 1.
+The fiber's structure maps are integral but for one denominator per matrix,
+so products, sums and restrictions run on ints and touch the rationals only
+through the scalars, and ``scale`` is O(1).  ``apply``, ``entries`` and
+``==`` work with values (the scalar applied); ``columns`` and ``rows`` hand
+out the stored integers, and ``rank`` ignores the scalar.  The constructor
+trusts its input and takes the column dicts over as they are, so every
+caller builds columns that keep the invariant.  Accumulators store the first
+contribution to a key as it is and delete a key whose sum cancels, so no
+zero is stored.
+
+No ``int / int`` anywhere: in Python that is a float.  Every division goes
+through ``Fraction`` (``Fraction(v, pv)``, ``Fraction(1, pv)``), and only a
+pivot other than ±1 creates a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -27,8 +37,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-Vec = dict[int, Fraction]
+Vec = dict[int, int | Fraction]
+_ONE = Fraction(1)
 
 
 class SubspaceEscapeError(Exception):
@@ -36,31 +48,39 @@ class SubspaceEscapeError(Exception):
 
 
 class SparseRationalMatrix:
-    """Immutable sparse matrix over Q, stored as its sparse columns."""
+    """Immutable sparse matrix over Q: a rational scalar times sparse integer
+    columns."""
 
-    __slots__ = ("nrows", "ncols", "_cols")
+    __slots__ = ("nrows", "ncols", "_cols", "scalar")
 
-    def __init__(self, nrows: int, cols: list[Vec]):
-        """The matrix with the given sparse columns, which must keep the
-        invariant (non-zero Fractions at rows < nrows).  Neither checked nor
-        copied: the list and its dicts become the matrix's own."""
+    def __init__(self, nrows: int, cols: list[Vec], scalar: Fraction = _ONE):
+        """scalar times the matrix with the given sparse columns, which must
+        keep the invariant (non-zero ints at rows < nrows; scalar a non-zero
+        Fraction).  Neither checked nor copied: the list and its dicts become
+        the matrix's own.  A matrix with no stored value gets the scalar 1."""
         self.nrows = nrows
         self.ncols = len(cols)
         self._cols = cols
+        self.scalar = scalar if any(cols) else _ONE
 
     @property
     def entries(self) -> dict[tuple[int, int], Fraction]:
-        """A fresh {(row, col): value} dict of the stored values (read by
-        the tests and by perfbench's tracer; nothing in the package uses it)."""
-        return {(r, c): v for c, col in enumerate(self._cols) for r, v in col.items()}
+        """A fresh {(row, col): value} dict of the matrix's values, the
+        scalar applied (read by the tests and by perfbench's tracer; nothing
+        in the package uses it)."""
+        s = self.scalar
+        if s == 1:
+            return {(r, c): v for c, col in enumerate(self._cols) for r, v in col.items()}
+        return {(r, c): s * v for c, col in enumerate(self._cols) for r, v in col.items()}
 
     def columns(self) -> list[Vec]:
-        """The stored columns themselves: shared, so callers must not modify
-        them."""
+        """The stored integer columns themselves, without the scalar: shared,
+        so callers must not modify them."""
         return self._cols
 
     def rows(self) -> list[Vec]:
-        """Fresh row dicts, which the caller may consume."""
+        """Fresh row dicts of the stored integers, without the scalar, which
+        the caller may consume."""
         rows: list[Vec] = [dict() for _ in range(self.nrows)]
         for c, col in enumerate(self._cols):
             for r, v in col.items():
@@ -68,48 +88,58 @@ class SparseRationalMatrix:
         return rows
 
     def scale(self, s) -> "SparseRationalMatrix":
-        """s times the matrix; the matrix itself when s == 1, as it is
-        immutable."""
+        """s times the matrix, sharing its columns: O(1).  The matrix itself
+        when s == 1, as it is immutable."""
         s = Fraction(s)
         if s == 1:
             return self
-        if s == -1:
-            cols = [{r: -v for r, v in col.items()} for col in self._cols]
-        elif s:
-            cols = [{r: s * v for r, v in col.items()} for col in self._cols]
-        else:
-            cols = [dict() for _ in range(self.ncols)]
-        return SparseRationalMatrix(self.nrows, cols)
+        if not s:
+            return SparseRationalMatrix(self.nrows, [dict() for _ in range(self.ncols)])
+        return SparseRationalMatrix(self.nrows, self._cols, self.scalar * s)
 
     def __add__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
+        """The sum, on the scalar gcd(numerators) / lcm(denominators) of the
+        two scalars when they differ, so each side's columns are multiplied
+        by an integer."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
+        s, t = self.scalar, other.scalar
+        if s == t:
+            scalar, f, g = s, 1, 1
+        else:
+            scalar = Fraction(
+                gcd(s.numerator, t.numerator), lcm(s.denominator, t.denominator)
+            )
+            f, g = (s / scalar).numerator, (t / scalar).numerator
         cols = []
         for mine, theirs in zip(self._cols, other._cols):
-            col = dict(mine)
+            col = dict(mine) if f == 1 else {r: f * v for r, v in mine.items()}
             for r, v in theirs.items():
                 old = col.get(r)
                 if old is None:
-                    col[r] = v
+                    col[r] = g * v
                 else:
-                    w = old + v
+                    w = old + g * v
                     if w:
                         col[r] = w
                     else:
                         del col[r]
             cols.append(col)
-        return SparseRationalMatrix(self.nrows, cols)
+        return SparseRationalMatrix(self.nrows, cols, scalar)
 
     def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
-        """Composition self o other (matrix product)."""
+        """Composition self o other (matrix product): the integer columns
+        multiplied, the scalars multiplied."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch in composition")
+        image = self._image
         return SparseRationalMatrix(
-            self.nrows, [self.apply(col) for col in other.columns()]
+            self.nrows, [image(col) for col in other._cols], self.scalar * other.scalar
         )
 
-    def apply(self, vec: Vec) -> Vec:
-        """Image of a sparse column vector (no stored zeros)."""
+    def _image(self, vec: Vec) -> Vec:
+        """Image of a sparse column vector under the stored columns, without
+        the scalar (no stored zeros)."""
         cols = self._cols
         out: Vec = {}
         for j, v in vec.items():
@@ -125,21 +155,38 @@ class SparseRationalMatrix:
                         del out[i]
         return out
 
+    def apply(self, vec: Vec) -> Vec:
+        """Image of a sparse column vector, the scalar applied (no stored
+        zeros)."""
+        out = self._image(vec)
+        s = self.scalar
+        if s == 1:
+            return out
+        return {i: s * v for i, v in out.items()}
+
     def is_zero(self) -> bool:
         return not any(self._cols)
 
     def __eq__(self, other) -> bool:
+        """Equal values: s v == t w is decided as v (s.num t.den) == w (t.num
+        s.den) in integers."""
         if not isinstance(other, SparseRationalMatrix):
             return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self._cols == other._cols
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            return False
+        s, t = self.scalar, other.scalar
+        if s == t:
+            return self._cols == other._cols
+        p, q = s.numerator * t.denominator, t.numerator * s.denominator
+        return all(
+            mine.keys() == theirs.keys()
+            and all(v * p == theirs[r] * q for r, v in mine.items())
+            for mine, theirs in zip(self._cols, other._cols)
         )
 
     def __repr__(self) -> str:
         nnz = sum(map(len, self._cols))
-        return f"SparseRationalMatrix({self.nrows}x{self.ncols}, nnz={nnz})"
+        return f"SparseRationalMatrix({self.nrows}x{self.ncols}, nnz={nnz}, scalar={self.scalar})"
 
 
 def _eliminate(rows: list[Vec]) -> list[tuple[int, Vec]]:
@@ -174,9 +221,12 @@ def _eliminate(rows: list[Vec]) -> list[tuple[int, Vec]]:
         targets.discard(pidx)
         prow = active.pop(pidx)
         pv = prow[pcol]
-        if pv != 1:
+        if pv == -1:
             for c in prow:
-                prow[c] /= pv
+                prow[c] = -prow[c]
+        elif pv != 1:
+            for c in prow:
+                prow[c] = Fraction(prow[c], pv)
         rest = [(c, v) for c, v in prow.items() if c != pcol]
         for c, _ in rest:
             index[c].discard(pidx)
@@ -203,6 +253,7 @@ def _eliminate(rows: list[Vec]) -> list[tuple[int, Vec]]:
 
 
 def rank(m: SparseRationalMatrix) -> int:
+    """Rank of m: the rank of its stored integers, as the scalar is non-zero."""
     return len(_eliminate(m.rows()))
 
 
@@ -219,7 +270,7 @@ class SubspaceBasis:
 
     @classmethod
     def full(cls, dim: int) -> "SubspaceBasis":
-        return cls(dim, [{i: Fraction(1)} for i in range(dim)])
+        return cls(dim, [{i: 1} for i in range(dim)])
 
     def private_rows(self) -> list[int] | None:
         """For each vector, its first row that no other vector touches; None
@@ -234,20 +285,21 @@ def solve_in_basis(basis: SubspaceBasis, targets: list[Vec]) -> list[Vec]:
     """Coordinates of each target vector in the given basis, read off at its
     private rows (ValueError, before any target is read, if it has none):
     the target's entry there over the vector's, which is ±1 in every basis
-    of the package, so integral targets get integral coordinates.  The
-    target minus that combination must be exactly zero; otherwise it is not
-    in the span and SubspaceEscapeError is raised.
+    of the package, so integral targets get integral coordinates (any other
+    entry is inverted as a ``Fraction``).  The target minus that combination
+    must be exactly zero; otherwise it is not in the span and
+    SubspaceEscapeError is raised.
     """
     pivots = basis.private_rows()
     if pivots is None:
         raise ValueError("basis vector without a private row")
-    # private row -> (vector index, 1 / the vector's entry there, or None
-    # for an entry 1, and the vector's other entries)
+    # private row -> (vector index, 1 / the vector's entry there, an int
+    # for an entry ±1, and the vector's other entries)
     owner = {}
     for i, (r, vec) in enumerate(zip(pivots, basis.vectors)):
         pv = vec[r]
         others = [(s, w) for s, w in vec.items() if s != r]
-        owner[r] = (i, None if pv == 1 else 1 / pv, others)
+        owner[r] = (i, pv if pv in (1, -1) else Fraction(1, pv), others)
     coords: list[Vec] = []
     for k, target in enumerate(targets):
         coord: Vec = {}
@@ -257,7 +309,7 @@ def solve_in_basis(basis: SubspaceBasis, targets: list[Vec]) -> list[Vec]:
             if hit is None:
                 continue
             i, inv, others = hit
-            x = v if inv is None else v * inv
+            x = v * inv
             coord[i] = x
             # x times the vector cancels the target at the private row
             del rest[r]
@@ -284,7 +336,9 @@ def restrict(
 ) -> SparseRationalMatrix:
     """Matrix of m restricted to dom, expressed in cod coordinates, which
     ``solve_in_basis`` reads off at cod's private rows (ValueError if cod
-    has none).
+    has none).  The stored integers of m are applied and m's scalar is
+    kept, so integral bases with entries ±1 at their private rows give
+    integral coordinates.
 
     Raises SubspaceEscapeError if m(dom) is not contained in span(cod); that
     failure mode is itself meaningful, as it refutes a containment claim.
@@ -293,6 +347,12 @@ def restrict(
         raise ValueError("domain ambient dimension does not match matrix")
     if cod.ambient_dim != m.nrows:
         raise ValueError("codomain ambient dimension does not match matrix")
-    images = [m.apply(v) for v in dom.vectors]
+    images = [m._image(v) for v in dom.vectors]
     coords = solve_in_basis(cod, images)
-    return SparseRationalMatrix(cod.dim, coords)
+    if all(type(v) is int for col in coords for v in col.values()):
+        return SparseRationalMatrix(cod.dim, coords, m.scalar)
+    # rational coordinates (a basis with other pivots than ±1, or rational
+    # vectors): their common denominator moves into the scalar
+    den = lcm(*(v.denominator for col in coords for v in col.values()))
+    cols = [{r: (v * den).numerator for r, v in col.items()} for col in coords]
+    return SparseRationalMatrix(cod.dim, cols, m.scalar / den)

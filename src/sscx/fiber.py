@@ -4,8 +4,9 @@ Everything is computed at the single point U = span(e_1, e_2) of IGr(2, 2n),
 with the symplectic form pairing e_i with e_{n+i}.  The graded pieces
 wedge^a V* (x) S^B U (x) (det U*)^c get explicit monomial bases, and all the
 structure maps between them (the two symplectic differentials, their
-normalized combination and the Koszul differential) become sparse rational
-matrices.
+normalized combination and the Koszul differential) become sparse integer
+matrices, with the one denominator of the normalized combination kept as the
+matrix's scalar.
 
 Index convention: V* has basis e^0 ... e^{2n-1} (0-based); U is spanned by
 e_0, e_1, so the annihilator U-perp is spanned by e^j with j >= 2, and the
@@ -23,8 +24,8 @@ from math import comb
 
 from .exactlinalg import SparseRationalMatrix, SubspaceBasis, rank, restrict
 
-TwoForm = dict[tuple[int, int], Fraction]
-OneForm = dict[int, Fraction]
+TwoForm = dict[tuple[int, int], int]
+OneForm = dict[int, int]
 
 
 class FiberModel:
@@ -37,7 +38,7 @@ class FiberModel:
             raise ValueError("need n >= 2 so that the base plane is isotropic")
         self.n = n
         self.dim = 2 * n
-        self.omega: TwoForm = {(i, n + i): Fraction(1) for i in range(n)}
+        self.omega: TwoForm = {(i, n + i): 1 for i in range(n)}
         # contractions of omega with the plane basis e_0, e_1
         self.omega_u: list[OneForm] = [
             {j: v for (j,), v in _contract_form(self.omega, u).items()} for u in (0, 1)
@@ -139,7 +140,7 @@ def _wedge1(subset: tuple[int, ...], j: int):
     return sign, subset[:pos] + (j,) + subset[pos:]
 
 
-def _contract_form(form: TwoForm, i: int) -> dict[tuple[int, ...], Fraction]:
+def _contract_form(form: TwoForm, i: int) -> dict[tuple[int, ...], int]:
     """Last-slot insertion of e_i into a form, one monomial at a time: the
     monomials containing i leave distinct rests, so nothing adds up."""
     out = {}
@@ -151,9 +152,9 @@ def _contract_form(form: TwoForm, i: int) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
-def _wedge2(subset: tuple[int, ...], form: TwoForm) -> dict[tuple[int, ...], Fraction]:
+def _wedge2(subset: tuple[int, ...], form: TwoForm) -> dict[tuple[int, ...], int]:
     """Monomial wedge a 2-form: lambda ^ (e^i ^ e^j) summed over the form."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for (i, j), v in form.items():
         r1 = _wedge1(subset, i)
         if r1 is None:
@@ -209,14 +210,16 @@ def _structure_matrix(
     model: FiberModel, kind: str, a: int, B: int
 ) -> SparseRationalMatrix:
     """The matrix behind ``structure_map`` on (a, B), whose arguments it has
-    checked, one column per source monomial.  d = d1/(B+1) + d2 is emitted
-    term by term in one pass."""
+    checked, one column per source monomial.  Every map is integral but d =
+    d1/(B+1) + d2: it is stored as the integer matrix (B+1) d = d1 +
+    (B+1) d2, emitted term by term in one pass, with the scalar 1/(B+1)."""
     src = TwistedSpace(model.n, a, B)
     if kind == "d0":
         dst = TwistedSpace(model.n, a - 1, B + 1)
     else:
         dst = TwistedSpace(model.n, a + 1, B - 1)
-        w1 = {"d1": 1, "d2": 0, "d": Fraction(1, B + 1)}[kind]  # weight of d1
+        # the integer weights of d1 and d2 in the stored matrix
+        w1, w2 = {"d1": (1, 0), "d2": (0, 1), "d": (1, B + 1)}[kind]
     dst_index = _basis_index(dst)
 
     def put(col, subset, p, coef):
@@ -233,19 +236,19 @@ def _structure_matrix(
             else:
                 del col[row]
 
-    cols: list[dict[int, Fraction]] = []
+    cols: list[dict[int, int]] = []
     for subset, p in basis_of(src):
-        col: dict[int, Fraction] = {}
+        col: dict[int, int] = {}
         cols.append(col)
         if kind == "d0":
             ct = _contract(subset, 0)
             if ct is not None:
                 sign, sub = ct
-                put(col, sub, p, Fraction(sign))  # times e_1: exponent unchanged
+                put(col, sub, p, sign)  # times e_1: exponent unchanged
             ct = _contract(subset, 1)
             if ct is not None:
                 sign, sub = ct
-                put(col, sub, p + 1, Fraction(-sign))  # times e_0
+                put(col, sub, p + 1, -sign)  # times e_0
             continue
         for u in (0, 1):
             dc, dp = _deriv(p, B, u)
@@ -257,7 +260,7 @@ def _structure_matrix(
                 sign, sub = ct
                 for sub2, v in _wedge2(sub, model.omega).items():
                     put(col, sub2, dp, w1 * sign * dc * v)
-            if kind == "d1":
+            if not w2:
                 continue
             # d2: wedge the contraction of the symplectic form with e_u
             for j, vj in model.omega_u[u].items():
@@ -265,9 +268,11 @@ def _structure_matrix(
                 if w is None:
                     continue
                 sign, sub = w
-                put(col, sub, dp, Fraction(sign * dc) * vj)
+                put(col, sub, dp, w2 * sign * dc * vj)
 
-    return SparseRationalMatrix(dst.dim, cols)
+    return SparseRationalMatrix(
+        dst.dim, cols, Fraction(1, B + 1) if kind == "d" else Fraction(1)
+    )
 
 
 @cache
@@ -287,7 +292,7 @@ def fiber_wedge_perp(model: FiberModel, a: int, B: int) -> SubspaceBasis:
         raise ValueError("wedge degree out of range for the annihilator")
     space = TwistedSpace(model.n, a, B)
     index = _basis_index(space)
-    vectors = [{index[mono]: Fraction(1)} for mono in perp_monomials(model, a, B)]
+    vectors = [{index[mono]: 1} for mono in perp_monomials(model, a, B)]
     basis = SubspaceBasis(space.dim, vectors)
     expected = comb(2 * model.n - 2, a) * (B + 1)
     if basis.dim != expected:
@@ -297,7 +302,7 @@ def fiber_wedge_perp(model: FiberModel, a: int, B: int) -> SubspaceBasis:
     return basis
 
 
-def _xi_lift(model: FiberModel, a: int, b: int, mono) -> dict[int, Fraction]:
+def _xi_lift(model: FiberModel, a: int, b: int, mono) -> dict[int, int]:
     """Lift of an annihilator monomial mu (x) Q from degree (a-1, b-1) to the
     ambient space of degree (a, b): (mu ^ e^0)(x)(e_0 Q) + (mu ^ e^1)(x)(e_1 Q).
     mu avoids e^0 and e^1, so the two terms are distinct monomials."""
@@ -305,7 +310,7 @@ def _xi_lift(model: FiberModel, a: int, b: int, mono) -> dict[int, Fraction]:
     index = _basis_index(TwistedSpace(model.n, a, b))
     s0, sub0 = _wedge1(subset, 0)
     s1, sub1 = _wedge1(subset, 1)
-    return {index[(sub0, p + 1)]: Fraction(s0), index[(sub1, p)]: Fraction(s1)}
+    return {index[(sub0, p + 1)]: s0, index[(sub1, p)]: s1}
 
 
 @cache
@@ -320,7 +325,7 @@ def lift_matrix(model: FiberModel, a: int, b: int) -> SparseRationalMatrix:
     return SparseRationalMatrix(TwistedSpace(model.n, a, b).dim, cols)
 
 
-def _lift_vectors(model: FiberModel, a: int, b: int) -> list[dict[int, Fraction]]:
+def _lift_vectors(model: FiberModel, a: int, b: int) -> list[dict[int, int]]:
     """The basis of the fiber of degree (a, b), a >= 1: the annihilator
     monomials together with the lifts (mu ^ e^0)(x)(e_0 Q) + (mu ^ e^1)(x)(e_1 Q)
     of the annihilator monomials of degree (a-1, b-1).  The vectors are the

@@ -13,10 +13,20 @@ rational kernel basis with one vector per free column, and coordinates in
 any independent basis by elimination.  The package now certifies the lift
 basis against one rank and reads coordinates off private rows; these are
 the reference it must agree with.
+
+``structure_matrix`` and ``totalize`` are the fiber's structure matrices
+and the total complex as the package built them before its matrices got
+integer columns and one rational scalar: every value a ``Fraction``, d
+built with its weight 1/(B+1) on d1, and each block of a total differential
+scaled value by value.  They are copied verbatim but for the name of the
+matrix class they build, ``FractionMatrix``, the old format.
 """
 
+import dataclasses
 from fractions import Fraction
+from math import lcm
 
+from sscx.complexes import Bicomplex, ChainComplex, _layout
 from sscx.exactlinalg import (
     SparseRationalMatrix,
     SubspaceBasis,
@@ -24,21 +34,48 @@ from sscx.exactlinalg import (
     Vec,
     rank,
 )
+from sscx.fiber import (
+    FiberModel,
+    TwistedSpace,
+    _basis_index,
+    _contract,
+    _deriv,
+    _wedge1,
+    _wedge2,
+    basis_of,
+)
+
+
+def rational_matrix(nrows: int, cols: list[dict]) -> SparseRationalMatrix:
+    """The matrix with the given columns of rational values, zero values
+    dropped: the values times their common denominator are the stored
+    ints, and one over it is the scalar."""
+    den = lcm(*(Fraction(v).denominator for col in cols for v in col.values()))
+    return SparseRationalMatrix(
+        nrows,
+        [{r: int(v * den) for r, v in col.items() if v} for col in cols],
+        Fraction(1, den),
+    )
 
 
 def checked_matrix(nrows: int, ncols: int, entries: dict | None = None) -> SparseRationalMatrix:
     """The matrix with the given {(row, col): value} entries, range-checked
-    and wrapped in Fraction; zero values are dropped."""
+    and wrapped in Fraction, its denominators cleared by ``rational_matrix``;
+    zero values are dropped."""
     if nrows < 0 or ncols < 0:
         raise ValueError("negative matrix dimension")
     cols: list[dict] = [dict() for _ in range(ncols)]
     for (r, c), v in (entries or {}).items():
         if not (0 <= r < nrows and 0 <= c < ncols):
             raise ValueError(f"entry ({r},{c}) out of range")
-        v = Fraction(v)
-        if v:
-            cols[c][r] = v
-    return SparseRationalMatrix(nrows, cols)
+        cols[c][r] = Fraction(v)
+    return rational_matrix(nrows, cols)
+
+
+def value_columns(m: SparseRationalMatrix) -> list[dict]:
+    """The columns of m's values: its stored integers times its scalar."""
+    s = m.scalar
+    return [{r: s * v for r, v in col.items()} for col in m.columns()]
 
 
 def spans_equal(a: SparseRationalMatrix, b: SparseRationalMatrix) -> bool:
@@ -135,7 +172,7 @@ def eliminate(
         pv = prow[pcol]
         if pv != 1:
             for c in prow:
-                prow[c] /= pv
+                prow[c] = Fraction(prow[c], pv)
         rest = [(c, v) for c, v in prow.items() if c != pcol]
         for c, _ in rest:
             if c < limit:
@@ -168,7 +205,7 @@ def kernel(m: SparseRationalMatrix) -> SparseRationalMatrix:
         for c, v in row.items():
             if c != pc:
                 free[c][pc] = -v
-    return SparseRationalMatrix(m.ncols, list(free.values()))
+    return rational_matrix(m.ncols, list(free.values()))
 
 
 def solve_in_basis(
@@ -181,7 +218,7 @@ def solve_in_basis(
     """
     nb = basis.dim
     nt = len(targets)
-    rows = SparseRationalMatrix(basis.ambient_dim, basis.vectors + targets).rows()
+    rows = rational_matrix(basis.ambient_dim, basis.vectors + targets).rows()
     pivots, leftover = eliminate(rows, pivot_limit=nb, reduce=True)
     for row in leftover:
         if row:
@@ -195,3 +232,142 @@ def solve_in_basis(
             if c >= nb and v:
                 coords[c - nb][pc] = v
     return coords
+
+
+class FractionMatrix:
+    """A matrix in the format before integer columns: sparse columns of
+    non-zero rational values and no scalar.  Only what ``structure_matrix``
+    and ``totalize`` read and write."""
+
+    def __init__(self, nrows: int, cols: list[dict]):
+        self.nrows = nrows
+        self.ncols = len(cols)
+        self._cols = cols
+
+    def columns(self) -> list[dict]:
+        return self._cols
+
+    def scale(self, s) -> "FractionMatrix":
+        s = Fraction(s)
+        if s == 1:
+            return self
+        if s == -1:
+            cols = [{r: -v for r, v in col.items()} for col in self._cols]
+        elif s:
+            cols = [{r: s * v for r, v in col.items()} for col in self._cols]
+        else:
+            cols = [dict() for _ in range(self.ncols)]
+        return FractionMatrix(self.nrows, cols)
+
+
+def structure_matrix(
+    model: FiberModel, kind: str, a: int, B: int
+) -> FractionMatrix:
+    """The matrix behind ``structure_map`` on (a, B), whose arguments it has
+    checked, one column per source monomial.  d = d1/(B+1) + d2 is emitted
+    term by term in one pass."""
+    src = TwistedSpace(model.n, a, B)
+    if kind == "d0":
+        dst = TwistedSpace(model.n, a - 1, B + 1)
+    else:
+        dst = TwistedSpace(model.n, a + 1, B - 1)
+        w1 = {"d1": 1, "d2": 0, "d": Fraction(1, B + 1)}[kind]  # weight of d1
+    dst_index = _basis_index(dst)
+
+    def put(col, subset, p, coef):
+        if not coef:
+            return
+        row = dst_index[(subset, p)]
+        old = col.get(row)
+        if old is None:
+            col[row] = coef
+        else:
+            acc = old + coef
+            if acc:
+                col[row] = acc
+            else:
+                del col[row]
+
+    cols: list[dict[int, Fraction]] = []
+    for subset, p in basis_of(src):
+        col: dict[int, Fraction] = {}
+        cols.append(col)
+        if kind == "d0":
+            ct = _contract(subset, 0)
+            if ct is not None:
+                sign, sub = ct
+                put(col, sub, p, Fraction(sign))  # times e_1: exponent unchanged
+            ct = _contract(subset, 1)
+            if ct is not None:
+                sign, sub = ct
+                put(col, sub, p + 1, Fraction(-sign))  # times e_0
+            continue
+        for u in (0, 1):
+            dc, dp = _deriv(p, B, u)
+            if not dc:
+                continue
+            # d1: contract e_u, wedge the symplectic form
+            ct = _contract(subset, u) if w1 else None
+            if ct is not None:
+                sign, sub = ct
+                for sub2, v in _wedge2(sub, model.omega).items():
+                    put(col, sub2, dp, w1 * sign * dc * v)
+            if kind == "d1":
+                continue
+            # d2: wedge the contraction of the symplectic form with e_u
+            for j, vj in model.omega_u[u].items():
+                w = _wedge1(subset, j)
+                if w is None:
+                    continue
+                sign, sub = w
+                put(col, sub, dp, Fraction(sign * dc) * vj)
+
+    return FractionMatrix(dst.dim, cols)
+
+
+
+def reference_bicomplex(bc: Bicomplex) -> Bicomplex:
+    """bc with every map's matrix replaced by its ``structure_matrix``
+    build: d on the horizontal maps, d0 on the vertical ones."""
+    model = FiberModel(bc.n)
+
+    def old(kind, maps):
+        return {
+            (b, c): (s, structure_matrix(model, kind, bc.t - b - c, b + c))
+            for (b, c), (s, _) in maps.items()
+        }
+
+    return dataclasses.replace(
+        bc, horizontal=old("d", bc.horizontal), vertical=old("d0", bc.vertical)
+    )
+
+
+def totalize(bc: Bicomplex) -> ChainComplex:
+    """Direct-sum total complex.
+
+    The (b, c) entry sits in total degree c - b; both structure maps raise
+    that degree by one.  The vertical map on column b enters with the sign
+    (-1)^b, which makes the total differential square to zero.  Each map's
+    scalar is applied to its shared matrix here, one block at a time, and
+    the columns are written at the target entry's row offset.
+    """
+    layout, offsets, dims = _layout(bc)
+    diffs = []
+    for blocks, nrows in zip(layout, dims[1:]):
+        cols: list[dict[int, Fraction]] = []
+        for b, c in blocks:
+            # the two maps out of (b, c) land in different blocks of the next degree
+            pieces = []
+            if (b, c) in bc.horizontal:
+                s, m = bc.horizontal[(b, c)]
+                pieces.append((m.scale(s), offsets[(b - 1, c)]))
+            if (b, c) in bc.vertical:
+                s, m = bc.vertical[(b, c)]
+                pieces.append((m.scale((-1) ** b * s), offsets[(b, c + 1)]))
+            for j in range(bc.grid[b][c].dim):
+                cols.append(
+                    {row0 + r: v for m, row0 in pieces for r, v in m.columns()[j].items()}
+                )
+        diffs.append(FractionMatrix(nrows, cols))
+    return ChainComplex(-bc.t, dims, diffs)
+

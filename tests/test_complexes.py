@@ -163,7 +163,8 @@ class TestExpectedCohomology:
 def test_matrices_built_from_columns_keep_the_invariant():
     """Structure maps, lifts, the wedge map and the total differentials are
     built from their columns by the constructor, which checks nothing: each
-    must equal its checked rebuild and store only non-zero Fractions."""
+    must equal its checked rebuild from its values, store only non-zero
+    ints and carry a non-zero Fraction scalar, 1 for a zero matrix."""
     m3, m4 = FiberModel(3), FiberModel(4)
     mats = [
         structure_map(m3, kind, TwistedSpace(3, a, B))[0]
@@ -178,4 +179,6 @@ def test_matrices_built_from_columns_keep_the_invariant():
     mats += [d for t in range(5) for d in totalize(build_bicomplex(3, t)).differentials]
     for m in mats:
         assert m == checked_matrix(m.nrows, m.ncols, m.entries)
-        assert all(type(v) is Fraction and v for col in m.columns() for v in col.values())
+        assert all(type(v) is int and v for col in m.columns() for v in col.values())
+        assert type(m.scalar) is Fraction and m.scalar
+        assert m.scalar == 1 or not m.is_zero()

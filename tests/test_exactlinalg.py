@@ -16,7 +16,13 @@ from sscx.exactlinalg import (
 )
 from sscx.exactlinalg import _eliminate
 import linalg_oracle as oracle
-from linalg_oracle import checked_matrix, kernel, spans_equal, subspace_equal
+from linalg_oracle import (
+    checked_matrix,
+    kernel,
+    spans_equal,
+    subspace_equal,
+    value_columns,
+)
 
 
 def mat(rows):
@@ -131,8 +137,11 @@ def _reference_eliminate(
 
 
 def _reference_kernel_columns(m):
-    """Kernel read-out as it was: every free column scans every pivot row."""
-    pivots, _ = _reference_eliminate([dict(r) for r in m.rows()], reduce=True)
+    """Kernel read-out as it was: every free column scans every pivot row.
+    The stored integers are eliminated as Fractions, as the reference
+    divides by its pivots with ``/``."""
+    rows = [{c: Fraction(v) for c, v in r.items()} for r in m.rows()]
+    pivots, _ = _reference_eliminate(rows, reduce=True)
     pivot_cols = {pc for pc, _ in pivots}
     cols = []
     for f in range(m.ncols):
@@ -180,7 +189,7 @@ def elimination_rows(draw, max_rows=8, max_cols=8):
 
 
 @st.composite
-def private_row_bases(draw, max_dim=7):
+def private_row_bases(draw, max_dim=7, values=nonzero_fractions):
     """Bases whose vectors each own a row no other vector touches, with
     further entries on the rows that no vector owns."""
     ambient = draw(st.integers(1, max_dim))
@@ -188,9 +197,9 @@ def private_row_bases(draw, max_dim=7):
     shared = [r for r in range(ambient) if r not in owned]
     vectors = []
     for r in owned:
-        vec = {r: draw(nonzero_fractions)}
+        vec = {r: draw(values)}
         for s in draw(st.lists(st.sampled_from(shared), unique=True)) if shared else []:
-            vec[s] = draw(nonzero_fractions)
+            vec[s] = draw(values)
         vectors.append(vec)
     return SubspaceBasis(ambient, vectors)
 
@@ -229,13 +238,13 @@ class TestEliminationCore:
         m = checked_matrix(
             len(rows), ncols, {(i, c): v for i, r in enumerate(rows) for c, v in r.items()}
         )
-        cols = kernel(m).columns()
+        cols = value_columns(kernel(m))
         want = _reference_kernel_columns(m)
         assert [list(c.items()) for c in cols] == [list(c.items()) for c in want]
 
     def test_kernel_of_wide_row(self):
         m = mat([[1, 0, 2, 0, 0, 3, 0, 1, 0, 0, 5, 0]])
-        cols = kernel(m).columns()
+        cols = value_columns(kernel(m))
         assert len(cols) == 11
         assert cols == _reference_kernel_columns(m)
         assert (m @ kernel(m)).is_zero()
@@ -395,10 +404,13 @@ def dense(m):
 
 def assert_clean(r):
     """r keeps the matrix invariant: the checked reference constructor,
-    which wraps, drops zeros and range-checks, leaves its entries as they
-    are, and every stored value is a non-zero Fraction."""
+    which wraps, drops zeros, range-checks and clears denominators, leaves
+    its values as they are, every stored value is a non-zero int, and the
+    scalar is a non-zero Fraction, 1 for a zero matrix."""
     assert r == checked_matrix(r.nrows, r.ncols, r.entries)
-    assert all(type(v) is Fraction and v for v in r.entries.values())
+    assert all(type(v) is int and v for col in r.columns() for v in col.values())
+    assert type(r.scalar) is Fraction and r.scalar
+    assert r.scalar == 1 or not r.is_zero()
 
 
 @st.composite
@@ -433,9 +445,9 @@ class TestDerivedMatrices:
         cols = list(zip(*dense(c)))
         assert dense(prod) == [[sum(x * y for x, y in zip(row, col)) for col in cols]
                                for row in dense(a)]
-        for j, col in enumerate(c.columns()):
-            assert a.apply(col) == prod.columns()[j]
-        rebuilt = SparseRationalMatrix(a.nrows, a.columns())
+        for j, col in enumerate(value_columns(c)):
+            assert a.apply(col) == value_columns(prod)[j]
+        rebuilt = SparseRationalMatrix(a.nrows, a.columns(), a.scalar)
         assert_clean(rebuilt)
         assert rebuilt == a
         assert_clean(kernel(a))
@@ -443,6 +455,123 @@ class TestDerivedMatrices:
         assert_clean(restrict(a, full_dom, full_cod))
         assert restrict(a, full_dom, full_cod) == a
         ker = kernel(prod)
-        on_kernel = restrict(c, SubspaceBasis(c.ncols, ker.columns()), SubspaceBasis.full(c.nrows))
+        on_kernel = restrict(c, SubspaceBasis(c.ncols, value_columns(ker)), SubspaceBasis.full(c.nrows))
         assert_clean(on_kernel)
         assert on_kernel == c @ ker
+
+
+@st.composite
+def scaled_matrices(draw, shape):
+    """Integer columns with any non-zero Fraction scalar, built directly, so
+    that two matrices of one test rarely share their scalar."""
+    nrows, ncols = shape
+    cols = []
+    for _ in range(ncols):
+        rows = draw(st.lists(st.integers(0, nrows - 1), unique=True, max_size=nrows))
+        cols.append({r: draw(st.integers(-9, 9).filter(bool)) for r in rows})
+    return SparseRationalMatrix(nrows, cols, draw(nonzero_fractions))
+
+
+class TestScalars:
+    """Sums, products and scalings of matrices whose scalars differ must be
+    plain Fraction arithmetic on their values."""
+
+    @given(st.data(), st.one_of(nonzero_fractions, st.integers(-3, 3)))
+    @settings(max_examples=150, deadline=None)
+    def test_operations_match_fraction_arithmetic(self, data, s):
+        r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+        a, b = (data.draw(scaled_matrices((r, k))) for _ in range(2))
+        m = data.draw(scaled_matrices((k, c)))
+        da, db, dm = dense(a), dense(b), dense(m)
+        for total in (a + b, a + a.scale(s), a + a.scale(-1)):
+            assert_clean(total)
+        assert dense(a + b) == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
+        assert dense(a + a.scale(s)) == [[x + s * x for x in row] for row in da]
+        assert (a + a.scale(-1)).is_zero() and (a + a.scale(-1)).scalar == 1
+        prod = a @ m
+        assert_clean(prod)
+        cols = list(zip(*dm))
+        assert dense(prod) == [[sum(x * y for x, y in zip(row, col)) for col in cols]
+                               for row in da]
+        scaled = a.scale(s)
+        assert_clean(scaled)
+        assert dense(scaled) == [[s * x for x in row] for row in da]
+        if s and not a.is_zero():
+            assert scaled.columns() is a.columns()
+
+    @given(scaled_matrices((3, 3)), st.integers(2, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_equality_compares_values(self, a, f):
+        """One matrix stored two ways is equal to itself; a changed value is
+        not."""
+        stretched = [{r: f * v for r, v in col.items()} for col in a.columns()]
+        same = SparseRationalMatrix(3, stretched, a.scalar / f)
+        assert same == a and a == same
+        if not a.is_zero():
+            assert SparseRationalMatrix(3, stretched, a.scalar) != a
+
+
+# above 2^53 a float no longer holds every integer
+BIG = 2**53
+big_ints = st.builds(
+    lambda sign, v: sign * v, st.sampled_from((1, -1)), st.integers(BIG + 1, 2**64)
+)
+
+
+def _combinations(draw, vectors, count):
+    """count combinations of the vectors with big integer coefficients."""
+    out = []
+    for _ in range(count):
+        combo: dict = {}
+        for vec in vectors:
+            coef = draw(st.one_of(st.just(0), big_ints))
+            for r, v in vec.items():
+                combo[r] = combo.get(r, 0) + coef * v
+        out.append({r: v for r, v in combo.items() if v})
+    return out
+
+
+class TestBigIntegers:
+    """Integer matrices with entries above 2^53 and pivots other than ±1:
+    ranks, coordinates and restrictions must be the oracle's Fraction
+    results, so an int / int float anywhere would show."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rank_matches_the_oracle(self, data):
+        ncols = data.draw(st.integers(1, 6))
+        free = [
+            {c: data.draw(big_ints) for c in data.draw(
+                st.lists(st.integers(0, ncols - 1), unique=True, min_size=1))}
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        rows = free + _combinations(data.draw, free, data.draw(st.integers(1, 3)))
+        m = checked_matrix(
+            len(rows), ncols, {(i, c): v for i, row in enumerate(rows) for c, v in row.items()}
+        )
+        fractions = [{c: Fraction(v) for c, v in row.items()} for row in m.rows()]
+        want = len(oracle.eliminate(fractions)[0])
+        assert rank(m) == want <= len(free)
+
+    @given(private_row_bases(values=big_ints), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_coordinates_and_restrictions_match_the_oracle(self, basis, data):
+        targets = _combinations(data.draw, basis.vectors, data.draw(st.integers(1, 4)))
+        want = oracle.solve_in_basis(basis, targets)
+        assert solve_in_basis(basis, targets) == want
+        m = SparseRationalMatrix(basis.ambient_dim, targets)
+        restricted = restrict(m, SubspaceBasis.full(len(targets)), basis)
+        assert_clean(restricted)
+        assert value_columns(restricted) == want
+        # one entry off by one outside the private rows leaves the span,
+        # which a float would miss next to entries above 2^53
+        rows = [r for r in range(basis.ambient_dim) if r not in basis.private_rows()]
+        if rows:
+            target = data.draw(st.sampled_from(targets))
+            r = data.draw(st.sampled_from(rows))
+            moved = {**target, r: target.get(r, 0) + 1}
+            moved = {k: v for k, v in moved.items() if v}
+            with pytest.raises(SubspaceEscapeError):
+                oracle.solve_in_basis(basis, [moved])
+            with pytest.raises(SubspaceEscapeError):
+                solve_in_basis(basis, [moved])

@@ -146,6 +146,39 @@ def test_wrong_d_coefficient_breaks_containment(monkeypatch):
             assert rep["computed"]["error"] == "SubspaceEscapeError"
 
 
+def test_d_without_its_scalar_breaks_the_squares_and_the_snake(monkeypatch):
+    real = fiber.structure_map
+
+    def planted(model, kind, src):
+        """d as its stored integers (B+1) d, the scalar 1/(B+1) dropped.
+        The failing set below is the one of the Fraction matrix (B+1) d
+        planted in the build that stored every value as a Fraction."""
+        mat, dst = real(model, kind, src)
+        if kind != "d":
+            return mat, dst
+        return SparseRationalMatrix(mat.nrows, mat.columns()), dst
+
+    # complexes imported the name, so both bindings carry the planted map
+    monkeypatch.setattr(fiber, "structure_map", planted)
+    monkeypatch.setattr(complexes, "structure_map", planted)
+    code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
+    assert code == 1
+    failing = {}
+    for rep in reps:
+        if rep["status"] == "fail":
+            failing[(rep["suite"], rep["params"]["t"])] = {
+                k for k, v in rep["computed"].items() if v != rep["expected"][k]
+            }
+    # each d_B is off by the factor B+1: d o d stays zero, so the truncation
+    # complexes pass, but the squares and the snake's comparisons with d2 do not
+    assert failing == {
+        **{("bicomplex", t): {"squares", "total_d2", "cohomology_match"}
+           for t in range(2, 7)},
+        **{("snake", t): {"filtration_ok"} for t in (1, 2)},
+        **{("snake", t): {"filtration_ok", "quotient_ok"} for t in range(3, 7)},
+    }
+
+
 def test_scaled_koszul_column_breaks_koszul_and_snake(monkeypatch):
     real = fiber.structure_map
 

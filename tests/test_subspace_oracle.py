@@ -98,7 +98,7 @@ def test_lift_basis_matches_the_reduced_kernel(n):
             d, _ = structure_map(model, "d", TwistedSpace(n, a, b))
             cod = old[(a + 1, b - 1)]
             coords = oracle.solve_in_basis(cod, [d.apply(v) for v in old[(a, b)].vectors])
-            diffs.append(SparseRationalMatrix(cod.dim, coords))
+            diffs.append(oracle.rational_matrix(cod.dim, coords))
             assert rank(diffs[-1]) == rank(restricted_d(model, a, b)), (t, a)
         dims = [old[(a, t - a)].dim for a in range(t + 1)]
         assert cohomology_dims(ChainComplex(-t, dims, diffs)) == _Et_cohomology(n, t), t
