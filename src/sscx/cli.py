@@ -21,6 +21,7 @@ import os
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from typing import Callable, NamedTuple
 
 from . import complexes, weights
@@ -233,6 +234,14 @@ def run(argv=None) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     tasks = _tasks(args, parser)
+    # open --out before any check runs, so a bad path costs no work
+    if args.out:
+        try:
+            out = open(args.out, "w", encoding="ascii")
+        except OSError as exc:
+            parser.error(f"cannot write --out: {exc}")
+    else:
+        out = nullcontext(sys.stdout)
     # fork starts every worker at once, so never ask for more than can run
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -242,11 +251,8 @@ def run(argv=None) -> int:
     results.sort(key=lambda r: (r["suite"], sorted(r["params"].items())))
     lines = [json.dumps(r, separators=(",", ":")) for r in results]
     text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out as fh:
+        fh.write(text)
     return 0 if all(r["status"] == "pass" for r in results) else 1
 
 

@@ -1,11 +1,13 @@
 """Differential test of the bicomplex's product flags.
 
-``verify_bicomplex`` decides ``rows_ok``, ``squares`` and ``total_d2`` from
-memoized verdicts on sums of products of shared structure matrices.  The
-oracle here forms every product on the grid instead, as the check did before
-the memo: each row composition, each square, and the square of every total
-differential.  Both must agree on every degree up to n = 4 and on bicomplexes
-with a planted scalar or a planted coefficient of d.
+``verify_bicomplex`` decides ``rows_ok`` and ``squares`` from memoized
+verdicts on sums of products of shared structure matrices, and ``total_d2``
+by squaring the differentials of ``totalize``'s total complex.  The oracle
+here forms every product on the grid instead, and decides ``total_d2`` from
+the blocks of the total d², without ``totalize``: each row composition, each
+square, each composition of two vertical maps in a column, and each square
+cut off by the antidiagonal.  Both must agree on every degree up to n = 4
+and on bicomplexes with a planted scalar or a planted coefficient of d.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from sscx import complexes
-from sscx.complexes import build_bicomplex, totalize, verify_bicomplex, verify_complex
+from sscx.complexes import build_bicomplex, verify_bicomplex
 from tests.test_faults import CACHED
 
 FLAGS = ("rows_ok", "squares", "total_d2")
@@ -31,24 +33,33 @@ def fresh_caches():
 
 
 def product_flags(bc) -> dict[str, int]:
-    """The three flags with every product formed on the grid."""
+    """The three flags with every product formed on the grid.  The total d²
+    is zero exactly when its blocks are: d o d in the rows, d0 o d0 in the
+    columns, the squares, and the squares cut off by the antidiagonal, where
+    only the path through column b - 1 exists."""
     t = bc.t
     hor = {key: m.scale(s) for key, (s, m) in bc.horizontal.items()}
-    ver = {key: m.scale(s) for key, (s, m) in bc.vertical.items()}
-    rows_ok = 1
-    for b in range(2, t + 1):
-        for c in range(t - b + 1):
-            if not (hor[(b - 1, c)] @ hor[(b, c)]).is_zero():
-                rows_ok = 0
-    squares = 1
-    for b in range(1, t + 1):
-        for c in range(t - b):
-            anti = ver[(b - 1, c)].scale((-1) ** (b - 1)) @ hor[(b, c)] + hor[
-                (b, c + 1)
-            ] @ ver[(b, c)].scale((-1) ** b)
-            if not anti.is_zero():
-                squares = 0
-    total_d2 = int(verify_complex(totalize(bc)))
+    # the vertical maps with the column sign they carry in the total complex
+    ver = {(b, c): m.scale((-1) ** b * s) for (b, c), (s, m) in bc.vertical.items()}
+    rows_ok = int(all(
+        (hor[(b - 1, c)] @ hor[(b, c)]).is_zero()
+        for b in range(2, t + 1)
+        for c in range(t - b + 1)
+    ))
+    squares = int(all(
+        (ver[(b - 1, c)] @ hor[(b, c)] + hor[(b, c + 1)] @ ver[(b, c)]).is_zero()
+        for b in range(1, t + 1)
+        for c in range(t - b)
+    ))
+    columns = all(
+        (ver[(b, c + 1)] @ ver[(b, c)]).is_zero()
+        for b in range(t + 1)
+        for c in range(t - b - 1)
+    )
+    edges = all(
+        (ver[(b - 1, t - b)] @ hor[(b, t - b)]).is_zero() for b in range(1, t + 1)
+    )
+    total_d2 = int(rows_ok and squares and columns and edges)
     return {"rows_ok": rows_ok, "squares": squares, "total_d2": total_d2}
 
 

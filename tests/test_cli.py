@@ -130,6 +130,25 @@ def test_out_file(tmp_path):
         json.loads(line)
 
 
+def test_unwritable_out_is_usage_error_before_any_check(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counted(real):
+        def run_counted(**params):
+            calls.append(params)
+            return real(**params)
+        return run_counted
+
+    for check in cli._names(cli.FIBER):
+        plant(monkeypatch, check, counted(cli.CHECKS[check].run))
+    with pytest.raises(SystemExit) as exc:
+        run(["--out", str(tmp_path / "missing" / "reports.ndjson"),
+             "verify-fiber", "--n", "2"])
+    assert exc.value.code == 2
+    assert calls == []
+    assert "cannot write --out" in capsys.readouterr().err
+
+
 def test_failing_check_exits_one(monkeypatch):
     from sscx.report import Report
 

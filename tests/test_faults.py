@@ -8,6 +8,7 @@ import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, groupby
 from math import comb, perm
 
@@ -83,18 +84,21 @@ def _fails_only_the_total(reps):
 def test_totalize_with_one_unsigned_block_fails(monkeypatch):
     real = complexes.totalize
 
-    def planted(bc):
+    def planted(bc, factor):
         """The vertical map out of the (1, 0) entry enters the total
-        differential without its column sign (-1)^1."""
+        differential with its scalar s times ``factor``."""
         if (1, 0) not in bc.vertical:
             return real(bc)
         s, m = bc.vertical[(1, 0)]
-        return real(dataclasses.replace(bc, vertical={**bc.vertical, (1, 0): (-s, m)}))
+        return real(dataclasses.replace(bc, vertical={**bc.vertical, (1, 0): (factor * s, m)}))
 
-    monkeypatch.setattr(complexes, "totalize", planted)
-    code, reps = reports(*FIBER_N4, "bicomplex")
-    assert code == 1
-    _fails_only_the_total(reps)
+    # the map without its column sign (-1)^1, and the map dropped
+    for factor in (-1, 0):
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes, "totalize", partial(planted, factor=factor))
+            code, reps = reports(*FIBER_N4, "bicomplex")
+        assert code == 1
+        _fails_only_the_total(reps)
 
 
 def test_totalize_with_one_shifted_block_fails(monkeypatch):
