@@ -20,6 +20,7 @@ from .exactlinalg import (
     SparseRationalMatrix,
     SubspaceEscapeError,
     rank,
+    rank_mod_p,
     restrict,
     solve_in_basis,
 )
@@ -67,12 +68,12 @@ def verify_complex(c: ChainComplex) -> bool:
     )
 
 
-def cohomology_dims(c: ChainComplex) -> dict[int, int]:
-    """Degree -> cohomology dimension (nonzero entries only)."""
+def _cohomology(c: ChainComplex, ranks: list[int]) -> dict[int, int]:
+    """Degree -> dim - rank out - rank in, from the ranks of the
+    differentials (nonzero entries only)."""
     out: dict[int, int] = {}
-    ranks = [rank(m) for m in c.differentials]
     for i, dim in enumerate(c.dims):
-        r_out = ranks[i] if i < len(c.differentials) else 0
+        r_out = ranks[i] if i < len(ranks) else 0
         r_in = ranks[i - 1] if i > 0 else 0
         h = dim - r_out - r_in
         if h < 0:
@@ -80,6 +81,38 @@ def cohomology_dims(c: ChainComplex) -> dict[int, int]:
         if h:
             out[c.degree_offset + i] = h
     return out
+
+
+def cohomology_dims(c: ChainComplex, d2_zero: bool = False) -> dict[int, int]:
+    """Degree -> cohomology dimension (nonzero entries only).
+
+    ``d2_zero`` is the caller's exact verdict that every composition of two
+    differentials is zero (``verify_complex``).  With it, the ranks mod the
+    prime ``exactlinalg.P`` are tried first and kept when the cohomology
+    they give sits in at most one degree.  They are then the ranks over Q:
+
+    - each differential is its stored integer matrix times a non-zero
+      scalar, and for an integer matrix rank_p <= rank_Q, since a minor
+      that is non-zero mod p is a non-zero integer;
+    - d o d = 0 over Q, so every h_i(Q) = dim_i - r_i(Q) - r_{i-1}(Q) is
+      >= 0 (and d o d = 0 mod p, so every h_i(p) is >= 0 too);
+    - h_i(p) - h_i(Q) = delta_i + delta_{i-1}, with delta_k = r_k(Q) -
+      r_k(p) >= 0;
+    - if h(p) vanishes outside one degree j, each differential k has an
+      end, k or k+1, other than j; there 0 = h(p) = h(Q) + delta_k + the
+      other delta, a sum of terms >= 0, so delta_k = 0.  A dropped rank
+      would raise h(p) at both its ends, two adjacent degrees.
+
+    In every other case (no verdict, a failed one, or a mod-p cohomology in
+    two or more degrees: a spread complex or an unlucky prime) the exact
+    ranks over Q are computed as they would be without the mod-p attempt,
+    so a report never rests on an uncertified mod-p rank.
+    """
+    if d2_zero:
+        out = _cohomology(c, [rank_mod_p(m) for m in c.differentials])
+        if len(out) <= 1:
+            return out
+    return _cohomology(c, [rank(m) for m in c.differentials])
 
 
 def expected_Et_cohomology(n: int, t: int) -> dict[int, int]:
@@ -136,11 +169,12 @@ def verify_koszul_S(n: int, t: int) -> Report:
     """The Koszul complex must be exact except at the right end, where the
     cokernel dimension is the binomial rank of the t-th quotient wedge."""
     c = build_koszul_S(n, t)
-    coh = cohomology_dims(c)
+    is_complex = verify_complex(c)
+    coh = cohomology_dims(c, is_complex)
     expected_coker = comb(2 * n - 4, t)
     expected = {"complex": 1, "cokernel": expected_coker, "other_cohomology": 0}
     computed = {
-        "complex": int(verify_complex(c)),
+        "complex": int(is_complex),
         "cokernel": coh.get(0, 0),
         "other_cohomology": sum(v for d, v in coh.items() if d != 0),
     }
@@ -384,7 +418,8 @@ def verify_bicomplex(n: int, t: int) -> Report:
     decided once per process (``_vanishes``) with the scalars of the
     assembled bicomplex; column ranks are likewise computed once per
     matrix.  ``total_d2`` squares the differentials of the total complex
-    itself, the very matrices that ``cohomology_match`` then ranks.
+    itself, the very matrices that ``cohomology_match`` then ranks, mod p
+    under that verdict (``cohomology_dims``).
     """
     bc = build_bicomplex(n, t)
     model = FiberModel(n)
@@ -430,7 +465,7 @@ def verify_bicomplex(n: int, t: int) -> Report:
     et_coh = _Et_cohomology(n, t)
     # only a complex has cohomology (cohomology_dims may raise otherwise);
     # computed once for both flags
-    total_coh = cohomology_dims(total) if total_d2 else {}
+    total_coh = cohomology_dims(total, True) if total_d2 else {}
     match = int(total_coh == et_coh) if total_d2 else 0
     acyclic_ok = 1
     if t == n - 1 and (et_coh or total_coh):
@@ -459,8 +494,10 @@ def verify_bicomplex(n: int, t: int) -> Report:
 @cache
 def _Et_cohomology(n: int, t: int) -> dict[int, int]:
     """Cohomology of the truncation complex, computed once per process for
-    both the cohomology and the bicomplex check; callers must not modify it."""
-    return cohomology_dims(build_Et(n, t))
+    both the cohomology and the bicomplex check; callers must not modify it.
+    Its d o d verdict is formed here, for the mod-p ranks to rest on."""
+    c = build_Et(n, t)
+    return cohomology_dims(c, verify_complex(c))
 
 
 def verify_Et_cohomology(n: int, t: int) -> Report:

@@ -6,6 +6,16 @@ entries, so this module is deliberately minimal: one matrix type, one
 elimination core for ranks, and the restriction of a map to subspaces,
 whose bases own private rows where coordinates are read off.
 
+The elimination core runs over Q (``rank``) or over F_P for the fixed
+prime ``P = 2**31 - 1`` (``rank_mod_p``).  Both share its column -> rows
+index, its pivot rule and its update order; over F_P the values are ints
+reduced mod P and the pivot is inverted with ``pow(pv, -1, P)``.  A rank
+mod P is a lower bound of the rank over Q, since a minor that is non-zero
+mod P is a non-zero integer.  It stands for the rank over Q only where
+something certifies it: ``complexes.cohomology_dims`` does so for a
+complex whose d o d = 0 is verified exactly and whose mod-P cohomology
+sits in at most one degree, and ranks over Q in every other case.
+
 Pivot choice is deterministic (lowest column index; among candidate rows the
 sparsest one, ties broken by lowest row index), so every rank in the
 package is bit-reproducible.  The elimination core finds pivot columns and
@@ -29,7 +39,8 @@ zero is stored.
 
 No ``int / int`` anywhere: in Python that is a float.  Every division goes
 through ``Fraction`` (``Fraction(v, pv)``, ``Fraction(1, pv)``), and only a
-pivot other than ±1 creates a ``Fraction``.
+pivot other than ±1 creates a ``Fraction``; the core over F_P divides by
+nothing.
 """
 
 from __future__ import annotations
@@ -41,6 +52,9 @@ from math import gcd, lcm
 
 Vec = dict[int, int | Fraction]
 _ONE = Fraction(1)
+# the prime of ``rank_mod_p``, the Mersenne prime 2**31 - 1: a reduced value
+# fits in 31 bits and the product of two in 62
+P = 2**31 - 1
 
 
 class SubspaceEscapeError(Exception):
@@ -189,9 +203,9 @@ class SparseRationalMatrix:
         return f"SparseRationalMatrix({self.nrows}x{self.ncols}, nnz={nnz}, scalar={self.scalar})"
 
 
-def _eliminate(rows: list[Vec]) -> list[tuple[int, Vec]]:
+def _eliminate(rows: list[Vec], p: int = 0) -> list[tuple[int, Vec]]:
     """Row elimination core: the pivot rows as (pivot_col, row), in pivot
-    order.
+    order, over Q, or over F_p for a prime ``p``.
 
     ``rows`` is consumed (the dicts are mutated) and must store no zero
     values.  A column -> rows index replaces any scan of the rows: it is
@@ -203,11 +217,22 @@ def _eliminate(rows: list[Vec]) -> list[tuple[int, Vec]]:
     sparsest row in the pivot column, ties broken by lowest input index,
     and each row receives the same updates in the same order as in a plain
     row-by-row elimination, so the result does not depend on the index.
+
+    Over F_p the rows must hold ints.  Each value is reduced mod p in place
+    and the ones that are 0 mod p are dropped before the index is built;
+    the pivot row is multiplied by ``pow(pv, -1, p)`` and every update is
+    reduced mod p, so the values stay ints in [0, p).  Index, pivot rule
+    and update order are the ones over Q.
     """
     active: dict[int, Vec] = {}
     # column -> ids of the active rows with an entry there
     index: dict[int, set[int]] = {}
     for idx, row in enumerate(rows):
+        if p:
+            for c in row:
+                row[c] %= p
+            for c in [c for c, v in row.items() if not v]:
+                del row[c]
         if row:
             active[idx] = row
             for c in row:
@@ -221,7 +246,12 @@ def _eliminate(rows: list[Vec]) -> list[tuple[int, Vec]]:
         targets.discard(pidx)
         prow = active.pop(pidx)
         pv = prow[pcol]
-        if pv == -1:
+        if p:
+            if pv != 1:
+                inv = pow(pv, -1, p)
+                for c in prow:
+                    prow[c] = prow[c] * inv % p
+        elif pv == -1:
             for c in prow:
                 prow[c] = -prow[c]
         elif pv != 1:
@@ -237,10 +267,11 @@ def _eliminate(rows: list[Vec]) -> list[tuple[int, Vec]]:
             for c, v in rest:
                 old = row.get(c)
                 if old is None:
-                    row[c] = nf * v
+                    # non-zero: a product of two units of Q or of F_p
+                    row[c] = nf * v % p if p else nf * v
                     index[c].add(idx)
                 else:
-                    acc = old + nf * v
+                    acc = (old + nf * v) % p if p else old + nf * v
                     if acc:
                         row[c] = acc
                     else:
@@ -255,6 +286,15 @@ def _eliminate(rows: list[Vec]) -> list[tuple[int, Vec]]:
 def rank(m: SparseRationalMatrix) -> int:
     """Rank of m: the rank of its stored integers, as the scalar is non-zero."""
     return len(_eliminate(m.rows()))
+
+
+def rank_mod_p(m: SparseRationalMatrix) -> int:
+    """Rank over F_P of m's stored integers, P the module's prime.
+
+    It is at most ``rank(m)``: a minor that is non-zero mod P is a non-zero
+    integer.  It is not the rank over Q unless something certifies it, as
+    ``complexes.cohomology_dims`` does for a complex."""
+    return len(_eliminate(m.rows(), P))
 
 
 @dataclass

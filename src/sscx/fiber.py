@@ -185,7 +185,9 @@ def structure_map(
     d0        : (a, B, c) -> (a-1, B+1, c+1)    [need a >= 1]
 
     The matrix does not depend on c, so it is built once per (kind, a, B)
-    and shared: callers must not mutate it.
+    and shared: callers must not mutate it.  d2 is the exception: its only
+    reader, ``complexes._perp_d2``, keeps the restriction for the process,
+    so d2 is built afresh on each call and dropped once restricted.
     """
     if src.n != model.n:
         raise ValueError("space does not belong to this fiber model")
@@ -202,6 +204,8 @@ def structure_map(
         dst = TwistedSpace(model.n, a - 1, B + 1, c + 1)
     else:
         raise ValueError(f"unknown structure map kind: {kind}")
+    if kind == "d2":
+        return _structure_matrix.__wrapped__(model, kind, a, B), dst
     return _structure_matrix(model, kind, a, B), dst
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sscx import complexes
 from sscx.complexes import (
     ChainComplex,
     _wedge_form_matrix,
@@ -21,6 +22,7 @@ from sscx.complexes import (
     verify_koszul_S,
     verify_snake,
 )
+from sscx.exactlinalg import P, SparseRationalMatrix, rank, rank_mod_p
 from sscx.fiber import FiberModel, TwistedSpace, lift_matrix, structure_map
 from linalg_oracle import checked_matrix
 
@@ -40,6 +42,57 @@ class TestChainComplex:
     def test_cohomology_of_zero_complex(self):
         c = ChainComplex(0, [2, 3], [checked_matrix(3, 2)])
         assert cohomology_dims(c) == {0: 2, 1: 3}
+
+
+@pytest.fixture
+def exact_ranks(monkeypatch):
+    """The matrices that ``cohomology_dims`` ranks exactly, in call order."""
+    ranked = []
+
+    def counted(m):
+        ranked.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(complexes, "rank", counted)
+    return ranked
+
+
+class TestCertifiedCohomology:
+    """``cohomology_dims`` keeps the mod-p ranks only when d o d = 0 is
+    verified and the mod-p cohomology sits in at most one degree; otherwise
+    it ranks over Q."""
+
+    def test_concentrated_cohomology_takes_no_exact_rank(self, exact_ranks):
+        c = ChainComplex(-1, [1, 2], [SparseRationalMatrix(2, [{0: 1, 1: 3}])])
+        assert cohomology_dims(c, True) == {0: 1}
+        assert exact_ranks == []
+
+    def test_spread_mod_p_cohomology_falls_back(self, exact_ranks):
+        # rank 1 over Q, 0 mod P: the mod-p cohomology {0: 1, 1: 1} is spread
+        d = SparseRationalMatrix(1, [{0: P}])
+        c = ChainComplex(0, [1, 1], [d])
+        assert cohomology_dims(c, True) == {}
+        assert exact_ranks == [d]
+
+    def test_unverified_complex_falls_back(self, exact_ranks):
+        # the two maps compose to 1, not 0; ranked over Q as without a
+        # verdict, which finds the negative dimension
+        one = SparseRationalMatrix(1, [{0: 1}])
+        c = ChainComplex(0, [1, 1, 1], [one, one])
+        with pytest.raises(AssertionError, match="not a complex"):
+            cohomology_dims(c, False)
+        assert exact_ranks == [one, one]
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_mod_p_ranks_agree_on_every_complex(self, n):
+        for t in range(0, 2 * n - 1):
+            for c in (build_Et(n, t), build_koszul_S(n, t),
+                      totalize(build_bicomplex(n, t))):
+                assert verify_complex(c)
+                assert [rank_mod_p(m) for m in c.differentials] == [
+                    rank(m) for m in c.differentials
+                ], (n, t)
+                assert cohomology_dims(c, True) == cohomology_dims(c), (n, t)
 
 
 class TestEt:

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sscx import exactlinalg
 from sscx.exactlinalg import (
+    P,
     SparseRationalMatrix,
     SubspaceBasis,
     SubspaceEscapeError,
     rank,
+    rank_mod_p,
     restrict,
     solve_in_basis,
 )
@@ -575,3 +578,62 @@ class TestBigIntegers:
                 oracle.solve_in_basis(basis, [moved])
             with pytest.raises(SubspaceEscapeError):
                 solve_in_basis(basis, [moved])
+
+
+class TestRankModP:
+    """The rank over F_P of the stored integers: never above the rank over
+    Q, and equal to it when no minor is divisible by P."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bound_and_agreement_with_the_oracle(self, data):
+        nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        # entries in [-9, 9] keep every minor below (9 * 6**0.5)**6 < P in
+        # size; the multiples P, 2P and -P are 0 mod P
+        cells = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+            st.one_of(st.integers(-9, 9).filter(bool), st.sampled_from((P, 2 * P, -P))),
+        ))
+        cols = [dict() for _ in range(ncols)]
+        for (r, c), v in cells.items():
+            cols[c][r] = v
+        m = SparseRationalMatrix(nrows, cols)
+        small = [{} for _ in range(nrows)]
+        for (r, c), v in cells.items():
+            if v % P:
+                small[r][c] = Fraction(v)
+        want = len(oracle.eliminate(small)[0])
+        pivots = _eliminate(m.rows(), P)
+        assert rank_mod_p(m) == len(pivots) == want <= rank(m)
+        if all(v % P for v in cells.values()):
+            assert rank(m) == want
+        # pivot rows hold reduced ints, each pivot normalized to 1
+        assert all(
+            row[pc] == 1 and all(type(v) is int and 0 < v < P for v in row.values())
+            for pc, row in pivots
+        )
+
+    def test_multiples_of_p_are_dropped_in_place(self):
+        rows = [{0: P, 1: 2}, {0: -P, 1: 2 * P}, {1: 3 + P}]
+        assert _eliminate(rows, P) == [(1, {1: 1})]
+        # the rows were reduced in place: the second was 0 mod P from the start
+        assert rows == [{1: 1}, {}, {}]
+
+    def test_fill_in_is_reduced(self):
+        # the second row takes -3 times the first; its pivot is then 1, so
+        # only the reduction of the fill-in keeps -15 in [0, P)
+        rows = [{0: 1, 2: 5}, {0: 3, 1: 1}]
+        assert _eliminate(rows, P) == [(0, {0: 1, 2: 5}), (1, {1: 1, 2: P - 15})]
+
+    def test_rank_drops_at_a_multiple_of_p(self):
+        m = SparseRationalMatrix(2, [{0: 1, 1: 1}, {0: 1, 1: 1 + P}])
+        assert (rank(m), rank_mod_p(m)) == (2, 1)
+        assert rank_mod_p(SparseRationalMatrix(1, [{0: P}])) == 0
+
+    def test_the_prime_is_read_at_each_call(self, monkeypatch):
+        m = SparseRationalMatrix(2, [{0: 2, 1: 1}, {0: 1, 1: 2}])  # det 3
+        assert rank_mod_p(m) == 2
+        monkeypatch.setattr(exactlinalg, "P", 3)
+        assert rank_mod_p(m) == 1
+        monkeypatch.setattr(exactlinalg, "P", 2)
+        assert rank_mod_p(m) == 2

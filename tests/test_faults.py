@@ -11,10 +11,11 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, groupby
 from math import comb, perm
+from pathlib import Path
 
 import pytest
 
-from sscx import complexes, fiber, weights
+from sscx import complexes, exactlinalg, fiber, weights
 from sscx.cli import run
 from sscx.exactlinalg import SparseRationalMatrix
 
@@ -26,6 +27,7 @@ CACHED = [
     if hasattr(f, "cache_clear")
 ]
 FIBER_N4 = ("verify-fiber", "--n", "4", "--t", "all", "--checks")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +47,115 @@ def reports(*argv):
     with redirect_stdout(buf):
         code = run(list(argv))
     return code, [json.loads(line) for line in buf.getvalue().splitlines()]
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Calls of the exact and of the mod-p rank from the complexes layer.
+    The exact ones are the cohomology's fallback and the snake's wedge map,
+    one per degree t (7 at n = 4)."""
+    calls = {"rank": 0, "rank_mod_p": 0}
+    for name in calls:
+        def counted(m, real=getattr(complexes, name), name=name):
+            calls[name] += 1
+            return real(m)
+        monkeypatch.setattr(complexes, name, counted)
+    return calls
+
+
+def _failing(reps):
+    """(suite, t) -> the flags that differ from the expected ones, for every
+    failing report."""
+    return {
+        (rep["suite"], rep["params"]["t"]): {
+            k for k in rep["expected"].keys() | rep["computed"].keys()
+            if rep["computed"].get(k) != rep["expected"].get(k)
+        }
+        for rep in reps if rep["status"] == "fail"
+    }
+
+
+@pytest.mark.parametrize("prime", (2, 3))
+@pytest.mark.parametrize("n", (3, 4))
+def test_unlucky_prime_falls_back_to_the_exact_ranks(monkeypatch, rank_calls, prime, n):
+    """Mod 2 and mod 3 some ranks drop and spread the cohomology: those
+    complexes are ranked over Q again, and every report is unchanged."""
+    argv = ["verify-fiber", "--n", str(n), "--t", "all"]
+    golden = (GOLDEN / f"fiber-n{n}.ndjson").read_text(encoding="ascii")
+    snake_ranks = 2 * n - 1
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run(argv) == 0
+    assert buf.getvalue() == golden
+    # the real prime certifies every cohomology: only the snake ranks over Q
+    assert rank_calls["rank"] == snake_ranks
+    for f in CACHED:
+        f.cache_clear()
+    rank_calls.update(rank=0, rank_mod_p=0)
+    monkeypatch.setattr(exactlinalg, "P", prime)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run(argv) == 0
+    assert buf.getvalue() == golden
+    assert rank_calls["rank"] > snake_ranks
+
+
+def test_zero_differential_spreads_the_cohomology_and_is_ranked_exactly(
+    monkeypatch, rank_calls
+):
+    """The first map of each truncation complex replaced by zero: still a
+    complex, but its cohomology spreads over two degrees, so each E^t with
+    t >= 1 is ranked over Q.  The failing set was derived by planting the
+    same map in the build that ranked every complex over Q only."""
+    real = complexes.restricted_d
+
+    def planted(model, a, b):
+        m = real(model, a, b)
+        if a:
+            return m
+        return SparseRationalMatrix(m.nrows, [dict() for _ in range(m.ncols)])
+
+    monkeypatch.setattr(complexes, "restricted_d", planted)
+    code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
+    assert code == 1
+    assert _failing(reps) == {
+        ("cohomology", 1): {"h-1", "h0"},
+        **{("cohomology", t): {f"h{-t}", f"h{1 - t}"} for t in range(2, 7)},
+        **{("bicomplex", t): {"cohomology_match"} for t in (1, 2, 4, 5, 6)},
+        ("bicomplex", 3): {"cohomology_match", "acyclic_band"},
+    }
+    # the snake's 7 wedge maps and the t differentials of each E^t, t >= 1
+    assert rank_calls["rank"] == 7 + sum(range(7))
+
+
+def test_Et_composition_broken_inside_the_fibers_is_ranked_exactly(
+    monkeypatch, rank_calls
+):
+    """One more entry in the first map of each truncation complex with t >= 2,
+    where the next map does not kill it: every map still lands in its fiber,
+    but d o d != 0, so the cohomology of each such E^t is ranked over Q.  The
+    ranks do not move, so only d2zero fails; the failing set and the report
+    bytes were checked against the build that ranked every complex over Q
+    only."""
+    real = complexes.restricted_d
+
+    def planted(model, a, b):
+        m = real(model, a, b)
+        if a or b < 2:
+            return m
+        nxt = real(model, 1, b - 1)
+        r = next(j for j, col in enumerate(nxt.columns()) if col)
+        cols = [dict(col) for col in m.columns()]
+        cols[0][r] = cols[0].get(r, 0) + 1
+        cols[0] = {k: v for k, v in cols[0].items() if v}
+        return SparseRationalMatrix(m.nrows, cols, m.scalar)
+
+    monkeypatch.setattr(complexes, "restricted_d", planted)
+    code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
+    assert code == 1
+    assert _failing(reps) == {("d2zero", t): {"compositions_zero"} for t in range(2, 7)}
+    # the snake's 7 wedge maps and the t differentials of each E^t, t >= 2
+    assert rank_calls["rank"] == 7 + sum(range(2, 7))
 
 
 def test_unsigned_odd_depths_break_the_squares(monkeypatch):
@@ -81,7 +192,7 @@ def _fails_only_the_total(reps):
             assert failing == {"total_d2", "cohomology_match"}, rep
 
 
-def test_totalize_with_one_unsigned_block_fails(monkeypatch):
+def test_totalize_with_one_unsigned_block_fails(monkeypatch, rank_calls):
     real = complexes.totalize
 
     def planted(bc, factor):
@@ -92,13 +203,19 @@ def test_totalize_with_one_unsigned_block_fails(monkeypatch):
         s, m = bc.vertical[(1, 0)]
         return real(dataclasses.replace(bc, vertical={**bc.vertical, (1, 0): (factor * s, m)}))
 
-    # the map without its column sign (-1)^1, and the map dropped
-    for factor in (-1, 0):
+    # the map without its column sign (-1)^1, and the map dropped; the
+    # total complexes from t = 2 on are not complexes, so neither rank
+    # touches them: the mod-p ranks are the t = 1 total's two differentials,
+    # after the t differentials of each E^t in the first pass (their
+    # cohomology is cached for the second), and none is exact
+    for factor, mod_p_ranks in ((-1, sum(range(7)) + 2), (0, 2)):
+        rank_calls.update(rank=0, rank_mod_p=0)
         with monkeypatch.context() as patch:
             patch.setattr(complexes, "totalize", partial(planted, factor=factor))
             code, reps = reports(*FIBER_N4, "bicomplex")
         assert code == 1
         _fails_only_the_total(reps)
+        assert rank_calls == {"rank": 0, "rank_mod_p": mod_p_ranks}
 
 
 def test_totalize_with_one_shifted_block_fails(monkeypatch):
@@ -183,7 +300,7 @@ def test_d_without_its_scalar_breaks_the_squares_and_the_snake(monkeypatch):
     }
 
 
-def test_scaled_koszul_column_breaks_koszul_and_snake(monkeypatch):
+def test_scaled_koszul_column_breaks_koszul_and_snake(monkeypatch, rank_calls):
     real = fiber.structure_map
 
     def planted(model, kind, src):
@@ -213,9 +330,12 @@ def test_scaled_koszul_column_breaks_koszul_and_snake(monkeypatch):
     assert failing == {("koszul", t) for t in range(4, 7)} | {
         ("snake", t) for t in range(1, 7)
     }
+    # the Koszul complexes at t = 4..6 fail d o d = 0, so their t
+    # differentials are ranked over Q, beside the snake's 7 wedge maps
+    assert rank_calls["rank"] == 7 + 4 + 5 + 6
 
 
-def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch):
+def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch, rank_calls):
     real = fiber._contract
 
     def planted(subset, i):
@@ -238,6 +358,10 @@ def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch):
         for suite in ("d2zero", "cohomology", "snake", "bicomplex")
         for t in range(4, 7)
     }
+    # the broken E^t (t >= 4) and totals (t >= 3) fail before any rank: the
+    # only exact ranks are the snake's 7 wedge maps, and no failing report
+    # rests on a mod-p rank
+    assert rank_calls["rank"] == 7
 
 
 def _lift_plant_failures(monkeypatch, planted):
