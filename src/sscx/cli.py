@@ -11,6 +11,12 @@ byte-identical across runs (and independent of --jobs).  A check that
 raises, or whose worker process dies under --jobs, becomes a failing report
 with its own params and the error's class and message.  Exit code 0 when
 every report passes, 1 when any fails, 2 on usage errors.
+
+Under --jobs, verify-fiber hands the pool one task per degree t, holding
+every selected check at that t, highest t first: every cache a degree
+fills is keyed by spaces of that degree, so no two workers fill the same
+one, and the heaviest degree starts first.  verify-weights hands it one
+task per report.  There is at most one worker per degree and per CPU.
 """
 
 from __future__ import annotations
@@ -19,8 +25,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from typing import Callable, NamedTuple
 
@@ -106,39 +110,61 @@ def _error_report(task, exc: BaseException) -> dict:
     ).to_ordered_dict()
 
 
-def _pooled(tasks, workers: int) -> list[dict]:
-    """Run the tasks on a process pool.  A worker that dies (killed, out of
-    memory) breaks the pool; every task left unfinished then becomes a
-    failing report with its own params instead of a traceback.
+def _run_group(group) -> list[dict]:
+    """Execute the tasks of one pool task in order, each to its own report."""
+    return [_run_task(task) for task in group]
+
+
+def _groups(tasks) -> list[list]:
+    """The pool tasks: for verify-fiber one per degree t, highest t first,
+    each holding the tasks of that t in the order given; for
+    verify-weights, whose staircase grid has no t, one per task."""
+    if not tasks or CHECKS[tasks[0][0]].command != FIBER:
+        return [[task] for task in tasks]
+    by_t: dict[int, list] = {}
+    for task in tasks:
+        by_t.setdefault(task[1]["t"], []).append(task)
+    return [by_t[t] for t in sorted(by_t, reverse=True)]
+
+
+def _pooled(groups, workers: int) -> list[dict]:
+    """Run the groups of tasks on a process pool, one pool task per group, in
+    the order given.  A worker that dies (killed, out of memory) breaks the
+    pool; every task of a group left unfinished then becomes a failing
+    report with its own params instead of a traceback.
 
     A broken pool completes no further future, and one whose ``submit``
     raced the break can stay pending for ever (CPython 3.11 marks the pool
     broken without the lock ``submit`` holds), so once a future has failed
     with BrokenProcessPool, a future still pending gets that error too."""
+    # imported here, so that a command without a pool does not load
+    # concurrent.futures and multiprocessing
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    def submit(group) -> Future:
+        """pool.submit, or a future holding the error if the pool is broken."""
+        try:
+            return pool.submit(_run_group, group)
+        except BrokenProcessPool as exc:
+            future = Future()
+            future.set_exception(exc)
+            return future
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [_submit(pool, task) for task in tasks]
+        futures = [submit(group) for group in groups]
         results = []
         broken = None
-        for task, future in zip(tasks, futures):
+        for group, future in zip(groups, futures):
             if broken is not None and not future.done():
-                results.append(_error_report(task, broken))
+                results.extend(_error_report(task, broken) for task in group)
                 continue
             try:
-                results.append(future.result())
+                results.extend(future.result())
             except BrokenProcessPool as exc:
                 broken = exc
-                results.append(_error_report(task, exc))
+                results.extend(_error_report(task, exc) for task in group)
     return results
-
-
-def _submit(pool, task) -> Future:
-    """pool.submit, or a future holding the error if the pool is broken."""
-    try:
-        return pool.submit(_run_task, task)
-    except BrokenProcessPool as exc:
-        future = Future()
-        future.set_exception(exc)
-        return future
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,7 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write reports to this path instead of stdout")
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="parallel worker processes (default 1; at most one per task and per CPU)",
+        help="parallel worker processes (default 1; at most one worker per degree "
+        "and per CPU, per report for verify-weights)",
     )
     # accept the global flags after the subcommand too; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
@@ -242,10 +269,11 @@ def run(argv=None) -> int:
             parser.error(f"cannot write --out: {exc}")
     else:
         out = nullcontext(sys.stdout)
+    groups = _groups(tasks)
     # fork starts every worker at once, so never ask for more than can run
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(args.jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:
-        results = _pooled(tasks, workers)
+        results = _pooled(groups, workers)
     else:
         results = [_run_task(t) for t in tasks]
     results.sort(key=lambda r: (r["suite"], sorted(r["params"].items())))

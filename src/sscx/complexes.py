@@ -19,8 +19,8 @@ from math import comb, lcm
 from .exactlinalg import (
     SparseRationalMatrix,
     SubspaceEscapeError,
+    pivots_mod_p,
     rank,
-    rank_mod_p,
     restrict,
     solve_in_basis,
 )
@@ -103,13 +103,30 @@ def cohomology_dims(c: ChainComplex, d2_zero: bool = False) -> dict[int, int]:
       other delta, a sum of terms >= 0, so delta_k = 0.  A dropped rank
       would raise h(p) at both its ends, two adjacent degrees.
 
+    The mod-p ranks are cleared: the differentials are ranked from the last
+    to the first, each without the rows at the pivot columns of the next
+    one (``pivots_mod_p``).  Let P_k be the pivot columns of d_k.  d_k is
+    injective on span{e_p : p in P_k}, so that span meets ker d_k, which
+    contains im d_{k-1}, only in 0, and deleting those coordinates keeps
+    rank d_{k-1}.  This needs d_k d_{k-1} = 0 mod p, which the exact
+    verdict gives: the stored integer matrices times non-zero scalars
+    compose to 0 over Q, so the integer matrices compose to 0.  The
+    cleared ranks are therefore the ranks over F_p of the whole
+    differentials, and the certificate above holds for them unchanged.
+
     In every other case (no verdict, a failed one, or a mod-p cohomology in
     two or more degrees: a spread complex or an unlucky prime) the exact
-    ranks over Q are computed as they would be without the mod-p attempt,
-    so a report never rests on an uncertified mod-p rank.
+    ranks over Q of the whole differentials are computed as they would be
+    without the mod-p attempt, so a report never rests on an uncertified
+    mod-p rank.
     """
     if d2_zero:
-        out = _cohomology(c, [rank_mod_p(m) for m in c.differentials])
+        ranks = []
+        pivots: list[int] = []
+        for m in reversed(c.differentials):
+            pivots = pivots_mod_p(m, pivots)
+            ranks.append(len(pivots))
+        out = _cohomology(c, ranks[::-1])
         if len(out) <= 1:
             return out
     return _cohomology(c, [rank(m) for m in c.differentials])
@@ -492,12 +509,19 @@ def verify_bicomplex(n: int, t: int) -> Report:
 
 
 @cache
+def _Et_d2(n: int, t: int) -> bool:
+    """Whether the truncation complex squares to zero, decided once per
+    process for the d2zero check and for the mod-p ranks of its cohomology.
+    SubspaceEscapeError from ``build_Et`` propagates and is not cached."""
+    return verify_complex(build_Et(n, t))
+
+
+@cache
 def _Et_cohomology(n: int, t: int) -> dict[int, int]:
     """Cohomology of the truncation complex, computed once per process for
     both the cohomology and the bicomplex check; callers must not modify it.
-    Its d o d verdict is formed here, for the mod-p ranks to rest on."""
-    c = build_Et(n, t)
-    return cohomology_dims(c, verify_complex(c))
+    Its mod-p ranks rest on the shared d o d verdict ``_Et_d2``."""
+    return cohomology_dims(build_Et(n, t), _Et_d2(n, t))
 
 
 def verify_Et_cohomology(n: int, t: int) -> Report:
@@ -518,11 +542,11 @@ def verify_Et_complex(n: int, t: int) -> Report:
     in the claimed fibers (containment) and consecutive compositions are
     zero."""
     try:
-        c = build_Et(n, t)
+        d2 = _Et_d2(n, t)
     except SubspaceEscapeError:
         computed = {"containment": 0, "compositions_zero": 0}
     else:
-        computed = {"containment": 1, "compositions_zero": int(verify_complex(c))}
+        computed = {"containment": 1, "compositions_zero": int(d2)}
     expected = {"containment": 1, "compositions_zero": 1}
     return Report.make("d2zero", {"n": n, "t": t}, expected, computed)
 

@@ -7,7 +7,7 @@ elimination core for ranks, and the restriction of a map to subspaces,
 whose bases own private rows where coordinates are read off.
 
 The elimination core runs over Q (``rank``) or over F_P for the fixed
-prime ``P = 2**31 - 1`` (``rank_mod_p``).  Both share its column -> rows
+prime ``P = 2**31 - 1`` (``pivots_mod_p``).  Both share its column -> rows
 index, its pivot rule and its update order; over F_P the values are ints
 reduced mod P and the pivot is inverted with ``pow(pv, -1, P)``.  A rank
 mod P is a lower bound of the rank over Q, since a minor that is non-zero
@@ -15,6 +15,19 @@ mod P is a non-zero integer.  It stands for the rank over Q only where
 something certifies it: ``complexes.cohomology_dims`` does so for a
 complex whose d o d = 0 is verified exactly and whose mod-P cohomology
 sits in at most one degree, and ranks over Q in every other case.
+
+Over F_P the ranks of a complex are cleared (Chen and Kerber, "Persistent
+homology computation with a twist", 2011).  Let d_k: C_k -> C_{k+1} and
+d_{k-1}: C_{k-1} -> C_k with d_k d_{k-1} = 0, and let P_k be the pivot
+columns of d_k.  The pivot columns of a matrix are independent, so d_k is
+injective on span{e_p : p in P_k}; that span therefore meets ker d_k,
+which contains im d_{k-1}, only in 0, and deleting the coordinates P_k of
+C_k, the rows P_k of d_{k-1}, keeps rank d_{k-1}.  The pivot columns of
+d_k with some of its own rows deleted the same way are still independent
+columns of d_k.  So ``complexes.cohomology_dims`` ranks a complex from its
+last differential to its first, each by ``pivots_mod_p`` with the rows at
+the next one's pivot columns skipped, and every rank is the rank over F_P
+of the whole differential.
 
 Pivot choice is deterministic (lowest column index; among candidate rows the
 sparsest one, ties broken by lowest row index), so every rank in the
@@ -52,7 +65,7 @@ from math import gcd, lcm
 
 Vec = dict[int, int | Fraction]
 _ONE = Fraction(1)
-# the prime of ``rank_mod_p``, the Mersenne prime 2**31 - 1: a reduced value
+# the prime of ``pivots_mod_p``, the Mersenne prime 2**31 - 1: a reduced value
 # fits in 31 bits and the product of two in 62
 P = 2**31 - 1
 
@@ -288,13 +301,25 @@ def rank(m: SparseRationalMatrix) -> int:
     return len(_eliminate(m.rows()))
 
 
-def rank_mod_p(m: SparseRationalMatrix) -> int:
-    """Rank over F_P of m's stored integers, P the module's prime.
+def pivots_mod_p(m: SparseRationalMatrix, skip: list[int] | tuple = ()) -> list[int]:
+    """Pivot columns over F_P of m's stored integers with the rows in
+    ``skip`` deleted, P the module's prime; only the kept rows are filled.
 
-    It is at most ``rank(m)``: a minor that is non-zero mod P is a non-zero
-    integer.  It is not the rank over Q unless something certifies it, as
-    ``complexes.cohomology_dims`` does for a complex."""
-    return len(_eliminate(m.rows(), P))
+    Their number is the rank over F_P of that submatrix, which is at most
+    ``rank(m)``: a minor that is non-zero mod P is a non-zero integer.  It
+    is not the rank over Q unless something certifies it, as
+    ``complexes.cohomology_dims`` does for a complex, nor the rank of the
+    whole of m unless the deleted rows are ones it can spare (the clearing
+    lemma in the module docstring)."""
+    rows: list[Vec] = [dict() for _ in range(m.nrows)]
+    # the skipped rows' entries land in one dict that is thrown away
+    sink: Vec = {}
+    for r in skip:
+        rows[r] = sink
+    for c, col in enumerate(m.columns()):
+        for r, v in col.items():
+            rows[r][c] = v
+    return [pcol for pcol, _ in _eliminate([row for row in rows if row is not sink], P)]
 
 
 @dataclass

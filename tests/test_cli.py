@@ -1,14 +1,18 @@
 """Tests for the command-line interface: exit codes, report schema,
 parameter-grid coverage, and byte determinism."""
 
+import concurrent.futures.process
 import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -186,10 +190,12 @@ def test_failing_reports_carry_their_params(monkeypatch):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    tasks in this process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the
+    submitted pool tasks and runs them in this process, so no worker is
+    ever started."""
 
     created: list = []
+    submitted: list = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -201,22 +207,33 @@ class _RecordingPool:
         return False
 
     def submit(self, fn, task):
+        self.submitted.append(task)
         future = Future()
         future.set_result(fn(task))
         return future
+
+
+def use_pool(monkeypatch, pool):
+    """Make ``cli._pooled`` start ``pool``, with empty records, instead of a
+    ProcessPoolExecutor; the class is looked up in concurrent.futures.process
+    when a pool starts."""
+    monkeypatch.setattr(pool, "created", [])
+    monkeypatch.setattr(pool, "submitted", [])
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", pool)
 
 
 @pytest.mark.parametrize(
     "argv, cpus, workers",
     [
         (["verify-weights", "--n", "4", "--k", "3"], 3, [3]),
-        (["verify-fiber", "--n", "2", "--t", "0", "--checks", "cohomology,ces"], 8, [2]),
+        # one degree is one pool task, so no pool starts
+        (["verify-fiber", "--n", "2", "--t", "0", "--checks", "cohomology,ces"], 8, []),
         (["verify-weights", "--n", "4", "--k", "3"], None, []),
     ],
 )
 def test_jobs_is_clamped(monkeypatch, argv, cpus, workers):
     monkeypatch.setattr(_RecordingPool, "created", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    use_pool(monkeypatch, _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code, out = invoke(argv + ["--jobs", "10000"])
     assert _RecordingPool.created == workers
@@ -244,12 +261,14 @@ class _BreakingPool(_RecordingPool):
 
 
 def test_futures_left_pending_by_a_broken_pool_fail(monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _BreakingPool)
+    use_pool(monkeypatch, _BreakingPool)
     tasks = [("cohomology", {"n": 3, "t": t}) for t in range(4)]
+    # the broken pool task holds two tasks, and each fails with its params
+    groups = [tasks[:1], tasks[1:3], tasks[3:]]
     results = []
     # a daemon thread, so that a regression hangs only this test's thread
     worker = threading.Thread(
-        target=lambda: results.extend(cli._pooled(tasks, 2)), daemon=True
+        target=lambda: results.extend(cli._pooled(groups, 2)), daemon=True
     )
     worker.start()
     worker.join(timeout=30)
@@ -260,6 +279,76 @@ def test_futures_left_pending_by_a_broken_pool_fail(monkeypatch):
         assert rep["status"] == "fail"
         assert rep["computed"]["error"] == "BrokenProcessPool"
         assert rep["computed"]["detail"] == "planted break"
+
+
+@pytest.mark.parametrize(
+    "argv, submitted",
+    [
+        # one pool task per degree, highest first, each with every selected
+        # check at that degree in the order given
+        (
+            ["verify-fiber", "--n", "3", "--checks", "ces,bicomplex,d2zero"],
+            [
+                [(check, {"n": 3, "t": t}) for check in ("ces", "bicomplex", "d2zero")]
+                for t in (4, 3, 2, 1, 0)
+            ],
+        ),
+        # one pool task per report
+        (
+            ["verify-weights", "--n", "4", "--k", "3", "--checks", "euler,pieri"],
+            [[("euler", {"n": 4, "k": 3, "t": t})] for t in range(6)]
+            + [[("pieri", {"n": 4, "k": 3})]],
+        ),
+    ],
+)
+def test_pool_tasks(monkeypatch, argv, submitted):
+    use_pool(monkeypatch, _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out = invoke(argv + ["--jobs", "2"])
+    assert _RecordingPool.created == [2]
+    assert _RecordingPool.submitted == submitted
+    assert (code, out) == invoke(argv)
+    assert len(out.splitlines()) == sum(map(len, submitted))
+
+
+def test_raising_check_fails_alone_in_its_pool_task(monkeypatch):
+    real = cli.CHECKS["cohomology"].run
+
+    def planted(n, t):
+        if t == 2:
+            raise ZeroDivisionError("planted at t=2")
+        return real(n, t)
+
+    plant(monkeypatch, "cohomology", planted)
+    use_pool(monkeypatch, _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out = invoke(["verify-fiber", "--n", "3", "--checks", "cohomology,d2zero",
+                        "--jobs", "2"])
+    assert code == 1
+    # the d2zero check of the same pool task still passes
+    failing = [line for line in out.splitlines() if '"status":"fail"' in line]
+    assert failing == [
+        '{"suite":"cohomology","params":{"n":3,"t":2},"expected":{"ok":1},'
+        '"computed":{"detail":"planted at t=2","error":"ZeroDivisionError","ok":0},'
+        '"status":"fail","elapsed_ms":0}'
+    ]
+    assert len(out.splitlines()) == 10
+
+
+def test_import_loads_no_pool_machinery():
+    """A command without a pool pays for neither concurrent.futures nor
+    multiprocessing: they are imported when a pool starts."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, sscx.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

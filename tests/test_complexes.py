@@ -22,7 +22,7 @@ from sscx.complexes import (
     verify_koszul_S,
     verify_snake,
 )
-from sscx.exactlinalg import P, SparseRationalMatrix, rank, rank_mod_p
+from sscx.exactlinalg import P, SparseRationalMatrix, pivots_mod_p, rank
 from sscx.fiber import FiberModel, TwistedSpace, lift_matrix, structure_map
 from linalg_oracle import checked_matrix
 
@@ -84,15 +84,29 @@ class TestCertifiedCohomology:
         assert exact_ranks == [one, one]
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
-    def test_mod_p_ranks_agree_on_every_complex(self, n):
+    def test_mod_p_ranks_agree_on_every_complex(self, n, monkeypatch):
+        """The mod-p ranks, whole and as ``cohomology_dims`` clears them,
+        are the exact ranks of every differential."""
+        cleared = []
+
+        def recorded(m, skip):
+            pivots = pivots_mod_p(m, skip)
+            cleared.append((m, len(pivots)))
+            return pivots
+
+        monkeypatch.setattr(complexes, "pivots_mod_p", recorded)
         for t in range(0, 2 * n - 1):
             for c in (build_Et(n, t), build_koszul_S(n, t),
                       totalize(build_bicomplex(n, t))):
                 assert verify_complex(c)
-                assert [rank_mod_p(m) for m in c.differentials] == [
-                    rank(m) for m in c.differentials
-                ], (n, t)
-                assert cohomology_dims(c, True) == cohomology_dims(c), (n, t)
+                ranks = [rank(m) for m in c.differentials]
+                assert [len(pivots_mod_p(m)) for m in c.differentials] == ranks, (n, t)
+                cleared.clear()
+                coh = cohomology_dims(c, True)
+                # one call per differential, from the last to the first
+                assert [m for m, _ in cleared] == c.differentials[::-1]
+                assert [r for _, r in reversed(cleared)] == ranks, (n, t)
+                assert coh == cohomology_dims(c), (n, t)
 
 
 class TestEt:

@@ -12,8 +12,8 @@ from sscx.exactlinalg import (
     SparseRationalMatrix,
     SubspaceBasis,
     SubspaceEscapeError,
+    pivots_mod_p,
     rank,
-    rank_mod_p,
     restrict,
     solve_in_basis,
 )
@@ -604,7 +604,8 @@ class TestRankModP:
                 small[r][c] = Fraction(v)
         want = len(oracle.eliminate(small)[0])
         pivots = _eliminate(m.rows(), P)
-        assert rank_mod_p(m) == len(pivots) == want <= rank(m)
+        assert pivots_mod_p(m) == [pc for pc, _ in pivots]
+        assert len(pivots) == want <= rank(m)
         if all(v % P for v in cells.values()):
             assert rank(m) == want
         # pivot rows hold reduced ints, each pivot normalized to 1
@@ -612,6 +613,10 @@ class TestRankModP:
             row[pc] == 1 and all(type(v) is int and 0 < v < P for v in row.values())
             for pc, row in pivots
         )
+        # skipped rows are deleted before the elimination
+        skip = data.draw(st.lists(st.integers(0, nrows - 1), unique=True))
+        kept = [row for r, row in enumerate(m.rows()) if r not in skip]
+        assert pivots_mod_p(m, skip) == [pc for pc, _ in _eliminate(kept, P)]
 
     def test_multiples_of_p_are_dropped_in_place(self):
         rows = [{0: P, 1: 2}, {0: -P, 1: 2 * P}, {1: 3 + P}]
@@ -627,13 +632,67 @@ class TestRankModP:
 
     def test_rank_drops_at_a_multiple_of_p(self):
         m = SparseRationalMatrix(2, [{0: 1, 1: 1}, {0: 1, 1: 1 + P}])
-        assert (rank(m), rank_mod_p(m)) == (2, 1)
-        assert rank_mod_p(SparseRationalMatrix(1, [{0: P}])) == 0
+        assert (rank(m), len(pivots_mod_p(m))) == (2, 1)
+        assert pivots_mod_p(SparseRationalMatrix(1, [{0: P}])) == []
 
     def test_the_prime_is_read_at_each_call(self, monkeypatch):
         m = SparseRationalMatrix(2, [{0: 2, 1: 1}, {0: 1, 1: 2}])  # det 3
-        assert rank_mod_p(m) == 2
+        assert len(pivots_mod_p(m)) == 2
         monkeypatch.setattr(exactlinalg, "P", 3)
-        assert rank_mod_p(m) == 1
+        assert len(pivots_mod_p(m)) == 1
         monkeypatch.setattr(exactlinalg, "P", 2)
-        assert rank_mod_p(m) == 2
+        assert len(pivots_mod_p(m)) == 2
+
+
+@st.composite
+def integer_complexes(draw):
+    """Differentials d_0, ..., d_k of a complex of stored integer matrices,
+    some entries multiples of P: the last one random, each earlier one a
+    basis of the next one's kernel over Q (the oracle's ``kernel``) times a
+    random integer matrix, with some columns multiplied by P."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=3, max_size=5))
+    entries = st.one_of(st.integers(-3, 3), st.sampled_from((P, -P, 2 * P)))
+
+    def random_matrix(nrows, ncols):
+        return SparseRationalMatrix(nrows, [
+            {r: v for r in range(nrows) if (v := draw(entries))} for _ in range(ncols)
+        ])
+
+    diffs = [random_matrix(dims[-1], dims[-2])]
+    for src in reversed(dims[:-2]):
+        ker = kernel(diffs[0])
+        d = ker @ random_matrix(ker.ncols, src)
+        cols = [
+            {r: P * v for r, v in col.items()} if draw(st.booleans()) else col
+            for col in d.columns()
+        ]
+        diffs.insert(0, SparseRationalMatrix(d.nrows, cols))
+    return diffs
+
+
+class TestClearing:
+    """The clearing lemma: in a complex, deleting the rows of d_{k-1} at the
+    pivot columns of d_k keeps its rank over F_P, with d_k itself cleared
+    the same way by d_{k+1}."""
+
+    @given(integer_complexes())
+    @settings(max_examples=100, deadline=None)
+    def test_cleared_ranks_are_the_ranks(self, diffs):
+        for d, nxt in zip(diffs, diffs[1:]):
+            assert (nxt @ d).is_zero()
+        pivots: list[int] = []
+        for d in reversed(diffs):
+            cleared = pivots_mod_p(d, pivots)
+            assert len(cleared) == len(pivots_mod_p(d))
+            pivots = cleared
+
+    def test_only_the_pivot_columns_can_go(self):
+        # d_1 = [1 1 0] has the pivot column 0; d_0 has the columns (1, -1, 0)
+        # and (0, 0, 1), a basis of ker d_1, so rank 2.  Row 0 can go; row
+        # 2, at a column that is no pivot of d_1, cannot
+        d1 = SparseRationalMatrix(1, [{0: 1}, {0: 1}, {}])
+        d0 = SparseRationalMatrix(3, [{0: 1, 1: -1}, {2: 1}])
+        assert (d1 @ d0).is_zero()
+        assert pivots_mod_p(d1) == [0]
+        assert pivots_mod_p(d0, [0]) == [0, 1]
+        assert pivots_mod_p(d0, [2]) == [0]

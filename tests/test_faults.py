@@ -51,14 +51,14 @@ def reports(*argv):
 
 @pytest.fixture
 def rank_calls(monkeypatch):
-    """Calls of the exact and of the mod-p rank from the complexes layer.
-    The exact ones are the cohomology's fallback and the snake's wedge map,
-    one per degree t (7 at n = 4)."""
-    calls = {"rank": 0, "rank_mod_p": 0}
+    """Calls of the exact rank and of the mod-p pivots, one per differential
+    ranked, from the complexes layer.  The exact ones are the cohomology's
+    fallback and the snake's wedge map, one per degree t (7 at n = 4)."""
+    calls = {"rank": 0, "pivots_mod_p": 0}
     for name in calls:
-        def counted(m, real=getattr(complexes, name), name=name):
+        def counted(m, *args, real=getattr(complexes, name), name=name):
             calls[name] += 1
-            return real(m)
+            return real(m, *args)
         monkeypatch.setattr(complexes, name, counted)
     return calls
 
@@ -91,7 +91,7 @@ def test_unlucky_prime_falls_back_to_the_exact_ranks(monkeypatch, rank_calls, pr
     assert rank_calls["rank"] == snake_ranks
     for f in CACHED:
         f.cache_clear()
-    rank_calls.update(rank=0, rank_mod_p=0)
+    rank_calls.update(rank=0, pivots_mod_p=0)
     monkeypatch.setattr(exactlinalg, "P", prime)
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -209,13 +209,13 @@ def test_totalize_with_one_unsigned_block_fails(monkeypatch, rank_calls):
     # after the t differentials of each E^t in the first pass (their
     # cohomology is cached for the second), and none is exact
     for factor, mod_p_ranks in ((-1, sum(range(7)) + 2), (0, 2)):
-        rank_calls.update(rank=0, rank_mod_p=0)
+        rank_calls.update(rank=0, pivots_mod_p=0)
         with monkeypatch.context() as patch:
             patch.setattr(complexes, "totalize", partial(planted, factor=factor))
             code, reps = reports(*FIBER_N4, "bicomplex")
         assert code == 1
         _fails_only_the_total(reps)
-        assert rank_calls == {"rank": 0, "rank_mod_p": mod_p_ranks}
+        assert rank_calls == {"rank": 0, "pivots_mod_p": mod_p_ranks}
 
 
 def test_totalize_with_one_shifted_block_fails(monkeypatch):

@@ -11,6 +11,13 @@ from sscx import complexes
 from sscx.exactlinalg import SubspaceEscapeError
 
 
+@pytest.fixture(autouse=True)
+def uncached_Et_verdict():
+    """The d o d verdict of each E^t is cached per process; one cached by an
+    earlier test would keep a planted ``build_Et`` from being called."""
+    complexes._Et_d2.cache_clear()
+
+
 def _raiser(exc_type, calls):
     def planted(*args, **kwargs):
         calls.append(args)
