@@ -13,10 +13,13 @@ with its own params and the error's class and message.  Exit code 0 when
 every report passes, 1 when any fails, 2 on usage errors.
 
 Under --jobs, verify-fiber hands the pool one task per degree t, holding
-every selected check at that t, highest t first: every cache a degree
-fills is keyed by spaces of that degree, so no two workers fill the same
-one, and the heaviest degree starts first.  verify-weights hands it one
-task per report.  There is at most one worker per degree and per CPU.
+every selected check at that t, highest t first, so the heaviest degree
+starts first.  Most caches a degree fills are keyed by spaces of that
+degree, but two cross degrees, so two workers may fill the same entry:
+the snake at t reads the Koszul maps ``complexes._perp_d2`` of degree
+t - 2, and the lifts in ``fiber.fiber_E`` at t are built from the
+``fiber.perp_monomials`` of degree t - 2.  verify-weights hands the pool
+one task per report.  There is at most one worker per degree and per CPU.
 """
 
 from __future__ import annotations

@@ -44,11 +44,11 @@ The fiber's structure maps are integral but for one denominator per matrix,
 so products, sums and restrictions run on ints and touch the rationals only
 through the scalars, and ``scale`` is O(1).  ``apply``, ``entries`` and
 ``==`` work with values (the scalar applied); ``columns`` and ``rows`` hand
-out the stored integers, and ``rank`` ignores the scalar.  The constructor
-trusts its input and takes the column dicts over as they are, so every
-caller builds columns that keep the invariant.  Accumulators store the first
-contribution to a key as it is and delete a key whose sum cancels, so no
-zero is stored.
+out the stored integers, ``block`` slices them under the same scalar, and
+``rank`` ignores the scalar.  The constructor trusts its input and takes the
+column dicts over as they are, so every caller builds columns that keep the
+invariant.  Accumulators store the first contribution to a key as it is and
+delete a key whose sum cancels, so no zero is stored.
 
 No ``int / int`` anywhere: in Python that is a float.  Every division goes
 through ``Fraction`` (``Fraction(v, pv)``, ``Fraction(1, pv)``), and only a
@@ -105,14 +105,30 @@ class SparseRationalMatrix:
         so callers must not modify them."""
         return self._cols
 
-    def rows(self) -> list[Vec]:
+    def rows(self, skip: list[int] | tuple = ()) -> list[Vec]:
         """Fresh row dicts of the stored integers, without the scalar, which
-        the caller may consume."""
+        the caller may consume: one per row not in ``skip``, in row order;
+        only the kept rows are filled."""
         rows: list[Vec] = [dict() for _ in range(self.nrows)]
+        # the skipped rows' entries land in one dict that is thrown away
+        sink: Vec = {}
+        for r in skip:
+            rows[r] = sink
         for c, col in enumerate(self._cols):
             for r, v in col.items():
                 rows[r][c] = v
-        return rows
+        return [row for row in rows if row is not sink]
+
+    def block(self, rows: range, cols: range) -> "SparseRationalMatrix":
+        """The submatrix at the rows and columns of two step-1 ranges, its
+        rows renumbered from 0, with the scalar carried over (1 for a block
+        that holds no value)."""
+        lo, hi = rows.start, rows.stop
+        return SparseRationalMatrix(
+            len(rows),
+            [{r - lo: v for r, v in self._cols[c].items() if lo <= r < hi} for c in cols],
+            self.scalar,
+        )
 
     def scale(self, s) -> "SparseRationalMatrix":
         """s times the matrix, sharing its columns: O(1).  The matrix itself
@@ -303,7 +319,7 @@ def rank(m: SparseRationalMatrix) -> int:
 
 def pivots_mod_p(m: SparseRationalMatrix, skip: list[int] | tuple = ()) -> list[int]:
     """Pivot columns over F_P of m's stored integers with the rows in
-    ``skip`` deleted, P the module's prime; only the kept rows are filled.
+    ``skip`` deleted, P the module's prime.
 
     Their number is the rank over F_P of that submatrix, which is at most
     ``rank(m)``: a minor that is non-zero mod P is a non-zero integer.  It
@@ -311,15 +327,7 @@ def pivots_mod_p(m: SparseRationalMatrix, skip: list[int] | tuple = ()) -> list[
     ``complexes.cohomology_dims`` does for a complex, nor the rank of the
     whole of m unless the deleted rows are ones it can spare (the clearing
     lemma in the module docstring)."""
-    rows: list[Vec] = [dict() for _ in range(m.nrows)]
-    # the skipped rows' entries land in one dict that is thrown away
-    sink: Vec = {}
-    for r in skip:
-        rows[r] = sink
-    for c, col in enumerate(m.columns()):
-        for r, v in col.items():
-            rows[r][c] = v
-    return [pcol for pcol, _ in _eliminate([row for row in rows if row is not sink], P)]
+    return [pcol for pcol, _ in _eliminate(m.rows(skip), P)]
 
 
 @dataclass

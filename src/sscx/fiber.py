@@ -317,24 +317,16 @@ def _xi_lift(model: FiberModel, a: int, b: int, mono) -> dict[int, int]:
     return {index[(sub0, p + 1)]: s0, index[(sub1, p)]: s1}
 
 
-@cache
-def lift_matrix(model: FiberModel, a: int, b: int) -> SparseRationalMatrix:
-    """Lift map from the annihilator subspace of degree (a-1, b-1) into the
-    ambient space of degree (a, b), one column per annihilator monomial (no
-    column when a or b is 0).  Built once per process for the basis of
-    ``fiber_E``, which holds its very columns, and the snake check; callers
-    must not mutate it."""
-    monos = perp_monomials(model, a - 1, b - 1) if a >= 1 and b >= 1 else ()
-    cols = [_xi_lift(model, a, b, mono) for mono in monos]
-    return SparseRationalMatrix(TwistedSpace(model.n, a, b).dim, cols)
-
-
 def _lift_vectors(model: FiberModel, a: int, b: int) -> list[dict[int, int]]:
     """The basis of the fiber of degree (a, b), a >= 1: the annihilator
-    monomials together with the lifts (mu ^ e^0)(x)(e_0 Q) + (mu ^ e^1)(x)(e_1 Q)
-    of the annihilator monomials of degree (a-1, b-1).  The vectors are the
-    cached ones, so callers must not mutate them."""
-    return fiber_wedge_perp(model, a, b).vectors + lift_matrix(model, a, b).columns()
+    monomials, then the lifts (mu ^ e^0)(x)(e_0 Q) + (mu ^ e^1)(x)(e_1 Q)
+    of the annihilator monomials of degree (a-1, b-1), none for b = 0.  The
+    annihilator vectors are the cached ones, so callers must not mutate
+    them."""
+    monos = perp_monomials(model, a - 1, b - 1) if b else ()
+    return fiber_wedge_perp(model, a, b).vectors + [
+        _xi_lift(model, a, b, mono) for mono in monos
+    ]
 
 
 class _Same:
@@ -365,8 +357,12 @@ def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
     """Fiber of the truncation subbundle of degree (a, b): the kernel of the
     Koszul-type differential d0, or the full space for a = 0.
 
-    Its basis is the two-step filtration (``_lift_vectors``), entries ±1 and
-    at most two per vector, certified as a basis of ker d0 in three steps:
+    Its basis is the two-step filtration (``_lift_vectors``): the annihilator
+    monomials of ``fiber_wedge_perp`` first, in their order, then the lifts
+    of the annihilator monomials of degree (a-1, b-1), in theirs.  That
+    order is a contract: the snake check reads the blocks of
+    ``restricted_d`` by it.  The entries are ±1, at most two per vector, and
+    the basis is certified as a basis of ker d0 in three steps:
     d0 kills every vector (exact ``apply``); every vector owns a private row,
     so they are independent; and there are dim - rank(d0) of them, which
     must also be the dimension the filtration predicts.  rank(d0) comes from

@@ -23,7 +23,7 @@ from sscx.complexes import (
     verify_snake,
 )
 from sscx.exactlinalg import P, SparseRationalMatrix, pivots_mod_p, rank
-from sscx.fiber import FiberModel, TwistedSpace, lift_matrix, structure_map
+from sscx.fiber import FiberModel, TwistedSpace, fiber_E, fiber_wedge_perp, structure_map
 from linalg_oracle import checked_matrix
 
 
@@ -177,6 +177,39 @@ class TestSnake:
             rep = verify_snake(n, t)
             assert rep.status == "pass", (n, t, rep.computed)
 
+    @pytest.mark.parametrize(
+        "row, col, flags",
+        [
+            # an annihilator column reaching a lift row, or changing its
+            # Koszul block, breaks the filtration
+            (-1, 0, (0, 1)),
+            (0, 0, (0, 1)),
+            # a lift column changing its lift block breaks the quotient map
+            (-1, -1, (1, 0)),
+            # the quotient map does not see a lift column's annihilator rows
+            (0, -1, (1, 1)),
+        ],
+    )
+    def test_each_block_of_the_differential_is_read(self, monkeypatch, row, col, flags):
+        """One more entry in the differential (1, 2) -> (2, 1) at n = 3,
+        whose bases hold 12 annihilator monomials, then 2 lifts in the
+        domain and 4 in the target."""
+        real = complexes.restricted_d
+
+        def planted(model, a, b):
+            m = real(model, a, b)
+            if (a, b) != (1, 2):
+                return m
+            cols = [dict(c) for c in m.columns()]
+            r = row % m.nrows
+            cols[col][r] = cols[col].get(r, 0) + 1
+            cols[col] = {k: v for k, v in cols[col].items() if v}
+            return SparseRationalMatrix(m.nrows, cols, m.scalar)
+
+        monkeypatch.setattr(complexes, "restricted_d", planted)
+        rep = verify_snake(3, 3)
+        assert (rep.computed["filtration_ok"], rep.computed["quotient_ok"]) == flags
+
 
 class TestBicomplex:
     def test_grid_shape(self):
@@ -228,10 +261,11 @@ class TestExpectedCohomology:
 
 
 def test_matrices_built_from_columns_keep_the_invariant():
-    """Structure maps, lifts, the wedge map and the total differentials are
-    built from their columns by the constructor, which checks nothing: each
-    must equal its checked rebuild from its values, store only non-zero
-    ints and carry a non-zero Fraction scalar, 1 for a zero matrix."""
+    """Structure maps, the wedge map and the total differentials are built
+    from their columns by the constructor, which checks nothing, and so are
+    the lift vectors of the fibers: each must equal its checked rebuild from
+    its values, store only non-zero ints and carry a non-zero Fraction
+    scalar, 1 for a zero matrix."""
     m3, m4 = FiberModel(3), FiberModel(4)
     mats = [
         structure_map(m3, kind, TwistedSpace(3, a, B))[0]
@@ -241,7 +275,12 @@ def test_matrices_built_from_columns_keep_the_invariant():
     ]
     mats += [structure_map(m3, "d0", TwistedSpace(3, a, B))[0]
              for a in range(1, 7) for B in range(4)]
-    mats += [lift_matrix(m3, a, b) for a in range(5) for b in range(4)]
+    for a in range(1, 5):
+        for b in range(5 - a):
+            # the lifts in fiber_E's cached basis follow the annihilator monomials
+            basis = fiber_E(m3, a, b)
+            lifts = basis.vectors[fiber_wedge_perp(m3, a, b).dim:]
+            mats.append(SparseRationalMatrix(basis.ambient_dim, lifts))
     mats += [_wedge_form_matrix(m4, t) for t in range(7)]
     mats += [d for t in range(5) for d in totalize(build_bicomplex(3, t)).differentials]
     for m in mats:

@@ -514,6 +514,39 @@ class TestScalars:
             assert SparseRationalMatrix(3, stretched, a.scalar) != a
 
 
+class TestBlock:
+    """A block of rows and columns is a slice of the values: the matrix's
+    own integers under its own scalar."""
+
+    @given(st.data(), nonzero_fractions)
+    @settings(max_examples=150, deadline=None)
+    def test_block_matches_the_fraction_matrix(self, data, s):
+        nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        cells = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+            nonzero_fractions,
+        ))
+        cols = [dict() for _ in range(ncols)]
+        for (r, c), v in cells.items():
+            cols[c][r] = v
+        ref = oracle.FractionMatrix(nrows, cols).scale(s)
+        m = oracle.rational_matrix(nrows, cols).scale(s)
+        r0 = data.draw(st.integers(0, nrows))
+        r1 = data.draw(st.integers(r0, nrows))
+        c0 = data.draw(st.integers(0, ncols))
+        c1 = data.draw(st.integers(c0, ncols))
+        block = m.block(range(r0, r1), range(c0, c1))
+        want = [
+            {r - r0: v for r, v in ref.columns()[c].items() if r0 <= r < r1}
+            for c in range(c0, c1)
+        ]
+        assert (block.nrows, block.ncols) == (r1 - r0, c1 - c0)
+        assert value_columns(block) == want
+        assert all(type(v) is int and v for col in block.columns() for v in col.values())
+        assert block.scalar == (m.scalar if any(want) else 1)
+        assert type(block.scalar) is Fraction
+
+
 # above 2^53 a float no longer holds every integer
 BIG = 2**53
 big_ints = st.builds(

@@ -105,8 +105,11 @@ def test_zero_differential_spreads_the_cohomology_and_is_ranked_exactly(
 ):
     """The first map of each truncation complex replaced by zero: still a
     complex, but its cohomology spreads over two degrees, so each E^t with
-    t >= 1 is ranked over Q.  The failing set was derived by planting the
-    same map in the build that ranked every complex over Q only."""
+    t >= 1 is ranked over Q, and the snake, which reads the same map, finds
+    it no longer agrees with the Koszul differential.  The failing set was
+    derived by planting the same map in the build that ranked every complex
+    over Q only; the snake's flags, by planting it in the build whose snake
+    rebuilt the differential from d and the lifts, where they passed."""
     real = complexes.restricted_d
 
     def planted(model, a, b):
@@ -123,6 +126,7 @@ def test_zero_differential_spreads_the_cohomology_and_is_ranked_exactly(
         **{("cohomology", t): {f"h{-t}", f"h{1 - t}"} for t in range(2, 7)},
         **{("bicomplex", t): {"cohomology_match"} for t in (1, 2, 4, 5, 6)},
         ("bicomplex", 3): {"cohomology_match", "acyclic_band"},
+        **{("snake", t): {"filtration_ok"} for t in range(1, 7)},
     }
     # the snake's 7 wedge maps and the t differentials of each E^t, t >= 1
     assert rank_calls["rank"] == 7 + sum(range(7))
@@ -134,9 +138,12 @@ def test_Et_composition_broken_inside_the_fibers_is_ranked_exactly(
     """One more entry in the first map of each truncation complex with t >= 2,
     where the next map does not kill it: every map still lands in its fiber,
     but d o d != 0, so the cohomology of each such E^t is ranked over Q.  The
-    ranks do not move, so only d2zero fails; the failing set and the report
-    bytes were checked against the build that ranked every complex over Q
-    only."""
+    ranks do not move, so of the suites that rank or square E^t only d2zero
+    fails; the failing set and the report bytes were checked against the
+    build that ranked every complex over Q only.  The snake reads the same
+    map, whose annihilator column now differs from the Koszul differential
+    (it passed where the snake rebuilt the differential from d and the
+    lifts)."""
     real = complexes.restricted_d
 
     def planted(model, a, b):
@@ -153,7 +160,10 @@ def test_Et_composition_broken_inside_the_fibers_is_ranked_exactly(
     monkeypatch.setattr(complexes, "restricted_d", planted)
     code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
     assert code == 1
-    assert _failing(reps) == {("d2zero", t): {"compositions_zero"} for t in range(2, 7)}
+    assert _failing(reps) == {
+        **{("d2zero", t): {"compositions_zero"} for t in range(2, 7)},
+        **{("snake", t): {"filtration_ok"} for t in range(2, 7)},
+    }
     # the snake's 7 wedge maps and the t differentials of each E^t, t >= 2
     assert rank_calls["rank"] == 7 + sum(range(2, 7))
 
@@ -358,19 +368,24 @@ def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch, rank
         for suite in ("d2zero", "cohomology", "snake", "bicomplex")
         for t in range(4, 7)
     }
+    # the snake at t >= 4 reads the broken E^t's differential, which leaves
+    # its fiber
+    for rep in reps:
+        if rep["suite"] == "snake" and rep["status"] == "fail":
+            assert rep["computed"]["error"] == "SubspaceEscapeError", rep
     # the broken E^t (t >= 4) and totals (t >= 3) fail before any rank: the
-    # only exact ranks are the snake's 7 wedge maps, and no failing report
-    # rests on a mod-p rank
-    assert rank_calls["rank"] == 7
+    # only exact ranks are the snake's wedge maps at t = 0..3, and no
+    # failing report rests on a mod-p rank
+    assert rank_calls["rank"] == 4
 
 
 def _lift_plant_failures(monkeypatch, planted):
     """Run every fiber check at n = 4 with ``_xi_lift`` replaced by
     ``planted`` and return the failing (suite, t) pairs, checking on the way
-    that each failure of a suite built on the truncation fibers is the lift
-    certificate of ``fiber_E`` and each snake failure is its quotient flag."""
-    # fiber.lift_matrix, which both fiber_E and the snake check read, is the
-    # only caller of _xi_lift
+    that each failure, the snake's included, is the lift certificate of
+    ``fiber_E``."""
+    # fiber._lift_vectors, which builds the bases of fiber_E, is the only
+    # caller of _xi_lift
     monkeypatch.setattr(fiber, "_xi_lift", planted)
     code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
     assert code == 1
@@ -379,11 +394,8 @@ def _lift_plant_failures(monkeypatch, planted):
         if rep["status"] == "pass":
             continue
         failing.add((rep["suite"], rep["params"]["t"]))
-        if rep["suite"] == "snake":
-            assert rep["computed"]["quotient_ok"] == 0, rep
-        else:
-            assert rep["computed"]["error"] == "AssertionError", rep
-            assert rep["computed"]["detail"].startswith("lift construction disagrees"), rep
+        assert rep["computed"]["error"] == "AssertionError", rep
+        assert rep["computed"]["detail"].startswith("lift construction disagrees"), rep
     return failing
 
 

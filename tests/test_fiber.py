@@ -153,9 +153,9 @@ def _compare_with_fresh_builds(cache, keys) -> tuple[int, int]:
 
 
 def test_shared_structure_matrices_stay_unmutated(monkeypatch):
-    """Every check shares the cached structure and lift matrices, so after a
-    full run each cached matrix must still equal a fresh build: no caller
-    mutated one.  Each lift column is built once, by the lift builder."""
+    """Every check shares the cached structure matrices and fiber bases, so
+    after a full run each must still equal a fresh build: no caller mutated
+    one.  Each lift vector is built once, for the one fiber that holds it."""
     for f in vars(fiber).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
@@ -179,10 +179,21 @@ def test_shared_structure_matrices_stay_unmutated(monkeypatch):
         for B in (range(8) if kind == "d0" else range(1, 8))
     ]
     assert _compare_with_fresh_builds(cache, keys)[0] == cached > 0
-    cache = fiber.lift_matrix
+    # the lifts sit in fiber_E's cached bases, after the annihilator monomials
+    cache = fiber.fiber_E
     cached = cache.cache_info().currsize
-    keys = [(model, a, b) for a in range(9) for b in range(9)]
-    assert _compare_with_fresh_builds(cache, keys) == (cached, built)
+    held = lifts_held = 0
+    for a in range(7):
+        for b in range(7 - a):
+            hits = cache.cache_info().hits
+            basis = cache(model, a, b)
+            if cache.cache_info().hits == hits:
+                continue  # not built by the run
+            held += 1
+            assert basis == cache.__wrapped__(model, a, b)
+            if a:
+                lifts_held += basis.dim - fiber.fiber_wedge_perp(model, a, b).dim
+    assert (held, lifts_held) == (cached, built)
     assert cached > 0 and built > 0
 
 

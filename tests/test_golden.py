@@ -3,11 +3,14 @@ equal the NDJSON files in tests/golden/, which were generated once from a
 known-good tree and are never regenerated by a refactor."""
 
 import io
+import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import sscx.cli as cli
+from sscx import complexes, fiber
 from sscx.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -34,3 +37,23 @@ def test_stdout_matches_golden(name):
         code = run(COMMANDS[name])
     assert code == 0
     assert buf.getvalue() == (GOLDEN / f"{name}.ndjson").read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("check", ["cohomology", "bicomplex", "snake", "koszul", "ces", "d2zero"])
+def test_each_fiber_check_alone_prints_its_golden_lines(monkeypatch, check, jobs):
+    """A fiber check run alone from empty caches, serially and on the pool,
+    prints exactly its suite's lines of the full n = 4 run: no verdict
+    depends on a cache that another check filled."""
+    for module in (fiber, complexes):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    # two workers even on a one-CPU host
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(["verify-fiber", "--n", "4", "--t", "all", "--checks", check, "--jobs", jobs])
+    assert code == 0
+    golden = (GOLDEN / "fiber-n4.ndjson").read_text(encoding="ascii").splitlines(keepends=True)
+    assert buf.getvalue() == "".join(line for line in golden if json.loads(line)["suite"] == check)

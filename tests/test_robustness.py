@@ -25,15 +25,6 @@ def _raiser(exc_type, calls):
     return planted
 
 
-def test_escape_refutes_the_quotient_map(monkeypatch):
-    calls = []
-    monkeypatch.setattr(complexes, "solve_in_basis", _raiser(SubspaceEscapeError, calls))
-    rep = complexes.verify_snake(3, 2)
-    assert calls
-    assert rep.computed["quotient_ok"] == 0
-    assert rep.status == "fail"
-
-
 def test_escape_refutes_containment(monkeypatch):
     monkeypatch.setattr(complexes, "build_Et", _raiser(SubspaceEscapeError, []))
     rep = complexes.verify_Et_complex(3, 2)
@@ -43,7 +34,7 @@ def test_escape_refutes_containment(monkeypatch):
 @pytest.mark.parametrize(
     "name, check",
     [
-        ("solve_in_basis", lambda: complexes.verify_snake(3, 2)),
+        ("restricted_d", lambda: complexes.verify_snake(3, 2)),
         ("build_Et", lambda: complexes.verify_Et_complex(3, 2)),
     ],
 )
