@@ -140,15 +140,21 @@ def expected_Et_cohomology(n: int, t: int) -> dict[int, int]:
     return out
 
 
-def build_Et(n: int, t: int) -> ChainComplex:
-    """The complex E^{0,t} -> E^{1,t-1} -> ... -> E^{t,0} of truncation
-    fibers, rightmost term in degree 0."""
+def _row_complex(n: int, t: int, space, differential) -> ChainComplex:
+    """The complex of the subspaces space(model, i, t - i) for i = 0..t and
+    the maps differential(model, i, t - i), rightmost term in degree 0."""
     if not (0 <= t <= 2 * n - 2):
         raise ValueError("t outside the admissible band")
     model = FiberModel(n)
-    dims = [fiber_E(model, i, t - i).dim for i in range(t + 1)]
-    diffs = [restricted_d(model, i, t - i) for i in range(t)]
+    dims = [space(model, i, t - i).dim for i in range(t + 1)]
+    diffs = [differential(model, i, t - i) for i in range(t)]
     return ChainComplex(-t, dims, diffs)
+
+
+def build_Et(n: int, t: int) -> ChainComplex:
+    """The complex E^{0,t} -> E^{1,t-1} -> ... -> E^{t,0} of truncation
+    fibers, rightmost term in degree 0."""
+    return _row_complex(n, t, fiber_E, restricted_d)
 
 
 @cache
@@ -166,12 +172,7 @@ def build_koszul_S(n: int, t: int) -> ChainComplex:
     """Koszul complex on the annihilator subspaces, resolving the t-th wedge
     power of the rank-(2n-4) quotient: spaces wedge^i U-perp (x) S^{t-i} U
     for i = 0..t with the Koszul differential, rightmost term in degree 0."""
-    if not (0 <= t <= 2 * n - 2):
-        raise ValueError("t outside the admissible band")
-    model = FiberModel(n)
-    dims = [fiber_wedge_perp(model, i, t - i).dim for i in range(t + 1)]
-    diffs = [_perp_d2(model, i, t - i) for i in range(t)]
-    return ChainComplex(-t, dims, diffs)
+    return _row_complex(n, t, fiber_wedge_perp, _perp_d2)
 
 
 def verify_koszul_S(n: int, t: int) -> Report:
@@ -264,8 +265,6 @@ def verify_snake(n: int, t: int) -> Report:
 # A bicomplex map: (s, m) stands for s times the matrix m, a structure matrix
 # shared with every other degree, grid entry and check.
 ScaledMap = tuple[Fraction, SparseRationalMatrix]
-# (s, x, y) stands for s (x @ y)
-Term = tuple[Fraction, SparseRationalMatrix, SparseRationalMatrix]
 
 
 @dataclass
@@ -375,39 +374,6 @@ def totalize(bc: Bicomplex) -> ChainComplex:
     return ChainComplex(-bc.t, dims, diffs)
 
 
-def _compose(p: ScaledMap, q: ScaledMap) -> Term:
-    """The composition p o q as a term."""
-    return p[0] * q[0], p[1], q[1]
-
-
-def _vanishes(*terms: Term) -> bool:
-    """Whether the sum of s (x @ y) over the terms (s, x, y) is zero.
-
-    The terms are normalized by the first non-zero scalar, so each sum is
-    decided once per process for its matrix objects and scalar ratios: in
-    the bicomplex every degree t and grid entry asks about the same few
-    sums of products of shared structure matrices for its rows and squares.
-    """
-    terms = tuple(term for term in terms if term[0])
-    if not terms:
-        return True
-    s0 = terms[0][0]
-    return _sum_vanishes(
-        tuple((Fraction(s) / s0, _Same(x), _Same(y)) for s, x, y in terms)
-    )
-
-
-@cache
-def _sum_vanishes(terms: tuple[tuple[Fraction, _Same, _Same], ...]) -> bool:
-    """``_vanishes`` on normalized terms.  Only the verdict is kept: the
-    products are dropped once summed."""
-    total = None
-    for s, x, y in terms:
-        p = (x.m @ y.m).scale(s)
-        total = p if total is None else total + p
-    return total.is_zero()
-
-
 def verify_bicomplex(n: int, t: int) -> Report:
     """Full structural verification of the grid:
 
@@ -418,20 +384,41 @@ def verify_bicomplex(n: int, t: int) -> Report:
     complex (acyclic at t = n - 1).
 
     Every map is a scalar times a shared structure matrix, so each row and
-    square identity is a sum of scaled products of structure matrices,
-    decided once per process (``_vanishes``) with the scalars of the
-    assembled bicomplex; column ranks are likewise computed once per
-    matrix.  ``total_d2`` squares the differentials of the total complex
-    itself, the very matrices that ``cohomology_match`` then ranks, mod p
-    under that verdict (``cohomology_dims``).
+    square identity is a sum of scaled products of the few structure
+    matrices of degree t; each distinct one is decided once in this call,
+    keyed by its matrix objects, which ``bc`` holds until the call returns,
+    and its scalars divided by the first non-zero one.  Column ranks are
+    computed once per matrix.  ``total_d2`` squares the differentials of
+    the total complex itself, the very matrices that ``cohomology_match``
+    then ranks, mod p under that verdict (``cohomology_dims``).
     """
     bc = build_bicomplex(n, t)
     model = FiberModel(n)
     hor = bc.horizontal
     # the vertical maps with the column sign they carry in the total complex
     ver = {(b, c): ((-1) ** b * s, m) for (b, c), (s, m) in bc.vertical.items()}
+    verdicts: dict[tuple, bool] = {}
+
+    def vanishes(*paths: tuple[ScaledMap, ScaledMap]) -> bool:
+        """Whether the sum of the compositions p o q over the one or two
+        paths (p, q) is zero, where (s, x) o (u, y) is s u (x @ y)."""
+        terms = [(p[0] * q[0], p[1], q[1]) for p, q in paths]
+        terms = [term for term in terms if term[0]]
+        if not terms:
+            return True
+        (s1, x1, y1), *rest = terms
+        key = tuple((Fraction(s, s1), id(x), id(y)) for s, x, y in terms)
+        if key not in verdicts:
+            if rest:
+                # s1 x1 y1 + s2 x2 y2 = 0 exactly when x1 y1 = -(s2/s1) x2 y2
+                (s2, x2, y2), = rest
+                verdicts[key] = x1 @ y1 == (x2 @ y2).scale(Fraction(-s2, s1))
+            else:
+                verdicts[key] = (x1 @ y1).is_zero()
+        return verdicts[key]
+
     rows_ok = int(all(
-        _vanishes(_compose(hor[(b - 1, c)], hor[(b, c)]))
+        vanishes((hor[(b - 1, c)], hor[(b, c)]))
         for b in range(2, t + 1)
         for c in range(t - b + 1)
     ))
@@ -457,10 +444,7 @@ def verify_bicomplex(n: int, t: int) -> Report:
         if ranks[height - 2] != bc.grid[b][height - 1].dim:
             cols_exact = 0
     squares = int(all(
-        _vanishes(
-            _compose(ver[(b - 1, c)], hor[(b, c)]),
-            _compose(hor[(b, c + 1)], ver[(b, c)]),
-        )
+        vanishes((ver[(b - 1, c)], hor[(b, c)]), (hor[(b, c + 1)], ver[(b, c)]))
         for b in range(1, t + 1)
         for c in range(t - b)
     ))

@@ -41,7 +41,7 @@ columns, each a ``{row: value}`` dict.  Invariant: every stored value is a
 non-zero Python ``int`` at a row inside the shape, and ``scalar`` is one
 non-zero ``Fraction``; a zero matrix has empty columns and the scalar 1.
 The fiber's structure maps are integral but for one denominator per matrix,
-so products, sums and restrictions run on ints and touch the rationals only
+so products and restrictions run on ints and touch the rationals only
 through the scalars, and ``scale`` is O(1).  ``apply``, ``entries`` and
 ``==`` work with values (the scalar applied); ``columns`` and ``rows`` hand
 out the stored integers, ``block`` slices them under the same scalar, and
@@ -61,7 +61,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 Vec = dict[int, int | Fraction]
 _ONE = Fraction(1)
@@ -139,36 +139,6 @@ class SparseRationalMatrix:
         if not s:
             return SparseRationalMatrix(self.nrows, [dict() for _ in range(self.ncols)])
         return SparseRationalMatrix(self.nrows, self._cols, self.scalar * s)
-
-    def __add__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
-        """The sum, on the scalar gcd(numerators) / lcm(denominators) of the
-        two scalars when they differ, so each side's columns are multiplied
-        by an integer."""
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix addition")
-        s, t = self.scalar, other.scalar
-        if s == t:
-            scalar, f, g = s, 1, 1
-        else:
-            scalar = Fraction(
-                gcd(s.numerator, t.numerator), lcm(s.denominator, t.denominator)
-            )
-            f, g = (s / scalar).numerator, (t / scalar).numerator
-        cols = []
-        for mine, theirs in zip(self._cols, other._cols):
-            col = dict(mine) if f == 1 else {r: f * v for r, v in mine.items()}
-            for r, v in theirs.items():
-                old = col.get(r)
-                if old is None:
-                    col[r] = g * v
-                else:
-                    w = old + g * v
-                    if w:
-                        col[r] = w
-                    else:
-                        del col[r]
-            cols.append(col)
-        return SparseRationalMatrix(self.nrows, cols, scalar)
 
     def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         """Composition self o other (matrix product): the integer columns
@@ -416,7 +386,7 @@ def restrict(
     Raises SubspaceEscapeError if m(dom) is not contained in span(cod); that
     failure mode is itself meaningful, as it refutes a containment claim.
     """
-    if m.ncols != 0 and dom.ambient_dim != m.ncols:
+    if dom.ambient_dim != m.ncols:
         raise ValueError("domain ambient dimension does not match matrix")
     if cod.ambient_dim != m.nrows:
         raise ValueError("codomain ambient dimension does not match matrix")

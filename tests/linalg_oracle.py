@@ -2,7 +2,9 @@
 
 ``checked_matrix`` builds a matrix from a ``{(row, col): value}`` dict and
 checks and normalizes every entry, so a matrix that some operation built
-from its own columns can be compared with its checked rebuild.
+from its own columns can be compared with its checked rebuild, and
+``matrix_sum`` adds two matrices value by value, for the tests that sum
+maps (the package itself never adds two matrices).
 ``spans_equal`` and ``subspace_equal`` decide subspace equality by three
 plain ranks; the verifier decides it by containment plus dimension, and
 these are the oracle it must agree with.
@@ -76,6 +78,20 @@ def value_columns(m: SparseRationalMatrix) -> list[dict]:
     """The columns of m's values: its stored integers times its scalar."""
     s = m.scalar
     return [{r: s * v for r, v in col.items()} for col in m.columns()]
+
+
+def matrix_sum(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatrix:
+    """a + b, value by value: the columns of the two matrices' values
+    added and rebuilt by ``rational_matrix``."""
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch in matrix addition")
+    cols = []
+    for mine, theirs in zip(value_columns(a), value_columns(b)):
+        col = dict(mine)
+        for r, v in theirs.items():
+            col[r] = col.get(r, 0) + v
+        cols.append(col)
+    return rational_matrix(a.nrows, cols)
 
 
 def spans_equal(a: SparseRationalMatrix, b: SparseRationalMatrix) -> bool:

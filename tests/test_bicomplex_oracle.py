@@ -1,13 +1,14 @@
 """Differential test of the bicomplex's product flags.
 
-``verify_bicomplex`` decides ``rows_ok`` and ``squares`` from memoized
-verdicts on sums of products of shared structure matrices, and ``total_d2``
-by squaring the differentials of ``totalize``'s total complex.  The oracle
-here forms every product on the grid instead, and decides ``total_d2`` from
-the blocks of the total d², without ``totalize``: each row composition, each
-square, each composition of two vertical maps in a column, and each square
-cut off by the antidiagonal.  Both must agree on every degree up to n = 4
-and on bicomplexes with a planted scalar or a planted coefficient of d.
+``verify_bicomplex`` decides ``rows_ok`` and ``squares`` from one verdict
+per distinct identity of scaled products of shared structure matrices, and
+``total_d2`` by squaring the differentials of ``totalize``'s total complex.
+The oracle here forms every product on the grid instead, and decides
+``total_d2`` from the blocks of the total d², without ``totalize``: each row
+composition, each square, each composition of two vertical maps in a
+column, and each square cut off by the antidiagonal.  Both must agree on
+every degree up to n = 4 and on bicomplexes with a planted scalar or a
+planted coefficient of d.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import pytest
 from sscx import complexes
 from sscx.complexes import build_bicomplex, verify_bicomplex
 from tests.test_faults import CACHED
+from linalg_oracle import matrix_sum
 
 FLAGS = ("rows_ok", "squares", "total_d2")
 
@@ -47,7 +49,7 @@ def product_flags(bc) -> dict[str, int]:
         for c in range(t - b + 1)
     ))
     squares = int(all(
-        (ver[(b - 1, c)] @ hor[(b, c)] + hor[(b, c + 1)] @ ver[(b, c)]).is_zero()
+        matrix_sum(ver[(b - 1, c)] @ hor[(b, c)], hor[(b, c + 1)] @ ver[(b, c)]).is_zero()
         for b in range(1, t + 1)
         for c in range(t - b)
     ))
@@ -103,6 +105,26 @@ def test_planted_scalar_flags_match_the_products(plant, monkeypatch, fresh_cache
         assert flags["squares"] == 0 and flags["total_d2"] == 0, t
 
 
+def test_square_with_the_matrices_of_a_passing_one(monkeypatch, fresh_caches):
+    """The squares at (1, 1) and (2, 0) compose the same four matrices with
+    the same scalar ratio, and (1, 1) is decided first.  With the scalar of
+    the horizontal map at (2, 0) negated, only (2, 0) breaks, so its
+    verdict must not be the one of (1, 1)."""
+    real = complexes.build_bicomplex
+
+    def planted(n, t):
+        bc = real(n, t)
+        return dataclasses.replace(
+            bc, horizontal=_replace_map(bc.horizontal, (2, 0), lambda s: -s)
+        )
+
+    monkeypatch.setattr(complexes, "build_bicomplex", planted)
+    for t in range(3, 7):
+        flags = memo_flags(4, t)
+        assert flags == product_flags(planted(4, t)), t
+        assert flags == {"rows_ok": 1, "squares": 0, "total_d2": 0}, t
+
+
 def test_planted_d_coefficient_flags_match_the_products(monkeypatch, fresh_caches):
     real = complexes.structure_map
 
@@ -112,7 +134,7 @@ def test_planted_d_coefficient_flags_match_the_products(monkeypatch, fresh_cache
             return real(model, kind, src)
         m1, dst = real(model, "d1", src)
         m2, _ = real(model, "d2", src)
-        return m1.scale(Fraction(1, src.B + 2)) + m2, dst
+        return matrix_sum(m1.scale(Fraction(1, src.B + 2)), m2), dst
 
     # only the bicomplex sees the planted map: the truncation complexes it is
     # compared with keep the true d

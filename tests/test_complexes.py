@@ -243,6 +243,38 @@ class TestBicomplex:
             rep = verify_bicomplex(n, t)
             assert rep.status == "pass", (n, t, rep.computed)
 
+    def test_identities_are_decided_once_per_call(self, monkeypatch):
+        """Every call forms one product per distinct row identity and two
+        per distinct square identity, however often it ran before.  The
+        matrices of the maps at (b, c), and the ratio of the scalars of
+        each identity, depend only on B = b + c: the rows of B = 2..t and
+        the squares of B = 1..t-1 are t - 1 distinct identities each."""
+        real_build = complexes.build_bicomplex
+        real_matmul = SparseRationalMatrix.__matmul__
+        # the current call's grid, held here so that no id is reused
+        grid = {"bc": None, "ids": set()}
+        products = []
+
+        def build(n, t):
+            bc = real_build(n, t)
+            maps = (*bc.horizontal.values(), *bc.vertical.values())
+            grid.update(bc=bc, ids={id(m) for _, m in maps})
+            return bc
+
+        def matmul(x, y):
+            # the total complex and E^t form products too, of other matrices
+            if id(x) in grid["ids"] and id(y) in grid["ids"]:
+                products[-1] += 1
+            return real_matmul(x, y)
+
+        monkeypatch.setattr(complexes, "build_bicomplex", build)
+        monkeypatch.setattr(SparseRationalMatrix, "__matmul__", matmul)
+        for t in range(0, 7):
+            for _ in range(2):
+                products.append(0)
+                assert verify_bicomplex(4, t).status == "pass"
+            assert products[-2:] == [3 * max(t - 1, 0)] * 2, t
+
 
 class TestCes:
     @pytest.mark.parametrize("n", (3, 4))

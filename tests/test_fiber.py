@@ -20,7 +20,7 @@ from sscx.fiber import (
     restricted_d,
     structure_map,
 )
-from linalg_oracle import subspace_equal
+from linalg_oracle import matrix_sum, subspace_equal
 
 
 def dimension_split_identity(n: int, a: int, b: int) -> bool:
@@ -250,7 +250,7 @@ def _lemma_holds(model, a, b):
     m2, _ = structure_map(model, "d2", src)
     n1, _ = structure_map(model, "d1", mid)
     n2, _ = structure_map(model, "d2", mid)
-    return ((n1 + n2.scale(b)) @ (m1 + m2.scale(b + 1))).is_zero()
+    return (matrix_sum(n1, n2.scale(b)) @ matrix_sum(m1, m2.scale(b + 1))).is_zero()
 
 
 def _anticommute_holds(model, a, b):
@@ -258,13 +258,13 @@ def _anticommute_holds(model, a, b):
     src = TwistedSpace(model.n, a, b)
     m1, mid = structure_map(model, "d1", src)
     m2, _ = structure_map(model, "d2", src)
-    top = (m1 + m2.scale(b + 1)).scale(b + 2)
+    top = matrix_sum(m1, m2.scale(b + 1)).scale(b + 2)
     d0_right, _ = structure_map(model, "d0", mid)
     d0_left, left = structure_map(model, "d0", src)
     n1, _ = structure_map(model, "d1", left)
     n2, _ = structure_map(model, "d2", left)
-    bottom = (n1 + n2.scale(b + 2)).scale(b)
-    return (d0_right @ top + bottom @ d0_left).is_zero()
+    bottom = matrix_sum(n1, n2.scale(b + 2)).scale(b)
+    return matrix_sum(d0_right @ top, bottom @ d0_left).is_zero()
 
 
 class TestGridIdentities:
