@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import comb, lcm
 
 from .exactlinalg import SparseRationalMatrix, SubspaceEscapeError, pivots_mod_p, rank, restrict
@@ -32,12 +32,15 @@ from .report import Report
 from .weights import dim_wedge_sp
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainComplex:
-    """Bounded complex of finite-dimensional spaces.
+    """Bounded sequence of finite-dimensional spaces and maps.
 
     The space at list position i sits in degree degree_offset + i, and
     differentials[i] maps position i to position i + 1 (raising degree).
+    ``is_complex`` is the exact verdict that d o d = 0, squared on first use
+    and kept: every check and every cohomology of the object reads that one
+    verdict, so the object is frozen and its lists must not be modified.
     """
 
     degree_offset: int
@@ -50,6 +53,10 @@ class ChainComplex:
         for i, m in enumerate(self.differentials):
             if m.ncols != self.dims[i] or m.nrows != self.dims[i + 1]:
                 raise ValueError(f"differential {i} has inconsistent shape")
+
+    @cached_property
+    def is_complex(self) -> bool:
+        return verify_complex(self)
 
 
 def verify_complex(c: ChainComplex) -> bool:
@@ -75,13 +82,13 @@ def _cohomology(c: ChainComplex, ranks: list[int]) -> dict[int, int]:
     return out
 
 
-def cohomology_dims(c: ChainComplex, d2_zero: bool = False) -> dict[int, int]:
+def cohomology_dims(c: ChainComplex) -> dict[int, int]:
     """Degree -> cohomology dimension (nonzero entries only).
 
-    ``d2_zero`` is the caller's exact verdict that every composition of two
-    differentials is zero (``verify_complex``).  With it, the ranks mod the
-    prime ``exactlinalg.P`` are tried first and kept when the cohomology
-    they give sits in at most one degree.  They are then the ranks over Q:
+    When the complex's own exact verdict ``c.is_complex`` holds (every
+    composition of two differentials is zero), the ranks mod the prime
+    ``exactlinalg.P`` are tried first and kept when the cohomology they
+    give sits in at most one degree.  They are then the ranks over Q:
 
     - each differential is its stored integer matrix times a non-zero
       scalar, and for an integer matrix rank_p <= rank_Q, since a minor
@@ -106,13 +113,13 @@ def cohomology_dims(c: ChainComplex, d2_zero: bool = False) -> dict[int, int]:
     cleared ranks are therefore the ranks over F_p of the whole
     differentials, and the certificate above holds for them unchanged.
 
-    In every other case (no verdict, a failed one, or a mod-p cohomology in
-    two or more degrees: a spread complex or an unlucky prime) the exact
+    In every other case (a failed verdict, or a mod-p cohomology in two or
+    more degrees: a spread complex or an unlucky prime) the exact
     ranks over Q of the whole differentials are computed as they would be
     without the mod-p attempt, so a report never rests on an uncertified
     mod-p rank.
     """
-    if d2_zero:
+    if c.is_complex:
         ranks = []
         pivots: list[int] = []
         for m in reversed(c.differentials):
@@ -151,9 +158,12 @@ def _row_complex(n: int, t: int, space, differential) -> ChainComplex:
     return ChainComplex(-t, dims, diffs)
 
 
+@cache
 def build_Et(n: int, t: int) -> ChainComplex:
     """The complex E^{0,t} -> E^{1,t-1} -> ... -> E^{t,0} of truncation
-    fibers, rightmost term in degree 0."""
+    fibers, rightmost term in degree 0, built once per process, so that the
+    d2zero, cohomology and bicomplex checks share its d o d verdict.
+    SubspaceEscapeError propagates and is not cached."""
     return _row_complex(n, t, fiber_E, restricted_d)
 
 
@@ -179,12 +189,11 @@ def verify_koszul_S(n: int, t: int) -> Report:
     """The Koszul complex must be exact except at the right end, where the
     cokernel dimension is the binomial rank of the t-th quotient wedge."""
     c = build_koszul_S(n, t)
-    is_complex = verify_complex(c)
-    coh = cohomology_dims(c, is_complex)
+    coh = cohomology_dims(c)
     expected_coker = comb(2 * n - 4, t)
     expected = {"complex": 1, "cokernel": expected_coker, "other_cohomology": 0}
     computed = {
-        "complex": int(is_complex),
+        "complex": int(c.is_complex),
         "cokernel": coh.get(0, 0),
         "other_cohomology": sum(v for d, v in coh.items() if d != 0),
     }
@@ -383,45 +392,34 @@ def verify_bicomplex(n: int, t: int) -> Report:
     complex squares to zero and reproduces the cohomology of the truncation
     complex (acyclic at t = n - 1).
 
-    Every map is a scalar times a shared structure matrix, so each row and
-    square identity is a sum of scaled products of the few structure
-    matrices of degree t; each distinct one is decided once in this call,
-    keyed by its matrix objects, which ``bc`` holds until the call returns,
-    and its scalars divided by the first non-zero one.  Column ranks are
-    computed once per matrix.  ``total_d2`` squares the differentials of
-    the total complex itself, the very matrices that ``cohomology_match``
-    then ranks, mod p under that verdict (``cohomology_dims``).
+    Every composition the rows and squares ask for is a block of the total
+    complex's square: from the (b, c) block to (b-2, c) the row identity,
+    to (b-1, c+1) the square.  So the total complex is squared once
+    (``is_complex``, the verdict ``total_d2`` and the premise of the mod-p
+    ranks that ``cohomology_match`` reads); only when it fails is each
+    composition formed again and its row and square blocks read.  Column
+    ranks are computed once per matrix.
     """
     bc = build_bicomplex(n, t)
     model = FiberModel(n)
-    hor = bc.horizontal
-    # the vertical maps with the column sign they carry in the total complex
-    ver = {(b, c): ((-1) ** b * s, m) for (b, c), (s, m) in bc.vertical.items()}
-    verdicts: dict[tuple, bool] = {}
+    total = totalize(bc)
+    total_d2 = int(total.is_complex)
+    rows_ok = squares = 1
+    if not total_d2:
+        layout, offsets, _ = _layout(bc)
 
-    def vanishes(*paths: tuple[ScaledMap, ScaledMap]) -> bool:
-        """Whether the sum of the compositions p o q over the one or two
-        paths (p, q) is zero, where (s, x) o (u, y) is s u (x @ y)."""
-        terms = [(p[0] * q[0], p[1], q[1]) for p, q in paths]
-        terms = [term for term in terms if term[0]]
-        if not terms:
-            return True
-        (s1, x1, y1), *rest = terms
-        key = tuple((Fraction(s, s1), id(x), id(y)) for s, x, y in terms)
-        if key not in verdicts:
-            if rest:
-                # s1 x1 y1 + s2 x2 y2 = 0 exactly when x1 y1 = -(s2/s1) x2 y2
-                (s2, x2, y2), = rest
-                verdicts[key] = x1 @ y1 == (x2 @ y2).scale(Fraction(-s2, s1))
-            else:
-                verdicts[key] = (x1 @ y1).is_zero()
-        return verdicts[key]
+        def span(b: int, c: int) -> range:
+            return range(offsets[(b, c)], offsets[(b, c)] + bc.grid[b][c].dim)
 
-    rows_ok = int(all(
-        vanishes((hor[(b - 1, c)], hor[(b, c)]))
-        for b in range(2, t + 1)
-        for c in range(t - b + 1)
-    ))
+        diffs = total.differentials
+        for k in range(len(diffs) - 1):
+            d2 = diffs[k + 1] @ diffs[k]
+            for b, c in layout[k]:
+                src = span(b, c)
+                if b >= 2 and not d2.block(span(b - 2, c), src).is_zero():
+                    rows_ok = 0
+                if b >= 1 and c < t - b and not d2.block(span(b - 1, c + 1), src).is_zero():
+                    squares = 0
     cols_exact = 1
     top_kernels = 1
     for b in range(t + 1):
@@ -443,17 +441,10 @@ def verify_bicomplex(n: int, t: int) -> Report:
                 cols_exact = 0
         if ranks[height - 2] != bc.grid[b][height - 1].dim:
             cols_exact = 0
-    squares = int(all(
-        vanishes((ver[(b - 1, c)], hor[(b, c)]), (hor[(b, c + 1)], ver[(b, c)]))
-        for b in range(1, t + 1)
-        for c in range(t - b)
-    ))
-    total = totalize(bc)
-    total_d2 = int(verify_complex(total))
     et_coh = _Et_cohomology(n, t)
     # only a complex has cohomology (cohomology_dims may raise otherwise);
     # computed once for both flags
-    total_coh = cohomology_dims(total, True) if total_d2 else {}
+    total_coh = cohomology_dims(total) if total_d2 else {}
     match = int(total_coh == et_coh) if total_d2 else 0
     acyclic_ok = 1
     if t == n - 1 and (et_coh or total_coh):
@@ -480,19 +471,11 @@ def verify_bicomplex(n: int, t: int) -> Report:
 
 
 @cache
-def _Et_d2(n: int, t: int) -> bool:
-    """Whether the truncation complex squares to zero, decided once per
-    process for the d2zero check and for the mod-p ranks of its cohomology.
-    SubspaceEscapeError from ``build_Et`` propagates and is not cached."""
-    return verify_complex(build_Et(n, t))
-
-
-@cache
 def _Et_cohomology(n: int, t: int) -> dict[int, int]:
     """Cohomology of the truncation complex, computed once per process for
     both the cohomology and the bicomplex check; callers must not modify it.
-    Its mod-p ranks rest on the shared d o d verdict ``_Et_d2``."""
-    return cohomology_dims(build_Et(n, t), _Et_d2(n, t))
+    Its mod-p ranks rest on the d o d verdict of the cached ``build_Et``."""
+    return cohomology_dims(build_Et(n, t))
 
 
 def verify_Et_cohomology(n: int, t: int) -> Report:
@@ -513,7 +496,7 @@ def verify_Et_complex(n: int, t: int) -> Report:
     in the claimed fibers (containment) and consecutive compositions are
     zero."""
     try:
-        d2 = _Et_d2(n, t)
+        d2 = build_Et(n, t).is_complex
     except SubspaceEscapeError:
         computed = {"containment": 0, "compositions_zero": 0}
     else:

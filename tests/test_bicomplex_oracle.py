@@ -1,14 +1,13 @@
 """Differential test of the bicomplex's product flags.
 
-``verify_bicomplex`` decides ``rows_ok`` and ``squares`` from one verdict
-per distinct identity of scaled products of shared structure matrices, and
-``total_d2`` by squaring the differentials of ``totalize``'s total complex.
-The oracle here forms every product on the grid instead, and decides
-``total_d2`` from the blocks of the total d², without ``totalize``: each row
-composition, each square, each composition of two vertical maps in a
-column, and each square cut off by the antidiagonal.  Both must agree on
-every degree up to n = 4 and on bicomplexes with a planted scalar or a
-planted coefficient of d.
+``verify_bicomplex`` squares the differentials of ``totalize``'s total
+complex once: that verdict is ``total_d2``, and ``rows_ok`` and ``squares``
+are read off the blocks of the same square.  The oracle here forms every
+product on the grid instead, without ``totalize``, and decides ``total_d2``
+from the blocks of the total d²: each row composition, each square, each
+composition of two vertical maps in a column, and each square cut off by
+the antidiagonal.  Both must agree on every degree up to n = 4 and on
+bicomplexes with a planted scalar or a planted coefficient of d.
 """
 
 import dataclasses
@@ -65,7 +64,7 @@ def product_flags(bc) -> dict[str, int]:
     return {"rows_ok": rows_ok, "squares": squares, "total_d2": total_d2}
 
 
-def memo_flags(n: int, t: int) -> dict[str, int]:
+def checked_flags(n: int, t: int) -> dict[str, int]:
     computed = verify_bicomplex(n, t).computed
     return {flag: computed[flag] for flag in FLAGS}
 
@@ -73,7 +72,7 @@ def memo_flags(n: int, t: int) -> dict[str, int]:
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_memoized_flags_match_the_products(n):
     for t in range(0, 2 * n - 1):
-        assert memo_flags(n, t) == product_flags(build_bicomplex(n, t)), (n, t)
+        assert checked_flags(n, t) == product_flags(build_bicomplex(n, t)), (n, t)
 
 
 def _replace_map(maps: dict, key, scalar) -> dict:
@@ -100,16 +99,16 @@ def test_planted_scalar_flags_match_the_products(plant, monkeypatch, fresh_cache
 
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
     for t in range(2, 7):
-        flags = memo_flags(4, t)
+        flags = checked_flags(4, t)
         assert flags == product_flags(planted(4, t)), t
         assert flags["squares"] == 0 and flags["total_d2"] == 0, t
 
 
 def test_square_with_the_matrices_of_a_passing_one(monkeypatch, fresh_caches):
     """The squares at (1, 1) and (2, 0) compose the same four matrices with
-    the same scalar ratio, and (1, 1) is decided first.  With the scalar of
-    the horizontal map at (2, 0) negated, only (2, 0) breaks, so its
-    verdict must not be the one of (1, 1)."""
+    the same scalar ratio.  With the scalar of the horizontal map at (2, 0)
+    negated, only (2, 0) breaks, and the passing square (1, 1) must not
+    hide it."""
     real = complexes.build_bicomplex
 
     def planted(n, t):
@@ -120,7 +119,7 @@ def test_square_with_the_matrices_of_a_passing_one(monkeypatch, fresh_caches):
 
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
     for t in range(3, 7):
-        flags = memo_flags(4, t)
+        flags = checked_flags(4, t)
         assert flags == product_flags(planted(4, t)), t
         assert flags == {"rows_ok": 1, "squares": 0, "total_d2": 0}, t
 
@@ -141,7 +140,7 @@ def test_planted_d_coefficient_flags_match_the_products(monkeypatch, fresh_cache
     monkeypatch.setattr(complexes, "structure_map", planted)
     broken = 0
     for t in range(0, 7):
-        flags = memo_flags(4, t)
+        flags = checked_flags(4, t)
         assert flags == product_flags(build_bicomplex(4, t)), t
         broken += flags != dict.fromkeys(FLAGS, 1)
     assert broken

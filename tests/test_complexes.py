@@ -58,29 +58,30 @@ def exact_ranks(monkeypatch):
 
 
 class TestCertifiedCohomology:
-    """``cohomology_dims`` keeps the mod-p ranks only when d o d = 0 is
-    verified and the mod-p cohomology sits in at most one degree; otherwise
-    it ranks over Q."""
+    """``cohomology_dims`` keeps the mod-p ranks only when the complex's own
+    verdict ``is_complex`` holds and the mod-p cohomology sits in at most
+    one degree; otherwise it ranks over Q."""
 
     def test_concentrated_cohomology_takes_no_exact_rank(self, exact_ranks):
         c = ChainComplex(-1, [1, 2], [SparseRationalMatrix(2, [{0: 1, 1: 3}])])
-        assert cohomology_dims(c, True) == {0: 1}
+        assert cohomology_dims(c) == {0: 1}
         assert exact_ranks == []
 
     def test_spread_mod_p_cohomology_falls_back(self, exact_ranks):
         # rank 1 over Q, 0 mod P: the mod-p cohomology {0: 1, 1: 1} is spread
         d = SparseRationalMatrix(1, [{0: P}])
         c = ChainComplex(0, [1, 1], [d])
-        assert cohomology_dims(c, True) == {}
+        assert cohomology_dims(c) == {}
         assert exact_ranks == [d]
 
-    def test_unverified_complex_falls_back(self, exact_ranks):
-        # the two maps compose to 1, not 0; ranked over Q as without a
-        # verdict, which finds the negative dimension
+    def test_non_complex_is_ranked_over_Q(self, exact_ranks):
+        # the two maps compose to 1, not 0; ranked over Q, which finds the
+        # negative dimension
         one = SparseRationalMatrix(1, [{0: 1}])
         c = ChainComplex(0, [1, 1, 1], [one, one])
+        assert not c.is_complex
         with pytest.raises(AssertionError, match="not a complex"):
-            cohomology_dims(c, False)
+            cohomology_dims(c)
         assert exact_ranks == [one, one]
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -98,15 +99,15 @@ class TestCertifiedCohomology:
         for t in range(0, 2 * n - 1):
             for c in (build_Et(n, t), build_koszul_S(n, t),
                       totalize(build_bicomplex(n, t))):
-                assert verify_complex(c)
+                assert c.is_complex
                 ranks = [rank(m) for m in c.differentials]
                 assert [len(pivots_mod_p(m)) for m in c.differentials] == ranks, (n, t)
                 cleared.clear()
-                coh = cohomology_dims(c, True)
+                coh = cohomology_dims(c)
                 # one call per differential, from the last to the first
                 assert [m for m, _ in cleared] == c.differentials[::-1]
                 assert [r for _, r in reversed(cleared)] == ranks, (n, t)
-                assert coh == cohomology_dims(c), (n, t)
+                assert coh == complexes._cohomology(c, ranks), (n, t)
 
 
 class TestEt:
@@ -243,37 +244,43 @@ class TestBicomplex:
             rep = verify_bicomplex(n, t)
             assert rep.status == "pass", (n, t, rep.computed)
 
-    def test_identities_are_decided_once_per_call(self, monkeypatch):
-        """Every call forms one product per distinct row identity and two
-        per distinct square identity, however often it ran before.  The
-        matrices of the maps at (b, c), and the ratio of the scalars of
-        each identity, depend only on B = b + c: the rows of B = 2..t and
-        the squares of B = 1..t-1 are t - 1 distinct identities each."""
-        real_build = complexes.build_bicomplex
+    def test_the_total_square_is_the_only_product(self, monkeypatch):
+        """Every call squares the total complex once, one product per pair
+        of consecutive total differentials (2t - 1 of them), and forms no
+        product of two grid matrices: the rows and squares are blocks of
+        that square, however often the check ran before."""
+        real_build, real_totalize = complexes.build_bicomplex, complexes.totalize
         real_matmul = SparseRationalMatrix.__matmul__
-        # the current call's grid, held here so that no id is reused
-        grid = {"bc": None, "ids": set()}
+        # the ids of the current call's grid and total matrices; the call's
+        # objects are held here so that no id is reused while it is counted
+        held = {}
+        ids = {"grid": set(), "total": set()}
         products = []
 
         def build(n, t):
-            bc = real_build(n, t)
-            maps = (*bc.horizontal.values(), *bc.vertical.values())
-            grid.update(bc=bc, ids={id(m) for _, m in maps})
+            held["bc"] = bc = real_build(n, t)
+            ids["grid"] = {id(m) for _, m in (*bc.horizontal.values(), *bc.vertical.values())}
             return bc
 
+        def totalize(bc):
+            held["total"] = total = real_totalize(bc)
+            ids["total"] = set(map(id, total.differentials))
+            return total
+
         def matmul(x, y):
-            # the total complex and E^t form products too, of other matrices
-            if id(x) in grid["ids"] and id(y) in grid["ids"]:
-                products[-1] += 1
+            for kind, known in ids.items():
+                if id(x) in known and id(y) in known:
+                    products[-1][kind] += 1
             return real_matmul(x, y)
 
         monkeypatch.setattr(complexes, "build_bicomplex", build)
+        monkeypatch.setattr(complexes, "totalize", totalize)
         monkeypatch.setattr(SparseRationalMatrix, "__matmul__", matmul)
         for t in range(0, 7):
             for _ in range(2):
-                products.append(0)
+                products.append({"grid": 0, "total": 0})
                 assert verify_bicomplex(4, t).status == "pass"
-            assert products[-2:] == [3 * max(t - 1, 0)] * 2, t
+            assert products[-2:] == [{"grid": 0, "total": max(2 * t - 1, 0)}] * 2, t
 
 
 class TestCes:

@@ -191,16 +191,17 @@ def test_unsigned_odd_depths_break_the_squares(monkeypatch):
             assert rep["computed"]["squares"] == 0
 
 
-def _fails_only_the_total(reps):
+def _fails_the_squares_and_the_total(reps):
     """Every report below t = 2 passes; from t = 2 on each fails exactly the
-    flags about the total complex."""
+    flags about the total complex, and ``squares``, which is read off the
+    total complex's square."""
     for rep in reps:
         if rep["params"]["t"] < 2:
             assert rep["status"] == "pass", rep
         else:
             assert rep["status"] == "fail", rep
             failing = {k for k, v in rep["computed"].items() if v != rep["expected"][k]}
-            assert failing == {"total_d2", "cohomology_match"}, rep
+            assert failing == {"squares", "total_d2", "cohomology_match"}, rep
 
 
 def test_totalize_with_one_unsigned_block_fails(monkeypatch, rank_calls):
@@ -225,7 +226,7 @@ def test_totalize_with_one_unsigned_block_fails(monkeypatch, rank_calls):
             patch.setattr(complexes, "totalize", partial(planted, factor=factor))
             code, reps = reports(*FIBER_N4, "bicomplex")
         assert code == 1
-        _fails_only_the_total(reps)
+        _fails_the_squares_and_the_total(reps)
         assert rank_calls == {"rank": 0, "pivots_mod_p": mod_p_ranks}
 
 
@@ -249,7 +250,7 @@ def test_totalize_with_one_shifted_block_fails(monkeypatch):
     monkeypatch.setattr(complexes, "totalize", planted)
     code, reps = reports(*FIBER_N4, "bicomplex")
     assert code == 1
-    _fails_only_the_total(reps)
+    _fails_the_squares_and_the_total(reps)
 
 
 def test_wrong_d_coefficient_breaks_containment(monkeypatch):

@@ -13,9 +13,10 @@ from sscx.exactlinalg import SubspaceEscapeError
 
 @pytest.fixture(autouse=True)
 def uncached_Et_verdict():
-    """The d o d verdict of each E^t is cached per process; one cached by an
-    earlier test would keep a planted ``build_Et`` from being called."""
-    complexes._Et_d2.cache_clear()
+    """Each E^t, and with it its d o d verdict, is cached per process; the
+    checks here must build theirs afresh, not read one that an earlier test
+    left behind."""
+    complexes.build_Et.cache_clear()
 
 
 def _raiser(exc_type, calls):
