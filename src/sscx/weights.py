@@ -9,14 +9,20 @@ truncation is the staircase without its negative-weight terms: ``rank_K``
 sums the terms it keeps, ``vanishing_band_check`` walks the ones it drops.
 The six weight checks of the CLI (bbw, staircase, euler, phics, pieri,
 vanishing) live here and return one Report each.
+
+The checks ask for the same few thousand weights again and again, so the
+two primitives they share are memoized per process: ``weyl_dim_gl`` by
+weight and ``tphi_on_weight`` by ``(alpha1, alpha2, k)``.  Each is the
+textbook formula, the Weyl product over all pairs and the pushforward with
+its closed-form cross-check, computed once per distinct argument.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from math import comb, perm
+from functools import cache
+from itertools import combinations
+from math import comb
 
 from .report import Report
 
@@ -28,39 +34,20 @@ def rho(k: int) -> Weight:
     return tuple(range(k, 0, -1))
 
 
+@cache
 def weyl_dim_gl(lam: Weight) -> int:
-    """Dimension of the irreducible GL_k representation with highest weight lam.
+    """Dimension of the irreducible GL_k representation with highest weight lam:
+    the Weyl product over pairs i < j of (lam_i - lam_j + j - i) / (j - i).
 
     Negative entries are allowed (the formula is invariant under adding a
     constant to all entries, i.e. under determinant twists).
-
-    The Weyl product over pairs i < j of (lam_i - lam_j + j - i) / (j - i)
-    is taken over runs of equal entries: a pair inside one run contributes
-    (j - i) / (j - i).  For a run of value x at positions p..p+a-1 before
-    one of value y at q..q+b-1, the pairs with first index i give
-    perm(x - y + q + b - 1 - i, b) / perm(q + b - 1 - i, b), and those with
-    second index j give perm(x - y + j - p, a) / perm(j - p, a); each pair
-    of runs multiplies the factors over the entries of its shorter run.
     """
-    runs = []
-    start = 0
-    for value, group in groupby(lam):
-        if runs and value > runs[-1][0]:
+    num = den = 1
+    for (i, x), (j, y) in combinations(enumerate(lam), 2):
+        if x < y:
             raise ValueError("non-dominant weight")
-        length = len(list(group))
-        runs.append((value, start, length))
-        start += length
-    num = 1
-    den = 1
-    for (x, p, a), (y, q, b) in combinations(runs, 2):
-        if a <= b:
-            for i in range(p, p + a):
-                num *= perm(x - y + q + b - 1 - i, b)
-                den *= perm(q + b - 1 - i, b)
-        else:
-            for j in range(q, q + b):
-                num *= perm(x - y + j - p, a)
-                den *= perm(j - p, a)
+        num *= x - y + j - i
+        den *= j - i
     dim, rem = divmod(num, den)
     if rem:
         raise AssertionError(f"Weyl product is not integral at {lam}")
@@ -73,9 +60,7 @@ def bbw_pushforward(gamma: Weight) -> tuple[Weight, int] | None:
     Returns None when gamma + rho has a repeated entry (the derived
     pushforward vanishes); otherwise (sorted(gamma + rho) - rho, shift),
     where shift is the length of the minimal sorting permutation: the
-    number of pairs i < j with beta_i < beta_j for beta = gamma + rho.  It is
-    counted from right to left: bisection finds how many of the entries
-    already passed, kept sorted, exceed the next one.
+    number of pairs i < j with beta_i < beta_j for beta = gamma + rho.
     """
     k = len(gamma)
     if k < 1:
@@ -84,13 +69,8 @@ def bbw_pushforward(gamma: Weight) -> tuple[Weight, int] | None:
     beta = [g + x for g, x in zip(gamma, r)]
     if len(set(beta)) < k:
         return None
-    passed = []
-    shift = 0
-    for i, b in enumerate(reversed(beta)):
-        pos = bisect_left(passed, b)
-        shift += i - pos
-        passed.insert(pos, b)
-    return tuple(b - x for b, x in zip(reversed(passed), r)), shift
+    shift = sum(x < y for x, y in combinations(beta, 2))
+    return tuple(b - x for b, x in zip(sorted(beta, reverse=True), r)), shift
 
 
 def _closed_form(alpha1: int, alpha2: int, k: int) -> tuple[Weight, int] | None:
@@ -104,6 +84,7 @@ def _closed_form(alpha1: int, alpha2: int, k: int) -> tuple[Weight, int] | None:
     return (alpha1,) + (-1,) * (k - 2) + (k - 2 + alpha2,), k - 2
 
 
+@cache
 def tphi_on_weight(alpha1: int, alpha2: int, k: int) -> tuple[Weight, int] | None:
     """Pushforward of the rank-2 weight (alpha1, alpha2) padded to length k.
 
@@ -193,29 +174,25 @@ def _dropped_terms(alpha1: int, alpha2: int, n: int) -> list[StaircaseTerm]:
     return _staircase_slice(alpha1, alpha2, n, alpha1 - 2 * n + 1, 0)
 
 
-def _expected_survivors(alpha1: int, alpha2: int, k: int, n: int):
-    """Survivor list of the pushed staircase, built directly from the
-    closed form: (shifted position, wedge exponent, weight)."""
-    out = []
-    for t in staircase_terms_gr2(alpha1, alpha2, n):
-        push = _closed_form(t.weight[0], t.weight[1], k)
-        if push is not None:
-            weight, shift = push
-            out.append((t.position + shift, t.wedge_exp, weight))
-    return out
-
-
 def verify_staircase_pushforward(
     alpha1: int, alpha2: int, k: int, n: int
 ) -> Report:
     """Push every rank-2 staircase term to the length-k side and check that
-    the surviving terms form a complex-shaped, Euler-trivial term list."""
+    the surviving terms form a complex-shaped, Euler-trivial term list.
+    ``shape_ok`` says that no term's rho-shift pushforward disagreed with
+    its closed form: tphi_on_weight raises AssertionError on each
+    disagreement, and such a term is counted and left out."""
     if not (2 * n - k >= alpha1 >= alpha2 >= 0 and 3 <= k <= n):
         raise ValueError("parameters outside the verified band")
     params = {"alpha1": alpha1, "alpha2": alpha2, "k": k, "n": n}
     survivors = []
+    mismatches = 0
     for t in staircase_terms_gr2(alpha1, alpha2, n):
-        push = tphi_on_weight(t.weight[0], t.weight[1], k)
+        try:
+            push = tphi_on_weight(t.weight[0], t.weight[1], k)
+        except AssertionError:
+            mismatches += 1
+            continue
         if push is None:
             continue
         weight, shift = push
@@ -225,11 +202,10 @@ def verify_staircase_pushforward(
     euler = sum(
         (-1) ** p * comb(2 * n, j) * weyl_dim_gl(w) for p, j, w in survivors
     )
-    shape_ok = survivors == _expected_survivors(alpha1, alpha2, k, n)
     computed = {
         "positions_increasing": int(increasing),
         "euler": euler,
-        "shape_ok": int(shape_ok),
+        "shape_ok": int(not mismatches),
     }
     expected = {"positions_increasing": 1, "euler": 0, "shape_ok": 1}
     return Report.make("staircase", params, expected, computed)

@@ -1,7 +1,7 @@
 """Planted defects must make the responsible suite fail: the verifier is run
 end to end through the CLI, at n = 4 for the structure maps and at
-(n, k) = (6, 4) for the weight closed forms, the dimension formula and the
-truncation."""
+(n, k) = (6, 4) for the weight closed forms, the dimension formula, the
+inversion count and the truncation."""
 
 import dataclasses
 import io
@@ -20,11 +20,11 @@ from sscx.cli import run
 from sscx.exactlinalg import SparseRationalMatrix
 from linalg_oracle import matrix_sum
 
-# every functools.cache of the fiber and complexes layers: the structure
-# matrices, the truncation complexes' cohomology, and the rank memo
-# included
+# every functools.cache of the fiber, complexes and weights layers: the
+# structure matrices, the truncation complexes' cohomology, the rank memo
+# and the two weight memos included
 CACHED = [
-    f for module in (fiber, complexes) for f in vars(module).values()
+    f for module in (fiber, complexes, weights) for f in vars(module).values()
     if hasattr(f, "cache_clear")
 ]
 FIBER_N4 = ("verify-fiber", "--n", "4", "--t", "all", "--checks")
@@ -33,9 +33,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Matrices and fibers built from a planted map must not outlive the
-    test, and ones cached by earlier tests must not hide the planted map."""
+    """Matrices, fibers and weights built from a planted map must not
+    outlive the test, and ones cached by earlier tests must not hide the
+    planted map."""
     assert complexes._rank_of in CACHED
+    assert weights.tphi_on_weight in CACHED
+    assert weights.weyl_dim_gl in CACHED
     for f in CACHED:
         f.cache_clear()
     yield
@@ -530,3 +533,119 @@ def test_weyl_run_pair_one_term_short_breaks_the_dimension_suites(monkeypatch):
     assert {rep["suite"] for rep in reps if rep["status"] == "pass"} == {
         "bbw", "phics", "vanishing"
     }
+
+
+def _weight_failures(reps):
+    """(suite, params) -> the flags that differ from the expected ones, for
+    every failing report of a verify-weights run."""
+    return {
+        (rep["suite"], tuple(rep["params"].items())): {
+            k for k in rep["expected"].keys() | rep["computed"].keys()
+            if rep["computed"].get(k) != rep["expected"].get(k)
+        }
+        for rep in reps if rep["status"] == "fail"
+    }
+
+
+def _staircase(alpha1, alpha2):
+    return ("staircase", (("alpha1", alpha1), ("alpha2", alpha2), ("k", 4), ("n", 6)))
+
+
+ERROR_FLAGS = {"ok", "error", "detail"}
+
+
+def test_weyl_pair_factor_off_by_one_breaks_the_dimension_suites(monkeypatch):
+    def planted(lam):
+        """The pairwise Weyl product with the factor of the pair (0, 1) one
+        too large: lam_0 - lam_1 + 2."""
+        num = den = 1
+        for (i, x), (j, y) in combinations(enumerate(lam), 2):
+            if x < y:
+                raise ValueError("non-dominant weight")
+            num *= x - y + j - i + ((i, j) == (0, 1))
+            den *= j - i
+        quo, rem = divmod(num, den)
+        if rem:
+            raise AssertionError(f"Weyl product is not integral at {lam}")
+        return quo
+
+    monkeypatch.setattr(weights, "weyl_dim_gl", planted)
+    code, reps = reports("verify-weights", "--n", "6", "--k", "4")
+    assert code == 1
+    # the same set on the build that multiplied over runs of equal entries:
+    # every euler and pieri report and every staircase report but (0, 0);
+    # most products are no longer integral and end in an error report, the
+    # rest are integers that break the staircase's Euler sum
+    off_sum = {(1, 0), (4, 4), (5, 4), (6, 4), (7, 4), (8, 1), (8, 4), (8, 7)}
+    expected = {
+        (rep["suite"], tuple(rep["params"].items())): (
+            {"euler"} if rep["suite"] == "staircase"
+            and (rep["params"]["alpha1"], rep["params"]["alpha2"]) in off_sum
+            else ERROR_FLAGS
+        )
+        for rep in reps
+        if rep["suite"] in ("euler", "pieri", "staircase") and rep["params"] != {
+            "alpha1": 0, "alpha2": 0, "k": 4, "n": 6
+        }
+    }
+    assert _weight_failures(reps) == expected
+    assert len(expected) == 44 + 9 + 1
+    for rep in reps:
+        if "error" in rep["computed"]:
+            assert rep["computed"]["detail"].startswith("Weyl product is not integral")
+
+
+def test_inversion_count_off_by_one_breaks_bbw_and_the_staircase(monkeypatch):
+    def planted(gamma):
+        """bbw_pushforward with its pair count of the inversions starting
+        at 1."""
+        k = len(gamma)
+        r = weights.rho(k)
+        beta = [g + x for g, x in zip(gamma, r)]
+        if len(set(beta)) < k:
+            return None
+        shift = 1 + sum(x < y for x, y in combinations(beta, 2))
+        return tuple(b - x for b, x in zip(sorted(beta, reverse=True), r)), shift
+
+    monkeypatch.setattr(weights, "bbw_pushforward", planted)
+    code, reps = reports("verify-weights", "--n", "6", "--k", "4")
+    assert code == 1
+    # every non-vanishing pushforward now disagrees with its closed form:
+    # bbw counts 45 of its 55 weights (the other 10 vanish), and every
+    # staircase report counts its terms out of shape_ok; phics reads only
+    # whether a pushforward vanishes, and the vanishing band only vanishing
+    # ones, so both pass
+    assert _weight_failures(reps) == {
+        ("bbw", (("k", 4), ("n", 6))): {"mismatches"},
+        **{_staircase(a1, a2): {"shape_ok"} for a1 in range(9) for a2 in range(a1 + 1)},
+    }
+    bbw = next(rep for rep in reps if rep["suite"] == "bbw")
+    assert bbw["computed"] == {"mismatches": 45, "checked": 55}
+
+
+def test_closed_form_wrong_on_one_far_shift_weight_fails_its_staircases(monkeypatch):
+    real = weights._closed_form
+
+    def planted(alpha1, alpha2, k):
+        """The closed form with the last entry of the far-shift weight
+        (0, -5) at k = 4 one too large."""
+        push = real(alpha1, alpha2, k)
+        if (alpha1, alpha2, k) != (0, -5, 4):
+            return push
+        weight, shift = push
+        return weight[:-1] + (weight[-1] + 1,), shift
+
+    monkeypatch.setattr(weights, "_closed_form", planted)
+    code, reps = reports("verify-weights", "--n", "6", "--k", "4")
+    assert code == 1
+    # the staircases of (alpha1, 1) with alpha1 - 11 <= -5 hold the term
+    # (0, -5); the term is left out of their survivors, so their Euler sum
+    # moves too.  No report is an error: the build that computed the
+    # survivors' closed form a second time failed the same six with
+    # AssertionError.
+    holding = {
+        (a1, a2) for a1 in range(9) for a2 in range(a1 + 1)
+        if any(t.weight == (0, -5) for t in weights.staircase_terms_gr2(a1, a2, 6))
+    }
+    assert holding == {(a1, 1) for a1 in range(1, 7)}
+    assert _weight_failures(reps) == {_staircase(*a): {"shape_ok", "euler"} for a in holding}

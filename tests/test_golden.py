@@ -11,7 +11,8 @@ import pytest
 
 import sscx.cli as cli
 from sscx import complexes, fiber
-from sscx.cli import run
+from sscx.cli import CHECKS, FIBER, run
+from sscx.complexes import expected_Et_cohomology
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -57,3 +58,24 @@ def test_each_fiber_check_alone_prints_its_golden_lines(monkeypatch, check, jobs
     assert code == 0
     golden = (GOLDEN / "fiber-n4.ndjson").read_text(encoding="ascii").splitlines(keepends=True)
     assert buf.getvalue() == "".join(line for line in golden if json.loads(line)["suite"] == check)
+
+
+def test_fiber_n8_golden_holds_every_passing_report():
+    """tests/golden/fiber-n8.ndjson, written by ``verify-fiber --n 8 --t all
+    --jobs 1`` (about 290 s and 3.3 GB), is too costly to regenerate here;
+    check that it is whole: one passing report per check and degree, with
+    the predicted cohomology."""
+    reps = [
+        json.loads(line)
+        for line in (GOLDEN / "fiber-n8.ndjson").read_text(encoding="ascii").splitlines()
+    ]
+    checks = [name for name, check in CHECKS.items() if check.command == FIBER]
+    assert len(reps) == 90
+    assert sorted((rep["suite"], rep["params"]["t"]) for rep in reps) == sorted(
+        (check, t) for check in checks for t in range(15)
+    )
+    assert all(rep["params"]["n"] == 8 and rep["status"] == "pass" for rep in reps)
+    for rep in reps:
+        if rep["suite"] == "cohomology":
+            expected = expected_Et_cohomology(8, rep["params"]["t"])
+            assert rep["expected"] == {f"h{deg}": dim for deg, dim in expected.items()}

@@ -1,9 +1,12 @@
 """Tests for the weight-combinatorics layer, with independent oracles:
-semistandard-tableau counting and the pairwise Weyl product for the
-dimension formula, a brute-force inversion count for the rho-shift, and a
-brute-force wedge/rank computation for the symplectic wedge ranks."""
+semistandard-tableau counting for the dimension formula (the pairwise Weyl
+product is kept beside it as an exact-rational reference), a brute-force
+inversion count for the rho-shift, and a brute-force wedge/rank
+computation for the symplectic wedge ranks."""
 
+import io
 import itertools
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
 
@@ -11,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sscx import weights
+from sscx.cli import run
 from sscx.exactlinalg import rank
 from sscx.weights import (
     _dropped_terms,
@@ -38,8 +43,8 @@ def dominant(w) -> bool:
 
 def weyl_product_pairwise(lam) -> Fraction:
     """The Weyl product over all pairs i < j of
-    (lam_i - lam_j + j - i) / (j - i): the oracle for the run-by-run
-    product of weyl_dim_gl."""
+    (lam_i - lam_j + j - i) / (j - i) as an exact rational, with no
+    dominance or integrality check: the reference value of weyl_dim_gl."""
     num = den = 1
     for i, j in itertools.combinations(range(len(lam)), 2):
         num *= lam[i] - lam[j] + j - i
@@ -48,7 +53,8 @@ def weyl_product_pairwise(lam) -> Fraction:
 
 
 def inversions(beta) -> int:
-    """Number of pairs i < j with beta_i < beta_j, pair by pair."""
+    """Number of pairs i < j with beta_i < beta_j, pair by pair over
+    indices: the oracle for the shift of bbw_pushforward."""
     return sum(1 for i, j in itertools.combinations(range(len(beta)), 2)
                if beta[i] < beta[j])
 
@@ -89,6 +95,13 @@ def count_ssyt(shape: tuple[int, ...]) -> int:
     return sum(1 for _ in rows(None, shape))
 
 
+# non-negative dominant shapes of length 1..4 with entries up to 3, small
+# enough for count_ssyt to enumerate
+small_dominant_shapes = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(
+    lambda xs: tuple(sorted(xs, reverse=True))
+)
+
+
 class TestWeylDim:
     @pytest.mark.parametrize(
         "lam",
@@ -99,6 +112,11 @@ class TestWeylDim:
         ],
     )
     def test_against_tableau_count(self, lam):
+        assert weyl_dim_gl(lam) == count_ssyt(lam)
+
+    @given(small_dominant_shapes)
+    @settings(max_examples=60, deadline=None)
+    def test_small_shapes_against_tableau_count(self, lam):
         assert weyl_dim_gl(lam) == count_ssyt(lam)
 
     @given(
@@ -115,7 +133,7 @@ class TestWeylDim:
         assert weyl_dim_gl((0, -1, -2)) == weyl_dim_gl((2, 1, 0))
 
     def test_non_dominant_rejected(self):
-        # a rise after the first run is caught too
+        # a rise anywhere is caught, also after a run of equal entries
         for lam in [(0, 1), (1, 1, 2), (3, 0, 0, 1), (2, 2, 1, 1, 2)]:
             with pytest.raises(ValueError):
                 weyl_dim_gl(lam)
@@ -181,6 +199,32 @@ class TestBBW:
 
 
 class TestTphi:
+    def test_closed_form_is_computed_once_per_argument(self, monkeypatch):
+        """One verify-weights process pushes each distinct weight forward and
+        cross-checks it against the closed form once; the build that also
+        rebuilt every staircase's survivors from the closed form called it
+        9,540 times at (12, 6), for 466 distinct weights."""
+        weights.tphi_on_weight.cache_clear()
+        real_tphi, real_closed = weights.tphi_on_weight, weights._closed_form
+        args = []
+        closed_calls = 0
+
+        def recorded(*a):
+            args.append(a)
+            return real_tphi(*a)
+
+        def counted(*a):
+            nonlocal closed_calls
+            closed_calls += 1
+            return real_closed(*a)
+
+        monkeypatch.setattr(weights, "tphi_on_weight", recorded)
+        monkeypatch.setattr(weights, "_closed_form", counted)
+        with redirect_stdout(io.StringIO()):
+            assert run(["verify-weights", "--n", "12", "--k", "6"]) == 0
+        assert closed_calls == len(set(args)) == 466
+        assert len(args) == 4980
+
     def test_dominant_case(self):
         assert tphi_on_weight(3, 1, 4) == ((3, 1, 0, 0), 0)
 
