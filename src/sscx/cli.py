@@ -107,7 +107,7 @@ def _run_task(task) -> dict:
 
 def _error_report(task, exc: BaseException) -> dict:
     check, params = task
-    return Report.make(
+    return Report(
         check, params, {"ok": 1},
         {"ok": 0, "error": type(exc).__name__, "detail": str(exc)},
     ).to_ordered_dict()

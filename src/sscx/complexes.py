@@ -20,8 +20,6 @@ from .exactlinalg import SparseRationalMatrix, SubspaceEscapeError, pivots_mod_p
 from .fiber import (
     FiberModel,
     TwistedSpace,
-    _Same,
-    _rank_of,
     _wedge2,
     fiber_E,
     fiber_wedge_perp,
@@ -197,7 +195,7 @@ def verify_koszul_S(n: int, t: int) -> Report:
         "cokernel": coh.get(0, 0),
         "other_cohomology": sum(v for d, v in coh.items() if d != 0),
     }
-    return Report.make("koszul", {"n": n, "t": t}, expected, computed)
+    return Report("koszul", {"n": n, "t": t}, expected, computed)
 
 
 def _wedge_form_matrix(model: FiberModel, t: int) -> SparseRationalMatrix:
@@ -268,12 +266,7 @@ def verify_snake(n: int, t: int) -> Report:
         "kernel": ker,
         "cokernel": coker,
     }
-    return Report.make("snake", {"n": n, "t": t}, expected, computed)
-
-
-# A bicomplex map: (s, m) stands for s times the matrix m, a structure matrix
-# shared with every other degree, grid entry and check.
-ScaledMap = tuple[Fraction, SparseRationalMatrix]
+    return Report("snake", {"n": n, "t": t}, expected, computed)
 
 
 @dataclass
@@ -286,8 +279,8 @@ class Bicomplex:
     n: int
     t: int
     grid: list[list[TwistedSpace]]
-    horizontal: dict[tuple[int, int], ScaledMap]
-    vertical: dict[tuple[int, int], ScaledMap]
+    horizontal: dict[tuple[int, int], SparseRationalMatrix]
+    vertical: dict[tuple[int, int], SparseRationalMatrix]
 
 
 def build_bicomplex(n: int, t: int) -> Bicomplex:
@@ -295,8 +288,9 @@ def build_bicomplex(n: int, t: int) -> Bicomplex:
 
     The horizontal map on the (b, c) entry (b >= 1) is
     (-1)^c (b/(B(B+1)) d1 + (b/B) d2) with B = b+c, which equals
-    (-1)^c (b/B) d since d = d1/(B+1) + d2 there, and is kept as the pair
-    ((-1)^c b/B, d); the vertical maps are the pairs (1, d0).
+    (-1)^c (b/B) d since d = d1/(B+1) + d2 there: the cached d scaled, its
+    columns shared.  The vertical maps are the cached d0 themselves, so a
+    column's ranks are the ones ``fiber_E`` keeps on them.
     """
     if not (0 <= t <= 2 * n - 2):
         raise ValueError("t outside the admissible band")
@@ -305,8 +299,8 @@ def build_bicomplex(n: int, t: int) -> Bicomplex:
         [TwistedSpace(n, t - b - c, b + c, c) for c in range(t - b + 1)]
         for b in range(t + 1)
     ]
-    horizontal: dict[tuple[int, int], ScaledMap] = {}
-    vertical: dict[tuple[int, int], ScaledMap] = {}
+    horizontal: dict[tuple[int, int], SparseRationalMatrix] = {}
+    vertical: dict[tuple[int, int], SparseRationalMatrix] = {}
     for b in range(t + 1):
         for c in range(t - b + 1):
             src = grid[b][c]
@@ -314,12 +308,12 @@ def build_bicomplex(n: int, t: int) -> Bicomplex:
                 d, dst = structure_map(model, "d", src)
                 if dst != grid[b - 1][c]:
                     raise AssertionError(f"horizontal map at {(b, c)} leaves the grid")
-                horizontal[(b, c)] = (Fraction((-1) ** c * b, b + c), d)
+                horizontal[(b, c)] = d.scale(Fraction((-1) ** c * b, b + c))
             if c < t - b:
                 v, dst = structure_map(model, "d0", src)
                 if dst != grid[b][c + 1]:
                     raise AssertionError(f"vertical map at {(b, c)} leaves the grid")
-                vertical[(b, c)] = (Fraction(1), v)
+                vertical[(b, c)] = v
     return Bicomplex(n, t, grid, horizontal, vertical)
 
 
@@ -350,27 +344,26 @@ def totalize(bc: Bicomplex) -> ChainComplex:
     that degree by one.  The vertical map on column b enters with the sign
     (-1)^b, which makes the total differential square to zero.  Each degree
     is one integer matrix with the scalar 1/L, where L is the least common
-    denominator of the values s m.scalar of the maps (s, m) out of its
-    blocks; each map enters as its stored integer columns times the integer
-    s m.scalar L, written at the target entry's row offset.  A non-zero
-    scalar leaves the rank as it is.
+    denominator of the scalars of the maps out of its blocks; each map m
+    enters as its stored integer columns times the integer m.scalar L,
+    written at the target entry's row offset.  A non-zero scalar leaves the
+    rank as it is.
     """
     layout, offsets, dims = _layout(bc)
     diffs = []
     for blocks, nrows in zip(layout, dims[1:]):
-        # per block: the maps out of it as (s m.scalar, columns, row offset);
+        # per block: the maps out of it as (scalar, columns, row offset);
         # the two land in different blocks of the next degree
         pieces = []
         for b, c in blocks:
             maps = []
             if (b, c) in bc.horizontal:
-                s, m = bc.horizontal[(b, c)]
-                maps.append((s * m.scalar, m.columns(), offsets[(b - 1, c)]))
+                m = bc.horizontal[(b, c)]
+                maps.append((m.scalar, m.columns(), offsets[(b - 1, c)]))
             if (b, c) in bc.vertical:
-                s, m = bc.vertical[(b, c)]
-                maps.append(((-1) ** b * s * m.scalar, m.columns(), offsets[(b, c + 1)]))
-            # a map with the scalar 0 leaves its block empty
-            pieces.append([piece for piece in maps if piece[0]])
+                m = bc.vertical[(b, c)]
+                maps.append(((-1) ** b * m.scalar, m.columns(), offsets[(b, c + 1)]))
+            pieces.append(maps)
         den = lcm(*(f.denominator for maps in pieces for f, _, _ in maps))
         cols: list[dict[int, int]] = []
         for (b, c), maps in zip(blocks, pieces):
@@ -397,8 +390,8 @@ def verify_bicomplex(n: int, t: int) -> Report:
     to (b-1, c+1) the square.  So the total complex is squared once
     (``is_complex``, the verdict ``total_d2`` and the premise of the mod-p
     ranks that ``cohomology_match`` reads); only when it fails is each
-    composition formed again and its row and square blocks read.  Column
-    ranks are computed once per matrix.
+    composition formed again and its row and square blocks read.  The
+    column ranks are the ones kept on the cached d0 (``rank``).
     """
     bc = build_bicomplex(n, t)
     model = FiberModel(n)
@@ -430,11 +423,9 @@ def verify_bicomplex(n: int, t: int) -> Report:
                 top_kernels = 0
             continue
         maps = [bc.vertical[(b, c)] for c in range(height - 1)]
-        ranks = [_rank_of(_Same(m)) if s else 0 for s, m in maps]
+        ranks = list(map(rank, maps))
         # the independent basis of the fiber lies in ker d0 and has its dimension
-        if bc.grid[b][0].dim - ranks[0] != top.dim or any(
-            map(maps[0][1].apply, top.vectors)
-        ):
+        if bc.grid[b][0].dim - ranks[0] != top.dim or any(map(maps[0].apply, top.vectors)):
             top_kernels = 0
         for c in range(1, height - 1):
             if bc.grid[b][c].dim - ranks[c] != ranks[c - 1]:
@@ -467,7 +458,7 @@ def verify_bicomplex(n: int, t: int) -> Report:
         "cohomology_match": match,
         "acyclic_band": acyclic_ok,
     }
-    return Report.make("bicomplex", {"n": n, "t": t}, expected, computed)
+    return Report("bicomplex", {"n": n, "t": t}, expected, computed)
 
 
 @cache
@@ -483,7 +474,7 @@ def verify_Et_cohomology(n: int, t: int) -> Report:
     prediction."""
     coh = _Et_cohomology(n, t)
     expect = expected_Et_cohomology(n, t)
-    return Report.make(
+    return Report(
         "cohomology",
         {"n": n, "t": t},
         {f"h{d}": v for d, v in sorted(expect.items())},
@@ -502,19 +493,19 @@ def verify_Et_complex(n: int, t: int) -> Report:
     else:
         computed = {"containment": 1, "compositions_zero": int(d2)}
     expected = {"containment": 1, "compositions_zero": 1}
-    return Report.make("d2zero", {"n": n, "t": t}, expected, computed)
+    return Report("d2zero", {"n": n, "t": t}, expected, computed)
 
 
 def _image_is_fiber(model: FiberModel, a: int, b: int) -> bool:
     """Whether d0 maps the ambient space of degree (a, b) onto the
     truncation fiber of degree (a-1, b+1): its rank is that fiber's
     dimension and, for a >= 2, where the fiber is the kernel of the next d0,
-    the composition of the two d0 vanishes.  The rank comes from the memo
-    the bicomplex check shares; each composition is asked once per process,
-    by the one degree t = a + b, so it is formed directly."""
+    the composition of the two d0 vanishes.  The rank is the one kept on the
+    cached d0, which the bicomplex check ranks too; each composition is asked
+    once per process, by the one degree t = a + b, so it is formed directly."""
     target = fiber_E(model, a - 1, b + 1)
     mat, _ = structure_map(model, "d0", TwistedSpace(model.n, a, b))
-    if _rank_of(_Same(mat)) != target.dim:
+    if rank(mat) != target.dim:
         return False
     if a == 1:
         return True
@@ -552,4 +543,4 @@ def verify_ces(n: int, t: int) -> Report:
             ok_dims = 0
     expected = {"kernel": 1, "image": 1, "dims_add": 1}
     computed = {"kernel": ok_kernel, "image": ok_image, "dims_add": ok_dims}
-    return Report.make("ces", {"n": n, "t": t}, expected, computed)
+    return Report("ces", {"n": n, "t": t}, expected, computed)

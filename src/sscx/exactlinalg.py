@@ -50,6 +50,11 @@ column dicts over as they are, so every caller builds columns that keep the
 invariant.  Accumulators store the first contribution to a key as it is and
 delete a key whose sum cancels, so no zero is stored.
 
+A matrix is immutable: nothing changes its columns or its scalar once it is
+built.  So ``rank`` keeps its result on the matrix and eliminates each
+matrix once, and the rank lives exactly as long as the matrix.  A ``scale``d
+copy, a ``block`` or a product is a new matrix and is ranked on its own.
+
 No ``int / int`` anywhere: in Python that is a float.  Every division goes
 through ``Fraction`` (``Fraction(v, pv)``, ``Fraction(1, pv)``), and only a
 pivot other than ±1 creates a ``Fraction``; the core over F_P divides by
@@ -76,9 +81,9 @@ class SubspaceEscapeError(Exception):
 
 class SparseRationalMatrix:
     """Immutable sparse matrix over Q: a rational scalar times sparse integer
-    columns."""
+    columns, and its rank once ``rank`` has computed it."""
 
-    __slots__ = ("nrows", "ncols", "_cols", "scalar")
+    __slots__ = ("nrows", "ncols", "_cols", "scalar", "_rank")
 
     def __init__(self, nrows: int, cols: list[Vec], scalar: Fraction = _ONE):
         """scalar times the matrix with the given sparse columns, which must
@@ -89,6 +94,7 @@ class SparseRationalMatrix:
         self.ncols = len(cols)
         self._cols = cols
         self.scalar = scalar if any(cols) else _ONE
+        self._rank = None
 
     @property
     def entries(self) -> dict[tuple[int, int], Fraction]:
@@ -283,8 +289,11 @@ def _eliminate(rows: list[Vec], p: int = 0) -> list[tuple[int, Vec]]:
 
 
 def rank(m: SparseRationalMatrix) -> int:
-    """Rank of m: the rank of its stored integers, as the scalar is non-zero."""
-    return len(_eliminate(m.rows()))
+    """Rank of m: the rank of its stored integers, as the scalar is non-zero.
+    Eliminated on the first call only and kept on m, which is immutable."""
+    if m._rank is None:
+        m._rank = len(_eliminate(m.rows()))
+    return m._rank
 
 
 def pivots_mod_p(m: SparseRationalMatrix, skip: list[int] | tuple = ()) -> list[int]:

@@ -329,29 +329,6 @@ def _lift_vectors(model: FiberModel, a: int, b: int) -> list[dict[int, int]]:
     ]
 
 
-class _Same:
-    """A matrix as a memo key: equal to another key only when both hold the
-    very same object.  The key keeps the matrix alive, so its ``id`` cannot
-    be reused by another matrix while the memo holds the key."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: SparseRationalMatrix):
-        self.m = m
-
-    def __hash__(self) -> int:
-        return id(self.m)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Same) and self.m is other.m
-
-
-@cache
-def _rank_of(m: _Same) -> int:
-    """Rank of a shared matrix, computed once per process."""
-    return rank(m.m)
-
-
 @cache
 def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
     """Fiber of the truncation subbundle of degree (a, b): the kernel of the
@@ -365,8 +342,8 @@ def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
     the basis is certified as a basis of ker d0 in three steps:
     d0 kills every vector (exact ``apply``); every vector owns a private row,
     so they are independent; and there are dim - rank(d0) of them, which
-    must also be the dimension the filtration predicts.  rank(d0) comes from
-    the ``_rank_of`` memo the bicomplex and ces checks share.  Any mismatch
+    must also be the dimension the filtration predicts.  rank(d0) is kept on
+    the cached d0, which the bicomplex and ces checks rank too.  Any mismatch
     is a hard failure, since it refutes the sign conventions of this module.
     """
     tn = 2 * model.n
@@ -376,7 +353,7 @@ def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
     if a == 0:
         return SubspaceBasis.full(space.dim)
     mat, _ = structure_map(model, "d0", space)
-    dim = space.dim - _rank_of(_Same(mat))
+    dim = space.dim - rank(mat)
     expected = comb(tn - 2, a) * (b + 1) + comb(tn - 2, a - 1) * b
     if dim != expected:
         raise AssertionError(

@@ -11,20 +11,18 @@ class Report:
     params: dict
     expected: dict
     computed: dict
-    status: str = "pass"
-    elapsed_ms: int = 0
 
-    @classmethod
-    def make(cls, suite: str, params: dict, expected: dict, computed: dict) -> "Report":
-        status = "pass" if expected == computed else "fail"
-        return cls(suite, params, expected, computed, status)
+    @property
+    def status(self) -> str:
+        return "pass" if self.expected == self.computed else "fail"
 
     def to_ordered_dict(self) -> dict:
+        """The report's NDJSON record; ``elapsed_ms`` is reserved and always 0."""
         return {
             "suite": self.suite,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "expected": {k: self.expected[k] for k in sorted(self.expected)},
             "computed": {k: self.computed[k] for k in sorted(self.computed)},
             "status": self.status,
-            "elapsed_ms": self.elapsed_ms,
+            "elapsed_ms": 0,
         }

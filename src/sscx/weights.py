@@ -117,7 +117,7 @@ def bbw_check(n: int, k: int) -> Report:
                 tphi_on_weight(a1, a2, k)
             except AssertionError:
                 mismatches += 1
-    return Report.make(
+    return Report(
         "bbw",
         {"n": n, "k": k},
         {"mismatches": 0, "checked": checked},
@@ -208,7 +208,7 @@ def verify_staircase_pushforward(
         "shape_ok": int(not mismatches),
     }
     expected = {"positions_increasing": 1, "euler": 0, "shape_ok": 1}
-    return Report.make("staircase", params, expected, computed)
+    return Report("staircase", params, expected, computed)
 
 
 def rank_K(alpha1: int, alpha2: int, k: int, n: int) -> int:
@@ -253,7 +253,7 @@ def euler_check_Kt(n: int, k: int, t: int) -> Report:
         expect = -dim_wedge_sp(r, 2 * (n - k + 1) - t)
     else:
         expect = 0
-    return Report.make(
+    return Report(
         "euler",
         {"n": n, "k": k, "t": t},
         {"chi": expect},
@@ -281,7 +281,7 @@ def phi_cs_survivors(k: int) -> list[tuple[int, int, int]]:
 def phics_check(k: int) -> Report:
     """The filtration has exactly one survivor, (k-2, 0, 0)."""
     survivors = phi_cs_survivors(k)
-    return Report.make(
+    return Report(
         "phics",
         {"k": k},
         {"count": 1, "unique_expected": 1},
@@ -316,7 +316,7 @@ def pieri_check(n: int, k: int) -> Report:
                 checked += 1
                 if not pieri_dim_check(r, i, j):
                     failures += 1
-    return Report.make(
+    return Report(
         "pieri",
         {"n": n, "k": k},
         {"failures": 0, "checked": checked},
@@ -338,7 +338,7 @@ def vanishing_band_check(n: int, k: int) -> Report:
                 checked += 1
                 if tphi_on_weight(t.weight[0], t.weight[1], k) is not None:
                     failures += 1
-    return Report.make(
+    return Report(
         "vanishing",
         {"n": n, "k": k},
         {"failures": 0, "checked": checked},

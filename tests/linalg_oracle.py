@@ -21,7 +21,10 @@ and the total complex as the package built them before its matrices got
 integer columns and one rational scalar: every value a ``Fraction``, d
 built with its weight 1/(B+1) on d1, and each block of a total differential
 scaled value by value.  They are copied verbatim but for the name of the
-matrix class they build, ``FractionMatrix``, the old format.
+matrix class they build, ``FractionMatrix``, the old format, and for the
+bicomplex's maps, which are matrices there as they are in the package.
+``reference_bicomplex`` gives a bicomplex those maps, each scaled by the
+grid's coefficient.
 """
 
 import dataclasses
@@ -343,18 +346,21 @@ def structure_matrix(
 
 
 def reference_bicomplex(bc: Bicomplex) -> Bicomplex:
-    """bc with every map's matrix replaced by its ``structure_matrix``
-    build: d on the horizontal maps, d0 on the vertical ones."""
+    """bc with every map replaced by its ``structure_matrix`` build: d
+    times (-1)^c b/(b+c) on the horizontal map at (b, c), as the package
+    builds it, and d0 on the vertical ones."""
     model = FiberModel(bc.n)
 
-    def old(kind, maps):
-        return {
-            (b, c): (s, structure_matrix(model, kind, bc.t - b - c, b + c))
-            for (b, c), (s, _) in maps.items()
-        }
+    def old(kind, b, c):
+        return structure_matrix(model, kind, bc.t - b - c, b + c)
 
     return dataclasses.replace(
-        bc, horizontal=old("d", bc.horizontal), vertical=old("d0", bc.vertical)
+        bc,
+        horizontal={
+            (b, c): old("d", b, c).scale(Fraction((-1) ** c * b, b + c))
+            for b, c in bc.horizontal
+        },
+        vertical={(b, c): old("d0", b, c) for b, c in bc.vertical},
     )
 
 
@@ -363,9 +369,9 @@ def totalize(bc: Bicomplex) -> ChainComplex:
 
     The (b, c) entry sits in total degree c - b; both structure maps raise
     that degree by one.  The vertical map on column b enters with the sign
-    (-1)^b, which makes the total differential square to zero.  Each map's
-    scalar is applied to its shared matrix here, one block at a time, and
-    the columns are written at the target entry's row offset.
+    (-1)^b, which makes the total differential square to zero.  The column
+    sign is applied to each vertical map here, one block at a time, and the
+    columns are written at the target entry's row offset.
     """
     layout, offsets, dims = _layout(bc)
     diffs = []
@@ -375,11 +381,9 @@ def totalize(bc: Bicomplex) -> ChainComplex:
             # the two maps out of (b, c) land in different blocks of the next degree
             pieces = []
             if (b, c) in bc.horizontal:
-                s, m = bc.horizontal[(b, c)]
-                pieces.append((m.scale(s), offsets[(b - 1, c)]))
+                pieces.append((bc.horizontal[(b, c)], offsets[(b - 1, c)]))
             if (b, c) in bc.vertical:
-                s, m = bc.vertical[(b, c)]
-                pieces.append((m.scale((-1) ** b * s), offsets[(b, c + 1)]))
+                pieces.append((bc.vertical[(b, c)].scale((-1) ** b), offsets[(b, c + 1)]))
             for j in range(bc.grid[b][c].dim):
                 cols.append(
                     {row0 + r: v for m, row0 in pieces for r, v in m.columns()[j].items()}

@@ -39,9 +39,9 @@ def product_flags(bc) -> dict[str, int]:
     columns, the squares, and the squares cut off by the antidiagonal, where
     only the path through column b - 1 exists."""
     t = bc.t
-    hor = {key: m.scale(s) for key, (s, m) in bc.horizontal.items()}
+    hor = bc.horizontal
     # the vertical maps with the column sign they carry in the total complex
-    ver = {(b, c): m.scale((-1) ** b * s) for (b, c), (s, m) in bc.vertical.items()}
+    ver = {(b, c): m.scale((-1) ** b) for (b, c), m in bc.vertical.items()}
     rows_ok = int(all(
         (hor[(b - 1, c)] @ hor[(b, c)]).is_zero()
         for b in range(2, t + 1)
@@ -75,17 +75,17 @@ def test_memoized_flags_match_the_products(n):
         assert checked_flags(n, t) == product_flags(build_bicomplex(n, t)), (n, t)
 
 
-def _replace_map(maps: dict, key, scalar) -> dict:
-    """A copy of ``maps`` with the scalar of the map at ``key`` replaced."""
-    return {**maps, key: (scalar(maps[key][0]), maps[key][1])}
+def _replace_map(maps: dict, key, factor) -> dict:
+    """A copy of ``maps`` with the map at ``key`` scaled by ``factor``."""
+    return {**maps, key: maps[key].scale(factor)}
 
 
 PLANTS = {
     "negated horizontal scalar": lambda bc: dataclasses.replace(
-        bc, horizontal=_replace_map(bc.horizontal, (1, 0), lambda s: -s)
+        bc, horizontal=_replace_map(bc.horizontal, (1, 0), -1)
     ),
     "vertical scalar 2": lambda bc: dataclasses.replace(
-        bc, vertical=_replace_map(bc.vertical, (0, 0), lambda s: Fraction(2))
+        bc, vertical=_replace_map(bc.vertical, (0, 0), 2)
     ),
 }
 
@@ -114,7 +114,7 @@ def test_square_with_the_matrices_of_a_passing_one(monkeypatch, fresh_caches):
     def planted(n, t):
         bc = real(n, t)
         return dataclasses.replace(
-            bc, horizontal=_replace_map(bc.horizontal, (2, 0), lambda s: -s)
+            bc, horizontal=_replace_map(bc.horizontal, (2, 0), -1)
         )
 
     monkeypatch.setattr(complexes, "build_bicomplex", planted)

@@ -157,7 +157,7 @@ def test_failing_check_exits_one(monkeypatch):
     from sscx.report import Report
 
     def broken(n, t):
-        return Report.make("cohomology", {"n": n, "t": t}, {"h0": 1}, {"h0": 0})
+        return Report("cohomology", {"n": n, "t": t}, {"h0": 1}, {"h0": 0})
 
     plant(monkeypatch, "cohomology", broken)
     code, out = invoke(["verify-fiber", "--n", "3", "--t", "0",

@@ -225,8 +225,20 @@ class TestBicomplex:
         bc = build_bicomplex(3, 2)
         model = FiberModel(3)
         d, _ = structure_map(model, "d", TwistedSpace(3, 1, 1))
-        scalar, mat = bc.horizontal[(1, 0)]
-        assert scalar == 1 and mat is d
+        assert bc.horizontal[(1, 0)] is d
+
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_grid_maps_are_the_cached_matrices(self, t):
+        """Each horizontal map is the cached d scaled by (-1)^c b/(b+c),
+        its columns shared, and each vertical map is the cached d0."""
+        model = FiberModel(4)
+        bc = build_bicomplex(4, t)
+        for (b, c), m in bc.horizontal.items():
+            d, _ = structure_map(model, "d", bc.grid[b][c])
+            assert m.columns() is d.columns(), (b, c)
+            assert m.scalar == d.scalar * Fraction((-1) ** c * b, b + c), (b, c)
+        for (b, c), m in bc.vertical.items():
+            assert m is structure_map(model, "d0", bc.grid[b][c])[0], (b, c)
 
     def test_totalize_examples(self):
         assert cohomology_dims(totalize(build_bicomplex(3, 2))) == {}  # acyclic
@@ -259,7 +271,7 @@ class TestBicomplex:
 
         def build(n, t):
             held["bc"] = bc = real_build(n, t)
-            ids["grid"] = {id(m) for _, m in (*bc.horizontal.values(), *bc.vertical.values())}
+            ids["grid"] = set(map(id, (*bc.horizontal.values(), *bc.vertical.values())))
             return bc
 
         def totalize(bc):

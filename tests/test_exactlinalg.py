@@ -58,6 +58,25 @@ class TestBasics:
     def test_dependent_rows(self):
         assert rank(mat([[1, 2], [2, 4]])) == 1
 
+    def test_rank_eliminates_once_per_matrix(self, monkeypatch):
+        """A matrix keeps its rank; a scaled copy and a new matrix on the
+        same columns are other matrices and are eliminated again."""
+        eliminated = []
+
+        def counted(rows, p=0):
+            eliminated.append(rows)
+            return _eliminate(rows, p)
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", counted)
+        m = mat([[1, 2], [2, 4], [0, 3]])
+        assert rank(m) == rank(m) == 2
+        assert len(eliminated) == 1
+        assert rank(m.scale(Fraction(1, 3))) == 2
+        assert len(eliminated) == 2
+        assert rank(SparseRationalMatrix(m.nrows, m.columns(), m.scalar)) == 2
+        assert len(eliminated) == 3
+        assert rank(m) == 2 and len(eliminated) == 3
+
     def test_no_stored_zeros(self):
         m = mat([[1, 0], [0, 0]])
         assert (0, 1) not in m.entries and (1, 0) not in m.entries

@@ -4,6 +4,7 @@ end to end through the CLI, at n = 4 for the structure maps and at
 inversion count and the truncation."""
 
 import dataclasses
+import gc
 import io
 import json
 from contextlib import redirect_stdout
@@ -21,8 +22,8 @@ from sscx.exactlinalg import SparseRationalMatrix
 from linalg_oracle import matrix_sum
 
 # every functools.cache of the fiber, complexes and weights layers: the
-# structure matrices, the truncation complexes' cohomology, the rank memo
-# and the two weight memos included
+# structure matrices, which keep their ranks, the truncation complexes'
+# cohomology and the two weight memos included
 CACHED = [
     f for module in (fiber, complexes, weights) for f in vars(module).values()
     if hasattr(f, "cache_clear")
@@ -31,19 +32,30 @@ FIBER_N4 = ("verify-fiber", "--n", "4", "--t", "all", "--checks")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def _ranked_matrices() -> set[int]:
+    """The ids of the live matrices that keep a rank."""
+    return {
+        id(obj) for obj in gc.get_objects()
+        if type(obj) is SparseRationalMatrix and obj._rank is not None
+    }
+
+
 @pytest.fixture(autouse=True)
 def fresh_caches():
     """Matrices, fibers and weights built from a planted map must not
     outlive the test, and ones cached by earlier tests must not hide the
-    planted map."""
-    assert complexes._rank_of in CACHED
+    planted map.  A rank lives on its matrix, so once the caches are
+    cleared no matrix the test ranked, and no rank, may survive it."""
+    assert fiber._structure_matrix in CACHED
     assert weights.tphi_on_weight in CACHED
     assert weights.weyl_dim_gl in CACHED
     for f in CACHED:
         f.cache_clear()
+    ranked = _ranked_matrices()
     yield
     for f in CACHED:
         f.cache_clear()
+    assert _ranked_matrices() <= ranked
 
 
 def reports(*argv):
@@ -53,17 +65,27 @@ def reports(*argv):
     return code, [json.loads(line) for line in buf.getvalue().splitlines()]
 
 
+def d0_ranks(n: int) -> int:
+    """The d0 on the ambient spaces (a, b), a >= 1, a + b <= 2n - 2: each is
+    eliminated once, for its fiber, its column of a bicomplex and ces."""
+    return comb(2 * n - 1, 2)
+
+
 @pytest.fixture
 def rank_calls(monkeypatch):
-    """Calls of the exact rank and of the mod-p pivots, one per differential
-    ranked, from the complexes layer.  The exact ones are the cohomology's
-    fallback and the snake's wedge map, one per degree t (7 at n = 4)."""
+    """Runs of the elimination core: over Q (``rank``, once per matrix, as
+    the matrix keeps its rank) and over F_P (``pivots_mod_p``, once per
+    differential ``cohomology_dims`` ranks).  The exact ones are the d0 of
+    every fiber (21 at n = 4), the snake's wedge maps, one per degree t
+    (7 at n = 4), and the cohomology's fallback."""
     calls = {"rank": 0, "pivots_mod_p": 0}
-    for name in calls:
-        def counted(m, *args, real=getattr(complexes, name), name=name):
-            calls[name] += 1
-            return real(m, *args)
-        monkeypatch.setattr(complexes, name, counted)
+    real = exactlinalg._eliminate
+
+    def counted(rows, p=0):
+        calls["pivots_mod_p" if p else "rank"] += 1
+        return real(rows, p)
+
+    monkeypatch.setattr(exactlinalg, "_eliminate", counted)
     return calls
 
 
@@ -91,8 +113,9 @@ def test_unlucky_prime_falls_back_to_the_exact_ranks(monkeypatch, rank_calls, pr
     with redirect_stdout(buf):
         assert run(argv) == 0
     assert buf.getvalue() == golden
-    # the real prime certifies every cohomology: only the snake ranks over Q
-    assert rank_calls["rank"] == snake_ranks
+    # the real prime certifies every cohomology: only the d0 and the snake
+    # rank over Q
+    assert rank_calls["rank"] == d0_ranks(n) + snake_ranks
     for f in CACHED:
         f.cache_clear()
     rank_calls.update(rank=0, pivots_mod_p=0)
@@ -101,7 +124,7 @@ def test_unlucky_prime_falls_back_to_the_exact_ranks(monkeypatch, rank_calls, pr
     with redirect_stdout(buf):
         assert run(argv) == 0
     assert buf.getvalue() == golden
-    assert rank_calls["rank"] > snake_ranks
+    assert rank_calls["rank"] > d0_ranks(n) + snake_ranks
 
 
 def test_zero_differential_spreads_the_cohomology_and_is_ranked_exactly(
@@ -132,8 +155,9 @@ def test_zero_differential_spreads_the_cohomology_and_is_ranked_exactly(
         ("bicomplex", 3): {"cohomology_match", "acyclic_band"},
         **{("snake", t): {"filtration_ok"} for t in range(1, 7)},
     }
-    # the snake's 7 wedge maps and the t differentials of each E^t, t >= 1
-    assert rank_calls["rank"] == 7 + sum(range(7))
+    # the 21 d0, the snake's 7 wedge maps and the t differentials of each
+    # E^t, t >= 1
+    assert rank_calls["rank"] == 21 + 7 + sum(range(7))
 
 
 def test_Et_composition_broken_inside_the_fibers_is_ranked_exactly(
@@ -168,8 +192,9 @@ def test_Et_composition_broken_inside_the_fibers_is_ranked_exactly(
         **{("d2zero", t): {"compositions_zero"} for t in range(2, 7)},
         **{("snake", t): {"filtration_ok"} for t in range(2, 7)},
     }
-    # the snake's 7 wedge maps and the t differentials of each E^t, t >= 2
-    assert rank_calls["rank"] == 7 + sum(range(2, 7))
+    # the 21 d0, the snake's 7 wedge maps and the t differentials of each
+    # E^t, t >= 2
+    assert rank_calls["rank"] == 21 + 7 + sum(range(2, 7))
 
 
 def test_unsigned_odd_depths_break_the_squares(monkeypatch):
@@ -177,9 +202,9 @@ def test_unsigned_odd_depths_break_the_squares(monkeypatch):
 
     def planted(n, t):
         bc = real(n, t)
-        for (b, c), (s, m) in bc.horizontal.items():
+        for (b, c), m in bc.horizontal.items():
             if c % 2:
-                bc.horizontal[(b, c)] = (-s, m)
+                bc.horizontal[(b, c)] = m.scale(-1)
         return bc
 
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
@@ -192,6 +217,31 @@ def test_unsigned_odd_depths_break_the_squares(monkeypatch):
         else:
             assert rep["status"] == "fail", rep
             assert rep["computed"]["squares"] == 0
+
+
+def test_zero_vertical_map_breaks_its_column(monkeypatch):
+    """The vertical map out of the (1, 0) entry scaled by 0, an empty
+    matrix of rank 0: column 1 is no longer exact below its top, whose
+    kernel is now the whole entry, and the squares and the total complex it
+    enters break.  The same set was derived on the build that kept each map
+    as a (scalar, matrix) pair, with the pair (0, d0) planted."""
+    real = complexes.build_bicomplex
+
+    def planted(n, t):
+        bc = real(n, t)
+        if (1, 0) in bc.vertical:
+            bc.vertical[(1, 0)] = bc.vertical[(1, 0)].scale(0)
+        return bc
+
+    monkeypatch.setattr(complexes, "build_bicomplex", planted)
+    code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
+    assert code == 1
+    assert _failing(reps) == {
+        ("bicomplex", t): {
+            "cols_exact", "top_kernels", "squares", "total_d2", "cohomology_match"
+        }
+        for t in range(2, 7)
+    }
 
 
 def _fails_the_squares_and_the_total(reps):
@@ -212,25 +262,27 @@ def test_totalize_with_one_unsigned_block_fails(monkeypatch, rank_calls):
 
     def planted(bc, factor):
         """The vertical map out of the (1, 0) entry enters the total
-        differential with its scalar s times ``factor``."""
+        differential scaled by ``factor``."""
         if (1, 0) not in bc.vertical:
             return real(bc)
-        s, m = bc.vertical[(1, 0)]
-        return real(dataclasses.replace(bc, vertical={**bc.vertical, (1, 0): (factor * s, m)}))
+        m = bc.vertical[(1, 0)].scale(factor)
+        return real(dataclasses.replace(bc, vertical={**bc.vertical, (1, 0): m}))
 
     # the map without its column sign (-1)^1, and the map dropped; the
     # total complexes from t = 2 on are not complexes, so neither rank
     # touches them: the mod-p ranks are the t = 1 total's two differentials,
     # after the t differentials of each E^t in the first pass (their
-    # cohomology is cached for the second), and none is exact
-    for factor, mod_p_ranks in ((-1, sum(range(7)) + 2), (0, 2)):
+    # cohomology is cached for the second).  The only exact ranks are the
+    # 21 d0 of the first pass, which the cached d0 keep for the second.
+    for factor, ranks in ((-1, {"rank": 21, "pivots_mod_p": sum(range(7)) + 2}),
+                          (0, {"rank": 0, "pivots_mod_p": 2})):
         rank_calls.update(rank=0, pivots_mod_p=0)
         with monkeypatch.context() as patch:
             patch.setattr(complexes, "totalize", partial(planted, factor=factor))
             code, reps = reports(*FIBER_N4, "bicomplex")
         assert code == 1
         _fails_the_squares_and_the_total(reps)
-        assert rank_calls == {"rank": 0, "pivots_mod_p": mod_p_ranks}
+        assert rank_calls == ranks
 
 
 def test_totalize_with_one_shifted_block_fails(monkeypatch):
@@ -346,8 +398,9 @@ def test_scaled_koszul_column_breaks_koszul_and_snake(monkeypatch, rank_calls):
         ("snake", t) for t in range(1, 7)
     }
     # the Koszul complexes at t = 4..6 fail d o d = 0, so their t
-    # differentials are ranked over Q, beside the snake's 7 wedge maps
-    assert rank_calls["rank"] == 7 + 4 + 5 + 6
+    # differentials are ranked over Q, beside the 21 d0 and the snake's 7
+    # wedge maps
+    assert rank_calls["rank"] == 21 + 7 + 4 + 5 + 6
 
 
 def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch, rank_calls):
@@ -378,10 +431,10 @@ def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch, rank
     for rep in reps:
         if rep["suite"] == "snake" and rep["status"] == "fail":
             assert rep["computed"]["error"] == "SubspaceEscapeError", rep
-    # the broken E^t (t >= 4) and totals (t >= 3) fail before any rank: the
-    # only exact ranks are the snake's wedge maps at t = 0..3, and no
-    # failing report rests on a mod-p rank
-    assert rank_calls["rank"] == 4
+    # the broken E^t (t >= 4) and totals (t >= 3) fail before any rank of
+    # theirs: the only exact ranks are the 21 d0 and the snake's wedge maps
+    # at t = 0..3, and no failing report rests on a mod-p rank
+    assert rank_calls["rank"] == 21 + 4
 
 
 def _lift_plant_failures(monkeypatch, planted):

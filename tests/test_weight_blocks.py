@@ -1,0 +1,89 @@
+"""Weight-block oracle for the total complexes of the resolution grid.
+
+The torus of Sp(2n - 4) acts on the quotient pairs (e^i, e^{n+i}),
+i = 2..n-1, and a wedge monomial with index set S has the weight
+w_i = [i in S] - [n+i in S].  Every structure map preserves it: d1 wedges
+whole pairs e^i ^ e^{n+i}, and d2 and d0 touch only e^0, e^1, e^n, e^{n+1}.
+So each total differential is a direct sum of weight blocks.  A block whose
+weight has m non-zero entries carries m inert 1-forms, and the Weyl group
+(signed permutations of the N = n - 2 pairs) permutes the C(N, m) 2^m
+blocks with the same m.  Two things are checked here, on the full path
+only, with no ``src/`` change:
+
+- no total differential has an entry joining two different weights;
+- the dims and exact ranks of a block depend only on m, so the total
+  complex's dims and ranks are sum_m C(N, m) 2^m times those of one
+  representative per m.
+"""
+
+from itertools import product
+from math import comb
+
+import pytest
+
+from sscx.complexes import _layout, build_bicomplex, totalize
+from sscx.exactlinalg import SparseRationalMatrix, rank
+from sscx.fiber import basis_of
+
+
+def _weight(n: int, subset: tuple[int, ...]) -> tuple[int, ...]:
+    s = set(subset)
+    return tuple((i in s) - (n + i in s) for i in range(2, n))
+
+
+def _degree_weights(bc) -> list[list[tuple[int, ...]]]:
+    """For each total degree, the weight of each basis vector, in the order
+    of the total complex's rows and columns."""
+    layout, _, _ = _layout(bc)
+    return [
+        [_weight(bc.n, subset) for b, c in blocks for subset, _ in basis_of(bc.grid[b][c])]
+        for blocks in layout
+    ]
+
+
+def _blocks(d, src: list, dst: list) -> dict[tuple[int, ...], SparseRationalMatrix]:
+    """weight -> the block of d's stored integers between the basis vectors
+    of that weight, rows renumbered; AssertionError at an entry that joins
+    two weights."""
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for r, w in enumerate(dst):
+        rows.setdefault(w, []).append(r)
+    local = {r: i for rs in rows.values() for i, r in enumerate(rs)}
+    cols: dict[tuple[int, ...], list[dict]] = {}
+    for j, col in enumerate(d.columns()):
+        w = src[j]
+        joined = [r for r in col if dst[r] != w]
+        assert not joined, f"column {j} of weight {w} reaches weights {[dst[r] for r in joined]}"
+        cols.setdefault(w, []).append({local[r]: v for r, v in col.items()})
+    return {
+        w: SparseRationalMatrix(len(rows.get(w, ())), cols.get(w, []))
+        for w in rows.keys() | cols.keys()
+    }
+
+
+def _orbit_sum(n: int, per_m: dict[int, int]) -> int:
+    """sum_m C(N, m) 2^m per_m[m], N = n - 2."""
+    N = n - 2
+    return sum(comb(N, m) * 2**m * v for m, v in per_m.items())
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_total_differentials_split_into_weight_blocks(n):
+    empty = SparseRationalMatrix(0, [])
+    for t in range(2 * n - 1):
+        bc = build_bicomplex(n, t)
+        total = totalize(bc)
+        weights = _degree_weights(bc)
+        assert list(map(len, weights)) == total.dims, t
+        for k, d in enumerate(total.differentials):
+            blocks = _blocks(d, weights[k], weights[k + 1])
+            # m -> the (columns, rows, rank) of every block with m non-zero
+            # weight entries, the empty ones included
+            per_m: dict[int, set[tuple[int, int, int]]] = {}
+            for w in product((-1, 0, 1), repeat=n - 2):
+                b = blocks.get(w, empty)
+                per_m.setdefault(sum(map(bool, w)), set()).add((b.ncols, b.nrows, rank(b)))
+            assert all(len(shapes) == 1 for shapes in per_m.values()), (t, k, per_m)
+            rep = {m: shapes.pop() for m, shapes in per_m.items()}
+            orbit_sums = tuple(_orbit_sum(n, {m: r[i] for m, r in rep.items()}) for i in range(3))
+            assert orbit_sums == (d.ncols, d.nrows, rank(d)), (t, k)
