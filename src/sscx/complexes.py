@@ -36,9 +36,11 @@ class ChainComplex:
 
     The space at list position i sits in degree degree_offset + i, and
     differentials[i] maps position i to position i + 1 (raising degree).
-    ``is_complex`` is the exact verdict that d o d = 0, squared on first use
-    and kept: every check and every cohomology of the object reads that one
-    verdict, so the object is frozen and its lists must not be modified.
+    ``is_complex`` is the exact verdict that d o d = 0 and ``cohomology``
+    the cohomology dimensions (``cohomology_dims``), each computed on first
+    use and kept: every check reads that one verdict and that one
+    cohomology of the object, so the object is frozen and its lists and the
+    cohomology must not be modified.
     """
 
     degree_offset: int
@@ -55,6 +57,10 @@ class ChainComplex:
     @cached_property
     def is_complex(self) -> bool:
         return verify_complex(self)
+
+    @cached_property
+    def cohomology(self) -> dict[int, int]:
+        return cohomology_dims(self)
 
 
 def verify_complex(c: ChainComplex) -> bool:
@@ -160,26 +166,28 @@ def _row_complex(n: int, t: int, space, differential) -> ChainComplex:
 def build_Et(n: int, t: int) -> ChainComplex:
     """The complex E^{0,t} -> E^{1,t-1} -> ... -> E^{t,0} of truncation
     fibers, rightmost term in degree 0, built once per process, so that the
-    d2zero, cohomology and bicomplex checks share its d o d verdict.
-    SubspaceEscapeError propagates and is not cached."""
+    d2zero, cohomology, bicomplex and snake checks share its differentials,
+    its d o d verdict and its cohomology.  SubspaceEscapeError propagates and
+    is not cached."""
     return _row_complex(n, t, fiber_E, restricted_d)
 
 
-@cache
 def _perp_d2(model: FiberModel, a: int, B: int) -> SparseRationalMatrix:
     """Koszul differential restricted to the annihilator subspaces,
-    (a, B) -> (a+1, B-1), built once per process for the Koszul and the
-    snake check; callers must not mutate it."""
+    (a, B) -> (a+1, B-1)."""
     mat, _ = structure_map(model, "d2", TwistedSpace(model.n, a, B))
     return restrict(
         mat, fiber_wedge_perp(model, a, B), fiber_wedge_perp(model, a + 1, B - 1)
     )
 
 
+@cache
 def build_koszul_S(n: int, t: int) -> ChainComplex:
     """Koszul complex on the annihilator subspaces, resolving the t-th wedge
     power of the rank-(2n-4) quotient: spaces wedge^i U-perp (x) S^{t-i} U
-    for i = 0..t with the Koszul differential, rightmost term in degree 0."""
+    for i = 0..t with the Koszul differential, rightmost term in degree 0.
+    Built once per process, for the koszul check and the snake checks at t
+    and t + 2."""
     return _row_complex(n, t, fiber_wedge_perp, _perp_d2)
 
 
@@ -187,7 +195,7 @@ def verify_koszul_S(n: int, t: int) -> Report:
     """The Koszul complex must be exact except at the right end, where the
     cokernel dimension is the binomial rank of the t-th quotient wedge."""
     c = build_koszul_S(n, t)
-    coh = cohomology_dims(c)
+    coh = c.cohomology
     expected_coker = comb(2 * n - 4, t)
     expected = {"complex": 1, "cokernel": expected_coker, "other_cohomology": 0}
     computed = {
@@ -223,21 +231,19 @@ def verify_snake(n: int, t: int) -> Report:
         kernel / cokernel dimensions equal to the predicted cohomology of
         the truncation complex in degrees -1 / 0.
 
-    (a) and (b) read the blocks of the differential ``restricted_d`` itself,
-    whose bases (``fiber_E``'s) hold the annihilator monomials first and
-    then the lifts, in the domain and in the target.
+    (a) and (b) read the blocks of the differentials of the cached truncation
+    complex ``build_Et(n, t)``, whose bases (``fiber_E``'s) hold the
+    annihilator monomials first and then the lifts, in the domain and in the
+    target, and compare them with the differentials of the cached Koszul
+    complexes ``build_koszul_S`` of degrees t and t - 2.
     """
-    if not (0 <= t <= 2 * n - 2):
-        raise ValueError("t outside the admissible band")
-    model = FiberModel(n)
     filtration_ok = 1
     quotient_ok = 1
-    for a in range(t):
+    pairs = zip(build_Et(n, t).differentials, build_koszul_S(n, t).differentials)
+    for a, (d, koszul) in enumerate(pairs):
         b = t - a
-        d = restricted_d(model, a, b)
         # the Koszul differential's shape is the number of annihilator
         # monomials in the domain and in the target
-        koszul = _perp_d2(model, a, b)
         perp_cols, perp_rows = range(koszul.ncols), range(koszul.nrows)
         lift_cols, lift_rows = range(koszul.ncols, d.ncols), range(koszul.nrows, d.nrows)
         # (a) no annihilator column reaches a lift row, and the annihilator
@@ -247,9 +253,10 @@ def verify_snake(n: int, t: int) -> Report:
         # (b) the lift block is minus the Koszul differential one degree
         # lower; it is empty for a = 0 (no lift column) or b = 1 (no lift row)
         if a and b >= 2:
-            if d.block(lift_rows, lift_cols) != _perp_d2(model, a - 1, b - 1).scale(-1):
+            lower = build_koszul_S(n, t - 2).differentials[a - 1]
+            if d.block(lift_rows, lift_cols) != lower.scale(-1):
                 quotient_ok = 0
-    wmat = _wedge_form_matrix(model, t)
+    wmat = _wedge_form_matrix(FiberModel(n), t)
     r = rank(wmat)
     ker = wmat.ncols - r
     coker = wmat.nrows - r
@@ -432,10 +439,10 @@ def verify_bicomplex(n: int, t: int) -> Report:
                 cols_exact = 0
         if ranks[height - 2] != bc.grid[b][height - 1].dim:
             cols_exact = 0
-    et_coh = _Et_cohomology(n, t)
+    et_coh = build_Et(n, t).cohomology
     # only a complex has cohomology (cohomology_dims may raise otherwise);
     # computed once for both flags
-    total_coh = cohomology_dims(total) if total_d2 else {}
+    total_coh = total.cohomology if total_d2 else {}
     match = int(total_coh == et_coh) if total_d2 else 0
     acyclic_ok = 1
     if t == n - 1 and (et_coh or total_coh):
@@ -461,18 +468,10 @@ def verify_bicomplex(n: int, t: int) -> Report:
     return Report("bicomplex", {"n": n, "t": t}, expected, computed)
 
 
-@cache
-def _Et_cohomology(n: int, t: int) -> dict[int, int]:
-    """Cohomology of the truncation complex, computed once per process for
-    both the cohomology and the bicomplex check; callers must not modify it.
-    Its mod-p ranks rest on the d o d verdict of the cached ``build_Et``."""
-    return cohomology_dims(build_Et(n, t))
-
-
 def verify_Et_cohomology(n: int, t: int) -> Report:
     """Cohomology of the truncation complex against the closed-form
     prediction."""
-    coh = _Et_cohomology(n, t)
+    coh = build_Et(n, t).cohomology
     expect = expected_Et_cohomology(n, t)
     return Report(
         "cohomology",

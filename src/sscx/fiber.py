@@ -29,15 +29,14 @@ OneForm = dict[int, int]
 
 
 class FiberModel:
-    """Fixed fiber data: dimension, symplectic form, its contractions with
-    the plane, the reduced form and the index sets of the annihilator and of
-    the quotient."""
+    """Fixed fiber data: the symplectic form, its contractions with the
+    plane, the reduced form and the index sets of the annihilator and of the
+    quotient."""
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("need n >= 2 so that the base plane is isotropic")
         self.n = n
-        self.dim = 2 * n
         self.omega: TwoForm = {(i, n + i): 1 for i in range(n)}
         # contractions of omega with the plane basis e_0, e_1
         self.omega_u: list[OneForm] = [
@@ -100,20 +99,15 @@ class TwistedSpace:
 
 
 @cache
-def basis_of(space: TwistedSpace) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Ordered monomial basis: (sorted index subset, exponent of e_0),
-    lexicographic in the pair.  A symmetric monomial with exponent p means
-    e_0^p e_1^(B-p)."""
-    out = []
-    for subset in itertools.combinations(range(2 * space.n), space.a):
-        for p in range(space.B + 1):
-            out.append((subset, p))
-    return tuple(out)
-
-
-@cache
-def _basis_index(space: TwistedSpace) -> dict:
-    return {mono: i for i, mono in enumerate(basis_of(space))}
+def basis_of(space: TwistedSpace) -> dict[tuple[tuple[int, ...], int], int]:
+    """Ordered monomial basis, each monomial (sorted index subset, exponent
+    of e_0) mapped to its index: lexicographic in the pair, which is also
+    the dict's order.  A symmetric monomial with exponent p means
+    e_0^p e_1^(B-p).  Callers must not mutate it."""
+    monos = itertools.product(
+        itertools.combinations(range(2 * space.n), space.a), range(space.B + 1)
+    )
+    return {mono: i for i, mono in enumerate(monos)}
 
 
 def _contract(subset: tuple[int, ...], i: int):
@@ -186,8 +180,8 @@ def structure_map(
 
     The matrix does not depend on c, so it is built once per (kind, a, B)
     and shared: callers must not mutate it.  d2 is the exception: its only
-    reader, ``complexes._perp_d2``, keeps the restriction for the process,
-    so d2 is built afresh on each call and dropped once restricted.
+    reader, ``complexes.build_koszul_S``, keeps the restriction for the
+    process, so d2 is built afresh on each call and dropped once restricted.
     """
     if src.n != model.n:
         raise ValueError("space does not belong to this fiber model")
@@ -224,7 +218,7 @@ def _structure_matrix(
         dst = TwistedSpace(model.n, a + 1, B - 1)
         # the integer weights of d1 and d2 in the stored matrix
         w1, w2 = {"d1": (1, 0), "d2": (0, 1), "d": (1, B + 1)}[kind]
-    dst_index = _basis_index(dst)
+    dst_index = basis_of(dst)
 
     def put(col, subset, p, coef):
         if not coef:
@@ -279,14 +273,12 @@ def _structure_matrix(
     )
 
 
-@cache
 def perp_monomials(model: FiberModel, a: int, B: int):
     """Monomials of TwistedSpace(a, B) whose wedge subset avoids the two
-    plane-dual indices, i.e. lies in the annihilator of the plane."""
+    plane-dual indices, i.e. lies in the annihilator of the plane, in basis
+    order."""
     space = TwistedSpace(model.n, a, B)
-    return tuple(
-        (subset, p) for subset, p in basis_of(space) if not subset or subset[0] >= 2
-    )
+    return (mono for mono in basis_of(space) if not mono[0] or mono[0][0] >= 2)
 
 
 @cache
@@ -295,7 +287,7 @@ def fiber_wedge_perp(model: FiberModel, a: int, B: int) -> SubspaceBasis:
     if not (0 <= a <= 2 * model.n - 2):
         raise ValueError("wedge degree out of range for the annihilator")
     space = TwistedSpace(model.n, a, B)
-    index = _basis_index(space)
+    index = basis_of(space)
     vectors = [{index[mono]: 1} for mono in perp_monomials(model, a, B)]
     basis = SubspaceBasis(space.dim, vectors)
     expected = comb(2 * model.n - 2, a) * (B + 1)
@@ -311,7 +303,7 @@ def _xi_lift(model: FiberModel, a: int, b: int, mono) -> dict[int, int]:
     ambient space of degree (a, b): (mu ^ e^0)(x)(e_0 Q) + (mu ^ e^1)(x)(e_1 Q).
     mu avoids e^0 and e^1, so the two terms are distinct monomials."""
     subset, p = mono
-    index = _basis_index(TwistedSpace(model.n, a, b))
+    index = basis_of(TwistedSpace(model.n, a, b))
     s0, sub0 = _wedge1(subset, 0)
     s1, sub1 = _wedge1(subset, 1)
     return {index[(sub0, p + 1)]: s0, index[(sub1, p)]: s1}
@@ -337,14 +329,15 @@ def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
     Its basis is the two-step filtration (``_lift_vectors``): the annihilator
     monomials of ``fiber_wedge_perp`` first, in their order, then the lifts
     of the annihilator monomials of degree (a-1, b-1), in theirs.  That
-    order is a contract: the snake check reads the blocks of
-    ``restricted_d`` by it.  The entries are ±1, at most two per vector, and
-    the basis is certified as a basis of ker d0 in three steps:
-    d0 kills every vector (exact ``apply``); every vector owns a private row,
-    so they are independent; and there are dim - rank(d0) of them, which
-    must also be the dimension the filtration predicts.  rank(d0) is kept on
-    the cached d0, which the bicomplex and ces checks rank too.  Any mismatch
-    is a hard failure, since it refutes the sign conventions of this module.
+    order is a contract: the snake check reads the blocks of the
+    differentials of ``complexes.build_Et`` by it.  The entries are ±1, at
+    most two per vector, and the basis is certified as a basis of ker d0 in
+    three steps: d0 kills every vector (exact ``apply``); every vector owns
+    a private row, so they are independent; and there are dim - rank(d0) of
+    them, which must also be the dimension the filtration predicts.
+    rank(d0) is kept on the cached d0, which the bicomplex and ces checks
+    rank too.  Any mismatch is a hard failure, since it refutes the sign
+    conventions of this module.
     """
     tn = 2 * model.n
     if not (0 <= a and 0 <= b and a + b <= tn - 2):
@@ -371,10 +364,10 @@ def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
     return basis
 
 
-@cache
 def restricted_d(model: FiberModel, a: int, b: int) -> SparseRationalMatrix:
     """The differential restricted to the truncation fibers,
-    (a, b) -> (a+1, b-1), in the cached fiber bases.
+    (a, b) -> (a+1, b-1), in the cached fiber bases.  Its only reader,
+    ``complexes.build_Et``, keeps it for the process.
 
     Raises SubspaceEscapeError if the image leaves the target fiber; that
     would refute the containment claim the construction rests on.

@@ -42,7 +42,6 @@ from sscx.exactlinalg import (
 from sscx.fiber import (
     FiberModel,
     TwistedSpace,
-    _basis_index,
     _contract,
     _deriv,
     _wedge1,
@@ -291,7 +290,7 @@ def structure_matrix(
     else:
         dst = TwistedSpace(model.n, a + 1, B - 1)
         w1 = {"d1": 1, "d2": 0, "d": Fraction(1, B + 1)}[kind]  # weight of d1
-    dst_index = _basis_index(dst)
+    dst_index = basis_of(dst)
 
     def put(col, subset, p, coef):
         if not coef:

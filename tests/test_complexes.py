@@ -27,6 +27,19 @@ from sscx.fiber import FiberModel, TwistedSpace, fiber_E, fiber_wedge_perp, stru
 from linalg_oracle import checked_matrix
 
 
+@pytest.fixture
+def cohomology_calls(monkeypatch):
+    """The ids of the complexes ``cohomology_dims`` runs on, in call order."""
+    real, calls = complexes.cohomology_dims, []
+
+    def counted(c):
+        calls.append(id(c))
+        return real(c)
+
+    monkeypatch.setattr(complexes, "cohomology_dims", counted)
+    return calls
+
+
 class TestChainComplex:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -42,6 +55,25 @@ class TestChainComplex:
     def test_cohomology_of_zero_complex(self):
         c = ChainComplex(0, [2, 3], [checked_matrix(3, 2)])
         assert cohomology_dims(c) == {0: 2, 1: 3}
+
+    def test_cohomology_is_computed_once_per_object(self, cohomology_calls):
+        """``c.cohomology`` is ``cohomology_dims(c)``, computed on first
+        use and kept on the object; an equal object computes its own."""
+        c = ChainComplex(-1, [1, 2], [checked_matrix(2, 1, {(0, 0): 1})])
+        assert c.cohomology == cohomology_dims(c) == {0: 1}
+        assert c.cohomology is c.cohomology
+        same = ChainComplex(-1, [1, 2], c.differentials)
+        assert same.cohomology == c.cohomology
+        assert cohomology_calls == [id(c), id(same)]
+
+    @pytest.mark.parametrize("t", (2, 3, 4))
+    def test_truncation_cohomology_is_shared(self, cohomology_calls, t):
+        """The cohomology and the bicomplex check read the one cohomology
+        of the cached E^t."""
+        build_Et.cache_clear()
+        for check in (verify_Et_cohomology, verify_bicomplex, verify_Et_cohomology):
+            assert check(4, t).status == "pass"
+        assert cohomology_calls.count(id(build_Et(4, t))) == 1
 
 
 @pytest.fixture
@@ -194,7 +226,9 @@ class TestSnake:
     def test_each_block_of_the_differential_is_read(self, monkeypatch, row, col, flags):
         """One more entry in the differential (1, 2) -> (2, 1) at n = 3,
         whose bases hold 12 annihilator monomials, then 2 lifts in the
-        domain and 4 in the target."""
+        domain and 4 in the target.  The snake reads the differentials of
+        the cached E^3, so the planted one is built into a fresh E^3 and
+        dropped with it."""
         real = complexes.restricted_d
 
         def planted(model, a, b):
@@ -208,8 +242,28 @@ class TestSnake:
             return SparseRationalMatrix(m.nrows, cols, m.scalar)
 
         monkeypatch.setattr(complexes, "restricted_d", planted)
-        rep = verify_snake(3, 3)
+        build_Et.cache_clear()
+        try:
+            rep = verify_snake(3, 3)
+        finally:
+            build_Et.cache_clear()
         assert (rep.computed["filtration_ok"], rep.computed["quotient_ok"]) == flags
+
+    @pytest.mark.parametrize("t", range(3, 7))
+    def test_reads_the_cached_complexes(self, t):
+        """From cleared caches, the snake at t fills E^t and the Koszul
+        complexes of degrees t and t - 2, and reads nothing else of
+        theirs."""
+        build_Et.cache_clear()
+        build_koszul_S.cache_clear()
+        verify_snake(4, t)
+        assert build_Et.cache_info().currsize == 1
+        assert build_koszul_S.cache_info().currsize == 2
+        misses = build_Et.cache_info().misses + build_koszul_S.cache_info().misses
+        build_Et(4, t)
+        build_koszul_S(4, t)
+        build_koszul_S(4, t - 2)
+        assert build_Et.cache_info().misses + build_koszul_S.cache_info().misses == misses
 
 
 class TestBicomplex:

@@ -22,8 +22,8 @@ from sscx.exactlinalg import SparseRationalMatrix
 from linalg_oracle import matrix_sum
 
 # every functools.cache of the fiber, complexes and weights layers: the
-# structure matrices, which keep their ranks, the truncation complexes'
-# cohomology and the two weight memos included
+# structure matrices, which keep their ranks, the truncation and Koszul
+# complexes, which keep their cohomology, and the two weight memos included
 CACHED = [
     f for module in (fiber, complexes, weights) for f in vars(module).values()
     if hasattr(f, "cache_clear")
@@ -56,6 +56,23 @@ def fresh_caches():
     for f in CACHED:
         f.cache_clear()
     assert _ranked_matrices() <= ranked
+
+
+def test_the_memos_are_the_eight():
+    """Each fiber-layer fact has one cache: a complex holds its
+    differentials and its cohomology, and ``basis_of`` is the one index of
+    a space's monomials.  A memo that re-keys what another holds would be
+    one more that ``fresh_caches`` must clear."""
+    assert {f"{f.__module__}.{f.__qualname__}" for f in CACHED} == {
+        "sscx.fiber.basis_of",
+        "sscx.fiber._structure_matrix",
+        "sscx.fiber.fiber_wedge_perp",
+        "sscx.fiber.fiber_E",
+        "sscx.complexes.build_Et",
+        "sscx.complexes.build_koszul_S",
+        "sscx.weights.weyl_dim_gl",
+        "sscx.weights.tphi_on_weight",
+    }
 
 
 def reports(*argv):

@@ -67,7 +67,7 @@ class TestBases:
     def test_scalar_symmetric(self, m3):
         space = TwistedSpace(3, 0, 1)
         assert space.dim == 2
-        assert basis_of(space) == (((), 0), ((), 1))
+        assert tuple(basis_of(space)) == (((), 0), ((), 1))
 
     def test_pairs(self):
         space = TwistedSpace(3, 2, 0)
