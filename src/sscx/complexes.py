@@ -1,4 +1,4 @@
-"""Chain complexes and the bicomplex assembled from the fiber model.
+"""Chain complexes and the bicomplex assembled from the fiber spaces.
 
 Builds, at the fixed fiber, the complex of truncation subspaces E^{0,t} ->
 E^{1,t-1} -> ... -> E^{t,0}, its Koszul companion on the annihilator
@@ -18,11 +18,11 @@ from math import comb, lcm
 
 from .exactlinalg import SparseRationalMatrix, SubspaceEscapeError, pivots_mod_p, rank, restrict
 from .fiber import (
-    FiberModel,
     TwistedSpace,
     _wedge2,
     fiber_E,
     fiber_wedge_perp,
+    reduced_form,
     restricted_d,
     structure_map,
 )
@@ -151,14 +151,15 @@ def expected_Et_cohomology(n: int, t: int) -> dict[int, int]:
     return out
 
 
-def _row_complex(n: int, t: int, space, differential) -> ChainComplex:
-    """The complex of the subspaces space(model, i, t - i) for i = 0..t and
-    the maps differential(model, i, t - i), rightmost term in degree 0."""
+def _row_complex(n: int, t: int, subspace, differential) -> ChainComplex:
+    """The complex of the subspaces subspace(S_i) of the spaces S_i =
+    TwistedSpace(n, i, t - i), i = 0..t, and the maps differential(S_i),
+    rightmost term in degree 0."""
     if not (0 <= t <= 2 * n - 2):
         raise ValueError("t outside the admissible band")
-    model = FiberModel(n)
-    dims = [space(model, i, t - i).dim for i in range(t + 1)]
-    diffs = [differential(model, i, t - i) for i in range(t)]
+    spaces = [TwistedSpace(n, i, t - i) for i in range(t + 1)]
+    dims = [subspace(space).dim for space in spaces]
+    diffs = [differential(space) for space in spaces[:-1]]
     return ChainComplex(-t, dims, diffs)
 
 
@@ -172,13 +173,11 @@ def build_Et(n: int, t: int) -> ChainComplex:
     return _row_complex(n, t, fiber_E, restricted_d)
 
 
-def _perp_d2(model: FiberModel, a: int, B: int) -> SparseRationalMatrix:
-    """Koszul differential restricted to the annihilator subspaces,
-    (a, B) -> (a+1, B-1)."""
-    mat, _ = structure_map(model, "d2", TwistedSpace(model.n, a, B))
-    return restrict(
-        mat, fiber_wedge_perp(model, a, B), fiber_wedge_perp(model, a + 1, B - 1)
-    )
+def _perp_d2(space: TwistedSpace) -> SparseRationalMatrix:
+    """Koszul differential on space restricted to the annihilator
+    subspaces, (a, B) -> (a+1, B-1)."""
+    mat, dst = structure_map("d2", space)
+    return restrict(mat, fiber_wedge_perp(space), fiber_wedge_perp(dst))
 
 
 @cache
@@ -206,15 +205,15 @@ def verify_koszul_S(n: int, t: int) -> Report:
     return Report("koszul", {"n": n, "t": t}, expected, computed)
 
 
-def _wedge_form_matrix(model: FiberModel, t: int) -> SparseRationalMatrix:
+def _wedge_form_matrix(n: int, t: int) -> SparseRationalMatrix:
     """Matrix of wedging with the reduced form on the quotient,
     wedge^{t-2} -> wedge^t of the rank-(2n-4) quotient space."""
-    idx = model.quotient_indices
+    idx, omega_bar = reduced_form(n)
     dom = list(itertools.combinations(idx, t - 2)) if t >= 2 else []
     cod = list(itertools.combinations(idx, t)) if t <= len(idx) else []
     cod_index = {s: i for i, s in enumerate(cod)}
     cols = [
-        {cod_index[sub2]: v for sub2, v in _wedge2(subset, model.omega_bar).items()}
+        {cod_index[sub2]: v for sub2, v in _wedge2(subset, omega_bar).items()}
         for subset in dom
     ]
     return SparseRationalMatrix(len(cod), cols)
@@ -256,7 +255,7 @@ def verify_snake(n: int, t: int) -> Report:
             lower = build_koszul_S(n, t - 2).differentials[a - 1]
             if d.block(lift_rows, lift_cols) != lower.scale(-1):
                 quotient_ok = 0
-    wmat = _wedge_form_matrix(FiberModel(n), t)
+    wmat = _wedge_form_matrix(n, t)
     r = rank(wmat)
     ker = wmat.ncols - r
     coker = wmat.nrows - r
@@ -279,9 +278,9 @@ def verify_snake(n: int, t: int) -> Report:
 @dataclass
 class Bicomplex:
     """Grid of twisted spaces: column b (0..t) resolves the truncation fiber
-    of degree (t-b, b); the entry at depth c is the twisted space
-    (t-b-c, b+c, c).  Horizontal maps point from column b to column b-1,
-    vertical maps go down each column."""
+    of degree (t-b, b); the entry at depth c is the space (t-b-c, b+c),
+    twisted by (det U*)^c, which its position records.  Horizontal maps
+    point from column b to column b-1, vertical maps go down each column."""
 
     n: int
     t: int
@@ -297,13 +296,14 @@ def build_bicomplex(n: int, t: int) -> Bicomplex:
     (-1)^c (b/(B(B+1)) d1 + (b/B) d2) with B = b+c, which equals
     (-1)^c (b/B) d since d = d1/(B+1) + d2 there: the cached d scaled, its
     columns shared.  The vertical maps are the cached d0 themselves, so a
-    column's ranks are the ones ``fiber_E`` keeps on them.
+    column's ranks are the ones ``fiber_E`` keeps on them.  Each map's
+    codomain is checked against the grid entry it must land on; the
+    position fixes the twist, so matching (a, B) matches it too.
     """
     if not (0 <= t <= 2 * n - 2):
         raise ValueError("t outside the admissible band")
-    model = FiberModel(n)
     grid = [
-        [TwistedSpace(n, t - b - c, b + c, c) for c in range(t - b + 1)]
+        [TwistedSpace(n, t - b - c, b + c) for c in range(t - b + 1)]
         for b in range(t + 1)
     ]
     horizontal: dict[tuple[int, int], SparseRationalMatrix] = {}
@@ -312,12 +312,12 @@ def build_bicomplex(n: int, t: int) -> Bicomplex:
         for c in range(t - b + 1):
             src = grid[b][c]
             if b >= 1:
-                d, dst = structure_map(model, "d", src)
+                d, dst = structure_map("d", src)
                 if dst != grid[b - 1][c]:
                     raise AssertionError(f"horizontal map at {(b, c)} leaves the grid")
                 horizontal[(b, c)] = d.scale(Fraction((-1) ** c * b, b + c))
             if c < t - b:
-                v, dst = structure_map(model, "d0", src)
+                v, dst = structure_map("d0", src)
                 if dst != grid[b][c + 1]:
                     raise AssertionError(f"vertical map at {(b, c)} leaves the grid")
                 vertical[(b, c)] = v
@@ -401,7 +401,6 @@ def verify_bicomplex(n: int, t: int) -> Report:
     column ranks are the ones kept on the cached d0 (``rank``).
     """
     bc = build_bicomplex(n, t)
-    model = FiberModel(n)
     total = totalize(bc)
     total_d2 = int(total.is_complex)
     rows_ok = squares = 1
@@ -424,7 +423,7 @@ def verify_bicomplex(n: int, t: int) -> Report:
     top_kernels = 1
     for b in range(t + 1):
         height = t - b + 1
-        top = fiber_E(model, t - b, b)
+        top = fiber_E(TwistedSpace(n, t - b, b))
         if height == 1:
             if top.dim != bc.grid[b][0].dim:
                 top_kernels = 0
@@ -495,20 +494,20 @@ def verify_Et_complex(n: int, t: int) -> Report:
     return Report("d2zero", {"n": n, "t": t}, expected, computed)
 
 
-def _image_is_fiber(model: FiberModel, a: int, b: int) -> bool:
-    """Whether d0 maps the ambient space of degree (a, b) onto the
-    truncation fiber of degree (a-1, b+1): its rank is that fiber's
-    dimension and, for a >= 2, where the fiber is the kernel of the next d0,
-    the composition of the two d0 vanishes.  The rank is the one kept on the
-    cached d0, which the bicomplex check ranks too; each composition is asked
-    once per process, by the one degree t = a + b, so it is formed directly."""
-    target = fiber_E(model, a - 1, b + 1)
-    mat, _ = structure_map(model, "d0", TwistedSpace(model.n, a, b))
+def _image_is_fiber(space: TwistedSpace) -> bool:
+    """Whether d0 maps space, of degree (a, b), onto the truncation fiber of
+    degree (a-1, b+1): its rank is that fiber's dimension and, for a >= 2,
+    where the fiber is the kernel of the next d0, the composition of the two
+    d0 vanishes.  The rank is the one kept on the cached d0, which the
+    bicomplex check ranks too; each composition is asked once per process,
+    by the one degree t = a + b, so it is formed directly."""
+    mat, dst = structure_map("d0", space)
+    target = fiber_E(dst)
     if rank(mat) != target.dim:
         return False
-    if a == 1:
+    if space.a == 1:
         return True
-    nxt, _ = structure_map(model, "d0", TwistedSpace(model.n, a - 1, b + 1))
+    nxt, _ = structure_map("d0", dst)
     return (nxt @ mat).is_zero()
 
 
@@ -525,20 +524,19 @@ def verify_ces(n: int, t: int) -> Report:
     kernel of the next d0 (``_image_is_fiber``)."""
     if not (0 <= t <= 2 * n - 2):
         raise ValueError("t outside the admissible band")
-    model = FiberModel(n)
     ok_kernel = 1
     ok_image = 1
     ok_dims = 1
     for a in range(1, t + 1):
         b = t - a
         space = TwistedSpace(n, a, b)
-        mat, _ = structure_map(model, "d0", space)
-        ker = fiber_E(model, a, b)
+        mat, dst = structure_map("d0", space)
+        ker = fiber_E(space)
         if any(map(mat.apply, ker.vectors)):
             ok_kernel = 0
-        if not _image_is_fiber(model, a, b):
+        if not _image_is_fiber(space):
             ok_image = 0
-        if ker.dim + fiber_E(model, a - 1, b + 1).dim != space.dim:
+        if ker.dim + fiber_E(dst).dim != space.dim:
             ok_dims = 0
     expected = {"kernel": 1, "image": 1, "dims_add": 1}
     computed = {"kernel": ok_kernel, "image": ok_image, "dims_add": ok_dims}

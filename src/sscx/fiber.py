@@ -1,12 +1,14 @@
-"""Fiber model of the isotropic Grassmannian of planes at a fixed point.
+"""The isotropic Grassmannian of planes at a fixed point, in monomial bases.
 
 Everything is computed at the single point U = span(e_1, e_2) of IGr(2, 2n),
-with the symplectic form pairing e_i with e_{n+i}.  The graded pieces
-wedge^a V* (x) S^B U (x) (det U*)^c get explicit monomial bases, and all the
-structure maps between them (the two symplectic differentials, their
+with the symplectic form pairing e_i with e_{n+i}.  Each graded piece
+wedge^a V* (x) S^B U is named by one ``TwistedSpace(n, a, B)``, which keys
+every memo of this module.  The pieces get explicit monomial bases, and all
+the structure maps between them (the two symplectic differentials, their
 normalized combination and the Koszul differential) become sparse integer
 matrices, with the one denominator of the normalized combination kept as the
-matrix's scalar.
+matrix's scalar.  The determinant twists (det U*)^c of the resolution grid
+change no dimension and no matrix entry, so no space carries them.
 
 Index convention: V* has basis e^0 ... e^{2n-1} (0-based); U is spanned by
 e_0, e_1, so the annihilator U-perp is spanned by e^j with j >= 2, and the
@@ -28,66 +30,18 @@ TwoForm = dict[tuple[int, int], int]
 OneForm = dict[int, int]
 
 
-class FiberModel:
-    """Fixed fiber data: the symplectic form, its contractions with the
-    plane, the reduced form and the index sets of the annihilator and of the
-    quotient."""
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("need n >= 2 so that the base plane is isotropic")
-        self.n = n
-        self.omega: TwoForm = {(i, n + i): 1 for i in range(n)}
-        # contractions of omega with the plane basis e_0, e_1
-        self.omega_u: list[OneForm] = [
-            {j: v for (j,), v in _contract_form(self.omega, u).items()} for u in (0, 1)
-        ]
-        self.perp_indices = tuple(range(2, 2 * n))
-        # the rank-(2n-4) quotient of the annihilator by the symplectic image
-        # of the plane
-        self.quotient_indices = tuple(
-            i for i in self.perp_indices if i not in (n, n + 1)
-        )
-        # reduced form: add e^u ^ omega_u so that both evaluations against
-        # the plane vanish (j != u, so every wedge is non-zero)
-        bar = dict(self.omega)
-        for u in (0, 1):
-            for j, v in self.omega_u[u].items():
-                sign, key = _wedge1((u,), j)
-                bar[key] = bar.get(key, 0) + sign * v
-        self.omega_bar: TwoForm = {key: v for key, v in bar.items() if v}
-        for u in (0, 1):
-            if _contract_form(self.omega_bar, u):
-                raise AssertionError("reduced form fails to annihilate the plane")
-        quotient = set(self.quotient_indices)
-        if not all(quotient.issuperset(key) for key in self.omega_bar):
-            raise AssertionError("reduced form escapes the quotient")
-
-    def __hash__(self):
-        return hash(("FiberModel", self.n))
-
-    def __eq__(self, other):
-        return isinstance(other, FiberModel) and other.n == self.n
-
-    def __repr__(self):
-        return f"FiberModel(n={self.n})"
-
-
 @dataclass(frozen=True)
 class TwistedSpace:
-    """The graded piece wedge^a V* (x) S^B U (x) (det U*)^c.
-
-    The determinant grade c is pure bookkeeping: it never enters dimensions
-    or matrix entries, but domain/codomain grades must match when maps are
-    composed, which catches wiring bugs.
-    """
+    """The graded piece wedge^a V* (x) S^B U at the fixed point of
+    IGr(2, 2n): the one key of every fiber-layer memo."""
 
     n: int
     a: int
     B: int
-    c: int = 0
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("need n >= 2 so that the base plane is isotropic")
         if not (0 <= self.a <= 2 * self.n):
             raise ValueError("wedge degree out of range")
         if self.B < 0:
@@ -96,6 +50,38 @@ class TwistedSpace:
     @property
     def dim(self) -> int:
         return comb(2 * self.n, self.a) * (self.B + 1)
+
+
+def symplectic_form(n: int) -> TwoForm:
+    """The symplectic form, pairing e^i with e^{n+i}."""
+    return {(i, n + i): 1 for i in range(n)}
+
+
+def plane_contractions(n: int) -> list[OneForm]:
+    """The contractions of the symplectic form with the plane basis e_0,
+    e_1."""
+    omega = symplectic_form(n)
+    return [{j: v for (j,), v in _contract_form(omega, u).items()} for u in (0, 1)]
+
+
+def reduced_form(n: int) -> tuple[tuple[int, ...], TwoForm]:
+    """The index set of the rank-(2n-4) quotient of the annihilator by the
+    symplectic image of the plane, and the reduced form on it: the
+    symplectic form plus e^u ^ omega_u, so that both evaluations against
+    the plane vanish (j != u, so every wedge is non-zero)."""
+    quotient = tuple(i for i in range(2, 2 * n) if i not in (n, n + 1))
+    bar = symplectic_form(n)
+    for u, omega_u in enumerate(plane_contractions(n)):
+        for j, v in omega_u.items():
+            sign, key = _wedge1((u,), j)
+            bar[key] = bar.get(key, 0) + sign * v
+    omega_bar = {key: v for key, v in bar.items() if v}
+    for u in (0, 1):
+        if _contract_form(omega_bar, u):
+            raise AssertionError("reduced form fails to annihilate the plane")
+    if not set().union(*omega_bar) <= set(quotient):
+        raise AssertionError("reduced form escapes the quotient")
+    return quotient, omega_bar
 
 
 @cache
@@ -170,54 +156,49 @@ def _deriv(p: int, B: int, u: int):
     return B - p, p
 
 
-def structure_map(
-    model: FiberModel, kind: str, src: TwistedSpace
-) -> tuple[SparseRationalMatrix, TwistedSpace]:
-    """Matrix of one of the structure maps on src, with its declared codomain.
+def structure_map(kind: str, src: TwistedSpace) -> tuple[SparseRationalMatrix, TwistedSpace]:
+    """Matrix of one of the structure maps on src, with its codomain.
 
-    d1, d2, d : (a, B, c) -> (a+1, B-1, c)      [need B >= 1]
-    d0        : (a, B, c) -> (a-1, B+1, c+1)    [need a >= 1]
+    d1, d2, d : (a, B) -> (a+1, B-1)      [need B >= 1]
+    d0        : (a, B) -> (a-1, B+1)      [need a >= 1]
 
-    The matrix does not depend on c, so it is built once per (kind, a, B)
-    and shared: callers must not mutate it.  d2 is the exception: its only
-    reader, ``complexes.build_koszul_S``, keeps the restriction for the
-    process, so d2 is built afresh on each call and dropped once restricted.
+    The matrix is built once per (kind, src) and shared: callers must not
+    mutate it.  d2 is the exception: its only reader,
+    ``complexes.build_koszul_S``, keeps the restriction for the process, so
+    d2 is built afresh on each call and dropped once restricted.
     """
-    if src.n != model.n:
-        raise ValueError("space does not belong to this fiber model")
-    a, B, c = src.a, src.B, src.c
+    n, a, B = src.n, src.a, src.B
     if kind in ("d1", "d2", "d"):
         if B < 1:
             raise ValueError(f"{kind} needs symmetric degree >= 1")
-        if a + 1 > 2 * model.n:
+        if a + 1 > 2 * n:
             raise ValueError(f"{kind} needs wedge degree < 2n")
-        dst = TwistedSpace(model.n, a + 1, B - 1, c)
+        dst = TwistedSpace(n, a + 1, B - 1)
     elif kind == "d0":
         if a < 1:
             raise ValueError("d0 needs wedge degree >= 1")
-        dst = TwistedSpace(model.n, a - 1, B + 1, c + 1)
+        dst = TwistedSpace(n, a - 1, B + 1)
     else:
         raise ValueError(f"unknown structure map kind: {kind}")
     if kind == "d2":
-        return _structure_matrix.__wrapped__(model, kind, a, B), dst
-    return _structure_matrix(model, kind, a, B), dst
+        return _structure_matrix.__wrapped__(kind, src), dst
+    return _structure_matrix(kind, src), dst
 
 
 @cache
-def _structure_matrix(
-    model: FiberModel, kind: str, a: int, B: int
-) -> SparseRationalMatrix:
-    """The matrix behind ``structure_map`` on (a, B), whose arguments it has
+def _structure_matrix(kind: str, src: TwistedSpace) -> SparseRationalMatrix:
+    """The matrix behind ``structure_map`` on src, whose arguments it has
     checked, one column per source monomial.  Every map is integral but d =
     d1/(B+1) + d2: it is stored as the integer matrix (B+1) d = d1 +
     (B+1) d2, emitted term by term in one pass, with the scalar 1/(B+1)."""
-    src = TwistedSpace(model.n, a, B)
+    n, a, B = src.n, src.a, src.B
     if kind == "d0":
-        dst = TwistedSpace(model.n, a - 1, B + 1)
+        dst = TwistedSpace(n, a - 1, B + 1)
     else:
-        dst = TwistedSpace(model.n, a + 1, B - 1)
+        dst = TwistedSpace(n, a + 1, B - 1)
         # the integer weights of d1 and d2 in the stored matrix
         w1, w2 = {"d1": (1, 0), "d2": (0, 1), "d": (1, B + 1)}[kind]
+        omega, omega_u = symplectic_form(n), plane_contractions(n)
     dst_index = basis_of(dst)
 
     def put(col, subset, p, coef):
@@ -256,12 +237,12 @@ def _structure_matrix(
             ct = _contract(subset, u) if w1 else None
             if ct is not None:
                 sign, sub = ct
-                for sub2, v in _wedge2(sub, model.omega).items():
+                for sub2, v in _wedge2(sub, omega).items():
                     put(col, sub2, dp, w1 * sign * dc * v)
             if not w2:
                 continue
             # d2: wedge the contraction of the symplectic form with e_u
-            for j, vj in model.omega_u[u].items():
+            for j, vj in omega_u[u].items():
                 w = _wedge1(subset, j)
                 if w is None:
                     continue
@@ -273,24 +254,22 @@ def _structure_matrix(
     )
 
 
-def perp_monomials(model: FiberModel, a: int, B: int):
-    """Monomials of TwistedSpace(a, B) whose wedge subset avoids the two
-    plane-dual indices, i.e. lies in the annihilator of the plane, in basis
-    order."""
-    space = TwistedSpace(model.n, a, B)
+def perp_monomials(space: TwistedSpace):
+    """Monomials of space whose wedge subset avoids the two plane-dual
+    indices, i.e. lies in the annihilator of the plane, in basis order."""
     return (mono for mono in basis_of(space) if not mono[0] or mono[0][0] >= 2)
 
 
 @cache
-def fiber_wedge_perp(model: FiberModel, a: int, B: int) -> SubspaceBasis:
-    """Subspace wedge^a U-perp (x) S^B U inside TwistedSpace(a, B)."""
-    if not (0 <= a <= 2 * model.n - 2):
+def fiber_wedge_perp(space: TwistedSpace) -> SubspaceBasis:
+    """Subspace wedge^a U-perp (x) S^B U inside space."""
+    a, B = space.a, space.B
+    if a > 2 * space.n - 2:
         raise ValueError("wedge degree out of range for the annihilator")
-    space = TwistedSpace(model.n, a, B)
     index = basis_of(space)
-    vectors = [{index[mono]: 1} for mono in perp_monomials(model, a, B)]
+    vectors = [{index[mono]: 1} for mono in perp_monomials(space)]
     basis = SubspaceBasis(space.dim, vectors)
-    expected = comb(2 * model.n - 2, a) * (B + 1)
+    expected = comb(2 * space.n - 2, a) * (B + 1)
     if basis.dim != expected:
         raise AssertionError(
             f"annihilator dimension {basis.dim} != expected {expected} at (a={a}, B={B})"
@@ -298,33 +277,32 @@ def fiber_wedge_perp(model: FiberModel, a: int, B: int) -> SubspaceBasis:
     return basis
 
 
-def _xi_lift(model: FiberModel, a: int, b: int, mono) -> dict[int, int]:
-    """Lift of an annihilator monomial mu (x) Q from degree (a-1, b-1) to the
-    ambient space of degree (a, b): (mu ^ e^0)(x)(e_0 Q) + (mu ^ e^1)(x)(e_1 Q).
+def _xi_lift(space: TwistedSpace, mono) -> dict[int, int]:
+    """Lift of an annihilator monomial mu (x) Q from degree (a-1, b-1) to
+    space, of degree (a, b): (mu ^ e^0)(x)(e_0 Q) + (mu ^ e^1)(x)(e_1 Q).
     mu avoids e^0 and e^1, so the two terms are distinct monomials."""
     subset, p = mono
-    index = basis_of(TwistedSpace(model.n, a, b))
+    index = basis_of(space)
     s0, sub0 = _wedge1(subset, 0)
     s1, sub1 = _wedge1(subset, 1)
     return {index[(sub0, p + 1)]: s0, index[(sub1, p)]: s1}
 
 
-def _lift_vectors(model: FiberModel, a: int, b: int) -> list[dict[int, int]]:
-    """The basis of the fiber of degree (a, b), a >= 1: the annihilator
-    monomials, then the lifts (mu ^ e^0)(x)(e_0 Q) + (mu ^ e^1)(x)(e_1 Q)
-    of the annihilator monomials of degree (a-1, b-1), none for b = 0.  The
-    annihilator vectors are the cached ones, so callers must not mutate
-    them."""
-    monos = perp_monomials(model, a - 1, b - 1) if b else ()
-    return fiber_wedge_perp(model, a, b).vectors + [
-        _xi_lift(model, a, b, mono) for mono in monos
-    ]
+def _lift_vectors(space: TwistedSpace) -> list[dict[int, int]]:
+    """The basis of the fiber in space, of degree (a, b), a >= 1: the
+    annihilator monomials, then the lifts (mu ^ e^0)(x)(e_0 Q) + (mu ^
+    e^1)(x)(e_1 Q) of the annihilator monomials of degree (a-1, b-1), none
+    for b = 0.  The annihilator vectors are the cached ones, so callers must
+    not mutate them."""
+    n, a, b = space.n, space.a, space.B
+    monos = perp_monomials(TwistedSpace(n, a - 1, b - 1)) if b else ()
+    return fiber_wedge_perp(space).vectors + [_xi_lift(space, mono) for mono in monos]
 
 
 @cache
-def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
-    """Fiber of the truncation subbundle of degree (a, b): the kernel of the
-    Koszul-type differential d0, or the full space for a = 0.
+def fiber_E(space: TwistedSpace) -> SubspaceBasis:
+    """Fiber of the truncation subbundle in space, of degree (a, b): the
+    kernel of the Koszul-type differential d0, or the full space for a = 0.
 
     Its basis is the two-step filtration (``_lift_vectors``): the annihilator
     monomials of ``fiber_wedge_perp`` first, in their order, then the lifts
@@ -339,20 +317,19 @@ def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
     rank too.  Any mismatch is a hard failure, since it refutes the sign
     conventions of this module.
     """
-    tn = 2 * model.n
-    if not (0 <= a and 0 <= b and a + b <= tn - 2):
+    tn, a, b = 2 * space.n, space.a, space.B
+    if a + b > tn - 2:
         raise ValueError("degrees outside the admissible range")
-    space = TwistedSpace(model.n, a, b)
     if a == 0:
         return SubspaceBasis.full(space.dim)
-    mat, _ = structure_map(model, "d0", space)
+    mat, _ = structure_map("d0", space)
     dim = space.dim - rank(mat)
     expected = comb(tn - 2, a) * (b + 1) + comb(tn - 2, a - 1) * b
     if dim != expected:
         raise AssertionError(
             f"kernel dimension {dim} != expected {expected} at (a={a}, b={b})"
         )
-    basis = SubspaceBasis(space.dim, _lift_vectors(model, a, b))
+    basis = SubspaceBasis(space.dim, _lift_vectors(space))
     if (
         basis.dim != dim
         or basis.private_rows() is None
@@ -364,16 +341,15 @@ def fiber_E(model: FiberModel, a: int, b: int) -> SubspaceBasis:
     return basis
 
 
-def restricted_d(model: FiberModel, a: int, b: int) -> SparseRationalMatrix:
-    """The differential restricted to the truncation fibers,
-    (a, b) -> (a+1, b-1), in the cached fiber bases.  Its only reader,
-    ``complexes.build_Et``, keeps it for the process.
+def restricted_d(space: TwistedSpace) -> SparseRationalMatrix:
+    """The differential on space, of degree (a, b), restricted to the
+    truncation fibers, (a, b) -> (a+1, b-1), in the cached fiber bases.  Its
+    only reader, ``complexes.build_Et``, keeps it for the process.
 
     Raises SubspaceEscapeError if the image leaves the target fiber; that
     would refute the containment claim the construction rests on.
     """
-    if b < 1:
+    if space.B < 1:
         raise ValueError("need symmetric degree >= 1 to lower it")
-    space = TwistedSpace(model.n, a, b)
-    mat, _ = structure_map(model, "d", space)
-    return restrict(mat, fiber_E(model, a, b), fiber_E(model, a + 1, b - 1))
+    mat, dst = structure_map("d", space)
+    return restrict(mat, fiber_E(space), fiber_E(dst))

@@ -21,8 +21,9 @@ and the total complex as the package built them before its matrices got
 integer columns and one rational scalar: every value a ``Fraction``, d
 built with its weight 1/(B+1) on d1, and each block of a total differential
 scaled value by value.  They are copied verbatim but for the name of the
-matrix class they build, ``FractionMatrix``, the old format, and for the
-bicomplex's maps, which are matrices there as they are in the package.
+matrix class they build, ``FractionMatrix``, the old format, for the
+bicomplex's maps, which are matrices there as they are in the package, and
+for the forms, which they read from the package's functions of n.
 ``reference_bicomplex`` gives a bicomplex those maps, each scaled by the
 grid's coefficient.
 """
@@ -40,13 +41,14 @@ from sscx.exactlinalg import (
     rank,
 )
 from sscx.fiber import (
-    FiberModel,
     TwistedSpace,
     _contract,
     _deriv,
     _wedge1,
     _wedge2,
     basis_of,
+    plane_contractions,
+    symplectic_form,
 )
 
 
@@ -278,17 +280,16 @@ class FractionMatrix:
         return FractionMatrix(self.nrows, cols)
 
 
-def structure_matrix(
-    model: FiberModel, kind: str, a: int, B: int
-) -> FractionMatrix:
+def structure_matrix(n: int, kind: str, a: int, B: int) -> FractionMatrix:
     """The matrix behind ``structure_map`` on (a, B), whose arguments it has
     checked, one column per source monomial.  d = d1/(B+1) + d2 is emitted
     term by term in one pass."""
-    src = TwistedSpace(model.n, a, B)
+    src = TwistedSpace(n, a, B)
+    omega, omega_u = symplectic_form(n), plane_contractions(n)
     if kind == "d0":
-        dst = TwistedSpace(model.n, a - 1, B + 1)
+        dst = TwistedSpace(n, a - 1, B + 1)
     else:
-        dst = TwistedSpace(model.n, a + 1, B - 1)
+        dst = TwistedSpace(n, a + 1, B - 1)
         w1 = {"d1": 1, "d2": 0, "d": Fraction(1, B + 1)}[kind]  # weight of d1
     dst_index = basis_of(dst)
 
@@ -328,12 +329,12 @@ def structure_matrix(
             ct = _contract(subset, u) if w1 else None
             if ct is not None:
                 sign, sub = ct
-                for sub2, v in _wedge2(sub, model.omega).items():
+                for sub2, v in _wedge2(sub, omega).items():
                     put(col, sub2, dp, w1 * sign * dc * v)
             if kind == "d1":
                 continue
             # d2: wedge the contraction of the symplectic form with e_u
-            for j, vj in model.omega_u[u].items():
+            for j, vj in omega_u[u].items():
                 w = _wedge1(subset, j)
                 if w is None:
                     continue
@@ -348,10 +349,8 @@ def reference_bicomplex(bc: Bicomplex) -> Bicomplex:
     """bc with every map replaced by its ``structure_matrix`` build: d
     times (-1)^c b/(b+c) on the horizontal map at (b, c), as the package
     builds it, and d0 on the vertical ones."""
-    model = FiberModel(bc.n)
-
     def old(kind, b, c):
-        return structure_matrix(model, kind, bc.t - b - c, b + c)
+        return structure_matrix(bc.n, kind, bc.t - b - c, b + c)
 
     return dataclasses.replace(
         bc,

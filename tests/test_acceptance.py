@@ -14,7 +14,7 @@ from sscx.complexes import (
     verify_Et_complex,
     verify_snake,
 )
-from sscx.fiber import FiberModel, fiber_E
+from sscx.fiber import TwistedSpace, fiber_E
 from sscx.weights import (
     euler_check_Kt,
     phi_cs_survivors,
@@ -72,12 +72,11 @@ def test_criterion_03_grid_identities():
     start = time.monotonic()
     ok = True
     for n in (3, 4):
-        model = FiberModel(n)
         for a in range(0, 2 * n - 1):
             for b in range(0, 2 * n - 1 - a):
-                if b >= 2 and not _lemma_holds(model, a, b):
+                if b >= 2 and not _lemma_holds(TwistedSpace(n, a, b)):
                     ok = False
-                if a >= 1 and b >= 1 and not _anticommute_holds(model, a, b):
+                if a >= 1 and b >= 1 and not _anticommute_holds(TwistedSpace(n, a, b)):
                     ok = False
     _report(3, "composition-zero and anticommutativity", ok, time.monotonic() - start)
 
@@ -161,11 +160,10 @@ def test_criterion_09_cross_construction():
     start = time.monotonic()
     ok = True
     for n in (3, 4):
-        model = FiberModel(n)
         for a in range(0, 2 * n - 1):
             for b in range(0, 2 * n - 1 - a):
                 try:
-                    fiber_E(model, a, b)  # raises when constructions disagree
+                    fiber_E(TwistedSpace(n, a, b))  # raises when constructions disagree
                 except AssertionError:
                     ok = False
     _report(9, "lift basis certified against rank(d0)", ok, time.monotonic() - start)

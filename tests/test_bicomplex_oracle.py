@@ -127,12 +127,12 @@ def test_square_with_the_matrices_of_a_passing_one(monkeypatch, fresh_caches):
 def test_planted_d_coefficient_flags_match_the_products(monkeypatch, fresh_caches):
     real = complexes.structure_map
 
-    def planted(model, kind, src):
+    def planted(kind, src):
         """d with the weight 1/(B+2) of d1 instead of 1/(B+1)."""
         if kind != "d":
-            return real(model, kind, src)
-        m1, dst = real(model, "d1", src)
-        m2, _ = real(model, "d2", src)
+            return real(kind, src)
+        m1, dst = real("d1", src)
+        m2, _ = real("d2", src)
         return matrix_sum(m1.scale(Fraction(1, src.B + 2)), m2), dst
 
     # only the bicomplex sees the planted map: the truncation complexes it is

@@ -23,7 +23,7 @@ from sscx.complexes import (
     verify_snake,
 )
 from sscx.exactlinalg import P, SparseRationalMatrix, pivots_mod_p, rank
-from sscx.fiber import FiberModel, TwistedSpace, fiber_E, fiber_wedge_perp, structure_map
+from sscx.fiber import TwistedSpace, fiber_E, fiber_wedge_perp, structure_map
 from linalg_oracle import checked_matrix
 
 
@@ -231,9 +231,9 @@ class TestSnake:
         dropped with it."""
         real = complexes.restricted_d
 
-        def planted(model, a, b):
-            m = real(model, a, b)
-            if (a, b) != (1, 2):
+        def planted(space):
+            m = real(space)
+            if (space.a, space.B) != (1, 2):
                 return m
             cols = [dict(c) for c in m.columns()]
             r = row % m.nrows
@@ -277,22 +277,20 @@ class TestBicomplex:
         # with no determinant twist the printed coefficients reduce to the
         # differential of the truncation complex
         bc = build_bicomplex(3, 2)
-        model = FiberModel(3)
-        d, _ = structure_map(model, "d", TwistedSpace(3, 1, 1))
+        d, _ = structure_map("d", TwistedSpace(3, 1, 1))
         assert bc.horizontal[(1, 0)] is d
 
     @pytest.mark.parametrize("t", range(1, 7))
     def test_grid_maps_are_the_cached_matrices(self, t):
         """Each horizontal map is the cached d scaled by (-1)^c b/(b+c),
         its columns shared, and each vertical map is the cached d0."""
-        model = FiberModel(4)
         bc = build_bicomplex(4, t)
         for (b, c), m in bc.horizontal.items():
-            d, _ = structure_map(model, "d", bc.grid[b][c])
+            d, _ = structure_map("d", bc.grid[b][c])
             assert m.columns() is d.columns(), (b, c)
             assert m.scalar == d.scalar * Fraction((-1) ** c * b, b + c), (b, c)
         for (b, c), m in bc.vertical.items():
-            assert m is structure_map(model, "d0", bc.grid[b][c])[0], (b, c)
+            assert m is structure_map("d0", bc.grid[b][c])[0], (b, c)
 
     def test_totalize_examples(self):
         assert cohomology_dims(totalize(build_bicomplex(3, 2))) == {}  # acyclic
@@ -371,22 +369,21 @@ def test_matrices_built_from_columns_keep_the_invariant():
     the lift vectors of the fibers: each must equal its checked rebuild from
     its values, store only non-zero ints and carry a non-zero Fraction
     scalar, 1 for a zero matrix."""
-    m3, m4 = FiberModel(3), FiberModel(4)
     mats = [
-        structure_map(m3, kind, TwistedSpace(3, a, B))[0]
+        structure_map(kind, TwistedSpace(3, a, B))[0]
         for kind in ("d1", "d2", "d")
         for a in range(6)
         for B in range(1, 4)
     ]
-    mats += [structure_map(m3, "d0", TwistedSpace(3, a, B))[0]
+    mats += [structure_map("d0", TwistedSpace(3, a, B))[0]
              for a in range(1, 7) for B in range(4)]
     for a in range(1, 5):
         for b in range(5 - a):
             # the lifts in fiber_E's cached basis follow the annihilator monomials
-            basis = fiber_E(m3, a, b)
-            lifts = basis.vectors[fiber_wedge_perp(m3, a, b).dim:]
+            basis = fiber_E(TwistedSpace(3, a, b))
+            lifts = basis.vectors[fiber_wedge_perp(TwistedSpace(3, a, b)).dim:]
             mats.append(SparseRationalMatrix(basis.ambient_dim, lifts))
-    mats += [_wedge_form_matrix(m4, t) for t in range(7)]
+    mats += [_wedge_form_matrix(4, t) for t in range(7)]
     mats += [d for t in range(5) for d in totalize(build_bicomplex(3, t)).differentials]
     for m in mats:
         assert m == checked_matrix(m.nrows, m.ncols, m.entries)

@@ -156,9 +156,9 @@ def test_zero_differential_spreads_the_cohomology_and_is_ranked_exactly(
     rebuilt the differential from d and the lifts, where they passed."""
     real = complexes.restricted_d
 
-    def planted(model, a, b):
-        m = real(model, a, b)
-        if a:
+    def planted(space):
+        m = real(space)
+        if space.a:
             return m
         return SparseRationalMatrix(m.nrows, [dict() for _ in range(m.ncols)])
 
@@ -191,11 +191,11 @@ def test_Et_composition_broken_inside_the_fibers_is_ranked_exactly(
     lifts)."""
     real = complexes.restricted_d
 
-    def planted(model, a, b):
-        m = real(model, a, b)
-        if a or b < 2:
+    def planted(space):
+        m = real(space)
+        if space.a or space.B < 2:
             return m
-        nxt = real(model, 1, b - 1)
+        nxt = real(fiber.TwistedSpace(space.n, 1, space.B - 1))
         r = next(j for j, col in enumerate(nxt.columns()) if col)
         cols = [dict(col) for col in m.columns()]
         cols[0][r] = cols[0].get(r, 0) + 1
@@ -328,11 +328,11 @@ def test_totalize_with_one_shifted_block_fails(monkeypatch):
 def test_wrong_d_coefficient_breaks_containment(monkeypatch):
     real = fiber.structure_map
 
-    def planted(model, kind, src):
+    def planted(kind, src):
         if kind != "d":
-            return real(model, kind, src)
-        m1, dst = real(model, "d1", src)
-        m2, _ = real(model, "d2", src)
+            return real(kind, src)
+        m1, dst = real("d1", src)
+        m2, _ = real("d2", src)
         return matrix_sum(m1.scale(Fraction(1, src.B + 2)), m2), dst
 
     # complexes imported the name, so both bindings carry the planted map
@@ -354,11 +354,11 @@ def test_wrong_d_coefficient_breaks_containment(monkeypatch):
 def test_d_without_its_scalar_breaks_the_squares_and_the_snake(monkeypatch):
     real = fiber.structure_map
 
-    def planted(model, kind, src):
+    def planted(kind, src):
         """d as its stored integers (B+1) d, the scalar 1/(B+1) dropped.
         The failing set below is the one of the Fraction matrix (B+1) d
         planted in the build that stored every value as a Fraction."""
-        mat, dst = real(model, kind, src)
+        mat, dst = real(kind, src)
         if kind != "d":
             return mat, dst
         return SparseRationalMatrix(mat.nrows, mat.columns()), dst
@@ -387,10 +387,10 @@ def test_d_without_its_scalar_breaks_the_squares_and_the_snake(monkeypatch):
 def test_scaled_koszul_column_breaks_koszul_and_snake(monkeypatch, rank_calls):
     real = fiber.structure_map
 
-    def planted(model, kind, src):
+    def planted(kind, src):
         """d2 with its last column scaled by 2: the image of the last
         monomial, which lies in the annihilator."""
-        mat, dst = real(model, kind, src)
+        mat, dst = real(kind, src)
         if kind != "d2":
             return mat, dst
         *cols, last = mat.columns()
@@ -485,10 +485,10 @@ def _lift_failures(first_t):
 def test_lift_leaving_the_kernel_fails(monkeypatch):
     real = fiber._xi_lift
 
-    def planted(model, a, b, mono):
+    def planted(space, mono):
         """The lift with its lowest entry negated: its two terms no longer
         cancel under d0, so it leaves ker d0."""
-        lift = real(model, a, b, mono)
+        lift = real(space, mono)
         low = min(lift)
         return {**lift, low: -lift[low]}
 
@@ -498,13 +498,13 @@ def test_lift_leaving_the_kernel_fails(monkeypatch):
 def test_lift_repeating_a_vector_fails(monkeypatch):
     real = fiber._xi_lift
 
-    def planted(model, a, b, mono):
+    def planted(space, mono):
         """The lift of (subset, 1) in place of that of (subset, 0): every
         lift stays in ker d0, but one is repeated, so the rank drops."""
         subset, p = mono
-        if p == 0 and b >= 2:
+        if p == 0 and space.B >= 2:
             mono = (subset, 1)
-        return real(model, a, b, mono)
+        return real(space, mono)
 
     assert _lift_plant_failures(monkeypatch, planted) == _lift_failures(3)
 

@@ -8,7 +8,7 @@ import pytest
 
 from sscx import fiber
 from sscx.complexes import build_bicomplex, totalize
-from sscx.fiber import FiberModel
+from sscx.fiber import TwistedSpace
 import linalg_oracle as oracle
 from linalg_oracle import value_columns
 
@@ -28,10 +28,9 @@ def _structure_keys(n):
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_structure_matrices_match_the_fraction_build(n):
-    model = FiberModel(n)
     for kind, a, B in _structure_keys(n):
-        new = fiber._structure_matrix.__wrapped__(model, kind, a, B)
-        old = oracle.structure_matrix(model, kind, a, B)
+        new = fiber._structure_matrix.__wrapped__(kind, TwistedSpace(n, a, B))
+        old = oracle.structure_matrix(n, kind, a, B)
         assert new.nrows == old.nrows, (kind, a, B)
         assert value_columns(new) == old.columns(), (kind, a, B)
 

@@ -10,12 +10,7 @@ import pytest
 from sscx import complexes, fiber
 from sscx.complexes import ChainComplex, build_Et, cohomology_dims
 from sscx.exactlinalg import SparseRationalMatrix, SubspaceBasis, rank
-from sscx.fiber import (
-    FiberModel,
-    TwistedSpace,
-    fiber_E,
-    structure_map,
-)
+from sscx.fiber import TwistedSpace, fiber_E, structure_map
 import linalg_oracle as oracle
 from linalg_oracle import kernel, spans_equal, subspace_equal
 
@@ -43,11 +38,11 @@ def _variants(vectors):
     ]
 
 
-def _certified(model, a, b):
+def _certified(space):
     """Whether an uncached ``fiber_E`` certifies its lift vectors as a basis
     of ker d0; False when it reports that the constructions disagree."""
     try:
-        fiber.fiber_E.__wrapped__(model, a, b)
+        fiber.fiber_E.__wrapped__(space)
     except AssertionError as err:
         if not str(err).startswith("lift construction disagrees"):
             raise
@@ -57,15 +52,15 @@ def _certified(model, a, b):
 
 @pytest.mark.parametrize("n", NS)
 def test_lift_predicate_matches_the_oracle(n, monkeypatch):
-    model = FiberModel(n)
     real = fiber._lift_vectors
     verdicts = set()
     for a, b in _degrees(n):
-        d0, _ = structure_map(model, "d0", TwistedSpace(n, a, b))
+        space = TwistedSpace(n, a, b)
+        d0, _ = structure_map("d0", space)
         ker = SubspaceBasis(d0.ncols, kernel(d0).columns())
-        for vectors in _variants(real(model, a, b)):
+        for vectors in _variants(real(space)):
             monkeypatch.setattr(fiber, "_lift_vectors", lambda *args, v=vectors: v)
-            new = _certified(model, a, b)
+            new = _certified(space)
             assert new == subspace_equal(ker, SubspaceBasis(d0.ncols, vectors)), (a, b)
             verdicts.add(new)
     assert verdicts == {True, False}
@@ -78,15 +73,15 @@ def test_lift_basis_matches_the_reduced_kernel(n):
     and each truncation complex has the same ranks and cohomology in the
     reduced kernel bases, with coordinates by elimination, as in the lift
     bases."""
-    model = FiberModel(n)
     old = {}
     for t in range(2 * n - 1):
         for a in range(t + 1):
-            basis = fiber_E(model, a, t - a)
+            space = TwistedSpace(n, a, t - a)
+            basis = fiber_E(space)
             if a == 0:
                 old[(a, t - a)] = basis
                 continue
-            d0, _ = structure_map(model, "d0", TwistedSpace(n, a, t - a))
+            d0, _ = structure_map("d0", space)
             ker = kernel(d0)
             assert spans_equal(SparseRationalMatrix(basis.ambient_dim, basis.vectors), ker)
             old[(a, t - a)] = SubspaceBasis(ker.nrows, ker.columns())
@@ -94,7 +89,7 @@ def test_lift_basis_matches_the_reduced_kernel(n):
         diffs = []
         for a in range(t):
             b = t - a
-            d, _ = structure_map(model, "d", TwistedSpace(n, a, b))
+            d, _ = structure_map("d", TwistedSpace(n, a, b))
             cod = old[(a + 1, b - 1)]
             coords = oracle.solve_in_basis(cod, [d.apply(v) for v in old[(a, b)].vectors])
             diffs.append(oracle.rational_matrix(cod.dim, coords))
@@ -116,22 +111,21 @@ def _column_variants(m):
 
 @pytest.mark.parametrize("n", NS)
 def test_image_flag_matches_the_oracle(n, monkeypatch):
-    model = FiberModel(n)
     real = complexes.structure_map
     verdicts = set()
     for a, b in _degrees(n):
         space = TwistedSpace(n, a, b)
-        d0, dst = real(model, "d0", space)
-        target = fiber_E(model, a - 1, b + 1)
+        d0, dst = real("d0", space)
+        target = fiber_E(TwistedSpace(n, a - 1, b + 1))
         target_span = SparseRationalMatrix(target.ambient_dim, target.vectors)
         for m in _column_variants(d0):
             # _image_is_fiber reads the map on (a, b) through structure_map
             monkeypatch.setattr(
                 complexes, "structure_map",
-                lambda mod, kind, src, m=m: (m, dst) if (kind, src) == ("d0", space)
-                else real(mod, kind, src),
+                lambda kind, src, m=m: (m, dst) if (kind, src) == ("d0", space)
+                else real(kind, src),
             )
-            new = complexes._image_is_fiber(model, a, b)
+            new = complexes._image_is_fiber(space)
             assert new == spans_equal(m, target_span), (a, b)
             verdicts.add(new)
     assert verdicts == {True, False}
