@@ -10,22 +10,13 @@ arithmetic: integer matrices, each with one rational scalar.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, lcm
 
 from .exactlinalg import SparseRationalMatrix, SubspaceEscapeError, pivots_mod_p, rank, restrict
-from .fiber import (
-    TwistedSpace,
-    _wedge2,
-    fiber_E,
-    fiber_wedge_perp,
-    reduced_form,
-    restricted_d,
-    structure_map,
-)
+from .fiber import TwistedSpace, fiber_E, fiber_wedge_perp, structure_map, wedge_form_matrix
 from .report import Report
 from .weights import dim_wedge_sp
 
@@ -151,43 +142,45 @@ def expected_Et_cohomology(n: int, t: int) -> dict[int, int]:
     return out
 
 
-def _row_complex(n: int, t: int, subspace, differential) -> ChainComplex:
-    """The complex of the subspaces subspace(S_i) of the spaces S_i =
-    TwistedSpace(n, i, t - i), i = 0..t, and the maps differential(S_i),
-    rightmost term in degree 0."""
+def _spaces(n: int, t: int) -> list[TwistedSpace]:
+    """The spaces S_a = TwistedSpace(n, a, t - a), a = 0..t, of degree t."""
     if not (0 <= t <= 2 * n - 2):
         raise ValueError("t outside the admissible band")
-    spaces = [TwistedSpace(n, i, t - i) for i in range(t + 1)]
-    dims = [subspace(space).dim for space in spaces]
-    diffs = [differential(space) for space in spaces[:-1]]
-    return ChainComplex(-t, dims, diffs)
+    return [TwistedSpace(n, a, t - a) for a in range(t + 1)]
+
+
+def _row_complex(n: int, t: int, subspace, kind: str) -> ChainComplex:
+    """The complex of the subspaces subspace(S_a) of the spaces S_a of degree
+    t (``_spaces``) and the structure map ``kind`` restricted to them,
+    rightmost term in degree 0.  SubspaceEscapeError propagates: a map that
+    leaves its target subspace refutes the containment the complex rests on."""
+    spaces = _spaces(n, t)
+    bases = [subspace(space) for space in spaces]
+    diffs = [
+        restrict(structure_map(kind, src)[0], dom, cod)
+        for src, dom, cod in zip(spaces, bases, bases[1:])
+    ]
+    return ChainComplex(-t, [basis.dim for basis in bases], diffs)
 
 
 @cache
 def build_Et(n: int, t: int) -> ChainComplex:
     """The complex E^{0,t} -> E^{1,t-1} -> ... -> E^{t,0} of truncation
-    fibers, rightmost term in degree 0, built once per process, so that the
-    d2zero, cohomology, bicomplex and snake checks share its differentials,
-    its d o d verdict and its cohomology.  SubspaceEscapeError propagates and
-    is not cached."""
-    return _row_complex(n, t, fiber_E, restricted_d)
-
-
-def _perp_d2(space: TwistedSpace) -> SparseRationalMatrix:
-    """Koszul differential on space restricted to the annihilator
-    subspaces, (a, B) -> (a+1, B-1)."""
-    mat, dst = structure_map("d2", space)
-    return restrict(mat, fiber_wedge_perp(space), fiber_wedge_perp(dst))
+    fibers ``fiber_E`` and the restricted d, rightmost term in degree 0,
+    built once per process, so that the d2zero, cohomology, bicomplex and
+    snake checks share its differentials, its d o d verdict and its
+    cohomology.  SubspaceEscapeError propagates and is not cached."""
+    return _row_complex(n, t, fiber_E, "d")
 
 
 @cache
 def build_koszul_S(n: int, t: int) -> ChainComplex:
-    """Koszul complex on the annihilator subspaces, resolving the t-th wedge
-    power of the rank-(2n-4) quotient: spaces wedge^i U-perp (x) S^{t-i} U
-    for i = 0..t with the Koszul differential, rightmost term in degree 0.
-    Built once per process, for the koszul check and the snake checks at t
-    and t + 2."""
-    return _row_complex(n, t, fiber_wedge_perp, _perp_d2)
+    """Koszul complex on the annihilator subspaces (``fiber_wedge_perp``),
+    resolving the t-th wedge power of the rank-(2n-4) quotient: spaces
+    wedge^i U-perp (x) S^{t-i} U for i = 0..t with the Koszul differential
+    d2 restricted to them, rightmost term in degree 0.  Built once per
+    process, for the koszul check and the snake checks at t and t + 2."""
+    return _row_complex(n, t, fiber_wedge_perp, "d2")
 
 
 def verify_koszul_S(n: int, t: int) -> Report:
@@ -203,20 +196,6 @@ def verify_koszul_S(n: int, t: int) -> Report:
         "other_cohomology": sum(v for d, v in coh.items() if d != 0),
     }
     return Report("koszul", {"n": n, "t": t}, expected, computed)
-
-
-def _wedge_form_matrix(n: int, t: int) -> SparseRationalMatrix:
-    """Matrix of wedging with the reduced form on the quotient,
-    wedge^{t-2} -> wedge^t of the rank-(2n-4) quotient space."""
-    idx, omega_bar = reduced_form(n)
-    dom = list(itertools.combinations(idx, t - 2)) if t >= 2 else []
-    cod = list(itertools.combinations(idx, t)) if t <= len(idx) else []
-    cod_index = {s: i for i, s in enumerate(cod)}
-    cols = [
-        {cod_index[sub2]: v for sub2, v in _wedge2(subset, omega_bar).items()}
-        for subset in dom
-    ]
-    return SparseRationalMatrix(len(cod), cols)
 
 
 def verify_snake(n: int, t: int) -> Report:
@@ -255,7 +234,7 @@ def verify_snake(n: int, t: int) -> Report:
             lower = build_koszul_S(n, t - 2).differentials[a - 1]
             if d.block(lift_rows, lift_cols) != lower.scale(-1):
                 quotient_ok = 0
-    wmat = _wedge_form_matrix(n, t)
+    wmat = wedge_form_matrix(n, t)
     r = rank(wmat)
     ker = wmat.ncols - r
     coker = wmat.nrows - r
@@ -300,12 +279,8 @@ def build_bicomplex(n: int, t: int) -> Bicomplex:
     codomain is checked against the grid entry it must land on; the
     position fixes the twist, so matching (a, B) matches it too.
     """
-    if not (0 <= t <= 2 * n - 2):
-        raise ValueError("t outside the admissible band")
-    grid = [
-        [TwistedSpace(n, t - b - c, b + c) for c in range(t - b + 1)]
-        for b in range(t + 1)
-    ]
+    spaces = _spaces(n, t)
+    grid = [[spaces[t - b - c] for c in range(t - b + 1)] for b in range(t + 1)]
     horizontal: dict[tuple[int, int], SparseRationalMatrix] = {}
     vertical: dict[tuple[int, int], SparseRationalMatrix] = {}
     for b in range(t + 1):
@@ -423,7 +398,7 @@ def verify_bicomplex(n: int, t: int) -> Report:
     top_kernels = 1
     for b in range(t + 1):
         height = t - b + 1
-        top = fiber_E(TwistedSpace(n, t - b, b))
+        top = fiber_E(bc.grid[b][0])
         if height == 1:
             if top.dim != bc.grid[b][0].dim:
                 top_kernels = 0
@@ -522,14 +497,10 @@ def verify_ces(n: int, t: int) -> Report:
     image flag is decided the same way, by dimension and containment: the
     rank of d0 is the target fiber's dimension, and the image lies in the
     kernel of the next d0 (``_image_is_fiber``)."""
-    if not (0 <= t <= 2 * n - 2):
-        raise ValueError("t outside the admissible band")
     ok_kernel = 1
     ok_image = 1
     ok_dims = 1
-    for a in range(1, t + 1):
-        b = t - a
-        space = TwistedSpace(n, a, b)
+    for space in _spaces(n, t)[1:]:
         mat, dst = structure_map("d0", space)
         ker = fiber_E(space)
         if any(map(mat.apply, ker.vectors)):

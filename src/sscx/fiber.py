@@ -9,6 +9,8 @@ normalized combination and the Koszul differential) become sparse integer
 matrices, with the one denominator of the normalized combination kept as the
 matrix's scalar.  The determinant twists (det U*)^c of the resolution grid
 change no dimension and no matrix entry, so no space carries them.
+``complexes`` restricts the maps to the subspaces ``fiber_wedge_perp`` and
+``fiber_E``; every monomial sign convention lives in this module.
 
 Index convention: V* has basis e^0 ... e^{2n-1} (0-based); U is spanned by
 e_0, e_1, so the annihilator U-perp is spanned by e^j with j >= 2, and the
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .exactlinalg import SparseRationalMatrix, SubspaceBasis, rank, restrict
+from .exactlinalg import SparseRationalMatrix, SubspaceBasis, rank
 
 TwoForm = dict[tuple[int, int], int]
 OneForm = dict[int, int]
@@ -82,6 +84,20 @@ def reduced_form(n: int) -> tuple[tuple[int, ...], TwoForm]:
     if not set().union(*omega_bar) <= set(quotient):
         raise AssertionError("reduced form escapes the quotient")
     return quotient, omega_bar
+
+
+def wedge_form_matrix(n: int, t: int) -> SparseRationalMatrix:
+    """Matrix of wedging with the reduced form, wedge^{t-2} -> wedge^t of
+    the rank-(2n-4) quotient, in lexicographic bases."""
+    idx, omega_bar = reduced_form(n)
+    dom = list(itertools.combinations(idx, t - 2)) if t >= 2 else []
+    cod = list(itertools.combinations(idx, t)) if t <= len(idx) else []
+    cod_index = {s: i for i, s in enumerate(cod)}
+    cols = [
+        {cod_index[sub2]: v for sub2, v in _wedge2(subset, omega_bar).items()}
+        for subset in dom
+    ]
+    return SparseRationalMatrix(len(cod), cols)
 
 
 @cache
@@ -163,7 +179,7 @@ def structure_map(kind: str, src: TwistedSpace) -> tuple[SparseRationalMatrix, T
     d0        : (a, B) -> (a-1, B+1)      [need a >= 1]
 
     The matrix is built once per (kind, src) and shared: callers must not
-    mutate it.  d2 is the exception: its only reader,
+    mutate it.  d2 is the exception: its only reader, the Koszul complex
     ``complexes.build_koszul_S``, keeps the restriction for the process, so
     d2 is built afresh on each call and dropped once restricted.
     """
@@ -340,16 +356,3 @@ def fiber_E(space: TwistedSpace) -> SubspaceBasis:
         )
     return basis
 
-
-def restricted_d(space: TwistedSpace) -> SparseRationalMatrix:
-    """The differential on space, of degree (a, b), restricted to the
-    truncation fibers, (a, b) -> (a+1, b-1), in the cached fiber bases.  Its
-    only reader, ``complexes.build_Et``, keeps it for the process.
-
-    Raises SubspaceEscapeError if the image leaves the target fiber; that
-    would refute the containment claim the construction rests on.
-    """
-    if space.B < 1:
-        raise ValueError("need symmetric degree >= 1 to lower it")
-    mat, dst = structure_map("d", space)
-    return restrict(mat, fiber_E(space), fiber_E(dst))

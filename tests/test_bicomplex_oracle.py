@@ -136,7 +136,9 @@ def test_planted_d_coefficient_flags_match_the_products(monkeypatch, fresh_cache
         return matrix_sum(m1.scale(Fraction(1, src.B + 2)), m2), dst
 
     # only the bicomplex sees the planted map: the truncation complexes it is
-    # compared with keep the true d
+    # compared with are built, and cached, with the true d first
+    for t in range(0, 7):
+        complexes.build_Et(4, t)
     monkeypatch.setattr(complexes, "structure_map", planted)
     broken = 0
     for t in range(0, 7):

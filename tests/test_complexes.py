@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from sscx import complexes
+from sscx.cli import CHECKS, FIBER
 from sscx.complexes import (
     ChainComplex,
-    _wedge_form_matrix,
     build_bicomplex,
     build_Et,
     build_koszul_S,
@@ -23,7 +23,7 @@ from sscx.complexes import (
     verify_snake,
 )
 from sscx.exactlinalg import P, SparseRationalMatrix, pivots_mod_p, rank
-from sscx.fiber import TwistedSpace, fiber_E, fiber_wedge_perp, structure_map
+from sscx.fiber import TwistedSpace, fiber_E, fiber_wedge_perp, structure_map, wedge_form_matrix
 from linalg_oracle import checked_matrix
 
 
@@ -229,19 +229,22 @@ class TestSnake:
         domain and 4 in the target.  The snake reads the differentials of
         the cached E^3, so the planted one is built into a fresh E^3 and
         dropped with it."""
-        real = complexes.restricted_d
+        real = complexes._row_complex
 
-        def planted(space):
-            m = real(space)
-            if (space.a, space.B) != (1, 2):
-                return m
+        def planted(n, t, subspace, kind):
+            et = real(n, t, subspace, kind)
+            if (kind, t) != ("d", 3):
+                return et
+            diffs = list(et.differentials)
+            m = diffs[1]  # out of (a, B) = (1, 2)
             cols = [dict(c) for c in m.columns()]
             r = row % m.nrows
             cols[col][r] = cols[col].get(r, 0) + 1
             cols[col] = {k: v for k, v in cols[col].items() if v}
-            return SparseRationalMatrix(m.nrows, cols, m.scalar)
+            diffs[1] = SparseRationalMatrix(m.nrows, cols, m.scalar)
+            return complexes.ChainComplex(et.degree_offset, et.dims, diffs)
 
-        monkeypatch.setattr(complexes, "restricted_d", planted)
+        monkeypatch.setattr(complexes, "_row_complex", planted)
         build_Et.cache_clear()
         try:
             rep = verify_snake(3, 3)
@@ -355,6 +358,15 @@ class TestCes:
             assert rep.status == "pass", (n, t, rep.computed)
 
 
+@pytest.mark.parametrize("name", [name for name, c in CHECKS.items() if c.command == FIBER])
+def test_every_fiber_check_rejects_n_1(name):
+    """Every fiber check lists the spaces of its degree, whose constructor
+    refuses n < 2, where the base plane is not isotropic; so does ces,
+    which reads no space at t = 0."""
+    with pytest.raises(ValueError, match="need n >= 2"):
+        CHECKS[name].run(n=1, t=0)
+
+
 class TestExpectedCohomology:
     def test_band_structure(self):
         for n in (3, 4, 5):
@@ -383,7 +395,7 @@ def test_matrices_built_from_columns_keep_the_invariant():
             basis = fiber_E(TwistedSpace(3, a, b))
             lifts = basis.vectors[fiber_wedge_perp(TwistedSpace(3, a, b)).dim:]
             mats.append(SparseRationalMatrix(basis.ambient_dim, lifts))
-    mats += [_wedge_form_matrix(4, t) for t in range(7)]
+    mats += [wedge_form_matrix(4, t) for t in range(7)]
     mats += [d for t in range(5) for d in totalize(build_bicomplex(3, t)).differentials]
     for m in mats:
         assert m == checked_matrix(m.nrows, m.ncols, m.entries)

@@ -153,16 +153,20 @@ def test_zero_differential_spreads_the_cohomology_and_is_ranked_exactly(
     it no longer agrees with the Koszul differential.  The failing set was
     derived by planting the same map in the build that ranked every complex
     over Q only; the snake's flags, by planting it in the build whose snake
-    rebuilt the differential from d and the lifts, where they passed."""
-    real = complexes.restricted_d
+    rebuilt the differential from d and the lifts, where they passed.  The
+    same set was derived on the build that planted the zero map in the
+    one-map restriction ``restricted_d``."""
+    real = complexes._row_complex
 
-    def planted(space):
-        m = real(space)
-        if space.a:
-            return m
-        return SparseRationalMatrix(m.nrows, [dict() for _ in range(m.ncols)])
+    def planted(n, t, subspace, kind):
+        c = real(n, t, subspace, kind)
+        if kind != "d" or not c.differentials:
+            return c
+        m, *rest = c.differentials
+        zero = SparseRationalMatrix(m.nrows, [dict() for _ in range(m.ncols)])
+        return complexes.ChainComplex(c.degree_offset, c.dims, [zero, *rest])
 
-    monkeypatch.setattr(complexes, "restricted_d", planted)
+    monkeypatch.setattr(complexes, "_row_complex", planted)
     code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
     assert code == 1
     assert _failing(reps) == {
@@ -188,21 +192,23 @@ def test_Et_composition_broken_inside_the_fibers_is_ranked_exactly(
     build that ranked every complex over Q only.  The snake reads the same
     map, whose annihilator column now differs from the Koszul differential
     (it passed where the snake rebuilt the differential from d and the
-    lifts)."""
-    real = complexes.restricted_d
+    lifts).  The same set was derived on the build that planted the entry
+    in the one-map restriction ``restricted_d``."""
+    real = complexes._row_complex
 
-    def planted(space):
-        m = real(space)
-        if space.a or space.B < 2:
-            return m
-        nxt = real(fiber.TwistedSpace(space.n, 1, space.B - 1))
+    def planted(n, t, subspace, kind):
+        c = real(n, t, subspace, kind)
+        if kind != "d" or t < 2:
+            return c
+        m, nxt, *rest = c.differentials
         r = next(j for j, col in enumerate(nxt.columns()) if col)
         cols = [dict(col) for col in m.columns()]
         cols[0][r] = cols[0].get(r, 0) + 1
         cols[0] = {k: v for k, v in cols[0].items() if v}
-        return SparseRationalMatrix(m.nrows, cols, m.scalar)
+        first = SparseRationalMatrix(m.nrows, cols, m.scalar)
+        return complexes.ChainComplex(c.degree_offset, c.dims, [first, nxt, *rest])
 
-    monkeypatch.setattr(complexes, "restricted_d", planted)
+    monkeypatch.setattr(complexes, "_row_complex", planted)
     code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
     assert code == 1
     assert _failing(reps) == {

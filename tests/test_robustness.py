@@ -35,7 +35,7 @@ def test_escape_refutes_containment(monkeypatch):
 @pytest.mark.parametrize(
     "name, check",
     [
-        ("restricted_d", lambda: complexes.verify_snake(3, 2)),
+        ("restrict", lambda: complexes.verify_snake(3, 2)),
         ("build_Et", lambda: complexes.verify_Et_complex(3, 2)),
     ],
 )
@@ -51,4 +51,14 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_complexes_imports_no_private_fiber_name():
+    """The monomial conventions stay inside ``fiber``: ``complexes`` reaches
+    the fiber layer through its public names only."""
+    tree = ast.parse(Path(complexes.__file__).read_text(encoding="utf-8"))
+    found = [f"{alias.name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module in ("fiber", "sscx.fiber")
+             for alias in node.names if alias.name.startswith("_")]
     assert found == []
