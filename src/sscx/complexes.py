@@ -373,7 +373,8 @@ def verify_bicomplex(n: int, t: int) -> Report:
     (``is_complex``, the verdict ``total_d2`` and the premise of the mod-p
     ranks that ``cohomology_match`` reads); only when it fails is each
     composition formed again and its row and square blocks read.  The
-    column ranks are the ones kept on the cached d0 (``rank``).
+    column ranks are the ones kept on the cached d0 (``rank``), and d0
+    kills the fiber at the top when each vector's integer ``image`` is empty.
     """
     bc = build_bicomplex(n, t)
     total = totalize(bc)
@@ -406,7 +407,7 @@ def verify_bicomplex(n: int, t: int) -> Report:
         maps = [bc.vertical[(b, c)] for c in range(height - 1)]
         ranks = list(map(rank, maps))
         # the independent basis of the fiber lies in ker d0 and has its dimension
-        if bc.grid[b][0].dim - ranks[0] != top.dim or any(map(maps[0].apply, top.vectors)):
+        if bc.grid[b][0].dim - ranks[0] != top.dim or any(map(maps[0].image, top.vectors)):
             top_kernels = 0
         for c in range(1, height - 1):
             if bc.grid[b][c].dim - ranks[c] != ranks[c - 1]:
@@ -503,7 +504,7 @@ def verify_ces(n: int, t: int) -> Report:
     for space in _spaces(n, t)[1:]:
         mat, dst = structure_map("d0", space)
         ker = fiber_E(space)
-        if any(map(mat.apply, ker.vectors)):
+        if any(map(mat.image, ker.vectors)):
             ok_kernel = 0
         if not _image_is_fiber(space):
             ok_image = 0

@@ -42,8 +42,8 @@ non-zero Python ``int`` at a row inside the shape, and ``scalar`` is one
 non-zero ``Fraction``; a zero matrix has empty columns and the scalar 1.
 The fiber's structure maps are integral but for one denominator per matrix,
 so products and restrictions run on ints and touch the rationals only
-through the scalars, and ``scale`` is O(1).  ``apply``, ``entries`` and
-``==`` work with values (the scalar applied); ``columns`` and ``rows`` hand
+through the scalars, and ``scale`` is O(1).  ``entries`` and ``==`` work
+with values (the scalar applied); ``image``, ``columns`` and ``rows`` hand
 out the stored integers, ``block`` slices them under the same scalar, and
 ``rank`` ignores the scalar.  The constructor trusts its input and takes the
 column dicts over as they are, so every caller builds columns that keep the
@@ -55,10 +55,10 @@ built.  So ``rank`` keeps its result on the matrix and eliminates each
 matrix once, and the rank lives exactly as long as the matrix.  A ``scale``d
 copy, a ``block`` or a product is a new matrix and is ranked on its own.
 
-No ``int / int`` anywhere: in Python that is a float.  Every division goes
-through ``Fraction`` (``Fraction(v, pv)``, ``Fraction(1, pv)``), and only a
-pivot other than ±1 creates a ``Fraction``; the core over F_P divides by
-nothing.
+No ``int / int`` anywhere: in Python that is a float.  The one division,
+``Fraction(v, pv)`` in the core over Q, is made only at a pivot other than
+±1; the core over F_P divides by nothing, and neither does reading
+coordinates off the private rows of a subspace basis, whose entries are ±1.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
 
 Vec = dict[int, int | Fraction]
 _ONE = Fraction(1)
@@ -151,14 +151,14 @@ class SparseRationalMatrix:
         multiplied, the scalars multiplied."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch in composition")
-        image = self._image
+        image = self.image
         return SparseRationalMatrix(
             self.nrows, [image(col) for col in other._cols], self.scalar * other.scalar
         )
 
-    def _image(self, vec: Vec) -> Vec:
+    def image(self, vec: Vec) -> Vec:
         """Image of a sparse column vector under the stored columns, without
-        the scalar (no stored zeros)."""
+        the scalar (no stored zeros): empty iff the matrix kills the vector."""
         cols = self._cols
         out: Vec = {}
         for j, v in vec.items():
@@ -173,15 +173,6 @@ class SparseRationalMatrix:
                     else:
                         del out[i]
         return out
-
-    def apply(self, vec: Vec) -> Vec:
-        """Image of a sparse column vector, the scalar applied (no stored
-        zeros)."""
-        out = self._image(vec)
-        s = self.scalar
-        if s == 1:
-            return out
-        return {i: s * v for i, v in out.items()}
 
     def is_zero(self) -> bool:
         return not any(self._cols)
@@ -311,10 +302,11 @@ def pivots_mod_p(m: SparseRationalMatrix, skip: list[int] | tuple = ()) -> list[
 
 @dataclass
 class SubspaceBasis:
-    """Ordered basis of a subspace of Q^ambient_dim, as sparse columns."""
+    """Ordered basis of a subspace of Q^ambient_dim: sparse integer columns,
+    trusted (unchecked, uncopied) and immutable, as a matrix's are."""
 
     ambient_dim: int
-    vectors: list[Vec]
+    vectors: list[dict[int, int]]
 
     @property
     def dim(self) -> int:
@@ -327,7 +319,11 @@ class SubspaceBasis:
     def private_rows(self) -> list[int] | None:
         """For each vector, its first row that no other vector touches; None
         if some vector has no such row.  Private rows make the vectors
-        independent, and finding them takes O(nnz)."""
+        independent, and finding them takes O(nnz), on the first call only."""
+        return self._private_rows
+
+    @cached_property
+    def _private_rows(self) -> list[int] | None:
         count = Counter(r for vec in self.vectors for r in vec)
         rows = [next((r for r in vec if count[r] == 1), None) for vec in self.vectors]
         return None if None in rows else rows
@@ -335,23 +331,22 @@ class SubspaceBasis:
 
 def solve_in_basis(basis: SubspaceBasis, targets: list[Vec]) -> list[Vec]:
     """Coordinates of each target vector in the given basis, read off at its
-    private rows (ValueError, before any target is read, if it has none):
-    the target's entry there over the vector's, which is ±1 in every basis
-    of the package, so integral targets get integral coordinates (any other
-    entry is inverted as a ``Fraction``).  The target minus that combination
-    must be exactly zero; otherwise it is not in the span and
-    SubspaceEscapeError is raised.
+    private rows: the target's entry there times the vector's, which must
+    be ±1, so integral targets get integral coordinates.  ValueError, before
+    any target is read, if a vector has no private row or another entry
+    there.  The target minus that combination must be exactly zero;
+    otherwise it is not in the span and SubspaceEscapeError is raised.
     """
     pivots = basis.private_rows()
     if pivots is None:
         raise ValueError("basis vector without a private row")
-    # private row -> (vector index, 1 / the vector's entry there, an int
-    # for an entry ±1, and the vector's other entries)
+    # private row -> (vector index, its entry there, its other entries)
     owner = {}
     for i, (r, vec) in enumerate(zip(pivots, basis.vectors)):
         pv = vec[r]
-        others = [(s, w) for s, w in vec.items() if s != r]
-        owner[r] = (i, pv if pv in (1, -1) else Fraction(1, pv), others)
+        if pv not in (1, -1):
+            raise ValueError(f"basis vector {i} has the entry {pv} at its private row {r}")
+        owner[r] = (i, pv, [(s, w) for s, w in vec.items() if s != r])
     coords: list[Vec] = []
     for k, target in enumerate(targets):
         coord: Vec = {}
@@ -360,8 +355,8 @@ def solve_in_basis(basis: SubspaceBasis, targets: list[Vec]) -> list[Vec]:
             hit = owner.get(r)
             if hit is None:
                 continue
-            i, inv, others = hit
-            x = v * inv
+            i, pv, others = hit
+            x = v * pv
             coord[i] = x
             # x times the vector cancels the target at the private row
             del rest[r]
@@ -388,9 +383,9 @@ def restrict(
 ) -> SparseRationalMatrix:
     """Matrix of m restricted to dom, expressed in cod coordinates, which
     ``solve_in_basis`` reads off at cod's private rows (ValueError if cod
-    has none).  The stored integers of m are applied and m's scalar is
-    kept, so integral bases with entries ±1 at their private rows give
-    integral coordinates.
+    has none, or one whose entry is not ±1).  The stored integers of m are
+    applied to the integer vectors of dom, so the coordinates are integers,
+    and m's scalar is kept.
 
     Raises SubspaceEscapeError if m(dom) is not contained in span(cod); that
     failure mode is itself meaningful, as it refutes a containment claim.
@@ -399,12 +394,5 @@ def restrict(
         raise ValueError("domain ambient dimension does not match matrix")
     if cod.ambient_dim != m.nrows:
         raise ValueError("codomain ambient dimension does not match matrix")
-    images = [m._image(v) for v in dom.vectors]
-    coords = solve_in_basis(cod, images)
-    if all(type(v) is int for col in coords for v in col.values()):
-        return SparseRationalMatrix(cod.dim, coords, m.scalar)
-    # rational coordinates (a basis with other pivots than ±1, or rational
-    # vectors): their common denominator moves into the scalar
-    den = lcm(*(v.denominator for col in coords for v in col.values()))
-    cols = [{r: (v * den).numerator for r, v in col.items()} for col in coords]
-    return SparseRationalMatrix(cod.dim, cols, m.scalar / den)
+    coords = solve_in_basis(cod, [m.image(v) for v in dom.vectors])
+    return SparseRationalMatrix(cod.dim, coords, m.scalar)

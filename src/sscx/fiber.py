@@ -276,9 +276,9 @@ def perp_monomials(space: TwistedSpace):
     return (mono for mono in basis_of(space) if not mono[0] or mono[0][0] >= 2)
 
 
-@cache
 def fiber_wedge_perp(space: TwistedSpace) -> SubspaceBasis:
-    """Subspace wedge^a U-perp (x) S^B U inside space."""
+    """Subspace wedge^a U-perp (x) S^B U inside space, built on each call:
+    its readers, ``build_koszul_S`` and ``fiber_E``'s lifts, are cached."""
     a, B = space.a, space.B
     if a > 2 * space.n - 2:
         raise ValueError("wedge degree out of range for the annihilator")
@@ -308,8 +308,7 @@ def _lift_vectors(space: TwistedSpace) -> list[dict[int, int]]:
     """The basis of the fiber in space, of degree (a, b), a >= 1: the
     annihilator monomials, then the lifts (mu ^ e^0)(x)(e_0 Q) + (mu ^
     e^1)(x)(e_1 Q) of the annihilator monomials of degree (a-1, b-1), none
-    for b = 0.  The annihilator vectors are the cached ones, so callers must
-    not mutate them."""
+    for b = 0."""
     n, a, b = space.n, space.a, space.B
     monos = perp_monomials(TwistedSpace(n, a - 1, b - 1)) if b else ()
     return fiber_wedge_perp(space).vectors + [_xi_lift(space, mono) for mono in monos]
@@ -326,9 +325,10 @@ def fiber_E(space: TwistedSpace) -> SubspaceBasis:
     order is a contract: the snake check reads the blocks of the
     differentials of ``complexes.build_Et`` by it.  The entries are ±1, at
     most two per vector, and the basis is certified as a basis of ker d0 in
-    three steps: d0 kills every vector (exact ``apply``); every vector owns
-    a private row, so they are independent; and there are dim - rank(d0) of
-    them, which must also be the dimension the filtration predicts.
+    three steps: d0 kills every vector (its integer ``image`` is empty);
+    every vector owns a private row, kept for every restriction into the
+    basis, so they are independent; and there are dim - rank(d0) of them,
+    which must also be the dimension the filtration predicts.
     rank(d0) is kept on the cached d0, which the bicomplex and ces checks
     rank too.  Any mismatch is a hard failure, since it refutes the sign
     conventions of this module.
@@ -349,7 +349,7 @@ def fiber_E(space: TwistedSpace) -> SubspaceBasis:
     if (
         basis.dim != dim
         or basis.private_rows() is None
-        or any(map(mat.apply, basis.vectors))
+        or any(map(mat.image, basis.vectors))
     ):
         raise AssertionError(
             f"lift construction disagrees with the kernel at (a={a}, b={b})"

@@ -4,7 +4,9 @@
 checks and normalizes every entry, so a matrix that some operation built
 from its own columns can be compared with its checked rebuild, and
 ``matrix_sum`` adds two matrices value by value, for the tests that sum
-maps (the package itself never adds two matrices).
+maps (the package itself never adds two matrices).  ``value_columns`` and
+``value_image`` read a matrix's values, its stored integers times its
+scalar, which the package itself never needs.
 ``spans_equal`` and ``subspace_equal`` decide subspace equality by three
 plain ranks; the verifier decides it by containment plus dimension, and
 these are the oracle it must agree with.
@@ -82,6 +84,13 @@ def value_columns(m: SparseRationalMatrix) -> list[dict]:
     """The columns of m's values: its stored integers times its scalar."""
     s = m.scalar
     return [{r: s * v for r, v in col.items()} for col in m.columns()]
+
+
+def value_image(m: SparseRationalMatrix, vec: dict) -> dict:
+    """The image of vec under m's values: its integer ``image`` times its
+    scalar."""
+    s = m.scalar
+    return {r: s * v for r, v in m.image(vec).items()}
 
 
 def matrix_sum(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatrix:

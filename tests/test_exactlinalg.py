@@ -211,15 +211,16 @@ def elimination_rows(draw, max_rows=8, max_cols=8):
 
 
 @st.composite
-def private_row_bases(draw, max_dim=7, values=nonzero_fractions):
-    """Bases whose vectors each own a row no other vector touches, with
-    further entries on the rows that no vector owns."""
+def private_row_bases(draw, max_dim=7, values=st.integers(-5, 5).filter(bool)):
+    """Integer bases whose vectors each own a row no other vector touches,
+    with ±1 there, and further entries from ``values`` on the rows that no
+    vector owns."""
     ambient = draw(st.integers(1, max_dim))
     owned = draw(st.lists(st.integers(0, ambient - 1), unique=True, max_size=ambient))
     shared = [r for r in range(ambient) if r not in owned]
     vectors = []
     for r in owned:
-        vec = {r: draw(values)}
+        vec = {r: draw(st.sampled_from((1, -1)))}
         for s in draw(st.lists(st.sampled_from(shared), unique=True)) if shared else []:
             vec[s] = draw(values)
         vectors.append(vec)
@@ -324,10 +325,23 @@ class TestSubspaces:
             restrict(m, dom, cod)
 
     def test_solve_in_basis_roundtrip(self):
-        basis = SubspaceBasis(3, [{0: Fraction(1), 1: Fraction(2)}, {2: Fraction(3)}])
-        target = {0: Fraction(2), 1: Fraction(4), 2: Fraction(3)}
+        basis = SubspaceBasis(3, [{0: 1, 1: 2}, {2: -1}])
+        target = {0: 2, 1: 4, 2: 3}
         coords = solve_in_basis(basis, [target])
-        assert coords == [{0: Fraction(2), 1: Fraction(1)}]
+        assert coords == [{0: 2, 1: -3}]
+        assert all(type(v) is int for v in coords[0].values())
+
+    @pytest.mark.parametrize("entry", [2, -3, Fraction(1, 2)], ids=["2", "-3", "1/2"])
+    def test_private_entry_other_than_a_unit_is_rejected(self, entry):
+        # private rows 0 and 2; the second vector's entry there is not ±1.
+        # The first target lies outside every span, so the basis must be
+        # rejected before any target is read
+        basis = SubspaceBasis(4, [{0: 1, 1: 1}, {1: 1, 2: entry}])
+        assert basis.private_rows() == [0, 2]
+        with pytest.raises(ValueError, match=f"basis vector 1 has the entry {entry} at"):
+            solve_in_basis(basis, [{3: 1}, {0: 1, 1: 1}])
+        with pytest.raises(ValueError, match=f"basis vector 1 has the entry {entry} at"):
+            restrict(mat([[0, 1], [0, 1], [0, 0], [1, 0]]), SubspaceBasis.full(2), basis)
 
     def test_solve_in_basis_reads_private_rows(self):
         # rows 1 and 3 are shared; rows 0, 2 and 4 are private
@@ -470,7 +484,7 @@ class TestDerivedMatrices:
         assert dense(prod) == [[sum(x * y for x, y in zip(row, col)) for col in cols]
                                for row in dense(a)]
         for j, col in enumerate(value_columns(c)):
-            assert a.apply(col) == value_columns(prod)[j]
+            assert oracle.value_image(a, col) == value_columns(prod)[j]
         rebuilt = SparseRationalMatrix(a.nrows, a.columns(), a.scalar)
         assert_clean(rebuilt)
         assert rebuilt == a
@@ -478,10 +492,12 @@ class TestDerivedMatrices:
         full_dom, full_cod = SubspaceBasis.full(a.ncols), SubspaceBasis.full(a.nrows)
         assert_clean(restrict(a, full_dom, full_cod))
         assert restrict(a, full_dom, full_cod) == a
+        # the kernel vectors with their denominators cleared: a subspace
+        # basis holds integers, here the kernel's stored columns
         ker = kernel(prod)
-        on_kernel = restrict(c, SubspaceBasis(c.ncols, value_columns(ker)), SubspaceBasis.full(c.nrows))
+        on_kernel = restrict(c, SubspaceBasis(c.ncols, ker.columns()), SubspaceBasis.full(c.nrows))
         assert_clean(on_kernel)
-        assert on_kernel == c @ ker
+        assert on_kernel.scale(ker.scalar) == c @ ker
 
 
 @st.composite
@@ -598,9 +614,10 @@ def _combinations(draw, vectors, count):
 
 
 class TestBigIntegers:
-    """Integer matrices with entries above 2^53 and pivots other than ±1:
-    ranks, coordinates and restrictions must be the oracle's Fraction
-    results, so an int / int float anywhere would show."""
+    """Integer matrices with entries above 2^53 and pivots other than ±1,
+    and bases with such entries off their ±1 private rows: ranks,
+    coordinates and restrictions must be the oracle's Fraction results, so
+    an int / int float anywhere would show."""
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

@@ -58,21 +58,48 @@ def fresh_caches():
     assert _ranked_matrices() <= ranked
 
 
-def test_the_memos_are_the_eight():
+def test_the_memos_are_the_seven():
     """Each fiber-layer fact has one cache: a complex holds its
     differentials and its cohomology, and ``basis_of`` is the one index of
     a space's monomials.  A memo that re-keys what another holds would be
-    one more that ``fresh_caches`` must clear."""
+    one more that ``fresh_caches`` must clear.  The annihilator bases are
+    built on each call: their two readers, the Koszul complexes and the
+    fibers' lifts, are cached."""
     assert {f"{f.__module__}.{f.__qualname__}" for f in CACHED} == {
         "sscx.fiber.basis_of",
         "sscx.fiber._structure_matrix",
-        "sscx.fiber.fiber_wedge_perp",
         "sscx.fiber.fiber_E",
         "sscx.complexes.build_Et",
         "sscx.complexes.build_koszul_S",
         "sscx.weights.weyl_dim_gl",
         "sscx.weights.tphi_on_weight",
     }
+
+
+def test_each_basis_finds_its_private_rows_once(monkeypatch):
+    """A basis is immutable, so the fiber certificate and every restriction
+    into it read one set of private rows.  At n = 5 these are the 36 fibers
+    E^{a,b} and the 36 annihilator bases with a >= 1 that the truncation and
+    Koszul complexes restrict into: 72 bases, each counted once, though
+    they are asked for 108 times."""
+    # the bases asked, kept alive so that no two share an id
+    counts, asked = [], []
+    real_counter, real_rows = exactlinalg.Counter, exactlinalg.SubspaceBasis.private_rows
+
+    def counter(rows):
+        counts.append(1)
+        return real_counter(rows)
+
+    def private_rows(basis):
+        asked.append(basis)
+        return real_rows(basis)
+
+    monkeypatch.setattr(exactlinalg, "Counter", counter)
+    monkeypatch.setattr(exactlinalg.SubspaceBasis, "private_rows", private_rows)
+    code, reps = reports("verify-fiber", "--n", "5", "--t", "all")
+    assert code == 0 and len(reps) == 6 * 9
+    assert len(asked) == 108
+    assert len(counts) == len({id(basis) for basis in asked}) == 72
 
 
 def reports(*argv):

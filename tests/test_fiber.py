@@ -24,7 +24,7 @@ from sscx.fiber import (
     structure_map,
     symplectic_form,
 )
-from linalg_oracle import matrix_sum, subspace_equal
+from linalg_oracle import matrix_sum, subspace_equal, value_image
 
 
 def dimension_split_identity(n: int, a: int, b: int) -> bool:
@@ -120,9 +120,9 @@ class TestStructureMaps:
         # plane vector to the contraction of the symplectic form with it
         mat, dst = structure_map("d", space3(0, 1))
         idx = {mono: i for i, mono in enumerate(basis_of(dst))}
-        col = mat.apply({1: 1})  # image of e_0 (basis exponent p = 1)
+        col = value_image(mat, {1: 1})  # image of e_0 (basis exponent p = 1)
         assert col == {idx[((3,), 0)]: Fraction(-1)}
-        col = mat.apply({0: 1})  # image of e_1
+        col = value_image(mat, {0: 1})  # image of e_1
         assert col == {idx[((4,), 0)]: Fraction(-1)}
 
     def test_d0_example_rank(self):
@@ -253,6 +253,19 @@ class TestRestrictedD:
             d = build_Et(3, t).differentials
             for a in range(0, t - 1):
                 assert (d[a + 1] @ d[a]).is_zero()
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_differentials_store_ints_under_the_structure_map_scalar(self, n):
+        """``restrict`` reads integer coordinates off the ±1 private rows and
+        keeps the map's scalar, with no scan of its result: every restricted
+        d and d2 holds only ints, under the scalar of its structure map (1
+        for a zero matrix)."""
+        for t in range(2 * n - 1):
+            for build, kind in ((build_Et, "d"), (build_koszul_S, "d2")):
+                for a, m in enumerate(build(n, t).differentials):
+                    structure, _ = structure_map(kind, TwistedSpace(n, a, t - a))
+                    assert m.scalar == (1 if m.is_zero() else structure.scalar), (t, a)
+                    assert all(type(v) is int for col in m.columns() for v in col.values())
 
     def test_containment_never_escapes(self):
         # built afresh, so that every (a, b) with b >= 1 is restricted here;

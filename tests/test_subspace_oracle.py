@@ -91,7 +91,8 @@ def test_lift_basis_matches_the_reduced_kernel(n):
             b = t - a
             d, _ = structure_map("d", TwistedSpace(n, a, b))
             cod = old[(a + 1, b - 1)]
-            coords = oracle.solve_in_basis(cod, [d.apply(v) for v in old[(a, b)].vectors])
+            images = [oracle.value_image(d, v) for v in old[(a, b)].vectors]
+            coords = oracle.solve_in_basis(cod, images)
             diffs.append(oracle.rational_matrix(cod.dim, coords))
             assert rank(diffs[-1]) == rank(build_Et(n, t).differentials[a]), (t, a)
         dims = [old[(a, t - a)].dim for a in range(t + 1)]
