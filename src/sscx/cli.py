@@ -16,8 +16,9 @@ Under --jobs, verify-fiber hands the pool one task per degree t, holding
 every selected check at that t, highest t first, so the heaviest degree
 starts first.  Most caches a degree fills are keyed by spaces of that
 degree, but two cross degrees, so two workers may fill the same entry:
-the snake at t reads ``complexes.build_koszul_S(n, t - 2)``, and the lifts
-in ``fiber.fiber_E`` at t read ``fiber.basis_of`` of degree t - 2.
+the snake at t reads ``complexes.build_koszul_S(n, t - 2, m)`` of every
+weight block m, and the lifts in ``fiber.fiber_E`` at t read
+``fiber.basis_of`` of degree t - 2.
 verify-weights hands the pool one task per report.  There is at most one
 worker per degree and per CPU.
 """

@@ -6,6 +6,9 @@ subspaces, and the two-dimensional grid whose columns resolve the truncation
 fibers; verifies complex conditions, column exactness, square
 anticommutativity, and the predicted cohomology dimensions, all in exact
 arithmetic: integer matrices, each with one rational scalar.
+Every complex is built on one weight block m of the fiber spaces
+(``fiber.TwistedSpace``), and each check combines the blocks by their
+orbit sums (``_orbit_sum``).
 """
 
 from __future__ import annotations
@@ -142,19 +145,43 @@ def expected_Et_cohomology(n: int, t: int) -> dict[int, int]:
     return out
 
 
-def _spaces(n: int, t: int) -> list[TwistedSpace]:
-    """The spaces S_a = TwistedSpace(n, a, t - a), a = 0..t, of degree t."""
+def _orbit_sum(n: int, per_block) -> dict:
+    """One check's computed values, combined over the weight blocks.
+
+    ``per_block(m)`` returns the values of block m = 0..n-2.  An int is a
+    dimension (a rank, a cohomology dimension), summed with the multiplicity
+    C(n-2, m) 2^m of block m, its Weyl orbit; a key that a block leaves out
+    counts as 0 there.  A bool is a flag, conjoined over the blocks and
+    reported as 0 or 1: a flag decided per block is stronger than one
+    decided on the sums.  At n = 1 block 0 still runs, so that its spaces
+    refuse n < 2."""
+    out: dict = {}
+    for m in range(max(n - 1, 1)):
+        values = per_block(m)
+        mult = comb(n - 2, m) * 2**m
+        for key, v in values.items():
+            if type(v) is bool:
+                out[key] = out.get(key, 1) & v
+            else:
+                out[key] = out.get(key, 0) + mult * v
+    return out
+
+
+def _spaces(n: int, t: int, m: int) -> list[TwistedSpace]:
+    """The spaces S_a = TwistedSpace(n, a, t - a, m), a = 0..t, of degree t
+    in weight block m."""
     if not (0 <= t <= 2 * n - 2):
         raise ValueError("t outside the admissible band")
-    return [TwistedSpace(n, a, t - a) for a in range(t + 1)]
+    return [TwistedSpace(n, a, t - a, m) for a in range(t + 1)]
 
 
-def _row_complex(n: int, t: int, subspace, kind: str) -> ChainComplex:
+def _row_complex(n: int, t: int, m: int, subspace, kind: str) -> ChainComplex:
     """The complex of the subspaces subspace(S_a) of the spaces S_a of degree
-    t (``_spaces``) and the structure map ``kind`` restricted to them,
-    rightmost term in degree 0.  SubspaceEscapeError propagates: a map that
-    leaves its target subspace refutes the containment the complex rests on."""
-    spaces = _spaces(n, t)
+    t in block m (``_spaces``) and the structure map ``kind`` restricted to
+    them, rightmost term in degree 0.  SubspaceEscapeError propagates: a map
+    that leaves its target subspace refutes the containment the complex
+    rests on."""
+    spaces = _spaces(n, t, m)
     bases = [subspace(space) for space in spaces]
     diffs = [
         restrict(structure_map(kind, src)[0], dom, cod)
@@ -164,37 +191,41 @@ def _row_complex(n: int, t: int, subspace, kind: str) -> ChainComplex:
 
 
 @cache
-def build_Et(n: int, t: int) -> ChainComplex:
-    """The complex E^{0,t} -> E^{1,t-1} -> ... -> E^{t,0} of truncation
-    fibers ``fiber_E`` and the restricted d, rightmost term in degree 0,
-    built once per process, so that the d2zero, cohomology, bicomplex and
-    snake checks share its differentials, its d o d verdict and its
-    cohomology.  SubspaceEscapeError propagates and is not cached."""
-    return _row_complex(n, t, fiber_E, "d")
+def build_Et(n: int, t: int, m: int) -> ChainComplex:
+    """Weight block m of the complex E^{0,t} -> E^{1,t-1} -> ... -> E^{t,0}
+    of truncation fibers ``fiber_E`` and the restricted d, rightmost term in
+    degree 0, built once per process, so that the d2zero, cohomology,
+    bicomplex and snake checks share its differentials, its d o d verdict
+    and its cohomology.  SubspaceEscapeError propagates and is not cached."""
+    return _row_complex(n, t, m, fiber_E, "d")
 
 
 @cache
-def build_koszul_S(n: int, t: int) -> ChainComplex:
-    """Koszul complex on the annihilator subspaces (``fiber_wedge_perp``),
-    resolving the t-th wedge power of the rank-(2n-4) quotient: spaces
-    wedge^i U-perp (x) S^{t-i} U for i = 0..t with the Koszul differential
-    d2 restricted to them, rightmost term in degree 0.  Built once per
-    process, for the koszul check and the snake checks at t and t + 2."""
-    return _row_complex(n, t, fiber_wedge_perp, "d2")
+def build_koszul_S(n: int, t: int, m: int) -> ChainComplex:
+    """Weight block m of the Koszul complex on the annihilator subspaces
+    (``fiber_wedge_perp``), resolving the t-th wedge power of the
+    rank-(2n-4) quotient: spaces wedge^i U-perp (x) S^{t-i} U for i = 0..t
+    with the Koszul differential d2 restricted to them, rightmost term in
+    degree 0.  Built once per process, for the koszul check and the snake
+    checks at t and t + 2."""
+    return _row_complex(n, t, m, fiber_wedge_perp, "d2")
 
 
 def verify_koszul_S(n: int, t: int) -> Report:
     """The Koszul complex must be exact except at the right end, where the
     cokernel dimension is the binomial rank of the t-th quotient wedge."""
-    c = build_koszul_S(n, t)
-    coh = c.cohomology
-    expected_coker = comb(2 * n - 4, t)
-    expected = {"complex": 1, "cokernel": expected_coker, "other_cohomology": 0}
-    computed = {
-        "complex": int(c.is_complex),
-        "cokernel": coh.get(0, 0),
-        "other_cohomology": sum(v for d, v in coh.items() if d != 0),
-    }
+
+    def block(m: int) -> dict:
+        c = build_koszul_S(n, t, m)
+        coh = c.cohomology
+        return {
+            "complex": c.is_complex,
+            "cokernel": coh.get(0, 0),
+            "other_cohomology": sum(v for d, v in coh.items() if d != 0),
+        }
+
+    computed = _orbit_sum(n, block)
+    expected = {"complex": 1, "cokernel": comb(2 * n - 4, t), "other_cohomology": 0}
     return Report("koszul", {"n": n, "t": t}, expected, computed)
 
 
@@ -210,30 +241,39 @@ def verify_snake(n: int, t: int) -> Report:
         the truncation complex in degrees -1 / 0.
 
     (a) and (b) read the blocks of the differentials of the cached truncation
-    complex ``build_Et(n, t)``, whose bases (``fiber_E``'s) hold the
+    complexes ``build_Et(n, t, m)``, whose bases (``fiber_E``'s) hold the
     annihilator monomials first and then the lifts, in the domain and in the
     target, and compare them with the differentials of the cached Koszul
-    complexes ``build_koszul_S`` of degrees t and t - 2.
+    complexes ``build_koszul_S`` of degrees t and t - 2, block by block.
+    (c) reads the wedge map whole: it is small.
     """
-    filtration_ok = 1
-    quotient_ok = 1
-    pairs = zip(build_Et(n, t).differentials, build_koszul_S(n, t).differentials)
-    for a, (d, koszul) in enumerate(pairs):
-        b = t - a
-        # the Koszul differential's shape is the number of annihilator
-        # monomials in the domain and in the target
-        perp_cols, perp_rows = range(koszul.ncols), range(koszul.nrows)
-        lift_cols, lift_rows = range(koszul.ncols, d.ncols), range(koszul.nrows, d.nrows)
-        # (a) no annihilator column reaches a lift row, and the annihilator
-        # block is the Koszul differential
-        if not d.block(lift_rows, perp_cols).is_zero() or d.block(perp_rows, perp_cols) != koszul:
-            filtration_ok = 0
-        # (b) the lift block is minus the Koszul differential one degree
-        # lower; it is empty for a = 0 (no lift column) or b = 1 (no lift row)
-        if a and b >= 2:
-            lower = build_koszul_S(n, t - 2).differentials[a - 1]
-            if d.block(lift_rows, lift_cols) != lower.scale(-1):
-                quotient_ok = 0
+
+    def block(m: int) -> dict:
+        filtration_ok = quotient_ok = True
+        pairs = zip(build_Et(n, t, m).differentials, build_koszul_S(n, t, m).differentials)
+        for a, (d, koszul) in enumerate(pairs):
+            b = t - a
+            # the Koszul differential's shape is the number of annihilator
+            # monomials in the domain and in the target
+            perp_cols, perp_rows = range(koszul.ncols), range(koszul.nrows)
+            lift_cols, lift_rows = range(koszul.ncols, d.ncols), range(koszul.nrows, d.nrows)
+            # (a) no annihilator column reaches a lift row, and the
+            # annihilator block is the Koszul differential
+            if (
+                not d.block(lift_rows, perp_cols).is_zero()
+                or d.block(perp_rows, perp_cols) != koszul
+            ):
+                filtration_ok = False
+            # (b) the lift block is minus the Koszul differential one degree
+            # lower; it is empty for a = 0 (no lift column) or b = 1 (no
+            # lift row)
+            if a and b >= 2:
+                lower = build_koszul_S(n, t - 2, m).differentials[a - 1]
+                if d.block(lift_rows, lift_cols) != lower.scale(-1):
+                    quotient_ok = False
+        return {"filtration_ok": filtration_ok, "quotient_ok": quotient_ok}
+
+    flags = _orbit_sum(n, block)
     wmat = wedge_form_matrix(n, t)
     r = rank(wmat)
     ker = wmat.ncols - r
@@ -245,21 +285,17 @@ def verify_snake(n: int, t: int) -> Report:
         "kernel": expect.get(-1, 0),
         "cokernel": expect.get(0, 0),
     }
-    computed = {
-        "filtration_ok": filtration_ok,
-        "quotient_ok": quotient_ok,
-        "kernel": ker,
-        "cokernel": coker,
-    }
+    computed = {**flags, "kernel": ker, "cokernel": coker}
     return Report("snake", {"n": n, "t": t}, expected, computed)
 
 
 @dataclass
 class Bicomplex:
-    """Grid of twisted spaces: column b (0..t) resolves the truncation fiber
-    of degree (t-b, b); the entry at depth c is the space (t-b-c, b+c),
-    twisted by (det U*)^c, which its position records.  Horizontal maps
-    point from column b to column b-1, vertical maps go down each column."""
+    """Grid of twisted spaces of one weight block: column b (0..t) resolves
+    the truncation fiber of degree (t-b, b); the entry at depth c is the
+    space (t-b-c, b+c), twisted by (det U*)^c, which its position records.
+    Horizontal maps point from column b to column b-1, vertical maps go
+    down each column."""
 
     n: int
     t: int
@@ -268,8 +304,8 @@ class Bicomplex:
     vertical: dict[tuple[int, int], SparseRationalMatrix]
 
 
-def build_bicomplex(n: int, t: int) -> Bicomplex:
-    """Assemble the grid together with its structure maps.
+def build_bicomplex(n: int, t: int, m: int) -> Bicomplex:
+    """Assemble the grid of weight block m together with its structure maps.
 
     The horizontal map on the (b, c) entry (b >= 1) is
     (-1)^c (b/(B(B+1)) d1 + (b/B) d2) with B = b+c, which equals
@@ -279,7 +315,7 @@ def build_bicomplex(n: int, t: int) -> Bicomplex:
     codomain is checked against the grid entry it must land on; the
     position fixes the twist, so matching (a, B) matches it too.
     """
-    spaces = _spaces(n, t)
+    spaces = _spaces(n, t, m)
     grid = [[spaces[t - b - c] for c in range(t - b + 1)] for b in range(t + 1)]
     horizontal: dict[tuple[int, int], SparseRationalMatrix] = {}
     vertical: dict[tuple[int, int], SparseRationalMatrix] = {}
@@ -359,13 +395,13 @@ def totalize(bc: Bicomplex) -> ChainComplex:
 
 
 def verify_bicomplex(n: int, t: int) -> Report:
-    """Full structural verification of the grid:
+    """Full structural verification of the grid, on each weight block:
 
     rows are complexes; each column is exact with the truncation fiber as
     the kernel at the top and surjective at the bottom; every square
     anticommutes once the vertical maps carry the column sign; the total
     complex squares to zero and reproduces the cohomology of the truncation
-    complex (acyclic at t = n - 1).
+    complex's block (acyclic at t = n - 1).
 
     Every composition the rows and squares ask for is a block of the total
     complex's square: from the (b, c) block to (b-2, c) the row identity,
@@ -376,10 +412,19 @@ def verify_bicomplex(n: int, t: int) -> Report:
     column ranks are the ones kept on the cached d0 (``rank``), and d0
     kills the fiber at the top when each vector's integer ``image`` is empty.
     """
-    bc = build_bicomplex(n, t)
+    flags = ("rows_ok", "cols_exact", "top_kernels", "squares", "total_d2",
+             "cohomology_match", "acyclic_band")
+    expected = dict.fromkeys(flags, 1)
+    computed = _orbit_sum(n, lambda m: _bicomplex_flags(n, t, m))
+    return Report("bicomplex", {"n": n, "t": t}, expected, computed)
+
+
+def _bicomplex_flags(n: int, t: int, m: int) -> dict[str, bool]:
+    """The flags of ``verify_bicomplex`` on weight block m."""
+    bc = build_bicomplex(n, t, m)
     total = totalize(bc)
-    total_d2 = int(total.is_complex)
-    rows_ok = squares = 1
+    total_d2 = total.is_complex
+    rows_ok = squares = True
     if not total_d2:
         layout, offsets, _ = _layout(bc)
 
@@ -392,82 +437,68 @@ def verify_bicomplex(n: int, t: int) -> Report:
             for b, c in layout[k]:
                 src = span(b, c)
                 if b >= 2 and not d2.block(span(b - 2, c), src).is_zero():
-                    rows_ok = 0
+                    rows_ok = False
                 if b >= 1 and c < t - b and not d2.block(span(b - 1, c + 1), src).is_zero():
-                    squares = 0
-    cols_exact = 1
-    top_kernels = 1
+                    squares = False
+    cols_exact = top_kernels = True
     for b in range(t + 1):
         height = t - b + 1
         top = fiber_E(bc.grid[b][0])
         if height == 1:
             if top.dim != bc.grid[b][0].dim:
-                top_kernels = 0
+                top_kernels = False
             continue
         maps = [bc.vertical[(b, c)] for c in range(height - 1)]
         ranks = list(map(rank, maps))
         # the independent basis of the fiber lies in ker d0 and has its dimension
         if bc.grid[b][0].dim - ranks[0] != top.dim or any(map(maps[0].image, top.vectors)):
-            top_kernels = 0
+            top_kernels = False
         for c in range(1, height - 1):
             if bc.grid[b][c].dim - ranks[c] != ranks[c - 1]:
-                cols_exact = 0
+                cols_exact = False
         if ranks[height - 2] != bc.grid[b][height - 1].dim:
-            cols_exact = 0
-    et_coh = build_Et(n, t).cohomology
+            cols_exact = False
+    et_coh = build_Et(n, t, m).cohomology
     # only a complex has cohomology (cohomology_dims may raise otherwise);
     # computed once for both flags
     total_coh = total.cohomology if total_d2 else {}
-    match = int(total_coh == et_coh) if total_d2 else 0
-    acyclic_ok = 1
-    if t == n - 1 and (et_coh or total_coh):
-        acyclic_ok = 0
-    expected = {
-        "rows_ok": 1,
-        "cols_exact": 1,
-        "top_kernels": 1,
-        "squares": 1,
-        "total_d2": 1,
-        "cohomology_match": 1,
-        "acyclic_band": 1,
-    }
-    computed = {
+    return {
         "rows_ok": rows_ok,
         "cols_exact": cols_exact,
         "top_kernels": top_kernels,
         "squares": squares,
         "total_d2": total_d2,
-        "cohomology_match": match,
-        "acyclic_band": acyclic_ok,
+        "cohomology_match": total_d2 and total_coh == et_coh,
+        "acyclic_band": not (t == n - 1 and (et_coh or total_coh)),
     }
-    return Report("bicomplex", {"n": n, "t": t}, expected, computed)
 
 
 def verify_Et_cohomology(n: int, t: int) -> Report:
     """Cohomology of the truncation complex against the closed-form
-    prediction."""
-    coh = build_Et(n, t).cohomology
+    prediction: the orbit sum of its blocks' cohomology."""
     expect = expected_Et_cohomology(n, t)
     return Report(
         "cohomology",
         {"n": n, "t": t},
         {f"h{d}": v for d, v in sorted(expect.items())},
-        {f"h{d}": v for d, v in sorted(coh.items())},
+        _orbit_sum(n, lambda m: {f"h{d}": v for d, v in build_Et(n, t, m).cohomology.items()}),
     )
 
 
 def verify_Et_complex(n: int, t: int) -> Report:
     """Complex condition for the truncation complex: all restrictions land
     in the claimed fibers (containment) and consecutive compositions are
-    zero."""
-    try:
-        d2 = build_Et(n, t).is_complex
-    except SubspaceEscapeError:
-        computed = {"containment": 0, "compositions_zero": 0}
-    else:
-        computed = {"containment": 1, "compositions_zero": int(d2)}
+    zero, on every weight block."""
+
+    def block(m: int) -> dict[str, bool]:
+        try:
+            d2 = build_Et(n, t, m).is_complex
+        except SubspaceEscapeError:
+            return {"containment": False, "compositions_zero": False}
+        return {"containment": True, "compositions_zero": d2}
+
     expected = {"containment": 1, "compositions_zero": 1}
-    return Report("d2zero", {"n": n, "t": t}, expected, computed)
+    return Report("d2zero", {"n": n, "t": t}, expected, _orbit_sum(n, block))
 
 
 def _image_is_fiber(space: TwistedSpace) -> bool:
@@ -489,27 +520,28 @@ def _image_is_fiber(space: TwistedSpace) -> bool:
 
 def verify_ces(n: int, t: int) -> Report:
     """Kernel/image exact-sequence check for the Koszul-type differential on
-    each ambient space of total degree t: the kernel is the truncation fiber
-    of degree (a, b) and the image is the one of degree (a-1, b+1), so the
-    two dimensions add up to the ambient dimension.
+    each ambient space of total degree t, block by block: the kernel is the
+    truncation fiber of degree (a, b) and the image is the one of degree
+    (a-1, b+1), so the two dimensions add up to the ambient dimension.
 
     The kernel flag is the containment of the fiber in the kernel; with the
     other two flags, rank-nullity makes the fiber the whole kernel.  The
     image flag is decided the same way, by dimension and containment: the
     rank of d0 is the target fiber's dimension, and the image lies in the
     kernel of the next d0 (``_image_is_fiber``)."""
-    ok_kernel = 1
-    ok_image = 1
-    ok_dims = 1
-    for space in _spaces(n, t)[1:]:
-        mat, dst = structure_map("d0", space)
-        ker = fiber_E(space)
-        if any(map(mat.image, ker.vectors)):
-            ok_kernel = 0
-        if not _image_is_fiber(space):
-            ok_image = 0
-        if ker.dim + fiber_E(dst).dim != space.dim:
-            ok_dims = 0
+
+    def block(m: int) -> dict[str, bool]:
+        ok_kernel = ok_image = ok_dims = True
+        for space in _spaces(n, t, m)[1:]:
+            mat, dst = structure_map("d0", space)
+            ker = fiber_E(space)
+            if any(map(mat.image, ker.vectors)):
+                ok_kernel = False
+            if not _image_is_fiber(space):
+                ok_image = False
+            if ker.dim + fiber_E(dst).dim != space.dim:
+                ok_dims = False
+        return {"kernel": ok_kernel, "image": ok_image, "dims_add": ok_dims}
+
     expected = {"kernel": 1, "image": 1, "dims_add": 1}
-    computed = {"kernel": ok_kernel, "image": ok_image, "dims_add": ok_dims}
-    return Report("ces", {"n": n, "t": t}, expected, computed)
+    return Report("ces", {"n": n, "t": t}, expected, _orbit_sum(n, block))

@@ -1,20 +1,28 @@
 """The isotropic Grassmannian of planes at a fixed point, in monomial bases.
 
 Everything is computed at the single point U = span(e_1, e_2) of IGr(2, 2n),
-with the symplectic form pairing e_i with e_{n+i}.  Each graded piece
-wedge^a V* (x) S^B U is named by one ``TwistedSpace(n, a, B)``, which keys
-every memo of this module.  The pieces get explicit monomial bases, and all
-the structure maps between them (the two symplectic differentials, their
-normalized combination and the Koszul differential) become sparse integer
-matrices, with the one denominator of the normalized combination kept as the
-matrix's scalar.  The determinant twists (det U*)^c of the resolution grid
-change no dimension and no matrix entry, so no space carries them.
-``complexes`` restricts the maps to the subspaces ``fiber_wedge_perp`` and
-``fiber_E``; every monomial sign convention lives in this module.
+with the symplectic form pairing e_i with e_{n+i}.  Every structure map
+preserves the torus weight [i in S] - [n+i in S] of a wedge monomial with
+index set S at the quotient pairs i = 2..n-1, and the Weyl group carries a
+weight block onto all blocks with as many non-zero entries (README, "Weight
+blocks").  So only the block of the representative weight (+1)^m 0^(n-2-m)
+is built, for each m: its monomials hold e^i without e^{n+i} at the pairs
+2..m+1 and each other pair whole or not at all.  Block m of the graded
+piece wedge^a V* (x) S^B U is named by one ``TwistedSpace(n, a, B, m)``,
+which keys every memo of this module.  The blocks get explicit monomial
+bases, and all the structure maps between them (the two symplectic
+differentials, their normalized combination and the Koszul differential)
+become sparse integer matrices, with the one denominator of the normalized
+combination kept as the matrix's scalar.  The determinant twists (det U*)^c
+of the resolution grid change no dimension and no matrix entry, so no space
+carries them.  ``complexes`` restricts the maps to the subspaces
+``fiber_wedge_perp`` and ``fiber_E``; every monomial sign convention lives
+in this module.
 
 Index convention: V* has basis e^0 ... e^{2n-1} (0-based); U is spanned by
 e_0, e_1, so the annihilator U-perp is spanned by e^j with j >= 2, and the
-symplectic images of e_0, e_1 are e^n, e^{n+1}.
+symplectic images of e_0, e_1 are e^n, e^{n+1}: the core, which carries no
+weight.
 """
 
 from __future__ import annotations
@@ -34,12 +42,14 @@ OneForm = dict[int, int]
 
 @dataclass(frozen=True)
 class TwistedSpace:
-    """The graded piece wedge^a V* (x) S^B U at the fixed point of
-    IGr(2, 2n): the one key of every fiber-layer memo."""
+    """Weight block m of the graded piece wedge^a V* (x) S^B U at the fixed
+    point of IGr(2, 2n): the monomials of the representative weight
+    (+1)^m 0^(n-2-m).  The one key of every fiber-layer memo."""
 
     n: int
     a: int
     B: int
+    m: int
 
     def __post_init__(self):
         if self.n < 2:
@@ -48,10 +58,24 @@ class TwistedSpace:
             raise ValueError("wedge degree out of range")
         if self.B < 0:
             raise ValueError("symmetric degree must be non-negative")
+        if not (0 <= self.m <= self.n - 2):
+            raise ValueError("weight block out of range (0..n-2)")
 
     @property
     def dim(self) -> int:
-        return comb(2 * self.n, self.a) * (self.B + 1)
+        return _count(self.n, self.a, self.B, self.m, 4)
+
+
+def _count(n: int, a: int, B: int, m: int, core: int) -> int:
+    """The number of monomials of block m of wedge^a (x) S^B whose core part
+    is drawn from ``core`` of the core 1-forms: 4 for the space, 2 (e^n and
+    e^{n+1}) for its annihilator part.  With j whole pairs among the n-2-m
+    free ones, that is sum_j C(core, a - m - 2j) C(n-2-m, j) (B + 1); 0 for
+    B = -1."""
+    free, k = n - 2 - m, a - m
+    # math.comb raises on a negative argument, so the range stops at k // 2
+    pairs = range(min(free, k // 2) + 1)
+    return (B + 1) * sum(comb(core, k - 2 * j) * comb(free, j) for j in pairs)
 
 
 def symplectic_form(n: int) -> TwoForm:
@@ -102,13 +126,21 @@ def wedge_form_matrix(n: int, t: int) -> SparseRationalMatrix:
 
 @cache
 def basis_of(space: TwistedSpace) -> dict[tuple[tuple[int, ...], int], int]:
-    """Ordered monomial basis, each monomial (sorted index subset, exponent
-    of e_0) mapped to its index: lexicographic in the pair, which is also
-    the dict's order.  A symmetric monomial with exponent p means
-    e_0^p e_1^(B-p).  Callers must not mutate it."""
-    monos = itertools.product(
-        itertools.combinations(range(2 * space.n), space.a), range(space.B + 1)
+    """Ordered monomial basis of the block, each monomial (sorted index
+    subset, exponent of e_0) mapped to its index: lexicographic in the
+    pair, which is also the dict's order.  A symmetric monomial with
+    exponent p means e_0^p e_1^(B-p).  The subsets are enumerated directly:
+    a subset of the core e^0, e^1, e^n, e^{n+1}, the m inert e^2..e^{m+1}
+    and j whole pairs of the others.  Callers must not mutate it."""
+    n, a, m = space.n, space.a, space.m
+    core, inert, free = (0, 1, n, n + 1), tuple(range(2, m + 2)), range(m + 2, n)
+    subsets = sorted(
+        tuple(sorted(head + inert + pairs + tuple(n + i for i in pairs)))
+        for j in range(min(len(free), (a - m) // 2) + 1)
+        for head in itertools.combinations(core, a - m - 2 * j)
+        for pairs in itertools.combinations(free, j)
     )
+    monos = itertools.product(subsets, range(space.B + 1))
     return {mono: i for i, mono in enumerate(monos)}
 
 
@@ -173,7 +205,8 @@ def _deriv(p: int, B: int, u: int):
 
 
 def structure_map(kind: str, src: TwistedSpace) -> tuple[SparseRationalMatrix, TwistedSpace]:
-    """Matrix of one of the structure maps on src, with its codomain.
+    """Matrix of one of the structure maps on src, with its codomain, the
+    same weight block of the target degree.
 
     d1, d2, d : (a, B) -> (a+1, B-1)      [need B >= 1]
     d0        : (a, B) -> (a-1, B+1)      [need a >= 1]
@@ -183,17 +216,17 @@ def structure_map(kind: str, src: TwistedSpace) -> tuple[SparseRationalMatrix, T
     ``complexes.build_koszul_S``, keeps the restriction for the process, so
     d2 is built afresh on each call and dropped once restricted.
     """
-    n, a, B = src.n, src.a, src.B
+    n, a, B, m = src.n, src.a, src.B, src.m
     if kind in ("d1", "d2", "d"):
         if B < 1:
             raise ValueError(f"{kind} needs symmetric degree >= 1")
         if a + 1 > 2 * n:
             raise ValueError(f"{kind} needs wedge degree < 2n")
-        dst = TwistedSpace(n, a + 1, B - 1)
+        dst = TwistedSpace(n, a + 1, B - 1, m)
     elif kind == "d0":
         if a < 1:
             raise ValueError("d0 needs wedge degree >= 1")
-        dst = TwistedSpace(n, a - 1, B + 1)
+        dst = TwistedSpace(n, a - 1, B + 1, m)
     else:
         raise ValueError(f"unknown structure map kind: {kind}")
     if kind == "d2":
@@ -206,12 +239,15 @@ def _structure_matrix(kind: str, src: TwistedSpace) -> SparseRationalMatrix:
     """The matrix behind ``structure_map`` on src, whose arguments it has
     checked, one column per source monomial.  Every map is integral but d =
     d1/(B+1) + d2: it is stored as the integer matrix (B+1) d = d1 +
-    (B+1) d2, emitted term by term in one pass, with the scalar 1/(B+1)."""
-    n, a, B = src.n, src.a, src.B
+    (B+1) d2, emitted term by term in one pass, with the scalar 1/(B+1).
+    Every map preserves the torus weight, so a term outside the target's
+    weight block refutes the sign and index conventions of this module:
+    AssertionError."""
+    n, a, B, m = src.n, src.a, src.B, src.m
     if kind == "d0":
-        dst = TwistedSpace(n, a - 1, B + 1)
+        dst = TwistedSpace(n, a - 1, B + 1, m)
     else:
-        dst = TwistedSpace(n, a + 1, B - 1)
+        dst = TwistedSpace(n, a + 1, B - 1, m)
         # the integer weights of d1 and d2 in the stored matrix
         w1, w2 = {"d1": (1, 0), "d2": (0, 1), "d": (1, B + 1)}[kind]
         omega, omega_u = symplectic_form(n), plane_contractions(n)
@@ -220,7 +256,9 @@ def _structure_matrix(kind: str, src: TwistedSpace) -> SparseRationalMatrix:
     def put(col, subset, p, coef):
         if not coef:
             return
-        row = dst_index[(subset, p)]
+        row = dst_index.get((subset, p))
+        if row is None:
+            raise AssertionError(f"{kind} leaves weight block {m} at {(subset, p)}")
         old = col.get(row)
         if old is None:
             col[row] = coef
@@ -278,17 +316,19 @@ def perp_monomials(space: TwistedSpace):
 
 def fiber_wedge_perp(space: TwistedSpace) -> SubspaceBasis:
     """Subspace wedge^a U-perp (x) S^B U inside space, built on each call:
-    its readers, ``build_koszul_S`` and ``fiber_E``'s lifts, are cached."""
-    a, B = space.a, space.B
-    if a > 2 * space.n - 2:
+    its readers, ``build_koszul_S`` and ``fiber_E``'s lifts, are cached.
+    Its dimension is checked against the block's count of monomials whose
+    core part avoids e^0 and e^1."""
+    n, a, B = space.n, space.a, space.B
+    if a > 2 * n - 2:
         raise ValueError("wedge degree out of range for the annihilator")
     index = basis_of(space)
     vectors = [{index[mono]: 1} for mono in perp_monomials(space)]
     basis = SubspaceBasis(space.dim, vectors)
-    expected = comb(2 * space.n - 2, a) * (B + 1)
+    expected = _count(n, a, B, space.m, 2)
     if basis.dim != expected:
         raise AssertionError(
-            f"annihilator dimension {basis.dim} != expected {expected} at (a={a}, B={B})"
+            f"annihilator dimension {basis.dim} != expected {expected} at {space}"
         )
     return basis
 
@@ -310,7 +350,7 @@ def _lift_vectors(space: TwistedSpace) -> list[dict[int, int]]:
     e^1)(x)(e_1 Q) of the annihilator monomials of degree (a-1, b-1), none
     for b = 0."""
     n, a, b = space.n, space.a, space.B
-    monos = perp_monomials(TwistedSpace(n, a - 1, b - 1)) if b else ()
+    monos = perp_monomials(TwistedSpace(n, a - 1, b - 1, space.m)) if b else ()
     return fiber_wedge_perp(space).vectors + [_xi_lift(space, mono) for mono in monos]
 
 
@@ -328,22 +368,23 @@ def fiber_E(space: TwistedSpace) -> SubspaceBasis:
     three steps: d0 kills every vector (its integer ``image`` is empty);
     every vector owns a private row, kept for every restriction into the
     basis, so they are independent; and there are dim - rank(d0) of them,
-    which must also be the dimension the filtration predicts.
+    which must also be the dimension the filtration predicts, the block's
+    annihilator counts of degrees (a, b) and (a-1, b-1).
     rank(d0) is kept on the cached d0, which the bicomplex and ces checks
     rank too.  Any mismatch is a hard failure, since it refutes the sign
     conventions of this module.
     """
-    tn, a, b = 2 * space.n, space.a, space.B
-    if a + b > tn - 2:
+    n, a, b, m = space.n, space.a, space.B, space.m
+    if a + b > 2 * n - 2:
         raise ValueError("degrees outside the admissible range")
     if a == 0:
         return SubspaceBasis.full(space.dim)
     mat, _ = structure_map("d0", space)
     dim = space.dim - rank(mat)
-    expected = comb(tn - 2, a) * (b + 1) + comb(tn - 2, a - 1) * b
+    expected = _count(n, a, b, m, 2) + _count(n, a - 1, b - 1, m, 2)
     if dim != expected:
         raise AssertionError(
-            f"kernel dimension {dim} != expected {expected} at (a={a}, b={b})"
+            f"kernel dimension {dim} != expected {expected} at {space}"
         )
     basis = SubspaceBasis(space.dim, _lift_vectors(space))
     if (
@@ -352,7 +393,7 @@ def fiber_E(space: TwistedSpace) -> SubspaceBasis:
         or any(map(mat.image, basis.vectors))
     ):
         raise AssertionError(
-            f"lift construction disagrees with the kernel at (a={a}, b={b})"
+            f"lift construction disagrees with the kernel at {space}"
         )
     return basis
 

@@ -24,15 +24,27 @@ integer columns and one rational scalar: every value a ``Fraction``, d
 built with its weight 1/(B+1) on d1, and each block of a total differential
 scaled value by value.  They are copied verbatim but for the name of the
 matrix class they build, ``FractionMatrix``, the old format, for the
-bicomplex's maps, which are matrices there as they are in the package, and
-for the forms, which they read from the package's functions of n.
+bicomplex's maps, which are matrices there as they are in the package, for
+the forms, which they read from the package's functions of n, and for the
+space, which is either a weight block ``TwistedSpace`` or a ``FullSpace``.
 ``reference_bicomplex`` gives a bicomplex those maps, each scaled by the
 grid's coefficient.
+
+The full path: the package builds one torus-weight block per number m of
+non-zero weight entries and sums over the Weyl orbits (``orbit_sum``).
+``FullSpace`` is the whole graded piece, every weight at once, as the
+package built it before; ``full_basis`` enumerates its monomials, and
+``full_structure_map``, ``full_perp``, ``full_fiber_E``,
+``full_row_complex`` and ``full_bicomplex`` build its structure matrices,
+annihilator bases, fiber bases and complexes the way the package builds a
+block's.  They are the reference the blocks are checked against.
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import comb, lcm
 
 from sscx.complexes import Bicomplex, ChainComplex, _layout
 from sscx.exactlinalg import (
@@ -41,9 +53,9 @@ from sscx.exactlinalg import (
     SubspaceEscapeError,
     Vec,
     rank,
+    restrict,
 )
 from sscx.fiber import (
-    TwistedSpace,
     _contract,
     _deriv,
     _wedge1,
@@ -289,18 +301,70 @@ class FractionMatrix:
         return FractionMatrix(self.nrows, cols)
 
 
-def structure_matrix(n: int, kind: str, a: int, B: int) -> FractionMatrix:
-    """The matrix behind ``structure_map`` on (a, B), whose arguments it has
-    checked, one column per source monomial.  d = d1/(B+1) + d2 is emitted
-    term by term in one pass."""
-    src = TwistedSpace(n, a, B)
-    omega, omega_u = symplectic_form(n), plane_contractions(n)
+def orbit_sum(n: int, per_m) -> int:
+    """sum_m C(n-2, m) 2^m per_m(m) over the weight blocks m = 0..n-2: the
+    full space's count of what per_m counts on the representative block."""
+    return sum(comb(n - 2, m) * 2**m * per_m(m) for m in range(n - 1))
+
+
+@dataclasses.dataclass(frozen=True)
+class FullSpace:
+    """The graded piece wedge^a V* (x) S^B U with every torus weight, as
+    the package built it before it built one weight block per m."""
+
+    n: int
+    a: int
+    B: int
+
+    @property
+    def dim(self) -> int:
+        return comb(2 * self.n, self.a) * (self.B + 1)
+
+
+@cache
+def full_basis(space: FullSpace) -> dict[tuple[tuple[int, ...], int], int]:
+    """Every monomial of the full space mapped to its index: lexicographic
+    in (sorted index subset, exponent of e_0), the package's order."""
+    monos = itertools.product(
+        itertools.combinations(range(2 * space.n), space.a), range(space.B + 1)
+    )
+    return {mono: i for i, mono in enumerate(monos)}
+
+
+def monomial_index(space) -> dict:
+    """The monomial index of a ``FullSpace`` or of a block ``TwistedSpace``."""
+    return full_basis(space) if isinstance(space, FullSpace) else basis_of(space)
+
+
+def codomain(kind: str, src):
+    """The space a structure map of kind ``kind`` on src lands in."""
     if kind == "d0":
-        dst = TwistedSpace(n, a - 1, B + 1)
-    else:
-        dst = TwistedSpace(n, a + 1, B - 1)
+        return dataclasses.replace(src, a=src.a - 1, B=src.B + 1)
+    return dataclasses.replace(src, a=src.a + 1, B=src.B - 1)
+
+
+def weight(n: int, subset: tuple[int, ...]) -> tuple[int, ...]:
+    """The torus weight of a wedge monomial: [i in S] - [n+i in S] at each
+    quotient pair i = 2..n-1."""
+    s = set(subset)
+    return tuple((i in s) - (n + i in s) for i in range(2, n))
+
+
+def representative(n: int, m: int) -> tuple[int, ...]:
+    """The weight of block m: (+1)^m 0^(n-2-m)."""
+    return (1,) * m + (0,) * (n - 2 - m)
+
+
+def structure_matrix(kind: str, src) -> FractionMatrix:
+    """The matrix behind ``structure_map`` on src, a ``FullSpace`` or a
+    block, whose arguments it has checked, one column per source monomial.
+    d = d1/(B+1) + d2 is emitted term by term in one pass."""
+    n, B = src.n, src.B
+    omega, omega_u = symplectic_form(n), plane_contractions(n)
+    dst = codomain(kind, src)
+    if kind != "d0":
         w1 = {"d1": 1, "d2": 0, "d": Fraction(1, B + 1)}[kind]  # weight of d1
-    dst_index = basis_of(dst)
+    dst_index = monomial_index(dst)
 
     def put(col, subset, p, coef):
         if not coef:
@@ -317,7 +381,7 @@ def structure_matrix(n: int, kind: str, a: int, B: int) -> FractionMatrix:
                 del col[row]
 
     cols: list[dict[int, Fraction]] = []
-    for subset, p in basis_of(src):
+    for subset, p in monomial_index(src):
         col: dict[int, Fraction] = {}
         cols.append(col)
         if kind == "d0":
@@ -353,13 +417,95 @@ def structure_matrix(n: int, kind: str, a: int, B: int) -> FractionMatrix:
     return FractionMatrix(dst.dim, cols)
 
 
+@cache
+def full_structure_map(kind: str, src: FullSpace) -> tuple[SparseRationalMatrix, FullSpace]:
+    """``structure_matrix`` on a full space as a package matrix, with its
+    codomain; built once per test process, and not to be mutated."""
+    dst = codomain(kind, src)
+    return rational_matrix(dst.dim, structure_matrix(kind, src).columns()), dst
+
+
+def annihilator_monomials(space) -> list:
+    """The monomials of a ``FullSpace`` or a block whose subset avoids e^0
+    and e^1, in basis order."""
+    return [mono for mono in monomial_index(space) if not mono[0] or mono[0][0] >= 2]
+
+
+def full_perp(space: FullSpace) -> SubspaceBasis:
+    """wedge^a U-perp (x) S^B U inside the full space: its monomials that
+    avoid e^0 and e^1, C(2n-2, a)(B+1) of them."""
+    index = full_basis(space)
+    basis = SubspaceBasis(space.dim, [{index[mono]: 1} for mono in annihilator_monomials(space)])
+    if basis.dim != comb(2 * space.n - 2, space.a) * (space.B + 1):
+        raise AssertionError(f"annihilator dimension {basis.dim} at {space}")
+    return basis
+
+
+@cache
+def full_fiber_E(space: FullSpace) -> SubspaceBasis:
+    """The fiber E^{a,b} in the full space, in the package's basis order:
+    the annihilator monomials, then the lifts (mu ^ e^0)(x)(e_0 Q) +
+    (mu ^ e^1)(x)(e_1 Q) of the annihilator monomials of degree
+    (a-1, b-1); the full space at a = 0.  Checked to be a basis of ker d0
+    of the predicted dimension."""
+    n, a, b = space.n, space.a, space.B
+    if a == 0:
+        return SubspaceBasis.full(space.dim)
+    index = full_basis(space)
+    lifts = []
+    for subset, p in annihilator_monomials(FullSpace(n, a - 1, b - 1)) if b else ():
+        s0, sub0 = _wedge1(subset, 0)
+        s1, sub1 = _wedge1(subset, 1)
+        lifts.append({index[(sub0, p + 1)]: s0, index[(sub1, p)]: s1})
+    basis = SubspaceBasis(space.dim, full_perp(space).vectors + lifts)
+    d0, _ = full_structure_map("d0", space)
+    if (
+        any(map(d0.image, basis.vectors))
+        or basis.private_rows() is None
+        or basis.dim != space.dim - rank(d0)
+        or basis.dim != comb(2 * n - 2, a) * (b + 1) + comb(2 * n - 2, a - 1) * b
+    ):
+        raise AssertionError(f"the lifts are no basis of ker d0 at {space}")
+    return basis
+
+
+def full_row_complex(n: int, t: int, subspace, kind: str) -> ChainComplex:
+    """The complex of degree t of the subspaces ``subspace`` (``full_perp``
+    or ``full_fiber_E``) of the full spaces and the structure map ``kind``
+    restricted to them, rightmost term in degree 0."""
+    spaces = [FullSpace(n, a, t - a) for a in range(t + 1)]
+    bases = [subspace(space) for space in spaces]
+    diffs = [
+        restrict(full_structure_map(kind, src)[0], dom, cod)
+        for src, dom, cod in zip(spaces, bases, bases[1:])
+    ]
+    return ChainComplex(-t, [basis.dim for basis in bases], diffs)
+
+
+def full_bicomplex(n: int, t: int) -> Bicomplex:
+    """The grid of full spaces with the package's maps: d times
+    (-1)^c b/(b+c) at (b, c), and d0 going down each column."""
+    grid = [[FullSpace(n, t - b - c, b + c) for c in range(t - b + 1)] for b in range(t + 1)]
+    horizontal = {
+        (b, c): full_structure_map("d", grid[b][c])[0].scale(Fraction((-1) ** c * b, b + c))
+        for b in range(1, t + 1)
+        for c in range(t - b + 1)
+    }
+    vertical = {
+        (b, c): full_structure_map("d0", grid[b][c])[0]
+        for b in range(t + 1)
+        for c in range(t - b)
+    }
+    return Bicomplex(n, t, grid, horizontal, vertical)
+
+
 
 def reference_bicomplex(bc: Bicomplex) -> Bicomplex:
     """bc with every map replaced by its ``structure_matrix`` build: d
     times (-1)^c b/(b+c) on the horizontal map at (b, c), as the package
     builds it, and d0 on the vertical ones."""
     def old(kind, b, c):
-        return structure_matrix(bc.n, kind, bc.t - b - c, b + c)
+        return structure_matrix(kind, bc.grid[b][c])
 
     return dataclasses.replace(
         bc,

@@ -9,12 +9,11 @@ from math import comb
 from sscx.cli import run
 from sscx.complexes import (
     build_Et,
-    cohomology_dims,
     verify_bicomplex,
     verify_Et_complex,
     verify_snake,
 )
-from sscx.fiber import TwistedSpace, fiber_E
+from sscx.fiber import fiber_E
 from sscx.weights import (
     euler_check_Kt,
     phi_cs_survivors,
@@ -22,7 +21,8 @@ from sscx.weights import (
     tphi_on_weight,
     verify_staircase_pushforward,
 )
-from tests.test_fiber import _anticommute_holds, _lemma_holds
+from tests.test_complexes import orbit_cohomology
+from tests.test_fiber import _anticommute_holds, _lemma_holds, blocks
 
 
 def _report(number: int, label: str, ok: bool, elapsed: float) -> None:
@@ -50,9 +50,9 @@ def test_criterion_01_cohomology_ranks():
     ok = True
     for n in (3, 4, 5):
         for t in range(0, 2 * n - 1):
-            if cohomology_dims(build_Et(n, t)) != _expected_cohomology_closed_form(
-                n, t
-            ):
+            # the orbit sum of the weight blocks' cohomology
+            coh = orbit_cohomology(n, lambda m: build_Et(n, t, m))
+            if coh != _expected_cohomology_closed_form(n, t):
                 ok = False
     elapsed = time.monotonic() - start
     _report(1, "cohomology ranks", ok and elapsed <= 300, elapsed)
@@ -74,10 +74,11 @@ def test_criterion_03_grid_identities():
     for n in (3, 4):
         for a in range(0, 2 * n - 1):
             for b in range(0, 2 * n - 1 - a):
-                if b >= 2 and not _lemma_holds(TwistedSpace(n, a, b)):
-                    ok = False
-                if a >= 1 and b >= 1 and not _anticommute_holds(TwistedSpace(n, a, b)):
-                    ok = False
+                for space in blocks(n, a, b):
+                    if b >= 2 and not _lemma_holds(space):
+                        ok = False
+                    if a >= 1 and b >= 1 and not _anticommute_holds(space):
+                        ok = False
     _report(3, "composition-zero and anticommutativity", ok, time.monotonic() - start)
 
 
@@ -163,7 +164,8 @@ def test_criterion_09_cross_construction():
         for a in range(0, 2 * n - 1):
             for b in range(0, 2 * n - 1 - a):
                 try:
-                    fiber_E(TwistedSpace(n, a, b))  # raises when constructions disagree
+                    for space in blocks(n, a, b):
+                        fiber_E(space)  # raises when constructions disagree
                 except AssertionError:
                     ok = False
     _report(9, "lift basis certified against rank(d0)", ok, time.monotonic() - start)

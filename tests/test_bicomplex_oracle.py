@@ -7,7 +7,9 @@ product on the grid instead, without ``totalize``, and decides ``total_d2``
 from the blocks of the total d²: each row composition, each square, each
 composition of two vertical maps in a column, and each square cut off by
 the antidiagonal.  Both must agree on every degree up to n = 4 and on
-bicomplexes with a planted scalar or a planted coefficient of d.
+bicomplexes with a planted scalar or a planted coefficient of d.  The
+check conjoins the flags of the weight blocks, and so does the oracle
+(``block_flags``).
 """
 
 import dataclasses
@@ -64,6 +66,12 @@ def product_flags(bc) -> dict[str, int]:
     return {"rows_ok": rows_ok, "squares": squares, "total_d2": total_d2}
 
 
+def block_flags(n: int, bicomplex_of_block) -> dict[str, int]:
+    """``product_flags`` of each weight block's bicomplex, conjoined."""
+    per_block = [product_flags(bicomplex_of_block(m)) for m in range(n - 1)]
+    return {flag: min(flags[flag] for flags in per_block) for flag in FLAGS}
+
+
 def checked_flags(n: int, t: int) -> dict[str, int]:
     computed = verify_bicomplex(n, t).computed
     return {flag: computed[flag] for flag in FLAGS}
@@ -72,7 +80,7 @@ def checked_flags(n: int, t: int) -> dict[str, int]:
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_memoized_flags_match_the_products(n):
     for t in range(0, 2 * n - 1):
-        assert checked_flags(n, t) == product_flags(build_bicomplex(n, t)), (n, t)
+        assert checked_flags(n, t) == block_flags(n, lambda m: build_bicomplex(n, t, m)), (n, t)
 
 
 def _replace_map(maps: dict, key, factor) -> dict:
@@ -94,13 +102,13 @@ PLANTS = {
 def test_planted_scalar_flags_match_the_products(plant, monkeypatch, fresh_caches):
     real = complexes.build_bicomplex
 
-    def planted(n, t):
-        return PLANTS[plant](real(n, t))
+    def planted(n, t, m):
+        return PLANTS[plant](real(n, t, m))
 
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
     for t in range(2, 7):
         flags = checked_flags(4, t)
-        assert flags == product_flags(planted(4, t)), t
+        assert flags == block_flags(4, lambda m: planted(4, t, m)), t
         assert flags["squares"] == 0 and flags["total_d2"] == 0, t
 
 
@@ -111,8 +119,8 @@ def test_square_with_the_matrices_of_a_passing_one(monkeypatch, fresh_caches):
     hide it."""
     real = complexes.build_bicomplex
 
-    def planted(n, t):
-        bc = real(n, t)
+    def planted(n, t, m):
+        bc = real(n, t, m)
         return dataclasses.replace(
             bc, horizontal=_replace_map(bc.horizontal, (2, 0), -1)
         )
@@ -120,7 +128,7 @@ def test_square_with_the_matrices_of_a_passing_one(monkeypatch, fresh_caches):
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
     for t in range(3, 7):
         flags = checked_flags(4, t)
-        assert flags == product_flags(planted(4, t)), t
+        assert flags == block_flags(4, lambda m: planted(4, t, m)), t
         assert flags == {"rows_ok": 1, "squares": 0, "total_d2": 0}, t
 
 
@@ -137,12 +145,12 @@ def test_planted_d_coefficient_flags_match_the_products(monkeypatch, fresh_cache
 
     # only the bicomplex sees the planted map: the truncation complexes it is
     # compared with are built, and cached, with the true d first
-    for t in range(0, 7):
-        complexes.build_Et(4, t)
+    for t, m in ((t, m) for t in range(0, 7) for m in range(3)):
+        complexes.build_Et(4, t, m)
     monkeypatch.setattr(complexes, "structure_map", planted)
     broken = 0
     for t in range(0, 7):
         flags = checked_flags(4, t)
-        assert flags == product_flags(build_bicomplex(4, t)), t
+        assert flags == block_flags(4, lambda m: build_bicomplex(4, t, m)), t
         broken += flags != dict.fromkeys(FLAGS, 1)
     assert broken

@@ -1,6 +1,10 @@
-"""Tests for the chain-complex and bicomplex layer."""
+"""Tests for the chain-complex and bicomplex layer.  Every complex is one
+weight block; a dimension or cohomology of the full complex is the orbit
+sum of its blocks' (``linalg_oracle.orbit_sum``), and a property of every
+complex is checked on every block."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -24,7 +28,23 @@ from sscx.complexes import (
 )
 from sscx.exactlinalg import P, SparseRationalMatrix, pivots_mod_p, rank
 from sscx.fiber import TwistedSpace, fiber_E, fiber_wedge_perp, structure_map, wedge_form_matrix
-from linalg_oracle import checked_matrix
+from linalg_oracle import checked_matrix, orbit_sum
+
+
+def orbit_dims(n: int, complex_of_block) -> list[int]:
+    """The dims of the full complex: the orbit sums of the blocks' dims."""
+    length = len(complex_of_block(0).dims)
+    return [orbit_sum(n, lambda m: complex_of_block(m).dims[i]) for i in range(length)]
+
+
+def orbit_cohomology(n: int, complex_of_block) -> dict[int, int]:
+    """The cohomology of the full complex: the orbit sums of the blocks'
+    cohomology, degree by degree (nonzero entries only)."""
+    out: dict[int, int] = {}
+    for m in range(n - 1):
+        for d, h in cohomology_dims(complex_of_block(m)).items():
+            out[d] = out.get(d, 0) + comb(n - 2, m) * 2**m * h
+    return out
 
 
 @pytest.fixture
@@ -73,7 +93,8 @@ class TestChainComplex:
         build_Et.cache_clear()
         for check in (verify_Et_cohomology, verify_bicomplex, verify_Et_cohomology):
             assert check(4, t).status == "pass"
-        assert cohomology_calls.count(id(build_Et(4, t))) == 1
+        for m in range(3):
+            assert cohomology_calls.count(id(build_Et(4, t, m))) == 1
 
 
 @pytest.fixture
@@ -128,9 +149,9 @@ class TestCertifiedCohomology:
             return pivots
 
         monkeypatch.setattr(complexes, "pivots_mod_p", recorded)
-        for t in range(0, 2 * n - 1):
-            for c in (build_Et(n, t), build_koszul_S(n, t),
-                      totalize(build_bicomplex(n, t))):
+        for t, m in ((t, m) for t in range(0, 2 * n - 1) for m in range(n - 1)):
+            for c in (build_Et(n, t, m), build_koszul_S(n, t, m),
+                      totalize(build_bicomplex(n, t, m))):
                 assert c.is_complex
                 ranks = [rank(m) for m in c.differentials]
                 assert [len(pivots_mod_p(m)) for m in c.differentials] == ranks, (n, t)
@@ -144,14 +165,14 @@ class TestCertifiedCohomology:
 
 class TestEt:
     def test_dims_examples(self):
-        assert build_Et(3, 2).dims == [3, 9, 6]
-        assert build_Et(3, 0).dims == [1]
-        assert build_Et(3, 4).dims == [5, 19, 26, 14, 1]
+        assert orbit_dims(3, lambda m: build_Et(3, 2, m)) == [3, 9, 6]
+        assert orbit_dims(3, lambda m: build_Et(3, 0, m)) == [1]
+        assert orbit_dims(3, lambda m: build_Et(3, 4, m)) == [5, 19, 26, 14, 1]
 
     def test_cohomology_examples(self):
-        assert cohomology_dims(build_Et(3, 2)) == {}
-        assert cohomology_dims(build_Et(3, 1)) == {0: 2}
-        assert cohomology_dims(build_Et(3, 4)) == {-1: 1}
+        assert orbit_cohomology(3, lambda m: build_Et(3, 2, m)) == {}
+        assert orbit_cohomology(3, lambda m: build_Et(3, 1, m)) == {0: 2}
+        assert orbit_cohomology(3, lambda m: build_Et(3, 4, m)) == {-1: 1}
 
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_cohomology_full_grid(self, n):
@@ -166,8 +187,8 @@ class TestEt:
     @pytest.mark.parametrize("n", (3, 4))
     def test_euler_consistency(self, n):
         # alternating sum of term dims equals alternating sum of cohomology
-        for t in range(0, 2 * n - 1):
-            c = build_Et(n, t)
+        for t, m in ((t, m) for t in range(0, 2 * n - 1) for m in range(n - 1)):
+            c = build_Et(n, t, m)
             chi_terms = sum(
                 (-1) ** d * dim for d, dim in enumerate(c.dims, c.degree_offset)
             )
@@ -176,14 +197,14 @@ class TestEt:
 
     def test_out_of_band(self):
         with pytest.raises(ValueError):
-            build_Et(3, 5)
+            build_Et(3, 5, 0)
 
 
 class TestKoszul:
     def test_examples(self):
-        assert build_koszul_S(3, 1).dims == [2, 4]
-        assert build_koszul_S(3, 2).dims == [3, 8, 6]
-        assert build_koszul_S(3, 0).dims == [1]
+        assert orbit_dims(3, lambda m: build_koszul_S(3, 1, m)) == [2, 4]
+        assert orbit_dims(3, lambda m: build_koszul_S(3, 2, m)) == [3, 8, 6]
+        assert orbit_dims(3, lambda m: build_koszul_S(3, 0, m)) == [1]
         assert verify_koszul_S(3, 1).computed["cokernel"] == 2
         assert verify_koszul_S(3, 2).computed["cokernel"] == 1
 
@@ -224,16 +245,17 @@ class TestSnake:
         ],
     )
     def test_each_block_of_the_differential_is_read(self, monkeypatch, row, col, flags):
-        """One more entry in the differential (1, 2) -> (2, 1) at n = 3,
-        whose bases hold 12 annihilator monomials, then 2 lifts in the
-        domain and 4 in the target.  The snake reads the differentials of
-        the cached E^3, so the planted one is built into a fresh E^3 and
+        """One more entry in weight block 0 of the differential (1, 2) ->
+        (2, 1) at n = 3, whose bases hold 6 annihilator monomials, then 2
+        lifts in the domain, and 4, then 2 in the target (block 1 has no
+        lift in the domain).  The snake reads the differentials of the
+        cached E^3, so the planted one is built into a fresh E^3 and
         dropped with it."""
         real = complexes._row_complex
 
-        def planted(n, t, subspace, kind):
-            et = real(n, t, subspace, kind)
-            if (kind, t) != ("d", 3):
+        def planted(n, t, m, subspace, kind):
+            et = real(n, t, m, subspace, kind)
+            if (kind, t, m) != ("d", 3, 0):
                 return et
             diffs = list(et.differentials)
             m = diffs[1]  # out of (a, B) = (1, 2)
@@ -254,24 +276,25 @@ class TestSnake:
 
     @pytest.mark.parametrize("t", range(3, 7))
     def test_reads_the_cached_complexes(self, t):
-        """From cleared caches, the snake at t fills E^t and the Koszul
-        complexes of degrees t and t - 2, and reads nothing else of
-        theirs."""
+        """From cleared caches, the snake at t fills the 3 weight blocks of
+        E^t and of the Koszul complexes of degrees t and t - 2, and reads
+        nothing else of theirs."""
         build_Et.cache_clear()
         build_koszul_S.cache_clear()
         verify_snake(4, t)
-        assert build_Et.cache_info().currsize == 1
-        assert build_koszul_S.cache_info().currsize == 2
+        assert build_Et.cache_info().currsize == 3
+        assert build_koszul_S.cache_info().currsize == 6
         misses = build_Et.cache_info().misses + build_koszul_S.cache_info().misses
-        build_Et(4, t)
-        build_koszul_S(4, t)
-        build_koszul_S(4, t - 2)
+        for m in range(3):
+            build_Et(4, t, m)
+            build_koszul_S(4, t, m)
+            build_koszul_S(4, t - 2, m)
         assert build_Et.cache_info().misses + build_koszul_S.cache_info().misses == misses
 
 
 class TestBicomplex:
     def test_grid_shape(self):
-        bc = build_bicomplex(3, 2)
+        bc = build_bicomplex(3, 2, 0)
         assert [len(col) for col in bc.grid] == [3, 2, 1]
         assert (1, 0) in bc.horizontal and (2, 0) in bc.horizontal
         assert (0, 0) in bc.vertical and (0, 1) in bc.vertical
@@ -279,31 +302,41 @@ class TestBicomplex:
     def test_horizontal_at_depth_zero_is_d(self):
         # with no determinant twist the printed coefficients reduce to the
         # differential of the truncation complex
-        bc = build_bicomplex(3, 2)
-        d, _ = structure_map("d", TwistedSpace(3, 1, 1))
-        assert bc.horizontal[(1, 0)] is d
+        for m in (0, 1):
+            bc = build_bicomplex(3, 2, m)
+            d, _ = structure_map("d", TwistedSpace(3, 1, 1, m))
+            assert bc.horizontal[(1, 0)] is d
 
     @pytest.mark.parametrize("t", range(1, 7))
     def test_grid_maps_are_the_cached_matrices(self, t):
         """Each horizontal map is the cached d scaled by (-1)^c b/(b+c),
-        its columns shared, and each vertical map is the cached d0."""
-        bc = build_bicomplex(4, t)
+        its columns shared, and each vertical map is the cached d0, in
+        every weight block."""
+        for m in range(3):
+            self._grid_maps_are_the_cached_matrices(build_bicomplex(4, t, m))
+
+    @staticmethod
+    def _grid_maps_are_the_cached_matrices(bc):
         for (b, c), m in bc.horizontal.items():
             d, _ = structure_map("d", bc.grid[b][c])
             assert m.columns() is d.columns(), (b, c)
-            assert m.scalar == d.scalar * Fraction((-1) ** c * b, b + c), (b, c)
+            # a zero matrix, as in some blocks, keeps the scalar 1
+            scalar = 1 if d.is_zero() else d.scalar * Fraction((-1) ** c * b, b + c)
+            assert m.scalar == scalar, (b, c)
         for (b, c), m in bc.vertical.items():
             assert m is structure_map("d0", bc.grid[b][c])[0], (b, c)
 
     def test_totalize_examples(self):
-        assert cohomology_dims(totalize(build_bicomplex(3, 2))) == {}  # acyclic
-        assert cohomology_dims(totalize(build_bicomplex(3, 1))) == {0: 2}
-        total0 = totalize(build_bicomplex(3, 0))
-        assert total0.dims == [1] and cohomology_dims(total0) == {0: 1}
+        def total(t):
+            return lambda m: totalize(build_bicomplex(3, t, m))
+
+        assert orbit_cohomology(3, total(2)) == {}  # acyclic
+        assert orbit_cohomology(3, total(1)) == {0: 2}
+        assert orbit_dims(3, total(0)) == [1] and orbit_cohomology(3, total(0)) == {0: 1}
 
     def test_totalization_is_complex(self):
-        for t in range(0, 5):
-            assert verify_complex(totalize(build_bicomplex(3, t)))
+        for t, m in ((t, m) for t in range(0, 5) for m in (0, 1)):
+            assert verify_complex(totalize(build_bicomplex(3, t, m)))
 
     @pytest.mark.parametrize("n", (3, 4))
     def test_full_verification(self, n):
@@ -312,10 +345,11 @@ class TestBicomplex:
             assert rep.status == "pass", (n, t, rep.computed)
 
     def test_the_total_square_is_the_only_product(self, monkeypatch):
-        """Every call squares the total complex once, one product per pair
-        of consecutive total differentials (2t - 1 of them), and forms no
-        product of two grid matrices: the rows and squares are blocks of
-        that square, however often the check ran before."""
+        """Every call squares the total complex of each of the 3 weight
+        blocks once, one product per pair of consecutive total
+        differentials (2t - 1 of them), and forms no product of two grid
+        matrices: the rows and squares are blocks of that square, however
+        often the check ran before."""
         real_build, real_totalize = complexes.build_bicomplex, complexes.totalize
         real_matmul = SparseRationalMatrix.__matmul__
         # the ids of the current call's grid and total matrices; the call's
@@ -324,8 +358,8 @@ class TestBicomplex:
         ids = {"grid": set(), "total": set()}
         products = []
 
-        def build(n, t):
-            held["bc"] = bc = real_build(n, t)
+        def build(n, t, m):
+            held["bc"] = bc = real_build(n, t, m)
             ids["grid"] = set(map(id, (*bc.horizontal.values(), *bc.vertical.values())))
             return bc
 
@@ -347,7 +381,7 @@ class TestBicomplex:
             for _ in range(2):
                 products.append({"grid": 0, "total": 0})
                 assert verify_bicomplex(4, t).status == "pass"
-            assert products[-2:] == [{"grid": 0, "total": max(2 * t - 1, 0)}] * 2, t
+            assert products[-2:] == [{"grid": 0, "total": 3 * max(2 * t - 1, 0)}] * 2, t
 
 
 class TestCes:
@@ -382,21 +416,22 @@ def test_matrices_built_from_columns_keep_the_invariant():
     its values, store only non-zero ints and carry a non-zero Fraction
     scalar, 1 for a zero matrix."""
     mats = [
-        structure_map(kind, TwistedSpace(3, a, B))[0]
+        structure_map(kind, TwistedSpace(3, a, B, m))[0]
         for kind in ("d1", "d2", "d")
         for a in range(6)
         for B in range(1, 4)
+        for m in range(2)
     ]
-    mats += [structure_map("d0", TwistedSpace(3, a, B))[0]
-             for a in range(1, 7) for B in range(4)]
-    for a in range(1, 5):
-        for b in range(5 - a):
-            # the lifts in fiber_E's cached basis follow the annihilator monomials
-            basis = fiber_E(TwistedSpace(3, a, b))
-            lifts = basis.vectors[fiber_wedge_perp(TwistedSpace(3, a, b)).dim:]
-            mats.append(SparseRationalMatrix(basis.ambient_dim, lifts))
+    mats += [structure_map("d0", TwistedSpace(3, a, B, m))[0]
+             for a in range(1, 7) for B in range(4) for m in range(2)]
+    for a, b, m in ((a, b, m) for a in range(1, 5) for b in range(5 - a) for m in range(2)):
+        # the lifts in fiber_E's cached basis follow the annihilator monomials
+        basis = fiber_E(TwistedSpace(3, a, b, m))
+        lifts = basis.vectors[fiber_wedge_perp(TwistedSpace(3, a, b, m)).dim:]
+        mats.append(SparseRationalMatrix(basis.ambient_dim, lifts))
     mats += [wedge_form_matrix(4, t) for t in range(7)]
-    mats += [d for t in range(5) for d in totalize(build_bicomplex(3, t)).differentials]
+    mats += [d for t in range(5) for m in range(2)
+             for d in totalize(build_bicomplex(3, t, m)).differentials]
     for m in mats:
         assert m == checked_matrix(m.nrows, m.ncols, m.entries)
         assert all(type(v) is int and v for col in m.columns() for v in col.values())

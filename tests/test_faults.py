@@ -19,6 +19,7 @@ import pytest
 from sscx import complexes, exactlinalg, fiber, weights
 from sscx.cli import run
 from sscx.exactlinalg import SparseRationalMatrix
+import linalg_oracle
 from linalg_oracle import matrix_sum
 
 # every functools.cache of the fiber, complexes and weights layers: the
@@ -78,10 +79,11 @@ def test_the_memos_are_the_seven():
 
 def test_each_basis_finds_its_private_rows_once(monkeypatch):
     """A basis is immutable, so the fiber certificate and every restriction
-    into it read one set of private rows.  At n = 5 these are the 36 fibers
-    E^{a,b} and the 36 annihilator bases with a >= 1 that the truncation and
-    Koszul complexes restrict into: 72 bases, each counted once, though
-    they are asked for 108 times."""
+    into it read one set of private rows.  At n = 5 these are, in each of
+    the 4 weight blocks, the 36 fibers E^{a,b} and the 36 annihilator bases
+    with a >= 1 that the truncation and Koszul complexes restrict into:
+    288 bases, each counted once, though they are asked for 432 times (the
+    full spaces had 72 and 108)."""
     # the bases asked, kept alive so that no two share an id
     counts, asked = [], []
     real_counter, real_rows = exactlinalg.Counter, exactlinalg.SubspaceBasis.private_rows
@@ -98,8 +100,8 @@ def test_each_basis_finds_its_private_rows_once(monkeypatch):
     monkeypatch.setattr(exactlinalg.SubspaceBasis, "private_rows", private_rows)
     code, reps = reports("verify-fiber", "--n", "5", "--t", "all")
     assert code == 0 and len(reps) == 6 * 9
-    assert len(asked) == 108
-    assert len(counts) == len({id(basis) for basis in asked}) == 72
+    assert len(asked) == 4 * 108
+    assert len(counts) == len({id(basis) for basis in asked}) == 4 * 72
 
 
 def reports(*argv):
@@ -110,9 +112,10 @@ def reports(*argv):
 
 
 def d0_ranks(n: int) -> int:
-    """The d0 on the ambient spaces (a, b), a >= 1, a + b <= 2n - 2: each is
-    eliminated once, for its fiber, its column of a bicomplex and ces."""
-    return comb(2 * n - 1, 2)
+    """The d0 on the ambient spaces (a, b), a >= 1, a + b <= 2n - 2, in each
+    of the n - 1 weight blocks: each is eliminated once, for its fiber, its
+    column of a bicomplex and ces, also where its block is empty."""
+    return (n - 1) * comb(2 * n - 1, 2)
 
 
 @pytest.fixture
@@ -120,8 +123,9 @@ def rank_calls(monkeypatch):
     """Runs of the elimination core: over Q (``rank``, once per matrix, as
     the matrix keeps its rank) and over F_P (``pivots_mod_p``, once per
     differential ``cohomology_dims`` ranks).  The exact ones are the d0 of
-    every fiber (21 at n = 4), the snake's wedge maps, one per degree t
-    (7 at n = 4), and the cohomology's fallback."""
+    every fiber (63 at n = 4: 21 in each of 3 weight blocks), the snake's
+    wedge maps, one per degree t (7 at n = 4), and the cohomology's
+    fallback."""
     calls = {"rank": 0, "pivots_mod_p": 0}
     real = exactlinalg._eliminate
 
@@ -182,15 +186,17 @@ def test_zero_differential_spreads_the_cohomology_and_is_ranked_exactly(
     over Q only; the snake's flags, by planting it in the build whose snake
     rebuilt the differential from d and the lifts, where they passed.  The
     same set was derived on the build that planted the zero map in the
-    one-map restriction ``restricted_d``."""
+    one-map restriction ``restricted_d``, and again on the full spaces,
+    before the complexes were built one weight block at a time: there each
+    full E^t was one complex, ranked exactly with its t differentials."""
     real = complexes._row_complex
 
-    def planted(n, t, subspace, kind):
-        c = real(n, t, subspace, kind)
+    def planted(n, t, m, subspace, kind):
+        c = real(n, t, m, subspace, kind)
         if kind != "d" or not c.differentials:
             return c
-        m, *rest = c.differentials
-        zero = SparseRationalMatrix(m.nrows, [dict() for _ in range(m.ncols)])
+        d, *rest = c.differentials
+        zero = SparseRationalMatrix(d.nrows, [dict() for _ in range(d.ncols)])
         return complexes.ChainComplex(c.degree_offset, c.dims, [zero, *rest])
 
     monkeypatch.setattr(complexes, "_row_complex", planted)
@@ -203,9 +209,11 @@ def test_zero_differential_spreads_the_cohomology_and_is_ranked_exactly(
         ("bicomplex", 3): {"cohomology_match", "acyclic_band"},
         **{("snake", t): {"filtration_ok"} for t in range(1, 7)},
     }
-    # the 21 d0, the snake's 7 wedge maps and the t differentials of each
-    # E^t, t >= 1
-    assert rank_calls["rank"] == 21 + 7 + sum(range(7))
+    # the 63 d0, the snake's 7 wedge maps and the t differentials of block
+    # 0 of each E^t, t >= 1: blocks m >= 1 are empty in degree a = 0, so
+    # their first map has no column and the zero map changes nothing there
+    # (on the full spaces: 21 + 7 + the same 21)
+    assert rank_calls["rank"] == 63 + 7 + sum(range(7))
 
 
 def test_Et_composition_broken_inside_the_fibers_is_ranked_exactly(
@@ -220,19 +228,24 @@ def test_Et_composition_broken_inside_the_fibers_is_ranked_exactly(
     map, whose annihilator column now differs from the Koszul differential
     (it passed where the snake rebuilt the differential from d and the
     lifts).  The same set was derived on the build that planted the entry
-    in the one-map restriction ``restricted_d``."""
+    in the one-map restriction ``restricted_d``, and on the full spaces.
+    On the weight blocks the entry is planted where the first map has a
+    column and the next map a non-zero one: in block 0, as blocks m >= 1
+    are empty in degree a = 0."""
     real = complexes._row_complex
 
-    def planted(n, t, subspace, kind):
-        c = real(n, t, subspace, kind)
+    def planted(n, t, m, subspace, kind):
+        c = real(n, t, m, subspace, kind)
         if kind != "d" or t < 2:
             return c
-        m, nxt, *rest = c.differentials
-        r = next(j for j, col in enumerate(nxt.columns()) if col)
-        cols = [dict(col) for col in m.columns()]
+        d, nxt, *rest = c.differentials
+        r = next((j for j, col in enumerate(nxt.columns()) if col), None)
+        if r is None or not d.ncols:
+            return c  # a block whose first map has no column, or whose next map is 0
+        cols = [dict(col) for col in d.columns()]
         cols[0][r] = cols[0].get(r, 0) + 1
         cols[0] = {k: v for k, v in cols[0].items() if v}
-        first = SparseRationalMatrix(m.nrows, cols, m.scalar)
+        first = SparseRationalMatrix(d.nrows, cols, d.scalar)
         return complexes.ChainComplex(c.degree_offset, c.dims, [first, nxt, *rest])
 
     monkeypatch.setattr(complexes, "_row_complex", planted)
@@ -242,19 +255,19 @@ def test_Et_composition_broken_inside_the_fibers_is_ranked_exactly(
         **{("d2zero", t): {"compositions_zero"} for t in range(2, 7)},
         **{("snake", t): {"filtration_ok"} for t in range(2, 7)},
     }
-    # the 21 d0, the snake's 7 wedge maps and the t differentials of each
-    # E^t, t >= 2
-    assert rank_calls["rank"] == 21 + 7 + sum(range(2, 7))
+    # the 63 d0, the snake's 7 wedge maps and the t differentials of block 0
+    # of each E^t, t >= 2 (on the full spaces: 21 + 7 + the same 20)
+    assert rank_calls["rank"] == 63 + 7 + sum(range(2, 7))
 
 
 def test_unsigned_odd_depths_break_the_squares(monkeypatch):
     real = complexes.build_bicomplex
 
-    def planted(n, t):
-        bc = real(n, t)
-        for (b, c), m in bc.horizontal.items():
+    def planted(n, t, m):
+        bc = real(n, t, m)
+        for (b, c), mat in bc.horizontal.items():
             if c % 2:
-                bc.horizontal[(b, c)] = m.scale(-1)
+                bc.horizontal[(b, c)] = mat.scale(-1)
         return bc
 
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
@@ -277,8 +290,8 @@ def test_zero_vertical_map_breaks_its_column(monkeypatch):
     as a (scalar, matrix) pair, with the pair (0, d0) planted."""
     real = complexes.build_bicomplex
 
-    def planted(n, t):
-        bc = real(n, t)
+    def planted(n, t, m):
+        bc = real(n, t, m)
         if (1, 0) in bc.vertical:
             bc.vertical[(1, 0)] = bc.vertical[(1, 0)].scale(0)
         return bc
@@ -318,14 +331,19 @@ def test_totalize_with_one_unsigned_block_fails(monkeypatch, rank_calls):
         m = bc.vertical[(1, 0)].scale(factor)
         return real(dataclasses.replace(bc, vertical={**bc.vertical, (1, 0): m}))
 
-    # the map without its column sign (-1)^1, and the map dropped; the
-    # total complexes from t = 2 on are not complexes, so neither rank
-    # touches them: the mod-p ranks are the t = 1 total's two differentials,
-    # after the t differentials of each E^t in the first pass (their
-    # cohomology is cached for the second).  The only exact ranks are the
-    # 21 d0 of the first pass, which the cached d0 keep for the second.
-    for factor, ranks in ((-1, {"rank": 21, "pivots_mod_p": sum(range(7)) + 2}),
-                          (0, {"rank": 0, "pivots_mod_p": 2})):
+    # the map without its column sign (-1)^1, and the map dropped.  A total
+    # complex whose (1, 0) map is non-zero is not a complex, so neither rank
+    # touches it.  The mod-p ranks are those of the others: the two
+    # differentials of the t = 1 total of each of the 3 weight blocks, which
+    # has no (1, 0) map, and the 2t of the blocks whose (1, 0) map is 0,
+    # (t, m) = (2, 1), (2, 2) and (3, 2); in the first pass they follow
+    # the t differentials of each block of each E^t (their cohomology is
+    # cached for the second).  The only exact ranks are the 63 d0 of the
+    # first pass, which the cached d0 keep for the second.  On the full
+    # spaces, one complex per degree, these were {"rank": 21,
+    # "pivots_mod_p": 21 + 2} and {"rank": 0, "pivots_mod_p": 2}.
+    for factor, ranks in ((-1, {"rank": 63, "pivots_mod_p": 3 * sum(range(7)) + 6 + 14}),
+                          (0, {"rank": 0, "pivots_mod_p": 6 + 14})):
         rank_calls.update(rank=0, pivots_mod_p=0)
         with monkeypatch.context() as patch:
             patch.setattr(complexes, "totalize", partial(planted, factor=factor))
@@ -346,7 +364,7 @@ def test_totalize_with_one_shifted_block_fails(monkeypatch):
         return layout, offsets, dims
 
     def planted(bc):
-        if bc.t < 2:
+        if bc.t < 2 or not bc.grid[1][1].dim:
             return real(bc)
         with monkeypatch.context() as patch:
             patch.setattr(complexes, "_layout", shifted_layout)
@@ -424,7 +442,7 @@ def test_scaled_koszul_column_breaks_koszul_and_snake(monkeypatch, rank_calls):
         """d2 with its last column scaled by 2: the image of the last
         monomial, which lies in the annihilator."""
         mat, dst = real(kind, src)
-        if kind != "d2":
+        if kind != "d2" or not mat.ncols:
             return mat, dst
         *cols, last = mat.columns()
         cols.append({r: 2 * v for r, v in last.items()})
@@ -444,13 +462,18 @@ def test_scaled_koszul_column_breaks_koszul_and_snake(monkeypatch, rank_calls):
             assert rep["computed"]["complex"] == 0, rep
         else:
             assert rep["computed"]["filtration_ok"] == 0, rep
-    assert failing == {("koszul", t) for t in range(4, 7)} | {
+    # the last column of each weight block's d2 is scaled, not only the
+    # last of the full space's: the Koszul complexes at t = 2 and 3 fail
+    # too (on the full spaces the set was koszul at t = 4..6 and the snake
+    # at t = 1..6)
+    assert failing == {("koszul", t) for t in range(2, 7)} | {
         ("snake", t) for t in range(1, 7)
     }
-    # the Koszul complexes at t = 4..6 fail d o d = 0, so their t
-    # differentials are ranked over Q, beside the 21 d0 and the snake's 7
-    # wedge maps
-    assert rank_calls["rank"] == 21 + 7 + 4 + 5 + 6
+    # the Koszul complexes that fail d o d = 0 are ranked over Q, t
+    # differentials each, beside the 63 d0 and the snake's 7 wedge maps:
+    # block 0 from t = 2, block 1 from t = 3 and block 2 from t = 4 (on the
+    # full spaces: 21 + 7 + 4 + 5 + 6)
+    assert rank_calls["rank"] == 63 + 7 + 2 * 1 + 3 * 2 + (4 + 5 + 6) * 3
 
 
 def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch, rank_calls):
@@ -482,9 +505,52 @@ def test_contraction_sign_flip_breaks_the_truncation_complexes(monkeypatch, rank
         if rep["suite"] == "snake" and rep["status"] == "fail":
             assert rep["computed"]["error"] == "SubspaceEscapeError", rep
     # the broken E^t (t >= 4) and totals (t >= 3) fail before any rank of
-    # theirs: the only exact ranks are the 21 d0 and the snake's wedge maps
-    # at t = 0..3, and no failing report rests on a mod-p rank
-    assert rank_calls["rank"] == 21 + 4
+    # theirs: the only exact ranks are the 63 d0 and the snake's wedge maps
+    # at t = 0..3, and no failing report rests on a mod-p rank (on the full
+    # spaces: 21 + 4)
+    assert rank_calls["rank"] == 63 + 4
+
+
+def test_sign_flip_off_every_representative_passes_the_reports_and_fails_the_oracle(
+    monkeypatch,
+):
+    """The contraction's sign flipped on the monomials that hold e^{n+3}
+    without e^3 at n = 5 (e^8 without e^3): weight -1 at pair 3, which no
+    representative weight (+1)^m 0^(3-m) has.  The package builds only the
+    representative blocks, so every report passes, byte-identical to the
+    golden copy: the Weyl-group argument is proved, not checked at run
+    time, and this is its price.  The weight-block oracle, whose full path
+    reads the same sign convention, catches it: the blocks of one orbit of
+    a total differential no longer share their rank."""
+    real = fiber._contract
+
+    def planted(subset, i):
+        out = real(subset, i)
+        if out is not None and 8 in subset and 3 not in subset:
+            sign, rest = out
+            return -sign, rest
+        return out
+
+    monkeypatch.setattr(fiber, "_contract", planted)
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "fiber-n5.ndjson"
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run(["verify-fiber", "--n", "5", "--t", "all"]) == 0
+    assert buf.getvalue() == golden.read_text(encoding="ascii")
+    # the oracle's full path, with the same convention and none of its
+    # genuine matrices cached
+    from tests import test_weight_blocks
+
+    oracle_cached = (linalg_oracle.full_structure_map, linalg_oracle.full_fiber_E)
+    monkeypatch.setattr(linalg_oracle, "_contract", planted)
+    for f in oracle_cached:
+        f.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            test_weight_blocks.test_total_differentials_split_into_weight_blocks(5)
+    finally:
+        for f in oracle_cached:
+            f.cache_clear()
 
 
 def _lift_plant_failures(monkeypatch, planted):

@@ -1,6 +1,8 @@
 """Tests for the fiber layer: the forms, bases, structure maps, truncation
 subspaces, and the composition / anticommutation identities of the
-resolution grid."""
+resolution grid.  Every space is one weight block; a dimension or rank of
+the full space is the orbit sum of its blocks' (``linalg_oracle.orbit_sum``),
+and an identity is checked on every block."""
 
 import io
 from contextlib import redirect_stdout
@@ -24,7 +26,17 @@ from sscx.fiber import (
     structure_map,
     symplectic_form,
 )
-from linalg_oracle import matrix_sum, subspace_equal, value_image
+from linalg_oracle import (
+    FullSpace,
+    annihilator_monomials,
+    full_basis,
+    matrix_sum,
+    orbit_sum,
+    representative,
+    subspace_equal,
+    value_image,
+    weight,
+)
 
 
 def dimension_split_identity(n: int, a: int, b: int) -> bool:
@@ -40,8 +52,13 @@ def dimension_split_identity(n: int, a: int, b: int) -> bool:
     )
 
 
-def space3(a, B):
-    return TwistedSpace(3, a, B)
+def space3(a, B, m=0):
+    return TwistedSpace(3, a, B, m)
+
+
+def blocks(n, a, B):
+    """The weight blocks m = 0..n-2 of the space (a, B)."""
+    return [TwistedSpace(n, a, B, m) for m in range(n - 1)]
 
 
 class TestFiberModel:
@@ -65,32 +82,55 @@ class TestFiberModel:
         # every complex of the fiber layer starts from its spaces
         for build in (build_Et, build_koszul_S, build_bicomplex):
             with pytest.raises(ValueError, match="need n >= 2"):
-                build(1, 0)
+                build(1, 0, 0)
 
     def test_perp_indices(self):
         # the annihilator of the plane is spanned by e^2 ... e^5
-        assert [subset for subset, _ in perp_monomials(space3(1, 0))] == [
+        assert [subset for subset, _ in annihilator_monomials(FullSpace(3, 1, 0))] == [
             (2,), (3,), (4,), (5,)
         ]
+        # e^3 and e^4 = e^{n+1} carry no weight, e^2 has the weight of
+        # block 1, and e^5 = e^{n+2} the weight -1, in no representative
+        assert [subset for subset, _ in perp_monomials(space3(1, 0))] == [(3,), (4,)]
+        assert [subset for subset, _ in perp_monomials(space3(1, 0, 1))] == [(2,)]
 
 
 class TestBases:
     def test_space_needs_n_at_least_two(self):
         with pytest.raises(ValueError, match="need n >= 2"):
-            TwistedSpace(1, 0, 0)
+            TwistedSpace(1, 0, 0, 0)
+
+    @pytest.mark.parametrize("m", (-1, 2))
+    def test_block_out_of_range(self, m):
+        with pytest.raises(ValueError, match="weight block out of range"):
+            TwistedSpace(3, 1, 0, m)
 
     def test_scalar_symmetric(self):
-        space = TwistedSpace(3, 0, 1)
-        assert space.dim == 2
-        assert tuple(basis_of(space)) == (((), 0), ((), 1))
+        assert orbit_sum(3, lambda m: space3(0, 1, m).dim) == 2
+        assert tuple(full_basis(FullSpace(3, 0, 1))) == (((), 0), ((), 1))
+        assert tuple(basis_of(space3(0, 1))) == (((), 0), ((), 1))
+        assert tuple(basis_of(space3(0, 1, 1))) == ()
 
     def test_pairs(self):
-        space = TwistedSpace(3, 2, 0)
-        assert space.dim == 15
-        assert len(basis_of(space)) == 15
+        assert orbit_sum(3, lambda m: space3(2, 0, m).dim) == 15
+        assert orbit_sum(3, lambda m: len(basis_of(space3(2, 0, m)))) == 15
 
     def test_mixed(self):
-        assert TwistedSpace(3, 1, 1).dim == 12
+        assert orbit_sum(3, lambda m: space3(1, 1, m).dim) == 12
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_block_bases_are_the_full_basis_of_their_weight(self, n):
+        """Each block's monomials are the full space's monomials of the
+        representative weight, in the full space's order, and the block's
+        closed-form dimension counts them."""
+        for a in range(2 * n + 1):
+            for B in range(2):
+                full = list(full_basis(FullSpace(n, a, B)))
+                for space in blocks(n, a, B):
+                    rep = representative(n, space.m)
+                    mine = [mono for mono in full if weight(n, mono[0]) == rep]
+                    assert list(basis_of(space)) == mine, space
+                    assert space.dim == len(mine), space
 
     def test_dimension_split(self):
         for n in (2, 3, 4):
@@ -109,11 +149,12 @@ class TestStructureMaps:
             structure_map("nope", space3(1, 1))
 
     def test_codomain_grades(self):
-        src = space3(2, 2)
-        _, dst = structure_map("d", src)
-        assert (dst.a, dst.B) == (3, 1)
-        _, dst = structure_map("d0", src)
-        assert (dst.a, dst.B) == (1, 3)
+        for m in (0, 1):
+            src = space3(2, 2, m)
+            _, dst = structure_map("d", src)
+            assert (dst.a, dst.B, dst.m) == (3, 1, m)
+            _, dst = structure_map("d0", src)
+            assert (dst.a, dst.B, dst.m) == (1, 3, m)
 
     def test_d_on_scalars_is_form_contraction(self):
         # on wedge-degree 0 the first differential cannot act, so d sends a
@@ -126,29 +167,33 @@ class TestStructureMaps:
         assert col == {idx[((4,), 0)]: Fraction(-1)}
 
     def test_d0_example_rank(self):
-        mat, _ = structure_map("d0", space3(1, 1))
-        assert mat.ncols == 12
-        assert rank(mat) == 3
+        assert orbit_sum(3, lambda m: structure_map("d0", space3(1, 1, m))[0].ncols) == 12
+        assert orbit_sum(3, lambda m: rank(structure_map("d0", space3(1, 1, m))[0])) == 3
 
     @pytest.mark.parametrize("kind, a, B", [("d1", 1, 2), ("d2", 2, 1), ("d", 0, 3),
                                             ("d", 3, 2), ("d0", 2, 2), ("d0", 4, 0)])
     def test_matrix_does_not_depend_on_c(self, kind, a, B):
         """One matrix per (kind, space): the grid's determinant twist, which
-        no space carries, cannot key a second one."""
-        fresh = fiber._structure_matrix.__wrapped__(kind, space3(a, B))
-        first, _ = structure_map(kind, space3(a, B))
+        no space carries, cannot key a second one; in each weight block."""
+        for m in (0, 1):
+            self._one_matrix_per_space(kind, a, B, m)
+
+    @staticmethod
+    def _one_matrix_per_space(kind, a, B, m):
+        fresh = fiber._structure_matrix.__wrapped__(kind, space3(a, B, m))
+        first, _ = structure_map(kind, space3(a, B, m))
         assert first == fresh
         for _ in range(6):
-            mat, dst = structure_map(kind, space3(a, B))
+            mat, dst = structure_map(kind, space3(a, B, m))
             # d2 is built afresh on each call, every other kind is shared
             if kind == "d2":
                 assert mat == first and mat is not first
             else:
                 assert mat is first
             if kind == "d0":
-                assert dst == space3(a - 1, B + 1)
+                assert dst == space3(a - 1, B + 1, m)
             else:
-                assert dst == space3(a + 1, B - 1)
+                assert dst == space3(a + 1, B - 1, m)
 
 
 def _compare_with_fresh_builds(cache, keys) -> tuple[int, int]:
@@ -189,27 +234,26 @@ def test_shared_structure_matrices_stay_unmutated(monkeypatch):
     cache = fiber._structure_matrix
     cached = cache.cache_info().currsize
     keys = [
-        (kind, TwistedSpace(4, a, B))
+        (kind, TwistedSpace(4, a, B, m))
         for kind in ("d1", "d2", "d", "d0")
         for a in (range(1, 9) if kind == "d0" else range(8))
         for B in (range(8) if kind == "d0" else range(1, 8))
+        for m in range(3)
     ]
     assert _compare_with_fresh_builds(cache, keys)[0] == cached > 0
     # the lifts sit in fiber_E's cached bases, after the annihilator monomials
     cache = fiber.fiber_E
     cached = cache.cache_info().currsize
     held = lifts_held = 0
-    for a in range(7):
-        for b in range(7 - a):
-            hits = cache.cache_info().hits
-            space = TwistedSpace(4, a, b)
-            basis = cache(space)
-            if cache.cache_info().hits == hits:
-                continue  # not built by the run
-            held += 1
-            assert basis == cache.__wrapped__(space)
-            if a:
-                lifts_held += basis.dim - fiber.fiber_wedge_perp(space).dim
+    for space in (s for a in range(7) for b in range(7 - a) for s in blocks(4, a, b)):
+        hits = cache.cache_info().hits
+        basis = cache(space)
+        if cache.cache_info().hits == hits:
+            continue  # not built by the run
+        held += 1
+        assert basis == cache.__wrapped__(space)
+        if space.a:
+            lifts_held += basis.dim - fiber.fiber_wedge_perp(space).dim
     assert (held, lifts_held) == (cached, built)
     assert cached > 0 and built > 0
 
@@ -219,13 +263,15 @@ class TestFiberE:
         "a,b,dim", [(0, 2, 3), (1, 1, 9), (2, 0, 6), (0, 4, 5), (1, 3, 19)]
     )
     def test_dims(self, a, b, dim):
-        assert fiber_E(space3(a, b)).dim == dim
+        assert orbit_sum(3, lambda m: fiber_E(space3(a, b, m)).dim) == dim
 
     def test_wedge_degree_zero_is_full(self):
-        assert fiber_E(space3(0, 3)).dim == space3(0, 3).dim
+        for m in (0, 1):
+            assert fiber_E(space3(0, 3, m)).dim == space3(0, 3, m).dim
 
     def test_symmetric_degree_zero_is_perp(self):
-        assert subspace_equal(fiber_E(space3(2, 0)), fiber_wedge_perp(space3(2, 0)))
+        for m in (0, 1):
+            assert subspace_equal(fiber_E(space3(2, 0, m)), fiber_wedge_perp(space3(2, 0, m)))
 
     def test_out_of_band(self):
         with pytest.raises(ValueError):
@@ -236,7 +282,8 @@ class TestFiberE:
         for n in (3, 4):
             for a in range(0, 2 * n - 1):
                 for b in range(0, 2 * n - 1 - a):
-                    fiber_E(TwistedSpace(n, a, b))
+                    for space in blocks(n, a, b):
+                        fiber_E(space)
 
 
 class TestRestrictedD:
@@ -244,13 +291,16 @@ class TestRestrictedD:
     differential out of (a, b) is ``build_Et(n, a + b).differentials[a]``."""
 
     def test_example_rank(self):
-        mat = build_Et(3, 1).differentials[0]
-        assert mat.ncols == 2 and mat.nrows == 4
-        assert rank(mat) == 2
+        def first(m):
+            return build_Et(3, 1, m).differentials[0]
+
+        assert orbit_sum(3, lambda m: first(m).ncols) == 2
+        assert orbit_sum(3, lambda m: first(m).nrows) == 4
+        assert orbit_sum(3, lambda m: rank(first(m))) == 2
 
     def test_compositions_zero(self):
-        for t in range(2, 5):
-            d = build_Et(3, t).differentials
+        for t, m in ((t, m) for t in range(2, 5) for m in (0, 1)):
+            d = build_Et(3, t, m).differentials
             for a in range(0, t - 1):
                 assert (d[a + 1] @ d[a]).is_zero()
 
@@ -260,10 +310,10 @@ class TestRestrictedD:
         keeps the map's scalar, with no scan of its result: every restricted
         d and d2 holds only ints, under the scalar of its structure map (1
         for a zero matrix)."""
-        for t in range(2 * n - 1):
+        for t, block in ((t, m) for t in range(2 * n - 1) for m in range(n - 1)):
             for build, kind in ((build_Et, "d"), (build_koszul_S, "d2")):
-                for a, m in enumerate(build(n, t).differentials):
-                    structure, _ = structure_map(kind, TwistedSpace(n, a, t - a))
+                for a, m in enumerate(build(n, t, block).differentials):
+                    structure, _ = structure_map(kind, TwistedSpace(n, a, t - a, block))
                     assert m.scalar == (1 if m.is_zero() else structure.scalar), (t, a)
                     assert all(type(v) is int for col in m.columns() for v in col.values())
 
@@ -273,7 +323,8 @@ class TestRestrictedD:
         for n in (3, 4):
             for t in range(1, 2 * n - 1):
                 build_Et.cache_clear()
-                assert len(build_Et(n, t).differentials) == t
+                for m in range(n - 1):
+                    assert len(build_Et(n, t, m).differentials) == t
 
 
 def _lemma_holds(src):
@@ -307,10 +358,12 @@ class TestGridIdentities:
     def test_composition_zero_lemma(self, n):
         for a in range(0, 2 * n - 1):
             for b in range(2, 2 * n - 1 - a):
-                assert _lemma_holds(TwistedSpace(n, a, b)), (n, a, b)
+                for space in blocks(n, a, b):
+                    assert _lemma_holds(space), space
 
     @pytest.mark.parametrize("n", (3, 4))
     def test_anticommutativity(self, n):
         for a in range(1, 2 * n - 2):
             for b in range(1, 2 * n - 1 - a):
-                assert _anticommute_holds(TwistedSpace(n, a, b)), (n, a, b)
+                for space in blocks(n, a, b):
+                    assert _anticommute_holds(space), space

@@ -2,7 +2,7 @@
 build they replaced (``linalg_oracle.structure_matrix`` and
 ``linalg_oracle.totalize``): the scalar times the stored integers must be
 the old matrix, value for value, for every structure matrix at n <= 5 and
-every total differential at n <= 4."""
+every total differential at n <= 4, in every weight block."""
 
 import pytest
 
@@ -28,17 +28,18 @@ def _structure_keys(n):
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_structure_matrices_match_the_fraction_build(n):
-    for kind, a, B in _structure_keys(n):
-        new = fiber._structure_matrix.__wrapped__(kind, TwistedSpace(n, a, B))
-        old = oracle.structure_matrix(n, kind, a, B)
-        assert new.nrows == old.nrows, (kind, a, B)
-        assert value_columns(new) == old.columns(), (kind, a, B)
+    for (kind, a, B), m in ((key, m) for key in _structure_keys(n) for m in range(n - 1)):
+        space = TwistedSpace(n, a, B, m)
+        new = fiber._structure_matrix.__wrapped__(kind, space)
+        old = oracle.structure_matrix(kind, space)
+        assert new.nrows == old.nrows, (kind, a, B, m)
+        assert value_columns(new) == old.columns(), (kind, a, B, m)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_total_differentials_match_the_fraction_build(n):
-    for t in range(2 * n - 1):
-        bc = build_bicomplex(n, t)
+    for t, m in ((t, m) for t in range(2 * n - 1) for m in range(n - 1)):
+        bc = build_bicomplex(n, t, m)
         new = totalize(bc)
         old = oracle.totalize(oracle.reference_bicomplex(bc))
         assert (new.degree_offset, new.dims) == (old.degree_offset, old.dims), t
