@@ -21,7 +21,7 @@ from math import comb, lcm
 from .exactlinalg import SparseRationalMatrix, SubspaceEscapeError, pivots_mod_p, rank, restrict
 from .fiber import TwistedSpace, fiber_E, fiber_wedge_perp, structure_map, wedge_form_matrix
 from .report import Report
-from .weights import dim_wedge_sp
+from .weights import truncation_cohomology
 
 
 @dataclass(frozen=True)
@@ -127,22 +127,6 @@ def cohomology_dims(c: ChainComplex) -> dict[int, int]:
         if len(out) <= 1:
             return out
     return _cohomology(c, [rank(m) for m in c.differentials])
-
-
-def expected_Et_cohomology(n: int, t: int) -> dict[int, int]:
-    """Predicted cohomology of the truncation complex: the symplectic wedge
-    power in degree 0 for small t, its mirror in degree -1 for large t,
-    nothing at t = n - 1."""
-    out: dict[int, int] = {}
-    if t <= n - 2:
-        h = dim_wedge_sp(2 * n - 4, t)
-        if h:
-            out[0] = h
-    elif t >= n:
-        h = dim_wedge_sp(2 * n - 4, 2 * n - 2 - t)
-        if h:
-            out[-1] = h
-    return out
 
 
 def _orbit_sum(n: int, per_block) -> dict:
@@ -278,7 +262,7 @@ def verify_snake(n: int, t: int) -> Report:
     r = rank(wmat)
     ker = wmat.ncols - r
     coker = wmat.nrows - r
-    expect = expected_Et_cohomology(n, t)
+    expect = truncation_cohomology(n, 2, t)
     expected = {
         "filtration_ok": 1,
         "quotient_ok": 1,
@@ -476,7 +460,7 @@ def _bicomplex_flags(n: int, t: int, m: int) -> dict[str, bool]:
 def verify_Et_cohomology(n: int, t: int) -> Report:
     """Cohomology of the truncation complex against the closed-form
     prediction: the orbit sum of its blocks' cohomology."""
-    expect = expected_Et_cohomology(n, t)
+    expect = truncation_cohomology(n, 2, t)
     return Report(
         "cohomology",
         {"n": n, "t": t},

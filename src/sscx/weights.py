@@ -13,20 +13,24 @@ vanishing) live here and return one Report each.
 The checks ask for the same few thousand weights again and again, so the
 two primitives they share are memoized per process: ``weyl_dim_gl`` by
 weight and ``tphi_on_weight`` by ``(alpha1, alpha2, k)``.  Each is the
-textbook formula, the Weyl product over all pairs and the pushforward with
-its closed-form cross-check, computed once per distinct argument.
+textbook formula, the Weyl product over the pairs with distinct entries
+(a pair of equal entries has factor 1) and the pushforward with its
+closed-form cross-check, computed once per distinct argument.  A staircase
+term is a plain ``(position, wedge_exp, weight)`` tuple, and each check
+walks its terms in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 from .report import Report
 
 Weight = tuple[int, ...]
+# a staircase term wedge^{wedge_exp} V* (x) Sigma^{weight} U*: (position, wedge_exp, weight)
+Term = tuple[int, int, Weight]
 
 
 def rho(k: int) -> Weight:
@@ -37,17 +41,19 @@ def rho(k: int) -> Weight:
 @cache
 def weyl_dim_gl(lam: Weight) -> int:
     """Dimension of the irreducible GL_k representation with highest weight lam:
-    the Weyl product over pairs i < j of (lam_i - lam_j + j - i) / (j - i).
+    the Weyl product over pairs i < j of (lam_i - lam_j + j - i) / (j - i),
+    skipping the pairs with lam_i == lam_j, whose factor is 1.
 
     Negative entries are allowed (the formula is invariant under adding a
     constant to all entries, i.e. under determinant twists).
     """
     num = den = 1
     for (i, x), (j, y) in combinations(enumerate(lam), 2):
-        if x < y:
-            raise ValueError("non-dominant weight")
-        num *= x - y + j - i
-        den *= j - i
+        if x != y:
+            if x < y:
+                raise ValueError("non-dominant weight")
+            num *= x - y + j - i
+            den *= j - i
     dim, rem = divmod(num, den)
     if rem:
         raise AssertionError(f"Weyl product is not integral at {lam}")
@@ -125,16 +131,7 @@ def bbw_check(n: int, k: int) -> Report:
     )
 
 
-@dataclass(frozen=True)
-class StaircaseTerm:
-    """One term wedge^{wedge_exp} V* (x) Sigma^{weight} U* of a staircase complex."""
-
-    position: int
-    wedge_exp: int
-    weight: Weight
-
-
-def staircase_terms_gr2(alpha1: int, alpha2: int, n: int) -> list[StaircaseTerm]:
+def staircase_terms_gr2(alpha1: int, alpha2: int, n: int) -> list[Term]:
     """Ordered term list of the rank-2 staircase complex on Gr(2,2n).
 
     Two rows: the second weight component climbs from alpha1-2n+1 to
@@ -147,28 +144,28 @@ def staircase_terms_gr2(alpha1: int, alpha2: int, n: int) -> list[StaircaseTerm]
     return _staircase_slice(alpha1, alpha2, n, alpha1 - 2 * n + 1, alpha1 + 1)
 
 
-def _staircase_slice(
-    alpha1: int, alpha2: int, n: int, lo: int, hi: int
-) -> list[StaircaseTerm]:
-    """The staircase terms whose climbing weight entry m runs over lo..hi-1:
-    the term of m sits at position m - (alpha1 - 2n + 1), in the first row
-    when m < alpha2 and in the second otherwise."""
+def _staircase_slice(alpha1: int, alpha2: int, n: int, lo: int, hi: int) -> list[Term]:
+    """The staircase terms whose climbing weight entry m runs over lo..hi-1,
+    each a plain (position, wedge_exp, weight) tuple: the term of m sits at
+    position m - (alpha1 - 2n + 1), in the first row when m < alpha2 and in
+    the second otherwise.  Every check walks its terms through this one
+    enumeration."""
     start = alpha1 - 2 * n + 1
     return [
-        StaircaseTerm(m - start, alpha1 + 1 - m, (alpha2 - 1, m)) if m < alpha2
-        else StaircaseTerm(m - start, alpha1 - m, (m, alpha2))
+        (m - start, alpha1 + 1 - m, (alpha2 - 1, m)) if m < alpha2
+        else (m - start, alpha1 - m, (m, alpha2))
         for m in range(lo, hi)
     ]
 
 
-def _kept_terms(alpha1: int, alpha2: int, n: int) -> list[StaircaseTerm]:
+def _kept_terms(alpha1: int, alpha2: int, n: int) -> list[Term]:
     """The staircase terms a truncation keeps, those without a negative
     weight entry.  For alpha2 >= 0 the second row is non-negative and a
     first-row term (alpha2 - 1, m) is negative exactly when m < 0."""
     return _staircase_slice(alpha1, alpha2, n, max(alpha1 - 2 * n + 1, 0), alpha1 + 1)
 
 
-def _dropped_terms(alpha1: int, alpha2: int, n: int) -> list[StaircaseTerm]:
+def _dropped_terms(alpha1: int, alpha2: int, n: int) -> list[Term]:
     """The staircase terms a truncation drops, for alpha2 >= 0: the
     first-row terms with m < 0."""
     return _staircase_slice(alpha1, alpha2, n, alpha1 - 2 * n + 1, 0)
@@ -178,30 +175,32 @@ def verify_staircase_pushforward(
     alpha1: int, alpha2: int, k: int, n: int
 ) -> Report:
     """Push every rank-2 staircase term to the length-k side and check that
-    the surviving terms form a complex-shaped, Euler-trivial term list.
+    the surviving terms form a complex-shaped, Euler-trivial term list: their
+    shifted positions strictly increase and their signed dimensions sum to 0.
     ``shape_ok`` says that no term's rho-shift pushforward disagreed with
     its closed form: tphi_on_weight raises AssertionError on each
     disagreement, and such a term is counted and left out."""
     if not (2 * n - k >= alpha1 >= alpha2 >= 0 and 3 <= k <= n):
         raise ValueError("parameters outside the verified band")
     params = {"alpha1": alpha1, "alpha2": alpha2, "k": k, "n": n}
-    survivors = []
-    mismatches = 0
-    for t in staircase_terms_gr2(alpha1, alpha2, n):
+    mismatches = euler = 0
+    increasing = True
+    last = -inf
+    for position, wedge_exp, (a1, a2) in staircase_terms_gr2(alpha1, alpha2, n):
         try:
-            push = tphi_on_weight(t.weight[0], t.weight[1], k)
+            push = tphi_on_weight(a1, a2, k)
         except AssertionError:
             mismatches += 1
             continue
         if push is None:
             continue
         weight, shift = push
-        survivors.append((t.position + shift, t.wedge_exp, weight))
-    positions = [p for p, _, _ in survivors]
-    increasing = all(p < q for p, q in zip(positions, positions[1:]))
-    euler = sum(
-        (-1) ** p * comb(2 * n, j) * weyl_dim_gl(w) for p, j, w in survivors
-    )
+        position += shift
+        if position <= last:
+            increasing = False
+        last = position
+        term = comb(2 * n, wedge_exp) * weyl_dim_gl(weight)
+        euler += -term if position & 1 else term
     computed = {
         "positions_increasing": int(increasing),
         "euler": euler,
@@ -218,10 +217,12 @@ def rank_K(alpha1: int, alpha2: int, k: int, n: int) -> int:
     of them."""
     if not (2 * n - k >= alpha1 >= alpha2 >= 0 and 2 <= k <= n):
         raise ValueError("parameters outside the resolution band")
-    total = sum(
-        (-1) ** pos * comb(2 * n, t.wedge_exp) * weyl_dim_gl(t.weight + (0,) * (k - 2))
-        for pos, t in enumerate(_kept_terms(alpha1, alpha2, n))
-    )
+    pad = (0,) * (k - 2)
+    total = 0
+    sign = 1
+    for _, wedge_exp, weight in _kept_terms(alpha1, alpha2, n):
+        total += sign * comb(2 * n, wedge_exp) * weyl_dim_gl(weight + pad)
+        sign = -sign
     if total < 0:
         raise AssertionError(f"negative rank {total} at {(alpha1, alpha2, k, n)}")
     return total
@@ -238,6 +239,23 @@ def dim_wedge_sp(r: int, m: int) -> int:
     return comb(r, m) - low
 
 
+def truncation_cohomology(n: int, k: int, t: int) -> dict[int, int]:
+    """Predicted cohomology {degree: dim} of the length-(t+1) complex of
+    truncation bundles on Gr(k,2n): the symplectic wedge power of rank
+    2n - 2k in degree 0 for t <= n - k, its mirror in degree -1 for
+    t >= n - k + 2, nothing at t = n - k + 1; no zero is listed.  The Euler
+    check reads its signed sum, and at k = 2 the fiber layer reads it as the
+    cohomology of the truncation complex E^t."""
+    r = 2 * n - 2 * k
+    if t <= n - k:
+        degree, dim = 0, dim_wedge_sp(r, t)
+    elif t >= n - k + 2:
+        degree, dim = -1, dim_wedge_sp(r, 2 * (n - k + 1) - t)
+    else:
+        return {}
+    return {degree: dim} if dim else {}
+
+
 def euler_check_Kt(n: int, k: int, t: int) -> Report:
     """Euler characteristic of the length-(t+1) complex of truncation bundles
     against the predicted signed cohomology rank."""
@@ -246,13 +264,8 @@ def euler_check_Kt(n: int, k: int, t: int) -> Report:
     chi = sum(
         (-1) ** i * rank_K(2 * n - k - t + i, i, k, n) for i in range(t + 1)
     )
-    r = 2 * n - 2 * k
-    if 0 <= t <= n - k:
-        expect = dim_wedge_sp(r, t)
-    elif n - k + 2 <= t <= 2 * (n - k + 1):
-        expect = -dim_wedge_sp(r, 2 * (n - k + 1) - t)
-    else:
-        expect = 0
+    predicted = truncation_cohomology(n, k, t)
+    expect = predicted.get(0, 0) - predicted.get(-1, 0)
     return Report(
         "euler",
         {"n": n, "k": k, "t": t},
@@ -334,9 +347,9 @@ def vanishing_band_check(n: int, k: int) -> Report:
     checked = 0
     for alpha1 in range(2 * n - k + 1, 2 * n - 1):
         for alpha2 in range(0, alpha1 + 1):
-            for t in _dropped_terms(alpha1, alpha2, n):
+            for _, _, (a1, a2) in _dropped_terms(alpha1, alpha2, n):
                 checked += 1
-                if tphi_on_weight(t.weight[0], t.weight[1], k) is not None:
+                if tphi_on_weight(a1, a2, k) is not None:
                     failures += 1
     return Report(
         "vanishing",

@@ -16,7 +16,6 @@ from sscx.complexes import (
     build_Et,
     build_koszul_S,
     cohomology_dims,
-    expected_Et_cohomology,
     totalize,
     verify_bicomplex,
     verify_ces,
@@ -28,6 +27,7 @@ from sscx.complexes import (
 )
 from sscx.exactlinalg import P, SparseRationalMatrix, pivots_mod_p, rank
 from sscx.fiber import TwistedSpace, fiber_E, fiber_wedge_perp, structure_map, wedge_form_matrix
+from sscx.weights import truncation_cohomology
 from linalg_oracle import checked_matrix, orbit_sum
 
 
@@ -404,9 +404,9 @@ def test_every_fiber_check_rejects_n_1(name):
 class TestExpectedCohomology:
     def test_band_structure(self):
         for n in (3, 4, 5):
-            assert expected_Et_cohomology(n, n - 1) == {}
-            assert expected_Et_cohomology(n, 0) == {0: 1}
-            assert expected_Et_cohomology(n, 2 * n - 2) == {-1: 1}
+            assert truncation_cohomology(n, 2, n - 1) == {}
+            assert truncation_cohomology(n, 2, 0) == {0: 1}
+            assert truncation_cohomology(n, 2, 2 * n - 2) == {-1: 1}
 
 
 def test_matrices_built_from_columns_keep_the_invariant():

@@ -636,17 +636,48 @@ def test_far_shift_off_by_one_breaks_only_the_staircase(monkeypatch):
     }
 
 
+def test_far_shift_by_k_breaks_only_the_staircase_positions(monkeypatch):
+    real = weights.tphi_on_weight
+
+    def planted(alpha1, alpha2, k):
+        """tphi_on_weight with shift k for k - 2 on the far-shift weights
+        (alpha2 < 2 - k), past the closed-form cross-check."""
+        if not (alpha1 >= alpha2 and alpha1 >= -1 and k >= 3):
+            raise ValueError("need alpha1 >= alpha2, alpha1 >= -1, k >= 3")
+        if alpha2 < 2 - k:
+            return (alpha1,) + (-1,) * (k - 2) + (k - 2 + alpha2,), k
+        return real(alpha1, alpha2, k)
+
+    monkeypatch.setattr(weights, "tphi_on_weight", planted)
+    code, reps = reports("verify-weights", "--n", "6", "--k", "4")
+    assert code == 1
+    # every staircase has far-shift survivors before its dominant ones; they
+    # now land two places late, so the last of them passes the first
+    # dominant survivor.  The shift keeps its parity, so the Euler sum stays
+    # 0, and no cross-check runs, so shape_ok stays 1.  bbw never reaches
+    # the far shift and the vanishing band reads only None.  The same set
+    # fails on the build that listed the survivors' positions.
+    assert _weight_failures(reps) == {
+        _staircase(a1, a2): {"positions_increasing"}
+        for a1 in range(9) for a2 in range(a1 + 1)
+    }
+    assert {rep["suite"] for rep in reps if rep["status"] == "pass"} == {
+        "bbw", "euler", "phics", "pieri", "vanishing"
+    }
+
+
 def test_truncation_dropping_its_last_term_breaks_only_euler(monkeypatch):
     def planted(alpha1, alpha2, k, n):
         """rank_K over the kept staircase terms but the last."""
         kept = [
-            t for t in weights.staircase_terms_gr2(alpha1, alpha2, n)
-            if min(t.weight) >= 0
+            (wedge_exp, weight)
+            for _, wedge_exp, weight in weights.staircase_terms_gr2(alpha1, alpha2, n)
+            if min(weight) >= 0
         ]
         return sum(
-            (-1) ** pos * comb(2 * n, t.wedge_exp)
-            * weights.weyl_dim_gl(t.weight + (0,) * (k - 2))
-            for pos, t in enumerate(kept[:-1])
+            (-1) ** pos * comb(2 * n, wedge_exp)
+            * weights.weyl_dim_gl(weight + (0,) * (k - 2))
+            for pos, (wedge_exp, weight) in enumerate(kept[:-1])
         )
 
     monkeypatch.setattr(weights, "rank_K", planted)
@@ -814,7 +845,7 @@ def test_closed_form_wrong_on_one_far_shift_weight_fails_its_staircases(monkeypa
     # AssertionError.
     holding = {
         (a1, a2) for a1 in range(9) for a2 in range(a1 + 1)
-        if any(t.weight == (0, -5) for t in weights.staircase_terms_gr2(a1, a2, 6))
+        if any(w == (0, -5) for _, _, w in weights.staircase_terms_gr2(a1, a2, 6))
     }
     assert holding == {(a1, 1) for a1 in range(1, 7)}
     assert _weight_failures(reps) == {_staircase(*a): {"shape_ok", "euler"} for a in holding}

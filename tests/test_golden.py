@@ -12,9 +12,10 @@ import pytest
 import sscx.cli as cli
 from sscx import complexes, fiber
 from sscx.cli import CHECKS, FIBER, run
-from sscx.complexes import expected_Et_cohomology
+from sscx.weights import truncation_cohomology
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 COMMANDS = {
     "fiber-n3": ["verify-fiber", "--n", "3", "--t", "all"],
@@ -38,6 +39,16 @@ def test_stdout_matches_golden(name):
         code = run(COMMANDS[name])
     assert code == 0
     assert buf.getvalue() == (GOLDEN / f"{name}.ndjson").read_text(encoding="ascii")
+
+
+def test_benchmark_weight_workload_matches_its_golden():
+    """The benchmark's weight workload, byte for byte against its golden
+    copy, which lives with the benchmark and is only read here."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(["verify-weights", "--n", "40", "--k", "20"])
+    assert code == 0
+    assert buf.getvalue() == (BENCH_GOLDEN / "weights-n40-k20.ndjson").read_text(encoding="ascii")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -77,5 +88,5 @@ def test_fiber_n8_golden_holds_every_passing_report():
     assert all(rep["params"]["n"] == 8 and rep["status"] == "pass" for rep in reps)
     for rep in reps:
         if rep["suite"] == "cohomology":
-            expected = expected_Et_cohomology(8, rep["params"]["t"])
+            expected = truncation_cohomology(8, 2, rep["params"]["t"])
             assert rep["expected"] == {f"h{deg}": dim for deg, dim in expected.items()}

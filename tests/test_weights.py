@@ -29,6 +29,7 @@ from sscx.weights import (
     rho,
     staircase_terms_gr2,
     tphi_on_weight,
+    truncation_cohomology,
     vanishing_band_check,
     verify_staircase_pushforward,
     weyl_dim_gl,
@@ -250,8 +251,8 @@ class TestTphi:
 def staircase_euler_gr2(alpha1: int, alpha2: int, n: int) -> int:
     """Alternating dimension sum of the rank-2 staircase; 0 by exactness."""
     total = 0
-    for t in staircase_terms_gr2(alpha1, alpha2, n):
-        total += (-1) ** t.position * comb(2 * n, t.wedge_exp) * weyl_dim_gl(t.weight)
+    for position, wedge_exp, weight in staircase_terms_gr2(alpha1, alpha2, n):
+        total += (-1) ** position * comb(2 * n, wedge_exp) * weyl_dim_gl(weight)
     return total
 
 
@@ -259,9 +260,9 @@ class TestStaircase:
     def test_term_count_and_shape(self):
         terms = staircase_terms_gr2(2, 1, 3)
         assert len(terms) == 2 * 3
-        assert [t.wedge_exp for t in terms] == [6, 5, 4, 3, 1, 0]
-        assert terms[0].weight == (0, -3)
-        assert terms[-1].weight == (2, 1)
+        assert [wedge_exp for _, wedge_exp, _ in terms] == [6, 5, 4, 3, 1, 0]
+        assert terms[0] == (0, 6, (0, -3))
+        assert terms[-1] == (5, 0, (2, 1))
 
     def test_truncation_splits_the_staircase(self):
         # every label with alpha2 >= 0 in the staircase validity band
@@ -271,9 +272,9 @@ class TestStaircase:
                     terms = staircase_terms_gr2(a1, a2, n)
                     kept = _kept_terms(a1, a2, n)
                     dropped = _dropped_terms(a1, a2, n)
-                    assert sorted(kept + dropped, key=lambda t: t.position) == terms
-                    assert all(min(t.weight) >= 0 for t in kept), (n, a1, a2)
-                    assert all(min(t.weight) < 0 for t in dropped), (n, a1, a2)
+                    assert sorted(kept + dropped, key=lambda t: t[0]) == terms
+                    assert all(min(w) >= 0 for _, _, w in kept), (n, a1, a2)
+                    assert all(min(w) < 0 for _, _, w in dropped), (n, a1, a2)
 
     def test_degenerate_corner(self):
         assert staircase_euler_gr2(0, 0, 3) == 0
@@ -342,6 +343,30 @@ class TestEulerAndVanishing:
     def test_acyclic_value_example(self):
         rep = euler_check_Kt(3, 2, 2)
         assert rep.computed == {"chi": 0}
+
+    def test_both_layers_predict_the_same_cohomology_at_k_2(self):
+        """The fiber layer's prediction for E^t, read from
+        truncation_cohomology(n, 2, t) by the cohomology and snake checks,
+        and the Euler check's at k = 2 are the two closed forms they were
+        written as, and the Euler check's is the signed sum of the fiber
+        layer's."""
+        for n in range(2, 31):
+            for t in range(2 * n - 1):
+                fiber_layer = {}
+                if t <= n - 2 and dim_wedge_sp(2 * n - 4, t):
+                    fiber_layer[0] = dim_wedge_sp(2 * n - 4, t)
+                elif t >= n and dim_wedge_sp(2 * n - 4, 2 * n - 2 - t):
+                    fiber_layer[-1] = dim_wedge_sp(2 * n - 4, 2 * n - 2 - t)
+                if t <= n - 2:
+                    chi = dim_wedge_sp(2 * n - 4, t)
+                elif n <= t <= 2 * n - 2:
+                    chi = -dim_wedge_sp(2 * n - 4, 2 * n - 2 - t)
+                else:
+                    chi = 0
+                predicted = truncation_cohomology(n, 2, t)
+                assert predicted == fiber_layer, (n, t)
+                assert sum((-1) ** -d * dim for d, dim in predicted.items()) == chi
+                assert euler_check_Kt(n, 2, t).expected == {"chi": chi}, (n, t)
 
     def test_vanishing_band(self):
         for k in range(3, 6):
