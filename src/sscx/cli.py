@@ -8,16 +8,19 @@ Two subcommands select verification suites over parameter grids:
 Each check emits one newline-delimited JSON report object with a fixed key
 order; reports are sorted by (suite, params) before emission, so output is
 byte-identical across runs (and independent of --jobs).  A check that
-raises, or whose worker process dies under --jobs, becomes a failing report
-with its own params and the error's class and message.  Exit code 0 when
-every report passes, 1 when any fails, 2 on usage errors.
+raises becomes a failing report with its own params and the error's class
+and message; under --jobs, so does each check of a pool task whose worker
+process died (``ChildProcessError``).  Exit code 0 when every report
+passes, 1 when any fails, 2 on usage errors.
 
-Under --jobs, verify-fiber hands the pool one task per degree t, holding
-every selected check at that t, highest t first, so the heaviest degree
-starts first.  Most caches a degree fills are keyed by spaces of that
-degree, but two cross degrees, so two workers may fill the same entry:
-the snake at t reads ``complexes.build_koszul_S(n, t - 2, m)`` of every
-weight block m, and the lifts in ``fiber.fiber_E`` at t read
+Under --jobs, the checks run on worker processes forked from the command
+(``_pooled``), each taking the next pool task whenever it is free; without
+``os.fork`` they run serially.  verify-fiber hands the pool one task per
+degree t, holding every selected check at that t, highest t first, so the
+heaviest degree starts first.  Most caches a degree fills are keyed by
+spaces of that degree, but two cross degrees, so two workers may fill the
+same entry: the snake at t reads ``complexes.build_koszul_S(n, t - 2, m)``
+of every weight block m, and the lifts in ``fiber.fiber_E`` at t read
 ``fiber.basis_of`` of degree t - 2.
 verify-weights hands the pool one task per report.  There is at most one
 worker per degree and per CPU.
@@ -132,43 +135,108 @@ def _groups(tasks) -> list[list]:
 
 
 def _pooled(groups, workers: int) -> list[dict]:
-    """Run the groups of tasks on a process pool, one pool task per group, in
-    the order given.  A worker that dies (killed, out of memory) breaks the
-    pool; every task of a group left unfinished then becomes a failing
-    report with its own params instead of a traceback.
+    """Run the groups of tasks on ``workers`` forked processes and return
+    their reports in the order of ``groups``.
 
-    A broken pool completes no further future, and one whose ``submit``
-    raced the break can stay pending for ever (CPython 3.11 marks the pool
-    broken without the lock ``submit`` holds), so once a future has failed
-    with BrokenProcessPool, a future still pending gets that error too."""
-    # imported here, so that a command without a pool does not load
-    # concurrent.futures and multiprocessing
-    from concurrent.futures import Future
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    The parent writes the group indices, in order, as 4-byte records into
+    one task pipe, and each worker takes the next one whenever it is free.
+    A worker answers each group with one JSON line ``[index, reports]`` on
+    its own result pipe.  The parent feeds the task pipe and reads the
+    result pipes with ``select``, so no full pipe stalls either side.  A
+    group with no answer at the end was in flight in a worker that died
+    (killed, out of memory) or was never taken; each of its tasks becomes a
+    failing report with its own params and ``ChildProcessError``.  If the
+    parent raises, it kills and reaps every worker first."""
+    # imported here, so that a command without a pool does not load them
+    import select
+    import signal
 
-    def submit(group) -> Future:
-        """pool.submit, or a future holding the error if the pool is broken."""
-        try:
-            return pool.submit(_run_group, group)
-        except BrokenProcessPool as exc:
-            future = Future()
-            future.set_exception(exc)
-            return future
+    fds = set()  # the parent's open descriptors
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [submit(group) for group in groups]
-        results = []
-        broken = None
-        for group, future in zip(groups, futures):
-            if broken is not None and not future.done():
-                results.extend(_error_report(task, broken) for task in group)
-                continue
-            try:
-                results.extend(future.result())
-            except BrokenProcessPool as exc:
-                broken = exc
-                results.extend(_error_report(task, exc) for task in group)
+    def pipe():
+        ends = os.pipe()
+        fds.update(ends)
+        return ends
+
+    def close(fd):
+        os.close(fd)
+        fds.remove(fd)
+
+    todo = b"".join(i.to_bytes(4, "little") for i in range(len(groups)))
+    answers, pids = {}, []
+    try:
+        tasks_r, tasks_w = pipe()
+        lines = {}  # result pipe -> the start of its next line
+        for _ in range(workers):
+            result_r, result_w = pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(groups, tasks_r, result_w, fds - {tasks_r, result_w})
+            pids.append(pid)
+            close(result_w)
+            lines[result_r] = b""
+        close(tasks_r)
+        # a non-blocking write of at most PIPE_BUF bytes is all or nothing,
+        # so the task pipe only ever holds whole records
+        os.set_blocking(tasks_w, False)
+        while lines:
+            feed = [tasks_w] if todo else []
+            readable, writable, _ = select.select(list(lines), feed, [])
+            if writable:
+                try:
+                    todo = todo[os.write(tasks_w, todo[: select.PIPE_BUF]):]
+                except BlockingIOError:
+                    pass
+                except BrokenPipeError:  # every worker is gone
+                    todo = b""
+                if not todo:
+                    close(tasks_w)
+            for fd in readable:
+                if chunk := os.read(fd, 1 << 16):
+                    *done, lines[fd] = (lines[fd] + chunk).split(b"\n")
+                    answers.update(map(json.loads, done))
+                else:
+                    close(fd)
+                    del lines[fd]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in fds:
+            os.close(fd)
+        codes = {os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids}
+    lost = ChildProcessError("a worker died: " + ", ".join(sorted(
+        f"exit status {code}" if code > 0 else f"signal {-code}"
+        for code in codes - {0}
+    )))
+    results = []
+    for index, group in enumerate(groups):
+        if index in answers:
+            results.extend(answers[index])
+        else:
+            results.extend(_error_report(task, lost) for task in group)
     return results
+
+
+def _work(groups, tasks: int, results: int, others) -> None:
+    """A worker: close the descriptors in ``others``, then answer the group
+    of each index read from ``tasks`` on ``results`` until the task pipe is
+    closed and empty.  It never returns into the parent's code and never
+    flushes the stdout it inherited: it ends with ``os._exit``, 0 at the
+    end of the tasks and 1 on any error."""
+    code = 1
+    try:
+        for fd in others:
+            os.close(fd)
+        with open(results, "w", encoding="ascii") as out:
+            while record := os.read(tasks, 4):
+                index = int.from_bytes(record, "little")
+                out.write(json.dumps([index, _run_group(groups[index])]) + "\n")
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,8 +248,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write reports to this path instead of stdout")
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="parallel worker processes (default 1; at most one worker per degree "
-        "and per CPU, per report for verify-weights)",
+        help="forked worker processes, each taking the next degree (verify-fiber) "
+        "or report (verify-weights) when free (default 1; at most one worker per "
+        "such task and per CPU; serial where os.fork is missing)",
     )
     # accept the global flags after the subcommand too; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
@@ -274,8 +343,10 @@ def run(argv=None) -> int:
     else:
         out = nullcontext(sys.stdout)
     groups = _groups(tasks)
-    # fork starts every worker at once, so never ask for more than can run
+    # every worker starts at once, so never ask for more than can run
     workers = min(args.jobs, len(groups), os.cpu_count() or 1)
+    if not hasattr(os, "fork"):
+        workers = 1
     if workers > 1:
         results = _pooled(groups, workers)
     else:

@@ -23,8 +23,9 @@ walks its terms in one pass.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, starmap
 from math import comb, inf
+from operator import lt
 
 from .report import Report
 
@@ -75,7 +76,7 @@ def bbw_pushforward(gamma: Weight) -> tuple[Weight, int] | None:
     beta = [g + x for g, x in zip(gamma, r)]
     if len(set(beta)) < k:
         return None
-    shift = sum(x < y for x, y in combinations(beta, 2))
+    shift = sum(starmap(lt, combinations(beta, 2)))
     return tuple(b - x for b, x in zip(sorted(beta, reverse=True), r)), shift
 
 

@@ -1,16 +1,14 @@
 """Tests for the command-line interface: exit codes, report schema,
 parameter-grid coverage, and byte determinism."""
 
-import concurrent.futures.process
 import io
 import json
-import multiprocessing
 import os
+import select
+import signal
 import subprocess
 import sys
-import threading
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -189,37 +187,27 @@ def test_failing_reports_carry_their_params(monkeypatch):
     ]
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the
-    submitted pool tasks and runs them in this process, so no worker is
-    ever started."""
-
-    created: list = []
-    submitted: list = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, task):
-        self.submitted.append(task)
-        future = Future()
-        future.set_result(fn(task))
-        return future
+def assert_no_child():
+    """Every process a pool started has exited and been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def use_pool(monkeypatch, pool):
-    """Make ``cli._pooled`` start ``pool``, with empty records, instead of a
-    ProcessPoolExecutor; the class is looked up in concurrent.futures.process
-    when a pool starts."""
-    monkeypatch.setattr(pool, "created", [])
-    monkeypatch.setattr(pool, "submitted", [])
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", pool)
+def use_pool(monkeypatch):
+    """Record the groups and the worker count of every ``cli._pooled`` call
+    in the returned list, run the real pool, and check that it leaves no
+    child behind."""
+    calls = []
+    real = cli._pooled
+
+    def recorded(groups, workers):
+        calls.append((groups, workers))
+        results = real(groups, workers)
+        assert_no_child()
+        return results
+
+    monkeypatch.setattr(cli, "_pooled", recorded)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -232,53 +220,20 @@ def use_pool(monkeypatch, pool):
     ],
 )
 def test_jobs_is_clamped(monkeypatch, argv, cpus, workers):
-    monkeypatch.setattr(_RecordingPool, "created", [])
-    use_pool(monkeypatch, _RecordingPool)
+    calls = use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code, out = invoke(argv + ["--jobs", "10000"])
-    assert _RecordingPool.created == workers
+    assert [n for _, n in calls] == workers
     assert (code, out) == invoke(argv)
 
 
-class _BreakingPool(_RecordingPool):
-    """Stands in for a ProcessPoolExecutor that breaks while the tasks are
-    being submitted: the first two futures complete (a report, then
-    BrokenProcessPool), and every later one stays pending for ever, like a
-    future whose submit raced the break."""
-
-    def __init__(self, max_workers):
-        self.futures = []
-
-    def submit(self, fn, task):
-        future = Future()
-        submitted = len(self.futures)
-        if submitted == 0:
-            future.set_result(fn(task))
-        elif submitted == 1:
-            future.set_exception(BrokenProcessPool("planted break"))
-        self.futures.append(future)
-        return future
-
-
-def test_futures_left_pending_by_a_broken_pool_fail(monkeypatch):
-    use_pool(monkeypatch, _BreakingPool)
-    tasks = [("cohomology", {"n": 3, "t": t}) for t in range(4)]
-    # the broken pool task holds two tasks, and each fails with its params
-    groups = [tasks[:1], tasks[1:3], tasks[3:]]
-    results = []
-    # a daemon thread, so that a regression hangs only this test's thread
-    worker = threading.Thread(
-        target=lambda: results.extend(cli._pooled(groups, 2)), daemon=True
-    )
-    worker.start()
-    worker.join(timeout=30)
-    assert not worker.is_alive()
-    assert [rep["params"]["t"] for rep in results] == [0, 1, 2, 3]
-    assert results[0]["status"] == "pass"
-    for rep in results[1:]:
-        assert rep["status"] == "fail"
-        assert rep["computed"]["error"] == "BrokenProcessPool"
-        assert rep["computed"]["detail"] == "planted break"
+def test_no_fork_runs_serially(monkeypatch):
+    calls = use_pool(monkeypatch)
+    monkeypatch.delattr(cli.os, "fork", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["verify-weights", "--n", "4", "--k", "3"]
+    assert invoke(argv + ["--jobs", "2"]) == invoke(argv)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -302,11 +257,10 @@ def test_futures_left_pending_by_a_broken_pool_fail(monkeypatch):
     ],
 )
 def test_pool_tasks(monkeypatch, argv, submitted):
-    use_pool(monkeypatch, _RecordingPool)
+    calls = use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code, out = invoke(argv + ["--jobs", "2"])
-    assert _RecordingPool.created == [2]
-    assert _RecordingPool.submitted == submitted
+    assert calls == [(submitted, 2)]
     assert (code, out) == invoke(argv)
     assert len(out.splitlines()) == sum(map(len, submitted))
 
@@ -320,10 +274,11 @@ def test_raising_check_fails_alone_in_its_pool_task(monkeypatch):
         return real(n, t)
 
     plant(monkeypatch, "cohomology", planted)
-    use_pool(monkeypatch, _RecordingPool)
+    calls = use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code, out = invoke(["verify-fiber", "--n", "3", "--checks", "cohomology,d2zero",
                         "--jobs", "2"])
+    assert [n for _, n in calls] == [2]
     assert code == 1
     # the d2zero check of the same pool task still passes
     failing = [line for line in out.splitlines() if '"status":"fail"' in line]
@@ -336,56 +291,157 @@ def test_raising_check_fails_alone_in_its_pool_task(monkeypatch):
 
 
 def test_import_loads_no_pool_machinery():
-    """A command without a pool pays for neither concurrent.futures nor
-    multiprocessing: they are imported when a pool starts."""
+    """The CLI never loads concurrent.futures or multiprocessing: not on
+    import, and not when a pool runs, since the pool is built on os.fork."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import sys, sscx.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))"
+        "import os, sys, sscx.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('concurrent', 'multiprocessing'))\n"
+        "print(loaded())\n"
+        "os.cpu_count = lambda: 2\n"
+        "sscx.cli.run(['--out', os.devnull, 'verify-fiber', '--n', '3', '--jobs', '2'])\n"
+        "print(loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "[]\n"
+    assert out == "[]\n[]\n"
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the planted check reaches the workers by fork")
-@pytest.mark.parametrize(
-    "argv, check, dies, tasks",
-    [
-        # one task kills its worker after others have been handed out
-        (["verify-fiber", "--n", "3"], "cohomology", lambda t, **_: t == 2, 5),
-        # every task kills its worker, so the pool breaks while most tasks
-        # are still to be submitted
-        (["verify-weights", "--n", "30", "--k", "3"], "staircase", lambda **_: True, 1711),
-    ],
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="the planted check reaches the workers by fork"
 )
-def test_dead_worker_fails_its_unfinished_tasks(monkeypatch, argv, check, dies, tasks):
+
+
+def die_in_worker(monkeypatch, check, dies, die):
+    """Plant ``check`` so that a worker running it with params for which
+    ``dies`` holds calls ``die()``."""
     parent = os.getpid()
     real = cli.CHECKS[check].run
 
     def planted(**params):
         if dies(**params) and os.getpid() != parent:
-            os._exit(1)  # the worker dies, as if killed
+            die()
         return real(**params)
 
     plant(monkeypatch, check, planted)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    code, out = invoke(argv + ["--checks", check, "--jobs", "2"])
-    assert code == 1
+
+
+def assert_dead_worker_reports(out, dies, tasks, detail):
     reps = [json.loads(line) for line in out.splitlines()]
     # one report per task, each with its own params
-    assert len({json.dumps(rep["params"]) for rep in reps}) == len(reps) == tasks
+    keys = {(rep["suite"], json.dumps(rep["params"])) for rep in reps}
+    assert len(keys) == len(reps) == tasks
     broken = [rep for rep in reps if rep["status"] == "fail"]
     assert all(rep in broken for rep in reps if dies(**rep["params"]))
     for rep in broken:
         assert rep["expected"] == {"ok": 1}
-        assert list(rep["computed"]) == ["detail", "error", "ok"]
-        assert rep["computed"]["error"] == "BrokenProcessPool"
-        assert rep["computed"]["ok"] == 0 and rep["computed"]["detail"]
+        assert rep["computed"] == {
+            "detail": detail, "error": "ChildProcessError", "ok": 0
+        }
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "argv, check, dies, tasks",
+    [
+        # one task kills its worker after others have been handed out
+        (["verify-fiber", "--n", "3"], "cohomology", lambda t, **_: t == 2, 5),
+        # every task kills its worker, so both workers die while most tasks
+        # are still to be taken
+        (["verify-weights", "--n", "30", "--k", "3"], "staircase", lambda **_: True, 1711),
+    ],
+)
+def test_dead_worker_fails_its_unfinished_tasks(monkeypatch, argv, check, dies, tasks):
+    die_in_worker(monkeypatch, check, dies, lambda: os._exit(1))
+    use_pool(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out = invoke(argv + ["--checks", check, "--jobs", "2"])
+    assert code == 1
+    assert_dead_worker_reports(out, dies, tasks, "a worker died: exit status 1")
+
+
+@needs_fork
+def test_killed_worker_fails_its_group_alone(monkeypatch):
+    def dies(t, **_):
+        return t == 3
+
+    die_in_worker(monkeypatch, "cohomology", dies,
+                  lambda: os.kill(os.getpid(), signal.SIGKILL))
+    use_pool(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out = invoke(["verify-fiber", "--n", "4", "--checks", "cohomology,d2zero",
+                        "--jobs", "2"])
+    assert code == 1
+    assert_dead_worker_reports(out, dies, 14, f"a worker died: signal {signal.SIGKILL.value}")
+    # the other worker takes every group the dead one did not
+    failing = [json.loads(line) for line in out.splitlines() if '"status":"fail"' in line]
+    assert [(rep["suite"], rep["params"]["t"]) for rep in failing] == [
+        ("cohomology", 3), ("d2zero", 3)
+    ]
+
+
+@needs_fork
+def test_task_pipe_carries_more_than_its_buffer(monkeypatch):
+    """20,000 groups make 80,000 bytes of task records, more than a 64 KB
+    pipe holds, while the workers' answers fill their own pipes."""
+    from sscx.report import Report
+
+    plant(monkeypatch, "pieri", lambda n, k: Report("pieri", {"n": n, "k": k}, {}, {}))
+    groups = [[("pieri", {"n": i, "k": 3})] for i in range(20_000)]
+
+    def expire(signum, frame):
+        raise TimeoutError("the pool is stuck")
+
+    # a pool that deadlocks on a full pipe fails here instead of hanging
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        results = cli._pooled(groups, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert_no_child()
+    assert [rep["params"]["n"] for rep in results] == list(range(20_000))
+    assert all(rep["status"] == "pass" for rep in results)
+
+
+@needs_fork
+def test_interrupted_parent_kills_and_reaps_its_workers(monkeypatch):
+    """An interrupt in the parent reaches the caller at once: the workers,
+    busy with checks that would run for a minute, are killed and reaped."""
+    forked, selects = [], []
+    real_fork, real_select = os.fork, select.select
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def interrupted(*args):
+        selects.append(args)
+        if len(selects) > 1:
+            raise KeyboardInterrupt
+        return real_select(*args)  # the first call hands out the tasks
+
+    plant(monkeypatch, "cohomology", lambda n, t: time.sleep(60))
+    monkeypatch.setattr(cli.os, "fork", counted_fork)
+    # _pooled imports select when it starts, so it finds this attribute
+    monkeypatch.setattr(select, "select", interrupted)
+    groups = [[("cohomology", {"n": 3, "t": t})] for t in range(5)]
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli._pooled(groups, 2)
+    assert time.monotonic() - start < 30
+    monkeypatch.undo()
+    assert len(forked) == 2
+    assert_no_child()
+    for pid in forked:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.mark.parametrize(
