@@ -14,7 +14,7 @@ process died (``ChildProcessError``).  Exit code 0 when every report
 passes, 1 when any fails, 2 on usage errors.
 
 Under --jobs, the checks run on worker processes forked from the command
-(``_pooled``), each taking the next pool task whenever it is free; without
+(``pool.pooled``), each taking the next pool task whenever it is free; without
 ``os.fork`` they run serially.  verify-fiber hands the pool one task per
 degree t, holding every selected check at that t, highest t first, so the
 heaviest degree starts first.  Most caches a degree fills are keyed by
@@ -117,11 +117,6 @@ def _error_report(task, exc: BaseException) -> dict:
     ).to_ordered_dict()
 
 
-def _run_group(group) -> list[dict]:
-    """Execute the tasks of one pool task in order, each to its own report."""
-    return [_run_task(task) for task in group]
-
-
 def _groups(tasks) -> list[list]:
     """The pool tasks: for verify-fiber one per degree t, highest t first,
     each holding the tasks of that t in the order given; for
@@ -132,111 +127,6 @@ def _groups(tasks) -> list[list]:
     for task in tasks:
         by_t.setdefault(task[1]["t"], []).append(task)
     return [by_t[t] for t in sorted(by_t, reverse=True)]
-
-
-def _pooled(groups, workers: int) -> list[dict]:
-    """Run the groups of tasks on ``workers`` forked processes and return
-    their reports in the order of ``groups``.
-
-    The parent writes the group indices, in order, as 4-byte records into
-    one task pipe, and each worker takes the next one whenever it is free.
-    A worker answers each group with one JSON line ``[index, reports]`` on
-    its own result pipe.  The parent feeds the task pipe and reads the
-    result pipes with ``select``, so no full pipe stalls either side.  A
-    group with no answer at the end was in flight in a worker that died
-    (killed, out of memory) or was never taken; each of its tasks becomes a
-    failing report with its own params and ``ChildProcessError``.  If the
-    parent raises, it kills and reaps every worker first."""
-    # imported here, so that a command without a pool does not load them
-    import select
-    import signal
-
-    fds = set()  # the parent's open descriptors
-
-    def pipe():
-        ends = os.pipe()
-        fds.update(ends)
-        return ends
-
-    def close(fd):
-        os.close(fd)
-        fds.remove(fd)
-
-    todo = b"".join(i.to_bytes(4, "little") for i in range(len(groups)))
-    answers, pids = {}, []
-    try:
-        tasks_r, tasks_w = pipe()
-        lines = {}  # result pipe -> the start of its next line
-        for _ in range(workers):
-            result_r, result_w = pipe()
-            pid = os.fork()
-            if pid == 0:
-                _work(groups, tasks_r, result_w, fds - {tasks_r, result_w})
-            pids.append(pid)
-            close(result_w)
-            lines[result_r] = b""
-        close(tasks_r)
-        # a non-blocking write of at most PIPE_BUF bytes is all or nothing,
-        # so the task pipe only ever holds whole records
-        os.set_blocking(tasks_w, False)
-        while lines:
-            feed = [tasks_w] if todo else []
-            readable, writable, _ = select.select(list(lines), feed, [])
-            if writable:
-                try:
-                    todo = todo[os.write(tasks_w, todo[: select.PIPE_BUF]):]
-                except BlockingIOError:
-                    pass
-                except BrokenPipeError:  # every worker is gone
-                    todo = b""
-                if not todo:
-                    close(tasks_w)
-            for fd in readable:
-                if chunk := os.read(fd, 1 << 16):
-                    *done, lines[fd] = (lines[fd] + chunk).split(b"\n")
-                    answers.update(map(json.loads, done))
-                else:
-                    close(fd)
-                    del lines[fd]
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for fd in fds:
-            os.close(fd)
-        codes = {os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids}
-    lost = ChildProcessError("a worker died: " + ", ".join(sorted(
-        f"exit status {code}" if code > 0 else f"signal {-code}"
-        for code in codes - {0}
-    )))
-    results = []
-    for index, group in enumerate(groups):
-        if index in answers:
-            results.extend(answers[index])
-        else:
-            results.extend(_error_report(task, lost) for task in group)
-    return results
-
-
-def _work(groups, tasks: int, results: int, others) -> None:
-    """A worker: close the descriptors in ``others``, then answer the group
-    of each index read from ``tasks`` on ``results`` until the task pipe is
-    closed and empty.  It never returns into the parent's code and never
-    flushes the stdout it inherited: it ends with ``os._exit``, 0 at the
-    end of the tasks and 1 on any error."""
-    code = 1
-    try:
-        for fd in others:
-            os.close(fd)
-        with open(results, "w", encoding="ascii") as out:
-            while record := os.read(tasks, 4):
-                index = int.from_bytes(record, "little")
-                out.write(json.dumps([index, _run_group(groups[index])]) + "\n")
-                out.flush()
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -348,12 +238,13 @@ def run(argv=None) -> int:
     if not hasattr(os, "fork"):
         workers = 1
     if workers > 1:
-        results = _pooled(groups, workers)
+        from . import pool  # only a pooled command compiles and loads the pool
+
+        results = pool.pooled(groups, workers, _run_task, _error_report)
     else:
         results = [_run_task(t) for t in tasks]
     results.sort(key=lambda r: (r["suite"], sorted(r["params"].items())))
-    lines = [json.dumps(r, separators=(",", ":")) for r in results]
-    text = "\n".join(lines) + ("\n" if lines else "")
+    text = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in results)
     with out as fh:
         fh.write(text)
     return 0 if all(r["status"] == "pass" for r in results) else 1

@@ -16,16 +16,20 @@ weight and ``tphi_on_weight`` by ``(alpha1, alpha2, k)``.  Each is the
 textbook formula, the Weyl product over the pairs with distinct entries
 (a pair of equal entries has factor 1) and the pushforward with its
 closed-form cross-check, computed once per distinct argument.  A staircase
-term is a plain ``(position, wedge_exp, weight)`` tuple, and each check
-walks its terms in one pass.
+term is a plain ``(position, wedge_exp, weight)`` tuple, and ``rank_K``
+walks the kept terms in one pass.  For a fixed alpha2, every staircase of
+the band is a 2n-term window of one long row of terms, so the
+``staircase`` check pushes forward one memoized row per alpha2
+(``_staircase_row``) and reads each label off its window with two dot
+products against the signed binomials.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, starmap
-from math import comb, inf
-from operator import lt
+from math import comb
+from operator import lt, mul
 
 from .report import Report
 
@@ -172,6 +176,49 @@ def _dropped_terms(alpha1: int, alpha2: int, n: int) -> list[Term]:
     return _staircase_slice(alpha1, alpha2, n, alpha1 - 2 * n + 1, 0)
 
 
+@cache
+def _signed_binomials(n: int) -> list[int]:
+    """(-1)^j C(2n, j) for j = 0..2n."""
+    return [-comb(2 * n, j) if j & 1 else comb(2 * n, j) for j in range(2 * n + 1)]
+
+
+@cache
+def _staircase_row(alpha2: int, k: int, n: int) -> tuple:
+    """Every staircase term with second label alpha2 pushed to the length-k
+    side once.  Its climbing entry m runs over alpha2 - 2n + 1 .. 2n - k, and
+    the staircase of (alpha1, alpha2) is the window m = alpha1 - 2n + 1 ..
+    alpha1.
+
+    Returns ``(pushed, mismatched, falls, errors)``: per m, (-1)^shift times
+    the Weyl dimension of the pushforward, 0 where it vanishes or fails its
+    cross-check; the m of each term that fails it; ``(m', m)`` for each
+    two neighbouring survivors whose m + shift does not exceed m' + shift;
+    and ``(m, exc, traceback)`` for every other error, which drops its term
+    from the survivors."""
+    pushed, mismatched, falls, errors = [], [], [], []
+    last = None  # the m and m + shift of the last survivor
+    for m in range(alpha2 - 2 * n + 1, 2 * n - k + 1):
+        dim = 0
+        try:
+            try:
+                push = tphi_on_weight(*((alpha2 - 1, m) if m < alpha2 else (m, alpha2)), k)
+            except AssertionError:
+                mismatched.append(m)
+                push = None
+            if push is not None:
+                weight, shift = push
+                dim = weyl_dim_gl(weight)
+                if shift & 1:
+                    dim = -dim
+                if last is not None and m + shift <= last[1]:
+                    falls.append((last[0], m))
+                last = m, m + shift
+        except Exception as exc:
+            errors.append((m, exc, exc.__traceback__))
+        pushed.append(dim)
+    return pushed, mismatched, falls, errors
+
+
 def verify_staircase_pushforward(
     alpha1: int, alpha2: int, k: int, n: int
 ) -> Report:
@@ -180,32 +227,33 @@ def verify_staircase_pushforward(
     shifted positions strictly increase and their signed dimensions sum to 0.
     ``shape_ok`` says that no term's rho-shift pushforward disagreed with
     its closed form: tphi_on_weight raises AssertionError on each
-    disagreement, and such a term is counted and left out."""
+    disagreement, and such a term is counted and left out.
+
+    The terms are the window m = s .. alpha1, s = alpha1 - 2n + 1, of
+    ``_staircase_row``, and the first error the row met inside it is raised
+    again, from where it was first raised.  A term at position j = m - s has
+    the sign (-1)^(j + shift) and the wedge exponent 2n - j in the first row
+    (m < alpha2) and 2n - j - 1 in the second, so by C(2n, 2n - i) =
+    C(2n, i) its factor is the signed binomial at j in the first row and
+    minus the one at j + 1 in the second: the Euler sum is two C-level dot
+    products."""
     if not (2 * n - k >= alpha1 >= alpha2 >= 0 and 3 <= k <= n):
         raise ValueError("parameters outside the verified band")
     params = {"alpha1": alpha1, "alpha2": alpha2, "k": k, "n": n}
-    mismatches = euler = 0
-    increasing = True
-    last = -inf
-    for position, wedge_exp, (a1, a2) in staircase_terms_gr2(alpha1, alpha2, n):
-        try:
-            push = tphi_on_weight(a1, a2, k)
-        except AssertionError:
-            mismatches += 1
-            continue
-        if push is None:
-            continue
-        weight, shift = push
-        position += shift
-        if position <= last:
-            increasing = False
-        last = position
-        term = comb(2 * n, wedge_exp) * weyl_dim_gl(weight)
-        euler += -term if position & 1 else term
+    pushed, mismatched, falls, errors = _staircase_row(alpha2, k, n)
+    s = alpha1 - 2 * n + 1
+    for m, exc, tb in errors:
+        if s <= m <= alpha1:
+            raise exc.with_traceback(tb)
+    binom = _signed_binomials(n)
+    i, corner = alpha1 - alpha2, 2 * n - 1  # the row indices of m = s and m = alpha2
+    euler = sum(map(mul, binom[: corner - i], pushed[i:corner])) - sum(
+        map(mul, binom[corner + 1 - i :], pushed[corner : i + 2 * n])
+    )
     computed = {
-        "positions_increasing": int(increasing),
+        "positions_increasing": int(not any(s <= a and b <= alpha1 for a, b in falls)),
         "euler": euler,
-        "shape_ok": int(not mismatches),
+        "shape_ok": int(not any(s <= m <= alpha1 for m in mismatched)),
     }
     expected = {"positions_increasing": 1, "euler": 0, "shape_ok": 1}
     return Report("staircase", params, expected, computed)

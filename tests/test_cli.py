@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import sscx.cli as cli
+import sscx.pool as pool
 from sscx.cli import run
 
 EXPECTED_KEYS = ["suite", "params", "expected", "computed", "status", "elapsed_ms"]
@@ -194,19 +195,19 @@ def assert_no_child():
 
 
 def use_pool(monkeypatch):
-    """Record the groups and the worker count of every ``cli._pooled`` call
+    """Record the groups and the worker count of every ``pool.pooled`` call
     in the returned list, run the real pool, and check that it leaves no
     child behind."""
     calls = []
-    real = cli._pooled
+    real = pool.pooled
 
-    def recorded(groups, workers):
+    def recorded(groups, workers, *runners):
         calls.append((groups, workers))
-        results = real(groups, workers)
+        results = real(groups, workers, *runners)
         assert_no_child()
         return results
 
-    monkeypatch.setattr(cli, "_pooled", recorded)
+    monkeypatch.setattr(pool, "pooled", recorded)
     return calls
 
 
@@ -292,14 +293,17 @@ def test_raising_check_fails_alone_in_its_pool_task(monkeypatch):
 
 def test_import_loads_no_pool_machinery():
     """The CLI never loads concurrent.futures or multiprocessing: not on
-    import, and not when a pool runs, since the pool is built on os.fork."""
+    import, and not when a pool runs, since the pool is built on os.fork.
+    Its own pool module is loaded only by a command that runs a pool."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import os, sys, sscx.cli\n"
         "def loaded(): return sorted(m for m in sys.modules "
-        "if m.partition('.')[0] in ('concurrent', 'multiprocessing'))\n"
+        "if m.partition('.')[0] in ('concurrent', 'multiprocessing') or m == 'sscx.pool')\n"
         "print(loaded())\n"
         "os.cpu_count = lambda: 2\n"
+        "sscx.cli.run(['--out', os.devnull, 'verify-weights', '--n', '4', '--k', '3'])\n"
+        "print(loaded())\n"
         "sscx.cli.run(['--out', os.devnull, 'verify-fiber', '--n', '3', '--jobs', '2'])\n"
         "print(loaded())\n"
     )
@@ -307,7 +311,28 @@ def test_import_loads_no_pool_machinery():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "[]\n[]\n"
+    pooled = ["sscx.pool"] if hasattr(os, "fork") else []
+    assert out == f"[]\n[]\n{pooled}\n"
+
+
+def test_pool_under_python_m_loads_the_cli_once():
+    """Run as ``python -m sscx.cli``, the CLI is ``__main__``; the pool gets
+    its task runners from it and does not import ``sscx.cli`` again."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import os, runpy, sys\n"
+        "os.cpu_count = lambda: 2\n"
+        "sys.argv = ['sscx', '--out', os.devnull, 'verify-fiber', '--n', '3', '--jobs', '2']\n"
+        "try:\n"
+        "    runpy.run_module('sscx.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'sscx.cli' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "0 False\n"
 
 
 needs_fork = pytest.mark.skipif(
@@ -399,7 +424,7 @@ def test_task_pipe_carries_more_than_its_buffer(monkeypatch):
     handler = signal.signal(signal.SIGALRM, expire)
     signal.alarm(60)
     try:
-        results = cli._pooled(groups, 2)
+        results = pool.pooled(groups, 2, cli._run_task, cli._error_report)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
@@ -429,12 +454,12 @@ def test_interrupted_parent_kills_and_reaps_its_workers(monkeypatch):
 
     plant(monkeypatch, "cohomology", lambda n, t: time.sleep(60))
     monkeypatch.setattr(cli.os, "fork", counted_fork)
-    # _pooled imports select when it starts, so it finds this attribute
+    # the pool reads select.select when it runs, so it finds this attribute
     monkeypatch.setattr(select, "select", interrupted)
     groups = [[("cohomology", {"n": 3, "t": t})] for t in range(5)]
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        cli._pooled(groups, 2)
+        pool.pooled(groups, 2, cli._run_task, cli._error_report)
     assert time.monotonic() - start < 30
     monkeypatch.undo()
     assert len(forked) == 2

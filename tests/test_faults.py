@@ -24,7 +24,8 @@ from linalg_oracle import matrix_sum
 
 # every functools.cache of the fiber, complexes and weights layers: the
 # structure matrices, which keep their ranks, the truncation and Koszul
-# complexes, which keep their cohomology, and the two weight memos included
+# complexes, which keep their cohomology, and the weight memos and the
+# staircase rows included
 CACHED = [
     f for module in (fiber, complexes, weights) for f in vars(module).values()
     if hasattr(f, "cache_clear")
@@ -50,6 +51,7 @@ def fresh_caches():
     assert fiber._structure_matrix in CACHED
     assert weights.tphi_on_weight in CACHED
     assert weights.weyl_dim_gl in CACHED
+    assert weights._staircase_row in CACHED
     for f in CACHED:
         f.cache_clear()
     ranked = _ranked_matrices()
@@ -59,13 +61,15 @@ def fresh_caches():
     assert _ranked_matrices() <= ranked
 
 
-def test_the_memos_are_the_seven():
+def test_the_memos_are_the_nine():
     """Each fiber-layer fact has one cache: a complex holds its
     differentials and its cohomology, and ``basis_of`` is the one index of
     a space's monomials.  A memo that re-keys what another holds would be
     one more that ``fresh_caches`` must clear.  The annihilator bases are
     built on each call: their two readers, the Koszul complexes and the
-    fibers' lifts, are cached."""
+    fibers' lifts, are cached.  The weight layer keeps its two primitives,
+    one row of pushed-forward staircase terms per alpha2, and the signed
+    binomials the staircases' windows read."""
     assert {f"{f.__module__}.{f.__qualname__}" for f in CACHED} == {
         "sscx.fiber.basis_of",
         "sscx.fiber._structure_matrix",
@@ -74,6 +78,8 @@ def test_the_memos_are_the_seven():
         "sscx.complexes.build_koszul_S",
         "sscx.weights.weyl_dim_gl",
         "sscx.weights.tphi_on_weight",
+        "sscx.weights._staircase_row",
+        "sscx.weights._signed_binomials",
     }
 
 
@@ -849,3 +855,35 @@ def test_closed_form_wrong_on_one_far_shift_weight_fails_its_staircases(monkeypa
     }
     assert holding == {(a1, 1) for a1 in range(1, 7)}
     assert _weight_failures(reps) == {_staircase(*a): {"shape_ok", "euler"} for a in holding}
+
+
+def test_weyl_error_on_one_weight_fails_only_the_windows_holding_it(monkeypatch):
+    real = weights.weyl_dim_gl
+
+    def planted(lam):
+        """weyl_dim_gl raising on the one weight (3, 1, 0, 0)."""
+        if lam == (3, 1, 0, 0):
+            raise AssertionError("planted at (3, 1, 0, 0)")
+        return real(lam)
+
+    monkeypatch.setattr(weights, "weyl_dim_gl", planted)
+    code, reps = reports("verify-weights", "--n", "6", "--k", "4")
+    assert code == 1
+    # (3, 1, 0, 0) is the pushforward and the padding of the term (3, 1),
+    # which is m = 3 in the row of alpha2 = 1 and m = 1 in the row of
+    # alpha2 = 4.  The staircases whose window holds it are (alpha1, 1) with
+    # alpha1 >= 3 and (alpha1, 4), and the truncations that keep it are
+    # those of the same labels, which the Euler checks at t = 1..8 read.
+    # Each fails as an error report, the same set the term-by-term walk
+    # failed; no other window of those two rows may fail.
+    expected = {
+        **{_staircase(a1, 1): ERROR_FLAGS for a1 in range(3, 9)},
+        **{_staircase(a1, 4): ERROR_FLAGS for a1 in range(4, 9)},
+        **{("euler", (("k", 4), ("n", 6), ("t", t))): ERROR_FLAGS for t in range(1, 9)},
+    }
+    assert _weight_failures(reps) == expected
+    for rep in reps:
+        if rep["status"] == "fail":
+            assert rep["computed"] == {
+                "detail": "planted at (3, 1, 0, 0)", "error": "AssertionError", "ok": 0
+            }

@@ -1,5 +1,6 @@
-"""The one-pass staircase walk of the weight layer against the object-based
-formulation it replaced: one frozen term object per staircase term, the
+"""The staircase check of the weight layer, which reads each staircase as a
+window of one row per alpha2, against the object-based formulation of the
+term-by-term walk: one frozen term object per staircase term, the
 list of pushed-forward survivors, their positions, an ``all`` over
 neighbouring pairs and an Euler sum signed by ``(-1) ** p``; and the rank of
 a truncation bundle summed over the kept term objects.  Also the Weyl
@@ -8,6 +9,7 @@ pairs."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -22,6 +24,20 @@ from sscx.weights import (
     verify_staircase_pushforward,
     weyl_dim_gl,
 )
+
+
+WEIGHT_MEMOS = [f for f in vars(weights).values() if hasattr(f, "cache_clear")]
+
+
+@pytest.fixture(autouse=True)
+def fresh_weight_memos():
+    """A plant must reach every weight memo, and no row or pushforward built
+    by an earlier test, planted or not, may answer for it."""
+    for f in WEIGHT_MEMOS:
+        f.cache_clear()
+    yield
+    for f in WEIGHT_MEMOS:
+        f.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -51,6 +67,7 @@ def all_pairs_product(lam) -> Fraction:
     return Fraction(num, den)
 
 
+@cache  # the oracle's own memo: the benchmark-size band asks each weight ~40 times
 def oracle_dim(lam) -> int:
     dim = all_pairs_product(lam)
     assert dim.denominator == 1, lam
@@ -154,6 +171,26 @@ def test_staircase_report_is_the_oracle(monkeypatch, plant):
 
 def test_rank_K_is_the_oracle():
     for a1, a2, k, n in band(10, 2):
+        assert rank_K(a1, a2, k, n) == oracle_rank_K(a1, a2, k, n), (a1, a2, k, n)
+
+
+def labels(n, k):
+    return [(a1, a2) for a1 in range(2 * n - k + 1) for a2 in range(a1 + 1)]
+
+
+@pytest.mark.parametrize("n, k", [(40, 20), (12, 12)])
+def test_staircase_windows_are_the_oracle_at_benchmark_size(n, k):
+    """Every label of the benchmark's band, 1,891 at (40, 20), each a window
+    of one row per alpha2, and the band where k = n."""
+    for a1, a2 in labels(n, k):
+        rep = verify_staircase_pushforward(a1, a2, k, n)
+        assert rep.computed == oracle_staircase(a1, a2, k, n), (a1, a2, k, n)
+        assert rep.status == "pass"
+
+
+@pytest.mark.parametrize("n, k", [(40, 20), (12, 12), (40, 2)])
+def test_rank_K_is_the_oracle_at_benchmark_size(n, k):
+    for a1, a2 in labels(n, k):
         assert rank_K(a1, a2, k, n) == oracle_rank_K(a1, a2, k, n), (a1, a2, k, n)
 
 
