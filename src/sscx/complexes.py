@@ -13,10 +13,10 @@ orbit sums (``_orbit_sum``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, lcm
+from typing import NamedTuple
 
 from .exactlinalg import SparseRationalMatrix, SubspaceEscapeError, pivots_mod_p, rank, restrict
 from .fiber import TwistedSpace, fiber_E, fiber_wedge_perp, structure_map, wedge_form_matrix
@@ -24,7 +24,6 @@ from .report import Report
 from .weights import truncation_cohomology
 
 
-@dataclass(frozen=True)
 class ChainComplex:
     """Bounded sequence of finite-dimensional spaces and maps.
 
@@ -33,20 +32,21 @@ class ChainComplex:
     ``is_complex`` is the exact verdict that d o d = 0 and ``cohomology``
     the cohomology dimensions (``cohomology_dims``), each computed on first
     use and kept: every check reads that one verdict and that one
-    cohomology of the object, so the object is frozen and its lists and the
-    cohomology must not be modified.
+    cohomology of the object, so neither the object, nor its lists, nor the
+    cohomology may be modified.
     """
 
-    degree_offset: int
-    dims: list[int]
-    differentials: list[SparseRationalMatrix]
-
-    def __post_init__(self):
-        if len(self.differentials) != max(len(self.dims) - 1, 0):
+    def __init__(
+        self, degree_offset: int, dims: list[int], differentials: list[SparseRationalMatrix]
+    ):
+        if len(differentials) != max(len(dims) - 1, 0):
             raise ValueError("need exactly one differential per adjacent pair")
-        for i, m in enumerate(self.differentials):
-            if m.ncols != self.dims[i] or m.nrows != self.dims[i + 1]:
+        for i, m in enumerate(differentials):
+            if m.ncols != dims[i] or m.nrows != dims[i + 1]:
                 raise ValueError(f"differential {i} has inconsistent shape")
+        self.degree_offset = degree_offset
+        self.dims = dims
+        self.differentials = differentials
 
     @cached_property
     def is_complex(self) -> bool:
@@ -273,8 +273,7 @@ def verify_snake(n: int, t: int) -> Report:
     return Report("snake", {"n": n, "t": t}, expected, computed)
 
 
-@dataclass
-class Bicomplex:
+class Bicomplex(NamedTuple):
     """Grid of twisted spaces of one weight block: column b (0..t) resolves
     the truncation fiber of degree (t-b, b); the entry at depth c is the
     space (t-b-c, b+c), twisted by (det U*)^c, which its position records.

@@ -64,7 +64,6 @@ coordinates off the private rows of a subspace basis, whose entries are ±1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -300,13 +299,21 @@ def pivots_mod_p(m: SparseRationalMatrix, skip: list[int] | tuple = ()) -> list[
     return [pcol for pcol, _ in _eliminate(m.rows(skip), P)]
 
 
-@dataclass
 class SubspaceBasis:
     """Ordered basis of a subspace of Q^ambient_dim: sparse integer columns,
-    trusted (unchecked, uncopied) and immutable, as a matrix's are."""
+    trusted (unchecked, uncopied) and immutable, as a matrix's are.  Two
+    bases are equal when their ambient dimensions and vector lists are."""
 
-    ambient_dim: int
-    vectors: list[dict[int, int]]
+    def __init__(self, ambient_dim: int, vectors: list[dict[int, int]]):
+        self.ambient_dim = ambient_dim
+        self.vectors = vectors
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.vectors == other.vectors
+
+    __hash__ = None  # equal by value, and the vectors are mutable dicts
 
     @property
     def dim(self) -> int:

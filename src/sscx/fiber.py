@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
+from typing import NamedTuple
 
 from .exactlinalg import SparseRationalMatrix, SubspaceBasis, rank
 
@@ -40,26 +40,31 @@ TwoForm = dict[tuple[int, int], int]
 OneForm = dict[int, int]
 
 
-@dataclass(frozen=True)
-class TwistedSpace:
-    """Weight block m of the graded piece wedge^a V* (x) S^B U at the fixed
-    point of IGr(2, 2n): the monomials of the representative weight
-    (+1)^m 0^(n-2-m).  The one key of every fiber-layer memo."""
-
+class _Block(NamedTuple):
     n: int
     a: int
     B: int
     m: int
 
-    def __post_init__(self):
-        if self.n < 2:
+
+class TwistedSpace(_Block):
+    """Weight block m of the graded piece wedge^a V* (x) S^B U at the fixed
+    point of IGr(2, 2n): the monomials of the representative weight
+    (+1)^m 0^(n-2-m).  The one key of every fiber-layer memo: a named
+    tuple, so equal blocks are equal keys with equal hashes."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, a: int, B: int, m: int) -> TwistedSpace:
+        if n < 2:
             raise ValueError("need n >= 2 so that the base plane is isotropic")
-        if not (0 <= self.a <= 2 * self.n):
+        if not (0 <= a <= 2 * n):
             raise ValueError("wedge degree out of range")
-        if self.B < 0:
+        if B < 0:
             raise ValueError("symmetric degree must be non-negative")
-        if not (0 <= self.m <= self.n - 2):
+        if not (0 <= m <= n - 2):
             raise ValueError("weight block out of range (0..n-2)")
+        return tuple.__new__(cls, (n, a, B, m))
 
     @property
     def dim(self) -> int:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     suite: str
     params: dict
     expected: dict

@@ -16,12 +16,15 @@ weight and ``tphi_on_weight`` by ``(alpha1, alpha2, k)``.  Each is the
 textbook formula, the Weyl product over the pairs with distinct entries
 (a pair of equal entries has factor 1) and the pushforward with its
 closed-form cross-check, computed once per distinct argument.  A staircase
-term is a plain ``(position, wedge_exp, weight)`` tuple, and ``rank_K``
-walks the kept terms in one pass.  For a fixed alpha2, every staircase of
-the band is a 2n-term window of one long row of terms, so the
-``staircase`` check pushes forward one memoized row per alpha2
-(``_staircase_row``) and reads each label off its window with two dot
-products against the signed binomials.
+term is a plain ``(position, wedge_exp, weight)`` tuple.  For a fixed
+alpha2, every staircase of the band is a 2n-term window of one long row of
+terms, and every truncation the window of its terms without a negative
+entry.  So the ``staircase`` check pushes forward one memoized row per
+alpha2 (``_staircase_row``), ``rank_K`` reads one memoized row of padded
+dimensions per alpha2 (``_truncation_row``), and each label is read off its
+window with two dot products against the signed binomials.  The two row
+kinds are kept apart: a planted pushforward moves only the staircase
+check, never the ranks the Euler check sums.
 """
 
 from __future__ import annotations
@@ -136,38 +139,17 @@ def bbw_check(n: int, k: int) -> Report:
     )
 
 
-def staircase_terms_gr2(alpha1: int, alpha2: int, n: int) -> list[Term]:
-    """Ordered term list of the rank-2 staircase complex on Gr(2,2n).
-
-    Two rows: the second weight component climbs from alpha1-2n+1 to
-    alpha2-1 while the wedge exponent falls from 2n, then the first
-    component climbs from alpha2 to alpha1 while the wedge exponent falls
-    to 0.  The wedge exponent drops by 2 at the corner between the rows.
-    """
-    if not (alpha1 >= alpha2 >= alpha1 - 2 * n + 2):
-        raise ValueError("weight outside the staircase validity band")
-    return _staircase_slice(alpha1, alpha2, n, alpha1 - 2 * n + 1, alpha1 + 1)
-
-
 def _staircase_slice(alpha1: int, alpha2: int, n: int, lo: int, hi: int) -> list[Term]:
     """The staircase terms whose climbing weight entry m runs over lo..hi-1,
     each a plain (position, wedge_exp, weight) tuple: the term of m sits at
     position m - (alpha1 - 2n + 1), in the first row when m < alpha2 and in
-    the second otherwise.  Every check walks its terms through this one
-    enumeration."""
+    the second otherwise."""
     start = alpha1 - 2 * n + 1
     return [
         (m - start, alpha1 + 1 - m, (alpha2 - 1, m)) if m < alpha2
         else (m - start, alpha1 - m, (m, alpha2))
         for m in range(lo, hi)
     ]
-
-
-def _kept_terms(alpha1: int, alpha2: int, n: int) -> list[Term]:
-    """The staircase terms a truncation keeps, those without a negative
-    weight entry.  For alpha2 >= 0 the second row is non-negative and a
-    first-row term (alpha2 - 1, m) is negative exactly when m < 0."""
-    return _staircase_slice(alpha1, alpha2, n, max(alpha1 - 2 * n + 1, 0), alpha1 + 1)
 
 
 def _dropped_terms(alpha1: int, alpha2: int, n: int) -> list[Term]:
@@ -259,19 +241,55 @@ def verify_staircase_pushforward(
     return Report("staircase", params, expected, computed)
 
 
+@cache
+def _truncation_row(alpha2: int, k: int, n: int) -> tuple:
+    """The Weyl dimension, padded to length k, of every staircase term with
+    second label alpha2 and no negative weight entry: m = 0 .. 2n - k, the
+    term (alpha2 - 1, m) for m < alpha2 and (m, alpha2) otherwise.  The
+    truncation of (alpha1, alpha2) keeps the window m = 0 .. alpha1.
+
+    Returns ``(dims, errors)``: per m, the dimension, 0 where it raised; and
+    ``(m, exc, traceback)`` for every error."""
+    pad = (0,) * (k - 2)
+    dims, errors = [], []
+    for m in range(2 * n - k + 1):
+        dim = 0
+        try:
+            dim = weyl_dim_gl(((alpha2 - 1, m) if m < alpha2 else (m, alpha2)) + pad)
+        except Exception as exc:
+            errors.append((m, exc, exc.__traceback__))
+        dims.append(dim)
+    return dims, errors
+
+
 def rank_K(alpha1: int, alpha2: int, k: int, n: int) -> int:
     """Rank of the truncation bundle with label (alpha1, alpha2) on Gr(k,2n),
     as the alternating dimension sum along its two-row resolution: the
     staircase terms without a negative weight entry, signed from the first
-    of them."""
+    of them.
+
+    In the band the staircase starts at m = alpha1 - 2n + 1 < 0, so the kept
+    terms are the window m = 0 .. alpha1 of ``_truncation_row``, and the
+    first error the row met inside it is raised again, from where it was
+    first raised.  The term of m has the sign (-1)^m and the wedge exponent
+    alpha1 + 1 - m in the first row (m < alpha2) and alpha1 - m in the
+    second, so by C(2n, j) = C(2n, 2n - j) its factor is (-1)^(alpha1 + 1)
+    times the signed binomial at 2n - alpha1 - 1 + m in the first row and
+    (-1)^alpha1 times the one at 2n - alpha1 + m in the second: two C-level
+    dot products."""
     if not (2 * n - k >= alpha1 >= alpha2 >= 0 and 2 <= k <= n):
         raise ValueError("parameters outside the resolution band")
-    pad = (0,) * (k - 2)
-    total = 0
-    sign = 1
-    for _, wedge_exp, weight in _kept_terms(alpha1, alpha2, n):
-        total += sign * comb(2 * n, wedge_exp) * weyl_dim_gl(weight + pad)
-        sign = -sign
+    dims, errors = _truncation_row(alpha2, k, n)
+    for m, exc, tb in errors:
+        if m <= alpha1:
+            raise exc.with_traceback(tb)
+    binom = _signed_binomials(n)
+    i = 2 * n - alpha1  # the binomial index of m = 0 in the second row
+    total = sum(map(mul, binom[i + alpha2 :], dims[alpha2 : alpha1 + 1])) - sum(
+        map(mul, binom[i - 1 : i - 1 + alpha2], dims[:alpha2])
+    )
+    if alpha1 & 1:
+        total = -total
     if total < 0:
         raise AssertionError(f"negative rank {total} at {(alpha1, alpha2, k, n)}")
     return total

@@ -56,6 +56,7 @@ from sscx.exactlinalg import (
     restrict,
 )
 from sscx.fiber import (
+    TwistedSpace,
     _contract,
     _deriv,
     _wedge1,
@@ -338,9 +339,10 @@ def monomial_index(space) -> dict:
 
 def codomain(kind: str, src):
     """The space a structure map of kind ``kind`` on src lands in."""
-    if kind == "d0":
-        return dataclasses.replace(src, a=src.a - 1, B=src.B + 1)
-    return dataclasses.replace(src, a=src.a + 1, B=src.B - 1)
+    a, B = (src.a - 1, src.B + 1) if kind == "d0" else (src.a + 1, src.B - 1)
+    if isinstance(src, FullSpace):
+        return FullSpace(src.n, a, B)
+    return TwistedSpace(src.n, a, B, src.m)
 
 
 def weight(n: int, subset: tuple[int, ...]) -> tuple[int, ...]:
@@ -507,8 +509,7 @@ def reference_bicomplex(bc: Bicomplex) -> Bicomplex:
     def old(kind, b, c):
         return structure_matrix(kind, bc.grid[b][c])
 
-    return dataclasses.replace(
-        bc,
+    return bc._replace(
         horizontal={
             (b, c): old("d", b, c).scale(Fraction((-1) ** c * b, b + c))
             for b, c in bc.horizontal

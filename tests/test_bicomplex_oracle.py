@@ -12,7 +12,6 @@ check conjoins the flags of the weight blocks, and so does the oracle
 (``block_flags``).
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -89,11 +88,11 @@ def _replace_map(maps: dict, key, factor) -> dict:
 
 
 PLANTS = {
-    "negated horizontal scalar": lambda bc: dataclasses.replace(
-        bc, horizontal=_replace_map(bc.horizontal, (1, 0), -1)
+    "negated horizontal scalar": lambda bc: bc._replace(
+        horizontal=_replace_map(bc.horizontal, (1, 0), -1)
     ),
-    "vertical scalar 2": lambda bc: dataclasses.replace(
-        bc, vertical=_replace_map(bc.vertical, (0, 0), 2)
+    "vertical scalar 2": lambda bc: bc._replace(
+        vertical=_replace_map(bc.vertical, (0, 0), 2)
     ),
 }
 
@@ -121,9 +120,7 @@ def test_square_with_the_matrices_of_a_passing_one(monkeypatch, fresh_caches):
 
     def planted(n, t, m):
         bc = real(n, t, m)
-        return dataclasses.replace(
-            bc, horizontal=_replace_map(bc.horizontal, (2, 0), -1)
-        )
+        return bc._replace(horizontal=_replace_map(bc.horizontal, (2, 0), -1))
 
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
     for t in range(3, 7):

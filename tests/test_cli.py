@@ -315,6 +315,27 @@ def test_import_loads_no_pool_machinery():
     assert out == f"[]\n[]\n{pooled}\n"
 
 
+def test_serial_commands_load_no_dataclasses_or_inspect():
+    """No sscx module imports dataclasses, which loads inspect (several
+    milliseconds of every command's start-up): not on import, and not in a
+    serial fiber or weight run.  ``python -S`` keeps site's .pth files out
+    of the count."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import os, sys, sscx.cli\n"
+        "def loaded(): return sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)\n"
+        "print(loaded())\n"
+        "sscx.cli.run(['--out', os.devnull, 'verify-fiber', '--n', '3'])\n"
+        "sscx.cli.run(['--out', os.devnull, 'verify-weights', '--n', '4', '--k', '3'])\n"
+        "print(loaded())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n[]\n"
+
+
 def test_pool_under_python_m_loads_the_cli_once():
     """Run as ``python -m sscx.cli``, the CLI is ``__main__``; the pool gets
     its task runners from it and does not import ``sscx.cli`` again."""

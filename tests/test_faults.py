@@ -3,7 +3,6 @@ end to end through the CLI, at n = 4 for the structure maps and at
 (n, k) = (6, 4) for the weight closed forms, the dimension formula, the
 inversion count and the truncation."""
 
-import dataclasses
 import gc
 import io
 import json
@@ -21,11 +20,12 @@ from sscx.cli import run
 from sscx.exactlinalg import SparseRationalMatrix
 import linalg_oracle
 from linalg_oracle import matrix_sum
+from test_staircase_oracle import staircase_terms_gr2
 
 # every functools.cache of the fiber, complexes and weights layers: the
 # structure matrices, which keep their ranks, the truncation and Koszul
 # complexes, which keep their cohomology, and the weight memos and the
-# staircase rows included
+# staircase and truncation rows included
 CACHED = [
     f for module in (fiber, complexes, weights) for f in vars(module).values()
     if hasattr(f, "cache_clear")
@@ -52,6 +52,7 @@ def fresh_caches():
     assert weights.tphi_on_weight in CACHED
     assert weights.weyl_dim_gl in CACHED
     assert weights._staircase_row in CACHED
+    assert weights._truncation_row in CACHED
     for f in CACHED:
         f.cache_clear()
     ranked = _ranked_matrices()
@@ -61,15 +62,16 @@ def fresh_caches():
     assert _ranked_matrices() <= ranked
 
 
-def test_the_memos_are_the_nine():
+def test_the_memos_are_the_ten():
     """Each fiber-layer fact has one cache: a complex holds its
     differentials and its cohomology, and ``basis_of`` is the one index of
     a space's monomials.  A memo that re-keys what another holds would be
     one more that ``fresh_caches`` must clear.  The annihilator bases are
     built on each call: their two readers, the Koszul complexes and the
     fibers' lifts, are cached.  The weight layer keeps its two primitives,
-    one row of pushed-forward staircase terms per alpha2, and the signed
-    binomials the staircases' windows read."""
+    one row of pushed-forward staircase terms and one row of padded
+    truncation-term dimensions per alpha2, and the signed binomials the
+    windows of both read."""
     assert {f"{f.__module__}.{f.__qualname__}" for f in CACHED} == {
         "sscx.fiber.basis_of",
         "sscx.fiber._structure_matrix",
@@ -79,6 +81,7 @@ def test_the_memos_are_the_nine():
         "sscx.weights.weyl_dim_gl",
         "sscx.weights.tphi_on_weight",
         "sscx.weights._staircase_row",
+        "sscx.weights._truncation_row",
         "sscx.weights._signed_binomials",
     }
 
@@ -335,7 +338,7 @@ def test_totalize_with_one_unsigned_block_fails(monkeypatch, rank_calls):
         if (1, 0) not in bc.vertical:
             return real(bc)
         m = bc.vertical[(1, 0)].scale(factor)
-        return real(dataclasses.replace(bc, vertical={**bc.vertical, (1, 0): m}))
+        return real(bc._replace(vertical={**bc.vertical, (1, 0): m}))
 
     # the map without its column sign (-1)^1, and the map dropped.  A total
     # complex whose (1, 0) map is non-zero is not a complex, so neither rank
@@ -677,7 +680,7 @@ def test_truncation_dropping_its_last_term_breaks_only_euler(monkeypatch):
         """rank_K over the kept staircase terms but the last."""
         kept = [
             (wedge_exp, weight)
-            for _, wedge_exp, weight in weights.staircase_terms_gr2(alpha1, alpha2, n)
+            for _, wedge_exp, weight in staircase_terms_gr2(alpha1, alpha2, n)
             if min(weight) >= 0
         ]
         return sum(
@@ -851,7 +854,7 @@ def test_closed_form_wrong_on_one_far_shift_weight_fails_its_staircases(monkeypa
     # AssertionError.
     holding = {
         (a1, a2) for a1 in range(9) for a2 in range(a1 + 1)
-        if any(w == (0, -5) for _, _, w in weights.staircase_terms_gr2(a1, a2, 6))
+        if any(w == (0, -5) for _, _, w in staircase_terms_gr2(a1, a2, 6))
     }
     assert holding == {(a1, 1) for a1 in range(1, 7)}
     assert _weight_failures(reps) == {_staircase(*a): {"shape_ok", "euler"} for a in holding}

@@ -29,6 +29,10 @@ COMMANDS = {
     "weights-n4-k2-euler-pieri": [
         "verify-weights", "--n", "4", "--k", "2", "--checks", "euler,pieri",
     ],
+    # the truncation windows with an empty pad, end to end
+    "weights-n40-k2-euler-pieri": [
+        "verify-weights", "--n", "40", "--k", "2", "--checks", "euler,pieri",
+    ],
 }
 
 

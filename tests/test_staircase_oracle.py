@@ -18,9 +18,8 @@ import pytest
 from sscx import weights
 from sscx.weights import (
     _dropped_terms,
-    _kept_terms,
+    _staircase_slice,
     rank_K,
-    staircase_terms_gr2,
     verify_staircase_pushforward,
     weyl_dim_gl,
 )
@@ -56,6 +55,29 @@ def oracle_terms(alpha1, alpha2, n) -> list[StaircaseTerm]:
         else StaircaseTerm(m - start, alpha1 - m, (m, alpha2))
         for m in range(start, alpha1 + 1)
     ]
+
+
+def staircase_terms_gr2(alpha1, alpha2, n) -> list[tuple]:
+    """Ordered term list of the rank-2 staircase complex on Gr(2,2n), as
+    plain (position, wedge_exp, weight) tuples.
+
+    Two rows: the second weight component climbs from alpha1-2n+1 to
+    alpha2-1 while the wedge exponent falls from 2n, then the first
+    component climbs from alpha2 to alpha1 while the wedge exponent falls
+    to 0.  The wedge exponent drops by 2 at the corner between the rows.
+    The weight layer reads staircases as windows of rows and never lists
+    one whole; the tests and the fault plants do.
+    """
+    if not (alpha1 >= alpha2 >= alpha1 - 2 * n + 2):
+        raise ValueError("weight outside the staircase validity band")
+    return _staircase_slice(alpha1, alpha2, n, alpha1 - 2 * n + 1, alpha1 + 1)
+
+
+def kept_terms(alpha1, alpha2, n) -> list[tuple]:
+    """The staircase terms a truncation keeps, those without a negative
+    weight entry.  For alpha2 >= 0 the second row is non-negative and a
+    first-row term (alpha2 - 1, m) is negative exactly when m < 0."""
+    return _staircase_slice(alpha1, alpha2, n, max(alpha1 - 2 * n + 1, 0), alpha1 + 1)
 
 
 def all_pairs_product(lam) -> Fraction:
@@ -123,7 +145,7 @@ def test_terms_are_the_term_objects():
             for a2 in range(max(0, a1 - 2 * n + 2), a1 + 1):
                 objects = [(t.position, t.wedge_exp, t.weight) for t in oracle_terms(a1, a2, n)]
                 assert staircase_terms_gr2(a1, a2, n) == objects
-                assert _kept_terms(a1, a2, n) == [t for t in objects if min(t[2]) >= 0]
+                assert kept_terms(a1, a2, n) == [t for t in objects if min(t[2]) >= 0]
                 assert _dropped_terms(a1, a2, n) == [t for t in objects if min(t[2]) < 0]
 
 
@@ -172,6 +194,30 @@ def test_staircase_report_is_the_oracle(monkeypatch, plant):
 def test_rank_K_is_the_oracle():
     for a1, a2, k, n in band(10, 2):
         assert rank_K(a1, a2, k, n) == oracle_rank_K(a1, a2, k, n), (a1, a2, k, n)
+
+
+def test_rank_K_raises_where_the_walk_raised(monkeypatch):
+    """A dimension that raises on the weight (3, 1) fails exactly the
+    truncations whose kept terms hold it, with its own error, as a walk of
+    the kept terms would; every other truncation keeps its rank.  The term
+    is the last kept one of (3, 1) and a first-row one of (alpha1, 4)."""
+    real = weights.weyl_dim_gl
+
+    def planted(lam):
+        if lam[:2] == (3, 1):
+            raise AssertionError(f"planted at {lam}")
+        return real(lam)
+
+    monkeypatch.setattr(weights, "weyl_dim_gl", planted)
+    raised = set()
+    for a1, a2, k, n in band(8, 2):
+        if any(w == (3, 1) for _, _, w in kept_terms(a1, a2, n)):
+            raised.add((a1, a2))
+            with pytest.raises(AssertionError, match=r"planted at \(3, 1"):
+                rank_K(a1, a2, k, n)
+        else:
+            assert rank_K(a1, a2, k, n) == oracle_rank_K(a1, a2, k, n), (a1, a2, k, n)
+    assert {(3, 1), (4, 4)} <= raised
 
 
 def labels(n, k):

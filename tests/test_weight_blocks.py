@@ -253,11 +253,14 @@ def test_block_counts_sum_to_the_full_binomials(n):
         assert orbit_sum(n, lambda m: fiber._count(n, a, B, m, 2)) == comb(2 * n - 2, a) * (B + 1)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_fiber_dimensions_sum_to_the_weight_layer_rank(n):
     """The orbit sum of the certified fiber dimensions of degree (a, b) is
     rank_K(2n - 2 - a, b, 2, n), the weight layer's alternating sum over
-    the staircase terms at k = 2."""
+    the staircase terms at k = 2: the window m = 0 .. 2n - 2 - a of the
+    truncation row of alpha2 = b, whose pad is empty.  So each of the
+    weight layer's k = 2 windows has an oracle in the fiber layer, through
+    every (a, b) of the band up to the size of the largest fiber golden."""
     for a, b in ((a, t - a) for t in range(2 * n - 1) for a in range(t + 1)):
         fibers = orbit_sum(n, lambda m: fiber_E(TwistedSpace(n, a, b, m)).dim)
         assert fibers == rank_K(2 * n - 2 - a, b, 2, n), (a, b)

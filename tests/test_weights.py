@@ -19,7 +19,6 @@ from sscx.cli import run
 from sscx.exactlinalg import rank
 from sscx.weights import (
     _dropped_terms,
-    _kept_terms,
     bbw_pushforward,
     dim_wedge_sp,
     euler_check_Kt,
@@ -27,7 +26,6 @@ from sscx.weights import (
     pieri_dim_check,
     rank_K,
     rho,
-    staircase_terms_gr2,
     tphi_on_weight,
     truncation_cohomology,
     vanishing_band_check,
@@ -35,6 +33,7 @@ from sscx.weights import (
     weyl_dim_gl,
 )
 from linalg_oracle import checked_matrix
+from test_staircase_oracle import kept_terms, staircase_terms_gr2
 
 
 def dominant(w) -> bool:
@@ -275,7 +274,7 @@ class TestStaircase:
             for a1 in range(0, 2 * n - 1):
                 for a2 in range(0, a1 + 1):
                     terms = staircase_terms_gr2(a1, a2, n)
-                    kept = _kept_terms(a1, a2, n)
+                    kept = kept_terms(a1, a2, n)
                     dropped = _dropped_terms(a1, a2, n)
                     assert sorted(kept + dropped, key=lambda t: t[0]) == terms
                     assert all(min(w) >= 0 for _, _, w in kept), (n, a1, a2)
