@@ -12,9 +12,15 @@ index, its pivot rule and its update order; over F_P the values are ints
 reduced mod P and the pivot is inverted with ``pow(pv, -1, P)``.  A rank
 mod P is a lower bound of the rank over Q, since a minor that is non-zero
 mod P is a non-zero integer.  It stands for the rank over Q only where
-something certifies it: ``complexes.cohomology_dims`` does so for a
-complex whose d o d = 0 is verified exactly and whose mod-P cohomology
-sits in at most one degree, and ranks over Q in every other case.
+something certifies it:
+
+- ``complexes.cohomology_dims`` does so for a complex whose d o d = 0 is
+  verified exactly and whose mod-P cohomology sits in at most one degree,
+  and ranks over Q in every other case;
+- ``complexes._total_cohomology`` uses a rank mod P only as a lower bound,
+  beside exact ranks, in a bound on the ranks of a bicomplex's total
+  differentials; where the bound does not pin the cohomology down, the
+  total complex goes to ``cohomology_dims``.
 
 Over F_P the ranks of a complex are cleared (Chen and Kerber, "Persistent
 homology computation with a twist", 2011).  Let d_k: C_k -> C_{k+1} and
@@ -293,9 +299,10 @@ def pivots_mod_p(m: SparseRationalMatrix, skip: list[int] | tuple = ()) -> list[
     Their number is the rank over F_P of that submatrix, which is at most
     ``rank(m)``: a minor that is non-zero mod P is a non-zero integer.  It
     is not the rank over Q unless something certifies it, as
-    ``complexes.cohomology_dims`` does for a complex, nor the rank of the
-    whole of m unless the deleted rows are ones it can spare (the clearing
-    lemma in the module docstring)."""
+    ``complexes.cohomology_dims`` does for a complex and
+    ``complexes._total_cohomology`` for a bicomplex's total complex, nor
+    the rank of the whole of m unless the deleted rows are ones it can
+    spare (the clearing lemma in the module docstring)."""
     return [pcol for pcol, _ in _eliminate(m.rows(skip), P)]
 
 

@@ -66,6 +66,12 @@ class TwistedSpace(_Block):
             raise ValueError("weight block out of range (0..n-2)")
         return tuple.__new__(cls, (n, a, B, m))
 
+    @classmethod
+    def _make(cls, iterable) -> TwistedSpace:
+        """Built through ``__new__``, so its range checks hold here and in
+        ``_replace``, which builds with ``_make``."""
+        return cls(*iterable)
+
     @property
     def dim(self) -> int:
         return _count(self.n, self.a, self.B, self.m, 4)

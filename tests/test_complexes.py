@@ -3,13 +3,16 @@ weight block; a dimension or cohomology of the full complex is the orbit
 sum of its blocks' (``linalg_oracle.orbit_sum``), and a property of every
 complex is checked on every block."""
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from sscx import complexes
-from sscx.cli import CHECKS, FIBER
+from sscx.cli import CHECKS, FIBER, run
 from sscx.complexes import (
     ChainComplex,
     build_bicomplex,
@@ -29,6 +32,8 @@ from sscx.exactlinalg import P, SparseRationalMatrix, pivots_mod_p, rank
 from sscx.fiber import TwistedSpace, fiber_E, fiber_wedge_perp, structure_map, wedge_form_matrix
 from sscx.weights import truncation_cohomology
 from linalg_oracle import checked_matrix, orbit_sum
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def orbit_dims(n: int, complex_of_block) -> list[int]:
@@ -382,6 +387,115 @@ class TestBicomplex:
                 products.append({"grid": 0, "total": 0})
                 assert verify_bicomplex(4, t).status == "pass"
             assert products[-2:] == [{"grid": 0, "total": 3 * max(2 * t - 1, 0)}] * 2, t
+
+
+def column_ranks(bc) -> list[list[int]]:
+    """The exact ranks of the vertical maps down each column of the grid."""
+    return [[rank(bc.vertical[(b, c)]) for c in range(bc.t - b)] for b in range(bc.t + 1)]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Each bicomplex check's total complexes, as (total, fell back): the
+    rank bound fell back when ``cohomology_dims`` ran on the total complex.
+    The totals are held, so that no id is reused while it is counted."""
+    real_totalize, real_coh = complexes.totalize, complexes.cohomology_dims
+    totals, ranked = [], set()
+
+    def totalize(bc):
+        totals.append(real_totalize(bc))
+        return totals[-1]
+
+    def coh(c):
+        ranked.add(id(c))
+        return real_coh(c)
+
+    monkeypatch.setattr(complexes, "totalize", totalize)
+    monkeypatch.setattr(complexes, "cohomology_dims", coh)
+    return lambda: [(total, id(total) in ranked) for total in totals]
+
+
+def bicomplex_reports(n: int) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run(["verify-fiber", "--n", str(n), "--t", "all", "--checks", "bicomplex"]) == 0
+    return buf.getvalue()
+
+
+def golden_bicomplex_lines(n: int) -> str:
+    lines = (GOLDEN / f"fiber-n{n}.ndjson").read_text(encoding="ascii").splitlines(keepends=True)
+    return "".join(line for line in lines if '"suite":"bicomplex"' in line)
+
+
+class TestTotalCohomologyBound:
+    """``_total_cohomology`` certifies the total complex's cohomology from
+    the exact column ranks and the mod-p ranks of the horizontal map on the
+    top kernels, and ranks the total complex whole where the bound does not
+    pin the cohomology down."""
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+    def test_equals_the_ranked_total_complex(self, n):
+        for t, m in ((t, m) for t in range(2 * n - 1) for m in range(n - 1)):
+            bc = build_bicomplex(n, t, m)
+            total = totalize(bc)
+            assert total.is_complex
+            got = complexes._total_cohomology(bc, total, column_ranks(bc))
+            assert got == cohomology_dims(total), (n, t, m)
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
+    def test_never_falls_back(self, n, fallbacks):
+        for t in range(2 * n - 1):
+            assert verify_bicomplex(n, t).status == "pass"
+        assert len(fallbacks()) == (2 * n - 1) * (n - 1)
+        assert not any(fell for _, fell in fallbacks())
+
+    def test_one_raised_column_rank_falls_back(self, monkeypatch, fallbacks):
+        """One vertical rank raised by one lowers u in two adjacent degrees,
+        one of which was 0: u turns negative, and the total complex is
+        ranked whole, with the same reports."""
+        real = complexes._total_cohomology
+
+        def raised(bc, total, col_ranks):
+            if bc.t:
+                col_ranks = [list(ranks) for ranks in col_ranks]
+                col_ranks[0][0] += 1
+            return real(bc, total, col_ranks)
+
+        monkeypatch.setattr(complexes, "_total_cohomology", raised)
+        assert bicomplex_reports(4) == golden_bicomplex_lines(4)
+        # every block of degree t >= 1 falls back, and none of degree 0
+        assert [fell for _, fell in fallbacks()] == [False] * 3 + [True] * 18
+
+    def test_one_dropped_top_pivot_spreads_the_bound_and_falls_back(self, monkeypatch, fallbacks):
+        """One pivot of H.E dropped per block, where it has one: u rises by
+        one in two adjacent degrees and spreads, and the total complex is
+        ranked whole, with the same reports.  ``cohomology_dims`` passes the
+        rows it skips; the bound asks for none."""
+        real = complexes.pivots_mod_p
+        dropped = []
+
+        def pivots(m, skip=None):
+            if skip is not None:
+                return real(m, skip)
+            found = real(m)
+            if found and not dropped[-1]:
+                dropped[-1] = True
+                return found[:-1]
+            return found
+
+        real_bound = complexes._total_cohomology
+
+        def bound(bc, total, col_ranks):
+            dropped.append(False)
+            return real_bound(bc, total, col_ranks)
+
+        monkeypatch.setattr(complexes, "pivots_mod_p", pivots)
+        monkeypatch.setattr(complexes, "_total_cohomology", bound)
+        assert bicomplex_reports(4) == golden_bicomplex_lines(4)
+        assert [fell for _, fell in fallbacks()] == dropped
+        # all but the blocks whose H.E are all zero: the 3 of degree 0 and
+        # (t, m) = (1, 1), (1, 2) and (2, 2)
+        assert dropped.count(True) == 21 - 6
 
 
 class TestCes:

@@ -131,7 +131,9 @@ def d0_ranks(n: int) -> int:
 def rank_calls(monkeypatch):
     """Runs of the elimination core: over Q (``rank``, once per matrix, as
     the matrix keeps its rank) and over F_P (``pivots_mod_p``, once per
-    differential ``cohomology_dims`` ranks).  The exact ones are the d0 of
+    differential ``cohomology_dims`` ranks and once per product H.E, the
+    horizontal map on a top kernel, that the bicomplex's rank bound
+    ranks).  The exact ones are the d0 of
     every fiber (63 at n = 4: 21 in each of 3 weight blocks), the snake's
     wedge maps, one per degree t (7 at n = 4), and the cohomology's
     fallback."""
@@ -342,17 +344,20 @@ def test_totalize_with_one_unsigned_block_fails(monkeypatch, rank_calls):
 
     # the map without its column sign (-1)^1, and the map dropped.  A total
     # complex whose (1, 0) map is non-zero is not a complex, so neither rank
-    # touches it.  The mod-p ranks are those of the others: the two
-    # differentials of the t = 1 total of each of the 3 weight blocks, which
-    # has no (1, 0) map, and the 2t of the blocks whose (1, 0) map is 0,
-    # (t, m) = (2, 1), (2, 2) and (3, 2); in the first pass they follow
+    # touches it.  The mod-p ranks are those of the others, which the rank
+    # bound certifies: one product H.E per column b = 1..t, the horizontal
+    # map on the top kernel, in the t = 1 block of each of the 3 weight
+    # blocks, which has no (1, 0) map, and in the blocks whose (1, 0) map is
+    # 0, (t, m) = (2, 1), (2, 2) and (3, 2); in the first pass they follow
     # the t differentials of each block of each E^t (their cohomology is
     # cached for the second).  The only exact ranks are the 63 d0 of the
-    # first pass, which the cached d0 keep for the second.  On the full
-    # spaces, one complex per degree, these were {"rank": 21,
-    # "pivots_mod_p": 21 + 2} and {"rank": 0, "pivots_mod_p": 2}.
-    for factor, ranks in ((-1, {"rank": 63, "pivots_mod_p": 3 * sum(range(7)) + 6 + 14}),
-                          (0, {"rank": 0, "pivots_mod_p": 6 + 14})):
+    # first pass, which the cached d0 keep for the second.  Where the same
+    # blocks ranked their 2t total differentials, these were 3 * 2 + 4 + 4
+    # + 6 = 20 mod-p ranks a pass; on the full spaces, one complex per
+    # degree, {"rank": 21, "pivots_mod_p": 21 + 2} and {"rank": 0,
+    # "pivots_mod_p": 2}.
+    for factor, ranks in ((-1, {"rank": 63, "pivots_mod_p": 3 * sum(range(7)) + 3 * 1 + 2 + 2 + 3}),
+                          (0, {"rank": 0, "pivots_mod_p": 3 * 1 + 2 + 2 + 3})):
         rank_calls.update(rank=0, pivots_mod_p=0)
         with monkeypatch.context() as patch:
             patch.setattr(complexes, "totalize", partial(planted, factor=factor))

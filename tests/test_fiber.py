@@ -105,6 +105,20 @@ class TestBases:
         with pytest.raises(ValueError, match="weight block out of range"):
             TwistedSpace(3, 1, 0, m)
 
+    def test_replace_checks_the_ranges(self):
+        space = TwistedSpace(3, 1, 0, 0)
+        assert space._replace(m=1) == TwistedSpace(3, 1, 0, 1)
+        assert type(space._replace(m=1)) is TwistedSpace
+        with pytest.raises(ValueError, match="weight block out of range"):
+            space._replace(m=7)
+
+    def test_make_checks_the_ranges(self):
+        assert TwistedSpace._make((3, 1, 0, 1)) == TwistedSpace(3, 1, 0, 1)
+        with pytest.raises(ValueError, match="need n >= 2"):
+            TwistedSpace._make((1, 9, -1, 5))
+        with pytest.raises(ValueError, match="symmetric degree must be non-negative"):
+            TwistedSpace._make((3, 1, -1, 0))
+
     def test_scalar_symmetric(self):
         assert orbit_sum(3, lambda m: space3(0, 1, m).dim) == 2
         assert tuple(full_basis(FullSpace(3, 0, 1))) == (((), 0), ((), 1))
