@@ -65,19 +65,31 @@ def verify_complex(c: ChainComplex) -> bool:
     )
 
 
-def _cohomology(c: ChainComplex, ranks: list[int]) -> dict[int, int]:
-    """Degree -> dim - rank out - rank in, from the ranks of the
-    differentials (nonzero entries only)."""
-    out: dict[int, int] = {}
-    for i, dim in enumerate(c.dims):
-        r_out = ranks[i] if i < len(ranks) else 0
-        r_in = ranks[i - 1] if i > 0 else 0
-        h = dim - r_out - r_in
-        if h < 0:
-            raise AssertionError("negative cohomology dimension: not a complex")
-        if h:
-            out[c.degree_offset + i] = h
-    return out
+def _cohomology(dims: list[int], offset: int, ranks: list[int]) -> dict[int, int]:
+    """Degree -> dim - rank out - rank in (nonzero entries only), position i
+    in degree offset + i, from one rank per differential: the cohomology
+    when the ranks are the exact ones of a complex."""
+    r = [0, *ranks, 0]
+    return {offset + i: h for i, dim in enumerate(dims) if (h := dim - r[i] - r[i + 1])}
+
+
+def _certified_cohomology(dims: list[int], offset: int, lower: list[int]) -> dict | None:
+    """The cohomology of a complex, certified by lower bounds on its ranks,
+    or None.  The complex has the dims ``dims``, position i in degree
+    offset + i, and d o d = 0 over Q; lower[k] <= rank d_k, where d_k maps
+    position k to k + 1 (one bound per differential).
+
+    Let u_k = dim_k - l_k - l_{k-1}.  Each h_k = dim_k - rank d_k -
+    rank d_{k-1} lies in [0, u_k].  If every u_k is >= 0 and u vanishes
+    outside one degree j, every other h_k is 0, and the Euler
+    characteristic, the same alternating sum for h and for u (the l terms
+    telescope), gives h_j = u_j: u is the cohomology.  Otherwise the bounds
+    decide nothing and the result is None; an acyclic complex gives {}, so
+    a caller tests for None.  This is the package's one cohomology
+    certificate: ``cohomology_dims`` passes it cleared mod-p ranks and
+    ``_total_cohomology`` the bicomplex's column and H.E ranks."""
+    u = _cohomology(dims, offset, lower)
+    return u if len(u) <= 1 and min(u.values(), default=0) >= 0 else None
 
 
 def cohomology_dims(c: ChainComplex) -> dict[int, int]:
@@ -85,20 +97,12 @@ def cohomology_dims(c: ChainComplex) -> dict[int, int]:
 
     When the complex's own exact verdict ``c.is_complex`` holds (every
     composition of two differentials is zero), the ranks mod the prime
-    ``exactlinalg.P`` are tried first and kept when the cohomology they
-    give sits in at most one degree.  They are then the ranks over Q:
-
-    - each differential is its stored integer matrix times a non-zero
-      scalar, and for an integer matrix rank_p <= rank_Q, since a minor
-      that is non-zero mod p is a non-zero integer;
-    - d o d = 0 over Q, so every h_i(Q) = dim_i - r_i(Q) - r_{i-1}(Q) is
-      >= 0 (and d o d = 0 mod p, so every h_i(p) is >= 0 too);
-    - h_i(p) - h_i(Q) = delta_i + delta_{i-1}, with delta_k = r_k(Q) -
-      r_k(p) >= 0;
-    - if h(p) vanishes outside one degree j, each differential k has an
-      end, k or k+1, other than j; there 0 = h(p) = h(Q) + delta_k + the
-      other delta, a sum of terms >= 0, so delta_k = 0.  A dropped rank
-      would raise h(p) at both its ends, two adjacent degrees.
+    ``exactlinalg.P`` are tried first, as lower bounds on the ranks over Q
+    (each differential is its stored integer matrix times a non-zero
+    scalar, and a minor that is non-zero mod p is a non-zero integer), and
+    kept where ``_certified_cohomology`` certifies them: where the
+    cohomology they give sits in at most one degree.  A dropped rank would
+    raise that cohomology at both its ends, two adjacent degrees.
 
     The mod-p ranks are cleared: the differentials are ranked from the last
     to the first, each without the rows at the pivot columns of the next
@@ -109,7 +113,7 @@ def cohomology_dims(c: ChainComplex) -> dict[int, int]:
     verdict gives: the stored integer matrices times non-zero scalars
     compose to 0 over Q, so the integer matrices compose to 0.  The
     cleared ranks are therefore the ranks over F_p of the whole
-    differentials, and the certificate above holds for them unchanged.
+    differentials, lower bounds as above.
 
     In every other case (a failed verdict, or a mod-p cohomology in two or
     more degrees: a spread complex or an unlucky prime) the exact
@@ -126,10 +130,13 @@ def cohomology_dims(c: ChainComplex) -> dict[int, int]:
         for m in reversed(c.differentials):
             pivots = pivots_mod_p(m, pivots)
             ranks.append(len(pivots))
-        out = _cohomology(c, ranks[::-1])
-        if len(out) <= 1:
+        out = _certified_cohomology(c.dims, c.degree_offset, ranks[::-1])
+        if out is not None:
             return out
-    return _cohomology(c, [rank(m) for m in c.differentials])
+    out = _cohomology(c.dims, c.degree_offset, [rank(m) for m in c.differentials])
+    if min(out.values(), default=0) < 0:
+        raise AssertionError("negative cohomology dimension: not a complex")
+    return out
 
 
 def _orbit_sum(n: int, per_block) -> dict:
@@ -352,7 +359,8 @@ def totalize(bc: Bicomplex) -> ChainComplex:
     denominator of the scalars of the maps out of its blocks; each map m
     enters as its stored integer columns times the integer m.scalar L,
     written at the target entry's row offset.  A non-zero scalar leaves the
-    rank as it is.
+    rank as it is.  ``verify_bicomplex`` assembles it only where its rank
+    bound falls back.
     """
     layout, offsets, dims = _layout(bc)
     diffs = []
@@ -390,20 +398,22 @@ def verify_bicomplex(n: int, t: int) -> Report:
     complex squares to zero and reproduces the cohomology of the truncation
     complex's block (acyclic at t = n - 1).
 
-    Every composition the rows and squares ask for is a block of the total
-    complex's square: from the (b, c) block to (b-2, c) the row identity,
-    to (b-1, c+1) the square.  So the total complex is squared once
-    (``is_complex``, the verdict ``total_d2``); only when it fails is each
-    composition formed again and its row and square blocks read.  The
-    column ranks are the ones kept on the cached d0 (``rank``), and d0
-    kills the fiber at the top when each vector's integer ``image`` is empty.
+    Every flag is decided on the grid's own maps (``_bicomplex_flags``):
+    the blocks of the total complex's square are the row identities, the
+    squares, the compositions of two vertical maps and the squares cut off
+    by the antidiagonal, so ``total_d2`` is those products, and the total
+    complex is not assembled to be squared.  The column ranks are the ones
+    kept on the cached d0 (``rank``), and d0 kills the fiber at the top
+    when each vector's integer ``image`` is empty.
 
     ``cohomology_match`` compares the cohomology of E^t's block with the
     total complex's, which rests on ``total_d2``: where ``top_kernels``
-    holds too, a block-triangular rank bound built from the column ranks
-    and the horizontal map on the top kernels certifies it
-    (``_total_cohomology``), and where the bound leaves it open, the total
-    complex is ranked whole (``cohomology_dims``).
+    holds too, the column ranks and the horizontal map on the top kernels
+    bound the total ranks, and ``_certified_cohomology`` certifies the
+    cohomology from them (``_total_cohomology``).  Only where that
+    certificate, or ``top_kernels``, fails is the total complex assembled
+    (``totalize``), and its cohomology is read (``cohomology_dims``) only
+    when it squares to zero itself; otherwise ``cohomology_match`` fails.
     """
     flags = ("rows_ok", "cols_exact", "top_kernels", "squares", "total_d2",
              "cohomology_match", "acyclic_band")
@@ -413,32 +423,30 @@ def verify_bicomplex(n: int, t: int) -> Report:
 
 
 def _bicomplex_flags(n: int, t: int, m: int) -> dict[str, bool]:
-    """The flags of ``verify_bicomplex`` on weight block m."""
+    """The flags of ``verify_bicomplex`` on weight block m.  H is the
+    horizontal and V the vertical map; V enters the total differential with
+    the column sign (-1)^b, so that a square anticommutes there when
+    H(b, c+1) V(b, c) = V(b-1, c) H(b, c)."""
     bc = build_bicomplex(n, t, m)
-    total = totalize(bc)
-    total_d2 = total.is_complex
-    rows_ok = squares = True
-    if not total_d2:
-        layout, offsets, _ = _layout(bc)
-
-        def span(b: int, c: int) -> range:
-            return range(offsets[(b, c)], offsets[(b, c)] + bc.grid[b][c].dim)
-
-        diffs = total.differentials
-        for k in range(len(diffs) - 1):
-            d2 = diffs[k + 1] @ diffs[k]
-            for b, c in layout[k]:
-                src = span(b, c)
-                if b >= 2 and not d2.block(span(b - 2, c), src).is_zero():
-                    rows_ok = False
-                if b >= 1 and c < t - b and not d2.block(span(b - 1, c + 1), src).is_zero():
-                    squares = False
+    H, V = bc.horizontal, bc.vertical
+    rows_ok = all(
+        (H[(b - 1, c)] @ H[(b, c)]).is_zero() for b in range(2, t + 1) for c in range(t - b + 1)
+    )
+    squares = all(
+        H[(b, c + 1)] @ V[(b, c)] == V[(b - 1, c)] @ H[(b, c)]
+        for b in range(1, t + 1) for c in range(t - b)
+    )
+    # the other blocks of the total d o d: down each column, and from the
+    # bottom of column b, where only the path through column b - 1 exists
+    total_d2 = rows_ok and squares and all(
+        (V[(b, c + 1)] @ V[(b, c)]).is_zero() for b in range(t + 1) for c in range(t - b - 1)
+    ) and all((V[(b - 1, t - b)] @ H[(b, t - b)]).is_zero() for b in range(1, t + 1))
     cols_exact = top_kernels = True
     col_ranks: list[list[int]] = []
     for b in range(t + 1):
         height = t - b + 1
         top = fiber_E(bc.grid[b][0])
-        maps = [bc.vertical[(b, c)] for c in range(height - 1)]
+        maps = [V[(b, c)] for c in range(height - 1)]
         ranks = list(map(rank, maps))
         col_ranks.append(ranks)
         if height == 1:
@@ -454,35 +462,30 @@ def _bicomplex_flags(n: int, t: int, m: int) -> dict[str, bool]:
         if ranks[height - 2] != bc.grid[b][height - 1].dim:
             cols_exact = False
     et_coh = build_Et(n, t, m).cohomology
-    # only a complex has cohomology (cohomology_dims may raise otherwise);
-    # computed once for both flags.  The rank bound needs d0 to kill the
-    # top kernels; without them the total complex is ranked whole
-    if not total_d2:
-        total_coh = {}
-    elif top_kernels:
-        total_coh = _total_cohomology(bc, total, col_ranks)
-    else:
-        total_coh = total.cohomology
+    # only a complex has cohomology: the certificate rests on total_d2 and
+    # top_kernels, and the assembled total complex on its own d o d
+    total_coh = _total_cohomology(bc, col_ranks) if total_d2 and top_kernels else None
+    if total_d2 and total_coh is None:
+        total = totalize(bc)
+        total_coh = total.cohomology if total.is_complex else None
     return {
         "rows_ok": rows_ok,
         "cols_exact": cols_exact,
         "top_kernels": top_kernels,
         "squares": squares,
         "total_d2": total_d2,
-        "cohomology_match": total_d2 and total_coh == et_coh,
+        "cohomology_match": total_coh == et_coh,
         "acyclic_band": not (t == n - 1 and (et_coh or total_coh)),
     }
 
 
-def _total_cohomology(
-    bc: Bicomplex, total: ChainComplex, col_ranks: list[list[int]]
-) -> dict[int, int]:
-    """The cohomology of ``total = totalize(bc)``, certified by a lower
-    bound on the rank of each total differential, or ``total.cohomology``
-    where the bound does not pin it down.  col_ranks[b] holds the exact
+def _total_cohomology(bc: Bicomplex, col_ranks: list[list[int]]) -> dict[int, int] | None:
+    """The cohomology of the total complex of ``bc``, certified from a
+    lower bound on the rank of each total differential
+    (``_certified_cohomology``), or None.  col_ranks[b] holds the exact
     ranks of the vertical maps down column b.  The caller has verified
-    d o d = 0 (``total_d2``) and that d0 kills the top kernels ``fiber_E``
-    (``top_kernels``).
+    d o d = 0 on the grid (``total_d2``) and that d0 kills the top kernels
+    ``fiber_E`` (``top_kernels``).
 
     Order the blocks (b, c) of total degree k by b.  The total differential
     D_k is block upper-bidiagonal: the vertical map keeps b, the horizontal
@@ -497,20 +500,14 @@ def _total_cohomology(
         rank D_k >= l_k = rank_p(H.E) + sum of rank_Q(V) over degree k,
 
     H.E ranked mod P as its stored integers (a lower bound, as in
-    ``pivots_mod_p``).  With d o d = 0 each h_k = dim_k - rank D_k -
-    rank D_{k-1} lies in [0, u_k], u_k = dim_k - l_k - l_{k-1}.  If u
-    vanishes outside one degree j, every other h_k is 0 and h_j is the
-    Euler characteristic of the dims times (-1)^j, which must lie in
-    [0, u_j].  By the acyclic assembly lemma the bound is tight on exact
-    columns.  A negative u, a spread u or an inconsistent Euler
-    characteristic falls back to the exact ``cohomology_dims``.  Nothing
-    here reads ``build_Et``: the flag ``cohomology_match`` compares two
-    independent computations.
+    ``pivots_mod_p``).  By the acyclic assembly lemma the bound is tight on
+    exact columns.  Nothing here reads ``build_Et``: the flag
+    ``cohomology_match`` compares two independent computations.
     """
     t = bc.t
     # lower[i] bounds the rank of the total differential out of position i,
     # degree i - t
-    lower = [0] * (2 * t + 1)
+    lower = [0] * (2 * t)
     for b, ranks in enumerate(col_ranks):
         for c, r in enumerate(ranks):
             lower[c - b + t] += r
@@ -518,15 +515,7 @@ def _total_cohomology(
         h = bc.horizontal[(b, 0)]
         top = fiber_E(bc.grid[b][0]).vectors
         lower[t - b] += len(pivots_mod_p(SparseRationalMatrix(h.nrows, list(map(h.image, top)))))
-    dims = total.dims
-    u = [dim - lower[i] - (lower[i - 1] if i else 0) for i, dim in enumerate(dims)]
-    spread = [i for i, x in enumerate(u) if x]
-    if min(u) >= 0 and len(spread) <= 1:
-        j = spread[0] if spread else 0
-        h_j = sum(dim if (i - j) % 2 == 0 else -dim for i, dim in enumerate(dims))
-        if 0 <= h_j <= u[j]:
-            return {j - t: h_j} if h_j else {}
-    return total.cohomology
+    return _certified_cohomology(_layout(bc)[2], -t, lower)
 
 
 def verify_Et_cohomology(n: int, t: int) -> Report:

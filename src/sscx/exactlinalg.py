@@ -11,16 +11,14 @@ prime ``P = 2**31 - 1`` (``pivots_mod_p``).  Both share its column -> rows
 index, its pivot rule and its update order; over F_P the values are ints
 reduced mod P and the pivot is inverted with ``pow(pv, -1, P)``.  A rank
 mod P is a lower bound of the rank over Q, since a minor that is non-zero
-mod P is a non-zero integer.  It stands for the rank over Q only where
-something certifies it:
-
-- ``complexes.cohomology_dims`` does so for a complex whose d o d = 0 is
-  verified exactly and whose mod-P cohomology sits in at most one degree,
-  and ranks over Q in every other case;
-- ``complexes._total_cohomology`` uses a rank mod P only as a lower bound,
-  beside exact ranks, in a bound on the ranks of a bicomplex's total
-  differentials; where the bound does not pin the cohomology down, the
-  total complex goes to ``cohomology_dims``.
+mod P is a non-zero integer.  It enters a result only as such a lower
+bound, through the package's one cohomology certificate,
+``complexes._certified_cohomology``, which decides a complex's cohomology
+from lower bounds on its ranks or decides nothing, and then the caller
+ranks over Q.  ``complexes.cohomology_dims`` passes it the cleared mod-P
+ranks of a complex whose d o d = 0 is verified exactly, and
+``complexes._total_cohomology`` exact column ranks plus the mod-P ranks of
+a bicomplex's horizontal map on its top kernels.
 
 Over F_P the ranks of a complex are cleared (Chen and Kerber, "Persistent
 homology computation with a twist", 2011).  Let d_k: C_k -> C_{k+1} and
@@ -298,9 +296,8 @@ def pivots_mod_p(m: SparseRationalMatrix, skip: list[int] | tuple = ()) -> list[
 
     Their number is the rank over F_P of that submatrix, which is at most
     ``rank(m)``: a minor that is non-zero mod P is a non-zero integer.  It
-    is not the rank over Q unless something certifies it, as
-    ``complexes.cohomology_dims`` does for a complex and
-    ``complexes._total_cohomology`` for a bicomplex's total complex, nor
+    is not the rank over Q unless ``complexes._certified_cohomology``
+    certifies it, nor
     the rank of the whole of m unless the deleted rows are ones it can
     spare (the clearing lemma in the module docstring)."""
     return [pcol for pcol, _ in _eliminate(m.rows(skip), P)]
@@ -308,19 +305,11 @@ def pivots_mod_p(m: SparseRationalMatrix, skip: list[int] | tuple = ()) -> list[
 
 class SubspaceBasis:
     """Ordered basis of a subspace of Q^ambient_dim: sparse integer columns,
-    trusted (unchecked, uncopied) and immutable, as a matrix's are.  Two
-    bases are equal when their ambient dimensions and vector lists are."""
+    trusted (unchecked, uncopied) and immutable, as a matrix's are."""
 
     def __init__(self, ambient_dim: int, vectors: list[dict[int, int]]):
         self.ambient_dim = ambient_dim
         self.vectors = vectors
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.vectors == other.vectors
-
-    __hash__ = None  # equal by value, and the vectors are mutable dicts
 
     @property
     def dim(self) -> int:

@@ -1,15 +1,22 @@
 """Differential test of the bicomplex's product flags.
 
-``verify_bicomplex`` squares the differentials of ``totalize``'s total
-complex once: that verdict is ``total_d2``, and ``rows_ok`` and ``squares``
-are read off the blocks of the same square.  The oracle here forms every
-product on the grid instead, without ``totalize``, and decides ``total_d2``
-from the blocks of the total d²: each row composition, each square, each
-composition of two vertical maps in a column, and each square cut off by
-the antidiagonal.  Both must agree on every degree up to n = 4 and on
-bicomplexes with a planted scalar or a planted coefficient of d.  The
-check conjoins the flags of the weight blocks, and so does the oracle
-(``block_flags``).
+``verify_bicomplex`` decides ``rows_ok``, ``squares`` and ``total_d2``
+from products of the grid's own maps, and never assembles the total
+complex for them.  Two oracles decide the same flags another way:
+
+- ``product_flags`` forms every product on the grid, with the column sign
+  (-1)^b applied to the vertical maps and each square read as a sum, and
+  decides ``total_d2`` from the blocks of the total d²: each row
+  composition, each square, each composition of two vertical maps in a
+  column, and each square cut off by the antidiagonal;
+- ``total_square_flags`` assembles the total complex (``totalize``),
+  squares it, and reads ``rows_ok`` and ``squares`` off the blocks of
+  that square (from the (b, c) block to (b-2, c) the row identity, to
+  (b-1, c+1) the square), and ``total_d2`` off the whole square.
+
+All three must agree on every degree up to n = 4 and on bicomplexes with
+a planted scalar or a planted coefficient of d.  The check conjoins the
+flags of the weight blocks, and so do the oracles (``block_flags``).
 """
 
 from fractions import Fraction
@@ -17,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from sscx import complexes
-from sscx.complexes import build_bicomplex, verify_bicomplex
+from sscx.complexes import _layout, build_bicomplex, totalize, verify_bicomplex
 from tests.test_faults import CACHED
 from linalg_oracle import matrix_sum
 
@@ -65,10 +72,40 @@ def product_flags(bc) -> dict[str, int]:
     return {"rows_ok": rows_ok, "squares": squares, "total_d2": total_d2}
 
 
-def block_flags(n: int, bicomplex_of_block) -> dict[str, int]:
-    """``product_flags`` of each weight block's bicomplex, conjoined."""
-    per_block = [product_flags(bicomplex_of_block(m)) for m in range(n - 1)]
+def total_square_flags(bc) -> dict[str, int]:
+    """The three flags read off the square of the assembled total complex:
+    its blocks from (b, c) to (b - 2, c) are the rows, to (b - 1, c + 1)
+    the squares, and the whole square is ``total_d2``."""
+    layout, offsets, _ = _layout(bc)
+    diffs = totalize(bc).differentials
+
+    def span(b: int, c: int) -> range:
+        return range(offsets[(b, c)], offsets[(b, c)] + bc.grid[b][c].dim)
+
+    rows_ok = squares = total_d2 = 1
+    for k in range(len(diffs) - 1):
+        d2 = diffs[k + 1] @ diffs[k]
+        total_d2 &= d2.is_zero()
+        for b, c in layout[k]:
+            src = span(b, c)
+            if b >= 2 and not d2.block(span(b - 2, c), src).is_zero():
+                rows_ok = 0
+            if b >= 1 and c < bc.t - b and not d2.block(span(b - 1, c + 1), src).is_zero():
+                squares = 0
+    return {"rows_ok": rows_ok, "squares": squares, "total_d2": int(total_d2)}
+
+
+def block_flags(n: int, bicomplex_of_block, oracle=product_flags) -> dict[str, int]:
+    """The ``oracle`` flags of each weight block's bicomplex, conjoined."""
+    per_block = [oracle(bicomplex_of_block(m)) for m in range(n - 1)]
     return {flag: min(flags[flag] for flags in per_block) for flag in FLAGS}
+
+
+def oracle_flags(n: int, bicomplex_of_block) -> dict[str, int]:
+    """The flags of both oracles, which must agree."""
+    products = block_flags(n, bicomplex_of_block)
+    assert block_flags(n, bicomplex_of_block, total_square_flags) == products
+    return products
 
 
 def checked_flags(n: int, t: int) -> dict[str, int]:
@@ -79,7 +116,7 @@ def checked_flags(n: int, t: int) -> dict[str, int]:
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_memoized_flags_match_the_products(n):
     for t in range(0, 2 * n - 1):
-        assert checked_flags(n, t) == block_flags(n, lambda m: build_bicomplex(n, t, m)), (n, t)
+        assert checked_flags(n, t) == oracle_flags(n, lambda m: build_bicomplex(n, t, m)), (n, t)
 
 
 def _replace_map(maps: dict, key, factor) -> dict:
@@ -107,7 +144,7 @@ def test_planted_scalar_flags_match_the_products(plant, monkeypatch, fresh_cache
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
     for t in range(2, 7):
         flags = checked_flags(4, t)
-        assert flags == block_flags(4, lambda m: planted(4, t, m)), t
+        assert flags == oracle_flags(4, lambda m: planted(4, t, m)), t
         assert flags["squares"] == 0 and flags["total_d2"] == 0, t
 
 
@@ -125,7 +162,7 @@ def test_square_with_the_matrices_of_a_passing_one(monkeypatch, fresh_caches):
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
     for t in range(3, 7):
         flags = checked_flags(4, t)
-        assert flags == block_flags(4, lambda m: planted(4, t, m)), t
+        assert flags == oracle_flags(4, lambda m: planted(4, t, m)), t
         assert flags == {"rows_ok": 1, "squares": 0, "total_d2": 0}, t
 
 
@@ -148,6 +185,6 @@ def test_planted_d_coefficient_flags_match_the_products(monkeypatch, fresh_cache
     broken = 0
     for t in range(0, 7):
         flags = checked_flags(4, t)
-        assert flags == block_flags(4, lambda m: build_bicomplex(4, t, m)), t
+        assert flags == oracle_flags(4, lambda m: build_bicomplex(4, t, m)), t
         broken += flags != dict.fromkeys(FLAGS, 1)
     assert broken

@@ -10,6 +10,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscx import complexes
 from sscx.cli import CHECKS, FIBER, run
@@ -32,6 +34,7 @@ from sscx.exactlinalg import P, SparseRationalMatrix, pivots_mod_p, rank
 from sscx.fiber import TwistedSpace, fiber_E, fiber_wedge_perp, structure_map, wedge_form_matrix
 from sscx.weights import truncation_cohomology
 from linalg_oracle import checked_matrix, orbit_sum
+from test_exactlinalg import integer_complexes
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -118,7 +121,27 @@ def exact_ranks(monkeypatch):
 class TestCertifiedCohomology:
     """``cohomology_dims`` keeps the mod-p ranks only when the complex's own
     verdict ``is_complex`` holds and the mod-p cohomology sits in at most
-    one degree; otherwise it ranks over Q."""
+    one degree; otherwise it ranks over Q.  The certificate itself,
+    ``_certified_cohomology``, returns None or the exact cohomology for any
+    lower bounds on the ranks."""
+
+    @given(integer_complexes(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lower_bounds_certify_only_the_exact_cohomology(self, diffs, data):
+        dims = [diffs[0].ncols] + [d.nrows for d in diffs]
+        ranks = [rank(d) for d in diffs]
+        padded = [0, *ranks, 0]
+        exact = {
+            i - 2: h for i, dim in enumerate(dims) if (h := dim - padded[i + 1] - padded[i])
+        }
+        lower = [data.draw(st.integers(0, r)) for r in ranks]
+        assert complexes._certified_cohomology(dims, -2, lower) in (None, exact)
+        tight = complexes._certified_cohomology(dims, -2, ranks)
+        assert tight == (exact if len(exact) <= 1 else None)
+
+    def test_an_acyclic_complex_is_certified_empty(self):
+        assert complexes._certified_cohomology([1, 2, 1], 0, [1, 1]) == {}
+        assert complexes._certified_cohomology([1, 2, 1], 0, [1, 0]) is None
 
     def test_concentrated_cohomology_takes_no_exact_rank(self, exact_ranks):
         c = ChainComplex(-1, [1, 2], [SparseRationalMatrix(2, [{0: 1, 1: 3}])])
@@ -165,7 +188,7 @@ class TestCertifiedCohomology:
                 # one call per differential, from the last to the first
                 assert [m for m, _ in cleared] == c.differentials[::-1]
                 assert [r for _, r in reversed(cleared)] == ranks, (n, t)
-                assert coh == complexes._cohomology(c, ranks), (n, t)
+                assert coh == complexes._cohomology(c.dims, c.degree_offset, ranks), (n, t)
 
 
 class TestEt:
@@ -349,34 +372,33 @@ class TestBicomplex:
             rep = verify_bicomplex(n, t)
             assert rep.status == "pass", (n, t, rep.computed)
 
-    def test_the_total_square_is_the_only_product(self, monkeypatch):
-        """Every call squares the total complex of each of the 3 weight
-        blocks once, one product per pair of consecutive total
-        differentials (2t - 1 of them), and forms no product of two grid
-        matrices: the rows and squares are blocks of that square, however
-        often the check ran before."""
+    def test_a_passing_call_forms_only_the_grid_products(self, monkeypatch):
+        """A passing call never assembles a total complex, and forms, in each
+        of the 3 weight blocks, every block of the total d o d once as grid
+        products: t(t-1)/2 row compositions, t(t-1)/2 squares of two
+        products each, t(t-1)/2 compositions down the columns and t squares
+        cut off by the antidiagonal, t(2t-1) products in all.  Once the
+        truncation complexes are cached (the second call), they are its only
+        products."""
         real_build, real_totalize = complexes.build_bicomplex, complexes.totalize
         real_matmul = SparseRationalMatrix.__matmul__
-        # the ids of the current call's grid and total matrices; the call's
-        # objects are held here so that no id is reused while it is counted
+        # the current block's grid maps are held, so that no id is reused
+        # while it is counted
         held = {}
-        ids = {"grid": set(), "total": set()}
         products = []
 
         def build(n, t, m):
             held["bc"] = bc = real_build(n, t, m)
-            ids["grid"] = set(map(id, (*bc.horizontal.values(), *bc.vertical.values())))
+            held["ids"] = set(map(id, (*bc.horizontal.values(), *bc.vertical.values())))
             return bc
 
         def totalize(bc):
-            held["total"] = total = real_totalize(bc)
-            ids["total"] = set(map(id, total.differentials))
-            return total
+            products[-1]["totalize"] += 1
+            return real_totalize(bc)
 
         def matmul(x, y):
-            for kind, known in ids.items():
-                if id(x) in known and id(y) in known:
-                    products[-1][kind] += 1
+            grid = id(x) in held.get("ids", ()) and id(y) in held.get("ids", ())
+            products[-1]["grid" if grid else "other"] += 1
             return real_matmul(x, y)
 
         monkeypatch.setattr(complexes, "build_bicomplex", build)
@@ -384,9 +406,12 @@ class TestBicomplex:
         monkeypatch.setattr(SparseRationalMatrix, "__matmul__", matmul)
         for t in range(0, 7):
             for _ in range(2):
-                products.append({"grid": 0, "total": 0})
+                products.append({"grid": 0, "other": 0, "totalize": 0})
                 assert verify_bicomplex(4, t).status == "pass"
-            assert products[-2:] == [{"grid": 0, "total": 3 * max(2 * t - 1, 0)}] * 2, t
+            first, second = products[-2:]
+            grid = 3 * t * (2 * t - 1)
+            assert (first["grid"], first["totalize"]) == (grid, 0), t
+            assert second == {"grid": grid, "other": 0, "totalize": 0}, t
 
 
 def column_ranks(bc) -> list[list[int]]:
@@ -396,23 +421,23 @@ def column_ranks(bc) -> list[list[int]]:
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Each bicomplex check's total complexes, as (total, fell back): the
-    rank bound fell back when ``cohomology_dims`` ran on the total complex.
-    The totals are held, so that no id is reused while it is counted."""
-    real_totalize, real_coh = complexes.totalize, complexes.cohomology_dims
-    totals, ranked = [], set()
+    """Whether each bicomplex block the checks build, in call order, fell
+    back: the rank bound fell back where the block's total complex was
+    assembled (``totalize``)."""
+    real_build, real_totalize = complexes.build_bicomplex, complexes.totalize
+    fell = []
+
+    def build(n, t, m):
+        fell.append(False)
+        return real_build(n, t, m)
 
     def totalize(bc):
-        totals.append(real_totalize(bc))
-        return totals[-1]
+        fell[-1] = True
+        return real_totalize(bc)
 
-    def coh(c):
-        ranked.add(id(c))
-        return real_coh(c)
-
+    monkeypatch.setattr(complexes, "build_bicomplex", build)
     monkeypatch.setattr(complexes, "totalize", totalize)
-    monkeypatch.setattr(complexes, "cohomology_dims", coh)
-    return lambda: [(total, id(total) in ranked) for total in totals]
+    return lambda: fell
 
 
 def bicomplex_reports(n: int) -> str:
@@ -430,8 +455,8 @@ def golden_bicomplex_lines(n: int) -> str:
 class TestTotalCohomologyBound:
     """``_total_cohomology`` certifies the total complex's cohomology from
     the exact column ranks and the mod-p ranks of the horizontal map on the
-    top kernels, and ranks the total complex whole where the bound does not
-    pin the cohomology down."""
+    top kernels, without assembling it; where the bound does not pin the
+    cohomology down, the total complex is assembled and ranked whole."""
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
     def test_equals_the_ranked_total_complex(self, n):
@@ -439,7 +464,7 @@ class TestTotalCohomologyBound:
             bc = build_bicomplex(n, t, m)
             total = totalize(bc)
             assert total.is_complex
-            got = complexes._total_cohomology(bc, total, column_ranks(bc))
+            got = complexes._total_cohomology(bc, column_ranks(bc))
             assert got == cohomology_dims(total), (n, t, m)
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
@@ -447,29 +472,29 @@ class TestTotalCohomologyBound:
         for t in range(2 * n - 1):
             assert verify_bicomplex(n, t).status == "pass"
         assert len(fallbacks()) == (2 * n - 1) * (n - 1)
-        assert not any(fell for _, fell in fallbacks())
+        assert not any(fallbacks())
 
     def test_one_raised_column_rank_falls_back(self, monkeypatch, fallbacks):
         """One vertical rank raised by one lowers u in two adjacent degrees,
         one of which was 0: u turns negative, and the total complex is
-        ranked whole, with the same reports."""
+        assembled and ranked whole, with the same reports."""
         real = complexes._total_cohomology
 
-        def raised(bc, total, col_ranks):
+        def raised(bc, col_ranks):
             if bc.t:
                 col_ranks = [list(ranks) for ranks in col_ranks]
                 col_ranks[0][0] += 1
-            return real(bc, total, col_ranks)
+            return real(bc, col_ranks)
 
         monkeypatch.setattr(complexes, "_total_cohomology", raised)
         assert bicomplex_reports(4) == golden_bicomplex_lines(4)
         # every block of degree t >= 1 falls back, and none of degree 0
-        assert [fell for _, fell in fallbacks()] == [False] * 3 + [True] * 18
+        assert fallbacks() == [False] * 3 + [True] * 18
 
     def test_one_dropped_top_pivot_spreads_the_bound_and_falls_back(self, monkeypatch, fallbacks):
         """One pivot of H.E dropped per block, where it has one: u rises by
         one in two adjacent degrees and spreads, and the total complex is
-        ranked whole, with the same reports.  ``cohomology_dims`` passes the
+        assembled and ranked whole, with the same reports.  ``cohomology_dims`` passes the
         rows it skips; the bound asks for none."""
         real = complexes.pivots_mod_p
         dropped = []
@@ -485,14 +510,14 @@ class TestTotalCohomologyBound:
 
         real_bound = complexes._total_cohomology
 
-        def bound(bc, total, col_ranks):
+        def bound(bc, col_ranks):
             dropped.append(False)
-            return real_bound(bc, total, col_ranks)
+            return real_bound(bc, col_ranks)
 
         monkeypatch.setattr(complexes, "pivots_mod_p", pivots)
         monkeypatch.setattr(complexes, "_total_cohomology", bound)
         assert bicomplex_reports(4) == golden_bicomplex_lines(4)
-        assert [fell for _, fell in fallbacks()] == dropped
+        assert fallbacks() == dropped
         # all but the blocks whose H.E are all zero: the 3 of degree 0 and
         # (t, m) = (1, 1), (1, 2) and (2, 2)
         assert dropped.count(True) == 21 - 6
