@@ -10,7 +10,8 @@ order; reports are sorted by (suite, params) before emission, so output is
 byte-identical across runs (and independent of --jobs).  A check that
 raises becomes a failing report with its own params and the error's class
 and message; under --jobs, so does each check of a pool task whose worker
-process died (``ChildProcessError``).  Exit code 0 when every report
+process died (``ChildProcessError``), or of every task when no worker could
+be forked (the fork's error).  Exit code 0 when every report
 passes, 1 when any fails, 2 on usage errors.
 
 Under --jobs, the checks run on worker processes forked from the command

@@ -285,48 +285,56 @@ def verify_snake(n: int, t: int) -> Report:
 
 
 class Bicomplex(NamedTuple):
-    """Grid of twisted spaces of one weight block: column b (0..t) resolves
-    the truncation fiber of degree (t-b, b); the entry at depth c is the
-    space (t-b-c, b+c), twisted by (det U*)^c, which its position records.
-    Horizontal maps point from column b to column b-1, vertical maps go
-    down each column."""
+    """The resolution grid of one weight block, stored as its row of spaces.
+
+    Column b (0..t) resolves the truncation fiber of degree (t-b, b); its
+    entry at depth c is S_a = spaces[a], a = t-b-c, twisted by (det U*)^c.
+    At the fixed fiber the twist changes no matrix, so every position of
+    the antidiagonal b + c = t - a holds the same space with the same maps:
+    the horizontal map at (b, c), to column b-1, is d[a] times
+    ``_h_scalar(b, c)`` (a < t), and the vertical map, down the column, is
+    d0[a] (a >= 1; d0[0] is None).  No position holds a map of its own."""
 
     n: int
     t: int
-    grid: list[list[TwistedSpace]]
-    horizontal: dict[tuple[int, int], SparseRationalMatrix]
-    vertical: dict[tuple[int, int], SparseRationalMatrix]
+    spaces: list[TwistedSpace]
+    d: list[SparseRationalMatrix]
+    d0: list[SparseRationalMatrix | None]
+
+
+def _h_scalar(b: int, c: int) -> Fraction:
+    """The scalar (-1)^c b/(b+c) of the horizontal map at (b, c), b >= 1."""
+    return Fraction((-1) ** c * b, b + c)
 
 
 def build_bicomplex(n: int, t: int, m: int) -> Bicomplex:
-    """Assemble the grid of weight block m together with its structure maps.
+    """The row of weight block m's grid: the spaces S_a of degree t
+    (``_spaces``) with their cached structure maps d and d0.
 
     The horizontal map on the (b, c) entry (b >= 1) is
     (-1)^c (b/(B(B+1)) d1 + (b/B) d2) with B = b+c, which equals
-    (-1)^c (b/B) d since d = d1/(B+1) + d2 there: the cached d scaled, its
-    columns shared.  The vertical maps are the cached d0 themselves, so a
-    column's ranks are the ones ``fiber_E`` keeps on them.  Each map's
-    codomain is checked against the grid entry it must land on; the
-    position fixes the twist, so matching (a, B) matches it too.
+    (-1)^c (b/B) d since d = d1/(B+1) + d2 there: the cached d on S_a times
+    ``_h_scalar(b, c)``, its columns shared.  The vertical maps are the
+    cached d0 themselves, so a column's ranks are the ones ``fiber_E`` keeps
+    on them.  Each map's codomain is checked once, against the space of the
+    row it must land on; the position fixes the twist, so matching (a, B)
+    matches it at every position of the antidiagonal.
     """
     spaces = _spaces(n, t, m)
-    grid = [[spaces[t - b - c] for c in range(t - b + 1)] for b in range(t + 1)]
-    horizontal: dict[tuple[int, int], SparseRationalMatrix] = {}
-    vertical: dict[tuple[int, int], SparseRationalMatrix] = {}
-    for b in range(t + 1):
-        for c in range(t - b + 1):
-            src = grid[b][c]
-            if b >= 1:
-                d, dst = structure_map("d", src)
-                if dst != grid[b - 1][c]:
-                    raise AssertionError(f"horizontal map at {(b, c)} leaves the grid")
-                horizontal[(b, c)] = d.scale(Fraction((-1) ** c * b, b + c))
-            if c < t - b:
-                v, dst = structure_map("d0", src)
-                if dst != grid[b][c + 1]:
-                    raise AssertionError(f"vertical map at {(b, c)} leaves the grid")
-                vertical[(b, c)] = v
-    return Bicomplex(n, t, grid, horizontal, vertical)
+    d: list[SparseRationalMatrix] = []
+    d0: list[SparseRationalMatrix | None] = [None]
+    for a, src in enumerate(spaces):
+        if a < t:
+            mat, dst = structure_map("d", src)
+            if dst != spaces[a + 1]:
+                raise AssertionError(f"d on S_{a} leaves the row")
+            d.append(mat)
+        if a:
+            mat, dst = structure_map("d0", src)
+            if dst != spaces[a - 1]:
+                raise AssertionError(f"d0 on S_{a} leaves the row")
+            d0.append(mat)
+    return Bicomplex(n, t, spaces, d, d0)
 
 
 def _layout(bc: Bicomplex) -> tuple[list[list[tuple[int, int]]], dict, list[int]]:
@@ -344,7 +352,7 @@ def _layout(bc: Bicomplex) -> tuple[list[list[tuple[int, int]]], dict, list[int]
         pos = 0
         for b, c in blocks:
             offsets[(b, c)] = pos
-            pos += bc.grid[b][c].dim
+            pos += bc.spaces[t - b - c].dim
         dims.append(pos)
     return layout, offsets, dims
 
@@ -353,15 +361,17 @@ def totalize(bc: Bicomplex) -> ChainComplex:
     """Direct-sum total complex.
 
     The (b, c) entry sits in total degree c - b; both structure maps raise
-    that degree by one.  The vertical map on column b enters with the sign
-    (-1)^b, which makes the total differential square to zero.  Each degree
-    is one integer matrix with the scalar 1/L, where L is the least common
-    denominator of the scalars of the maps out of its blocks; each map m
-    enters as its stored integer columns times the integer m.scalar L,
-    written at the target entry's row offset.  A non-zero scalar leaves the
-    rank as it is.  ``verify_bicomplex`` assembles it only where its rank
-    bound falls back.
+    that degree by one.  The maps are read from the row: out of (b, c), with
+    a = t-b-c, the horizontal d[a] times ``_h_scalar(b, c)`` and the
+    vertical d0[a], which enters with the column sign (-1)^b that makes the
+    total differential square to zero.  Each degree is one integer matrix
+    with the scalar 1/L, where L is the least common denominator of the
+    scalars of the maps out of its blocks; each map m enters as its stored
+    integer columns times the integer m.scalar L, written at the target
+    entry's row offset.  A non-zero scalar leaves the rank as it is.
+    ``verify_bicomplex`` assembles it only where its rank bound falls back.
     """
+    t = bc.t
     layout, offsets, dims = _layout(bc)
     diffs = []
     for blocks, nrows in zip(layout, dims[1:]):
@@ -369,24 +379,25 @@ def totalize(bc: Bicomplex) -> ChainComplex:
         # the two land in different blocks of the next degree
         pieces = []
         for b, c in blocks:
+            a = t - b - c
             maps = []
-            if (b, c) in bc.horizontal:
-                m = bc.horizontal[(b, c)]
+            if b:
+                m = bc.d[a].scale(_h_scalar(b, c))
                 maps.append((m.scalar, m.columns(), offsets[(b - 1, c)]))
-            if (b, c) in bc.vertical:
-                m = bc.vertical[(b, c)]
+            if a:
+                m = bc.d0[a]
                 maps.append(((-1) ** b * m.scalar, m.columns(), offsets[(b, c + 1)]))
             pieces.append(maps)
         den = lcm(*(f.denominator for maps in pieces for f, _, _ in maps))
         cols: list[dict[int, int]] = []
         for (b, c), maps in zip(blocks, pieces):
             ints = [((f * den).numerator, mcols, row0) for f, mcols, row0 in maps]
-            for j in range(bc.grid[b][c].dim):
+            for j in range(bc.spaces[t - b - c].dim):
                 cols.append(
                     {row0 + r: k * v for k, mcols, row0 in ints for r, v in mcols[j].items()}
                 )
         diffs.append(SparseRationalMatrix(nrows, cols, Fraction(1, den)))
-    return ChainComplex(-bc.t, dims, diffs)
+    return ChainComplex(-t, dims, diffs)
 
 
 def verify_bicomplex(n: int, t: int) -> Report:
@@ -398,13 +409,14 @@ def verify_bicomplex(n: int, t: int) -> Report:
     complex squares to zero and reproduces the cohomology of the truncation
     complex's block (acyclic at t = n - 1).
 
-    Every flag is decided on the grid's own maps (``_bicomplex_flags``):
-    the blocks of the total complex's square are the row identities, the
-    squares, the compositions of two vertical maps and the squares cut off
-    by the antidiagonal, so ``total_d2`` is those products, and the total
-    complex is not assembled to be squared.  The column ranks are the ones
-    kept on the cached d0 (``rank``), and d0 kills the fiber at the top
-    when each vector's integer ``image`` is empty.
+    Every flag is decided on the grid's own maps, once per space of its row
+    (``_bicomplex_flags``): the blocks of the total complex's square are the
+    row identities, the squares, the compositions of two vertical maps and
+    the squares cut off by the antidiagonal, so ``total_d2`` is those
+    products, and the total complex is not assembled to be squared.  The
+    column ranks are the ones kept on the cached d0 (``rank``), and d0
+    kills the fiber at the top when each vector's integer ``image`` is
+    empty.
 
     ``cohomology_match`` compares the cohomology of E^t's block with the
     total complex's, which rests on ``total_d2``: where ``top_kernels``
@@ -423,48 +435,57 @@ def verify_bicomplex(n: int, t: int) -> Report:
 
 
 def _bicomplex_flags(n: int, t: int, m: int) -> dict[str, bool]:
-    """The flags of ``verify_bicomplex`` on weight block m.  H is the
-    horizontal and V the vertical map; V enters the total differential with
-    the column sign (-1)^b, so that a square anticommutes there when
-    H(b, c+1) V(b, c) = V(b-1, c) H(b, c)."""
+    """The flags of ``verify_bicomplex`` on weight block m, each identity
+    decided once per space S_a of the row.  H is the horizontal and V the
+    vertical map; V enters the total differential with the column sign
+    (-1)^b, so that a square anticommutes there when
+    H(b, c+1) V(b, c) = V(b-1, c) H(b, c).
+
+    Every position of an antidiagonal holds the same space, and its maps
+    are that space's d (times ``_h_scalar``) and d0, as ``build_bicomplex``
+    makes them.  So a row identity and a column identity hold at every
+    position of S_a when they hold on d and d0 once; a square at (b, c),
+    with a = t-b-c, is x = d[a-1] d0[a] against y = d0[a+1] d[a], each
+    formed once per space and compared at every position under that
+    position's two scalars, so that a wrong scalar at any one position
+    fails.  A passing block forms 4t - 3 products (t >= 1): t - 1 row
+    compositions, 2(t - 1) for the squares, t - 1 compositions of two d0
+    and d0[1] d[0], from the bottom of each column, where only the path
+    through column b - 1 exists."""
     bc = build_bicomplex(n, t, m)
-    H, V = bc.horizontal, bc.vertical
-    rows_ok = all(
-        (H[(b - 1, c)] @ H[(b, c)]).is_zero() for b in range(2, t + 1) for c in range(t - b + 1)
-    )
-    squares = all(
-        H[(b, c + 1)] @ V[(b, c)] == V[(b - 1, c)] @ H[(b, c)]
-        for b in range(1, t + 1) for c in range(t - b)
-    )
+    spaces, d, d0 = bc.spaces, bc.d, bc.d0
+    rows_ok = all((d[a + 1] @ d[a]).is_zero() for a in range(t - 1))
+
+    def square(a: int) -> bool:
+        # the square at (b, c), c = t-a-b: x times H's scalar at (b, c+1)
+        # against y times H's scalar at (b, c)
+        x, y = d[a - 1] @ d0[a], d0[a + 1] @ d[a]
+        return all(
+            x.scale(_h_scalar(b, t - a - b + 1)) == y.scale(_h_scalar(b, t - a - b))
+            for b in range(1, t - a + 1)
+        )
+
+    squares = all(map(square, range(1, t)))
     # the other blocks of the total d o d: down each column, and from the
-    # bottom of column b, where only the path through column b - 1 exists
+    # bottom of each column
     total_d2 = rows_ok and squares and all(
-        (V[(b, c + 1)] @ V[(b, c)]).is_zero() for b in range(t + 1) for c in range(t - b - 1)
-    ) and all((V[(b - 1, t - b)] @ H[(b, t - b)]).is_zero() for b in range(1, t + 1))
-    cols_exact = top_kernels = True
-    col_ranks: list[list[int]] = []
-    for b in range(t + 1):
-        height = t - b + 1
-        top = fiber_E(bc.grid[b][0])
-        maps = [V[(b, c)] for c in range(height - 1)]
-        ranks = list(map(rank, maps))
-        col_ranks.append(ranks)
-        if height == 1:
-            if top.dim != bc.grid[b][0].dim:
-                top_kernels = False
-            continue
-        # the independent basis of the fiber lies in ker d0 and has its dimension
-        if bc.grid[b][0].dim - ranks[0] != top.dim or any(map(maps[0].image, top.vectors)):
-            top_kernels = False
-        for c in range(1, height - 1):
-            if bc.grid[b][c].dim - ranks[c] != ranks[c - 1]:
-                cols_exact = False
-        if ranks[height - 2] != bc.grid[b][height - 1].dim:
-            cols_exact = False
+        (d0[a - 1] @ d0[a]).is_zero() for a in range(2, t + 1)
+    ) and (t == 0 or (d0[1] @ d[0]).is_zero())
+    # ranks[a] = rank of d0 on S_a; S_0 has no vertical map
+    ranks = [0, *map(rank, d0[1:])]
+    # S_a tops column t-a: its independent fiber basis lies in ker d0 and
+    # has its dimension
+    top_kernels = all(
+        space.dim - r == top.dim and not (a and any(map(d0[a].image, top.vectors)))
+        for a, (space, r, top) in enumerate(zip(spaces, ranks, map(fiber_E, spaces)))
+    )
+    # below the tops, S_a sits in the columns b < t-a, exact there, and S_0
+    # at their bottoms, where d0 on S_1 is onto
+    cols_exact = all(spaces[a].dim - ranks[a] == ranks[a + 1] for a in range(t))
     et_coh = build_Et(n, t, m).cohomology
     # only a complex has cohomology: the certificate rests on total_d2 and
     # top_kernels, and the assembled total complex on its own d o d
-    total_coh = _total_cohomology(bc, col_ranks) if total_d2 and top_kernels else None
+    total_coh = _total_cohomology(bc, ranks) if total_d2 and top_kernels else None
     if total_d2 and total_coh is None:
         total = totalize(bc)
         total_coh = total.cohomology if total.is_complex else None
@@ -479,13 +500,13 @@ def _bicomplex_flags(n: int, t: int, m: int) -> dict[str, bool]:
     }
 
 
-def _total_cohomology(bc: Bicomplex, col_ranks: list[list[int]]) -> dict[int, int] | None:
+def _total_cohomology(bc: Bicomplex, ranks: list[int]) -> dict[int, int] | None:
     """The cohomology of the total complex of ``bc``, certified from a
     lower bound on the rank of each total differential
-    (``_certified_cohomology``), or None.  col_ranks[b] holds the exact
-    ranks of the vertical maps down column b.  The caller has verified
-    d o d = 0 on the grid (``total_d2``) and that d0 kills the top kernels
-    ``fiber_E`` (``top_kernels``).
+    (``_certified_cohomology``), or None.  ranks[a] is the exact rank of
+    d0 on S_a, the vertical map at every position of its antidiagonal (0 at
+    a = 0).  The caller has verified d o d = 0 on the grid (``total_d2``)
+    and that d0 kills the top kernels ``fiber_E`` (``top_kernels``).
 
     Order the blocks (b, c) of total degree k by b.  The total differential
     D_k is block upper-bidiagonal: the vertical map keeps b, the horizontal
@@ -506,15 +527,16 @@ def _total_cohomology(bc: Bicomplex, col_ranks: list[list[int]]) -> dict[int, in
     """
     t = bc.t
     # lower[i] bounds the rank of the total differential out of position i,
-    # degree i - t
+    # degree i - t; d0 on S_a is the vertical map at each (b, t-a-b)
     lower = [0] * (2 * t)
-    for b, ranks in enumerate(col_ranks):
-        for c, r in enumerate(ranks):
-            lower[c - b + t] += r
-    for b in range(1, t + 1):
-        h = bc.horizontal[(b, 0)]
-        top = fiber_E(bc.grid[b][0]).vectors
-        lower[t - b] += len(pivots_mod_p(SparseRationalMatrix(h.nrows, list(map(h.image, top)))))
+    for a in range(1, t + 1):
+        for b in range(t - a + 1):
+            c = t - a - b
+            lower[c - b + t] += ranks[a]
+    # the horizontal map out of (t-a, 0) is d[a], its scalar 1
+    for a in range(t):
+        h, top = bc.d[a], fiber_E(bc.spaces[a]).vectors
+        lower[a] += len(pivots_mod_p(SparseRationalMatrix(h.nrows, list(map(h.image, top)))))
     return _certified_cohomology(_layout(bc)[2], -t, lower)
 
 
@@ -551,8 +573,9 @@ def _image_is_fiber(space: TwistedSpace) -> bool:
     degree (a-1, b+1): its rank is that fiber's dimension and, for a >= 2,
     where the fiber is the kernel of the next d0, the composition of the two
     d0 vanishes.  The rank is the one kept on the cached d0, which the
-    bicomplex check ranks too; each composition is asked once per process,
-    by the one degree t = a + b, so it is formed directly."""
+    bicomplex check ranks too.  Each composition belongs to the one degree
+    t = a + b, so it is formed directly and kept nowhere; the bicomplex
+    check forms it once more, as a column block of its total d o d."""
     mat, dst = structure_map("d0", space)
     target = fiber_E(dst)
     if rank(mat) != target.dim:

@@ -27,8 +27,10 @@ def pooled(groups, workers: int, run_task, error_report) -> list[dict]:
     result pipes with ``select``, so no full pipe stalls either side.  A
     group with no answer at the end was in flight in a worker that died
     (killed, out of memory) or was never taken; each of its tasks becomes a
-    failing report with its own params and ``ChildProcessError``.  If the
-    parent raises, it kills and reaps every worker first."""
+    failing report with its own params and ``ChildProcessError``.  A fork
+    that fails stops the forking, and the workers already forked take every
+    group; with none, each task becomes a failing report with the fork's
+    error.  If the parent raises, it kills and reaps every worker first."""
     fds = set()  # the parent's open descriptors
 
     def pipe():
@@ -41,13 +43,19 @@ def pooled(groups, workers: int, run_task, error_report) -> list[dict]:
         fds.remove(fd)
 
     todo = b"".join(i.to_bytes(4, "little") for i in range(len(groups)))
-    answers, pids = {}, []
+    answers, pids, fork_error = {}, [], None
     try:
         tasks_r, tasks_w = pipe()
         lines = {}  # result pipe -> the start of its next line
         for _ in range(workers):
             result_r, result_w = pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as exc:  # say, EAGAIN under a process limit
+                fork_error = exc
+                close(result_r)
+                close(result_w)
+                break
             if pid == 0:
                 _work(groups, run_task, tasks_r, result_w, fds - {tasks_r, result_w})
             pids.append(pid)
@@ -84,10 +92,11 @@ def pooled(groups, workers: int, run_task, error_report) -> list[dict]:
         for fd in fds:
             os.close(fd)
         codes = {os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids}
+    # with no worker forked, every group is lost to the fork's error
     lost = ChildProcessError("a worker died: " + ", ".join(sorted(
         f"exit status {code}" if code > 0 else f"signal {-code}"
         for code in codes - {0}
-    )))
+    ))) if pids else fork_error
     results = []
     for index, group in enumerate(groups):
         if index in answers:

@@ -27,8 +27,9 @@ matrix class they build, ``FractionMatrix``, the old format, for the
 bicomplex's maps, which are matrices there as they are in the package, for
 the forms, which they read from the package's functions of n, and for the
 space, which is either a weight block ``TwistedSpace`` or a ``FullSpace``.
-``reference_bicomplex`` gives a bicomplex those maps, each scaled by the
-grid's coefficient.
+``reference_bicomplex`` gives a bicomplex's row those maps, and
+``grid_maps`` expands a row into one map per position of the grid, each
+horizontal one scaled by the grid's coefficient, which ``totalize`` reads.
 
 The full path: the package builds one torus-weight block per number m of
 non-zero weight entries and sums over the Weyl orbits (``orbit_sum``).
@@ -46,6 +47,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, lcm
 
+from sscx import complexes
 from sscx.complexes import Bicomplex, ChainComplex, _layout
 from sscx.exactlinalg import (
     SparseRationalMatrix,
@@ -485,37 +487,36 @@ def full_row_complex(n: int, t: int, subspace, kind: str) -> ChainComplex:
 
 
 def full_bicomplex(n: int, t: int) -> Bicomplex:
-    """The grid of full spaces with the package's maps: d times
-    (-1)^c b/(b+c) at (b, c), and d0 going down each column."""
-    grid = [[FullSpace(n, t - b - c, b + c) for c in range(t - b + 1)] for b in range(t + 1)]
-    horizontal = {
-        (b, c): full_structure_map("d", grid[b][c])[0].scale(Fraction((-1) ** c * b, b + c))
-        for b in range(1, t + 1)
-        for c in range(t - b + 1)
-    }
-    vertical = {
-        (b, c): full_structure_map("d0", grid[b][c])[0]
-        for b in range(t + 1)
-        for c in range(t - b)
-    }
-    return Bicomplex(n, t, grid, horizontal, vertical)
-
+    """The row of full spaces with the package's maps: d going to the next
+    space and d0 to the previous one."""
+    spaces = [FullSpace(n, a, t - a) for a in range(t + 1)]
+    d = [full_structure_map("d", space)[0] for space in spaces[:-1]]
+    d0 = [None, *(full_structure_map("d0", space)[0] for space in spaces[1:])]
+    return Bicomplex(n, t, spaces, d, d0)
 
 
 def reference_bicomplex(bc: Bicomplex) -> Bicomplex:
-    """bc with every map replaced by its ``structure_matrix`` build: d
-    times (-1)^c b/(b+c) on the horizontal map at (b, c), as the package
-    builds it, and d0 on the vertical ones."""
-    def old(kind, b, c):
-        return structure_matrix(kind, bc.grid[b][c])
-
+    """bc with every map of its row replaced by its ``structure_matrix``
+    build: d and d0 as the package builds them."""
     return bc._replace(
-        horizontal={
-            (b, c): old("d", b, c).scale(Fraction((-1) ** c * b, b + c))
-            for b, c in bc.horizontal
-        },
-        vertical={(b, c): old("d0", b, c) for b, c in bc.vertical},
+        d=[structure_matrix("d", space) for space in bc.spaces[:-1]],
+        d0=[None, *(structure_matrix("d0", space) for space in bc.spaces[1:])],
     )
+
+
+def grid_maps(bc: Bicomplex) -> tuple[dict, dict]:
+    """The row expanded into one horizontal and one vertical map per
+    position (b, c), as the grid had them before it was stored as its row:
+    at (b, c), with a = t-b-c, d[a] times the package's ``_h_scalar(b, c)``
+    (b >= 1) and d0[a] (a >= 1)."""
+    t = bc.t
+    horizontal = {
+        (b, c): bc.d[t - b - c].scale(complexes._h_scalar(b, c))
+        for b in range(1, t + 1)
+        for c in range(t - b + 1)
+    }
+    vertical = {(b, c): bc.d0[t - b - c] for b in range(t + 1) for c in range(t - b)}
+    return horizontal, vertical
 
 
 def totalize(bc: Bicomplex) -> ChainComplex:
@@ -528,17 +529,18 @@ def totalize(bc: Bicomplex) -> ChainComplex:
     columns are written at the target entry's row offset.
     """
     layout, offsets, dims = _layout(bc)
+    horizontal, vertical = grid_maps(bc)
     diffs = []
     for blocks, nrows in zip(layout, dims[1:]):
         cols: list[dict[int, Fraction]] = []
         for b, c in blocks:
             # the two maps out of (b, c) land in different blocks of the next degree
             pieces = []
-            if (b, c) in bc.horizontal:
-                pieces.append((bc.horizontal[(b, c)], offsets[(b - 1, c)]))
-            if (b, c) in bc.vertical:
-                pieces.append((bc.vertical[(b, c)].scale((-1) ** b), offsets[(b, c + 1)]))
-            for j in range(bc.grid[b][c].dim):
+            if (b, c) in horizontal:
+                pieces.append((horizontal[(b, c)], offsets[(b - 1, c)]))
+            if (b, c) in vertical:
+                pieces.append((vertical[(b, c)].scale((-1) ** b), offsets[(b, c + 1)]))
+            for j in range(bc.spaces[bc.t - b - c].dim):
                 cols.append(
                     {row0 + r: v for m, row0 in pieces for r, v in m.columns()[j].items()}
                 )

@@ -1,22 +1,25 @@
 """Differential test of the bicomplex's product flags.
 
 ``verify_bicomplex`` decides ``rows_ok``, ``squares`` and ``total_d2``
-from products of the grid's own maps, and never assembles the total
-complex for them.  Two oracles decide the same flags another way:
+from products of the maps of the grid's row, once per space, and never
+assembles the total complex for them.  Two oracles decide the same flags
+another way, on the grid expanded into one map per position
+(``linalg_oracle.grid_maps``):
 
-- ``product_flags`` forms every product on the grid, with the column sign
-  (-1)^b applied to the vertical maps and each square read as a sum, and
-  decides ``total_d2`` from the blocks of the total d²: each row
-  composition, each square, each composition of two vertical maps in a
-  column, and each square cut off by the antidiagonal;
+- ``product_flags`` forms every product at every position of the grid,
+  with the column sign (-1)^b applied to the vertical maps and each square
+  read as a sum, and decides ``total_d2`` from the blocks of the total d²:
+  each row composition, each square, each composition of two vertical maps
+  in a column, and each square cut off by the antidiagonal;
 - ``total_square_flags`` assembles the total complex (``totalize``),
   squares it, and reads ``rows_ok`` and ``squares`` off the blocks of
   that square (from the (b, c) block to (b-2, c) the row identity, to
   (b-1, c+1) the square), and ``total_d2`` off the whole square.
 
-All three must agree on every degree up to n = 4 and on bicomplexes with
-a planted scalar or a planted coefficient of d.  The check conjoins the
-flags of the weight blocks, and so do the oracles (``block_flags``).
+All three must agree on every degree up to n = 5, the size of the
+benchmark's grid, and on bicomplexes with a planted scalar or a planted
+coefficient of d.  The check conjoins the flags of the weight blocks, and
+so do the oracles (``block_flags``).
 """
 
 from fractions import Fraction
@@ -26,7 +29,7 @@ import pytest
 from sscx import complexes
 from sscx.complexes import _layout, build_bicomplex, totalize, verify_bicomplex
 from tests.test_faults import CACHED
-from linalg_oracle import matrix_sum
+from linalg_oracle import grid_maps, matrix_sum
 
 FLAGS = ("rows_ok", "squares", "total_d2")
 
@@ -47,9 +50,9 @@ def product_flags(bc) -> dict[str, int]:
     columns, the squares, and the squares cut off by the antidiagonal, where
     only the path through column b - 1 exists."""
     t = bc.t
-    hor = bc.horizontal
+    hor, vertical = grid_maps(bc)
     # the vertical maps with the column sign they carry in the total complex
-    ver = {(b, c): m.scale((-1) ** b) for (b, c), m in bc.vertical.items()}
+    ver = {(b, c): m.scale((-1) ** b) for (b, c), m in vertical.items()}
     rows_ok = int(all(
         (hor[(b - 1, c)] @ hor[(b, c)]).is_zero()
         for b in range(2, t + 1)
@@ -80,7 +83,7 @@ def total_square_flags(bc) -> dict[str, int]:
     diffs = totalize(bc).differentials
 
     def span(b: int, c: int) -> range:
-        return range(offsets[(b, c)], offsets[(b, c)] + bc.grid[b][c].dim)
+        return range(offsets[(b, c)], offsets[(b, c)] + bc.spaces[bc.t - b - c].dim)
 
     rows_ok = squares = total_d2 = 1
     for k in range(len(diffs) - 1):
@@ -113,56 +116,61 @@ def checked_flags(n: int, t: int) -> dict[str, int]:
     return {flag: computed[flag] for flag in FLAGS}
 
 
-@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_memoized_flags_match_the_products(n):
     for t in range(0, 2 * n - 1):
         assert checked_flags(n, t) == oracle_flags(n, lambda m: build_bicomplex(n, t, m)), (n, t)
 
 
-def _replace_map(maps: dict, key, factor) -> dict:
-    """A copy of ``maps`` with the map at ``key`` scaled by ``factor``."""
-    return {**maps, key: maps[key].scale(factor)}
+def _negated_h_scalar(monkeypatch, position) -> None:
+    """Negate the scalar of the horizontal map at ``position`` alone: the
+    checks and the oracles read every horizontal scalar from
+    ``complexes._h_scalar``."""
+    real = complexes._h_scalar
+
+    def planted(b, c):
+        return -real(b, c) if (b, c) == position else real(b, c)
+
+    monkeypatch.setattr(complexes, "_h_scalar", planted)
+
+
+def _scaled_top_d0(monkeypatch) -> None:
+    """d0 on S_t, the vertical map at (0, 0) alone, scaled by 2."""
+    real = complexes.build_bicomplex
+
+    def planted(n, t, m):
+        bc = real(n, t, m)
+        if t:
+            bc.d0[t] = bc.d0[t].scale(2)
+        return bc
+
+    monkeypatch.setattr(complexes, "build_bicomplex", planted)
 
 
 PLANTS = {
-    "negated horizontal scalar": lambda bc: bc._replace(
-        horizontal=_replace_map(bc.horizontal, (1, 0), -1)
-    ),
-    "vertical scalar 2": lambda bc: bc._replace(
-        vertical=_replace_map(bc.vertical, (0, 0), 2)
-    ),
+    "negated horizontal scalar": lambda patch: _negated_h_scalar(patch, (1, 0)),
+    "vertical scalar 2": _scaled_top_d0,
 }
 
 
 @pytest.mark.parametrize("plant", sorted(PLANTS))
 def test_planted_scalar_flags_match_the_products(plant, monkeypatch, fresh_caches):
-    real = complexes.build_bicomplex
-
-    def planted(n, t, m):
-        return PLANTS[plant](real(n, t, m))
-
-    monkeypatch.setattr(complexes, "build_bicomplex", planted)
+    PLANTS[plant](monkeypatch)
     for t in range(2, 7):
         flags = checked_flags(4, t)
-        assert flags == oracle_flags(4, lambda m: planted(4, t, m)), t
+        assert flags == oracle_flags(4, lambda m: complexes.build_bicomplex(4, t, m)), t
         assert flags["squares"] == 0 and flags["total_d2"] == 0, t
 
 
 def test_square_with_the_matrices_of_a_passing_one(monkeypatch, fresh_caches):
-    """The squares at (1, 1) and (2, 0) compose the same four matrices with
-    the same scalar ratio.  With the scalar of the horizontal map at (2, 0)
-    negated, only (2, 0) breaks, and the passing square (1, 1) must not
-    hide it."""
-    real = complexes.build_bicomplex
-
-    def planted(n, t, m):
-        bc = real(n, t, m)
-        return bc._replace(horizontal=_replace_map(bc.horizontal, (2, 0), -1))
-
-    monkeypatch.setattr(complexes, "build_bicomplex", planted)
+    """The squares at (1, 1) and (2, 0) compose the same four matrices, d
+    and d0 on the one space S_{t-2}, with the same scalar ratio.  With the
+    scalar of the horizontal map at (2, 0) negated, only (2, 0) breaks, and
+    the passing square (1, 1) must not hide it."""
+    _negated_h_scalar(monkeypatch, (2, 0))
     for t in range(3, 7):
         flags = checked_flags(4, t)
-        assert flags == oracle_flags(4, lambda m: planted(4, t, m)), t
+        assert flags == oracle_flags(4, lambda m: build_bicomplex(4, t, m)), t
         assert flags == {"rows_ok": 1, "squares": 0, "total_d2": 0}, t
 
 

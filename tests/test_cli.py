@@ -18,6 +18,7 @@ import sscx.cli as cli
 import sscx.pool as pool
 from sscx.cli import run
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED_KEYS = ["suite", "params", "expected", "computed", "status", "elapsed_ms"]
 
 
@@ -452,6 +453,53 @@ def test_task_pipe_carries_more_than_its_buffer(monkeypatch):
     assert_no_child()
     assert [rep["params"]["n"] for rep in results] == list(range(20_000))
     assert all(rep["status"] == "pass" for rep in results)
+
+
+def fails_to_fork(monkeypatch, from_call: int) -> None:
+    """Make every call of ``os.fork`` from the ``from_call``-th on raise
+    ``BlockingIOError``, as a fork under a process limit does (EAGAIN)."""
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(1)
+        if len(calls) >= from_call:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(cli.os, "fork", fork)
+
+
+@needs_fork
+def test_failed_second_fork_runs_on_the_first_worker(monkeypatch):
+    """A fork that fails stops the forking, and the one worker forked
+    takes every group."""
+    calls = use_pool(monkeypatch)
+    fails_to_fork(monkeypatch, 2)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out = invoke(["verify-fiber", "--n", "3", "--t", "all", "--jobs", "2"])
+    assert [n for _, n in calls] == [2]
+    assert (code, out) == (0, (GOLDEN / "fiber-n3.ndjson").read_text(encoding="ascii"))
+
+
+@needs_fork
+def test_failed_first_fork_fails_every_report(monkeypatch):
+    """With no worker forked, each task becomes a failing report with its
+    own params and the fork's error, and no child is left."""
+    calls = use_pool(monkeypatch)
+    fails_to_fork(monkeypatch, 1)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out = invoke(["verify-fiber", "--n", "3", "--t", "all", "--jobs", "2"])
+    assert [n for _, n in calls] == [2]
+    assert code == 1
+    reps = [json.loads(line) for line in out.splitlines()]
+    assert len(reps) == 6 * 5
+    for rep in reps:
+        assert rep["status"] == "fail", rep
+        assert rep["computed"] == {
+            "detail": "[Errno 11] Resource temporarily unavailable",
+            "error": "BlockingIOError", "ok": 0,
+        }
+    assert_no_child()
 
 
 @needs_fork

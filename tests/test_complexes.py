@@ -323,9 +323,10 @@ class TestSnake:
 class TestBicomplex:
     def test_grid_shape(self):
         bc = build_bicomplex(3, 2, 0)
-        assert [len(col) for col in bc.grid] == [3, 2, 1]
-        assert (1, 0) in bc.horizontal and (2, 0) in bc.horizontal
-        assert (0, 0) in bc.vertical and (0, 1) in bc.vertical
+        assert bc.spaces == [TwistedSpace(3, a, 2 - a, 0) for a in range(3)]
+        # d out of S_0 and S_1, d0 out of S_1 and S_2
+        assert len(bc.d) == 2 and bc.d0[0] is None and len(bc.d0) == 3
+        assert complexes._h_scalar(1, 0) == 1 and complexes._h_scalar(2, 0) == 1
 
     def test_horizontal_at_depth_zero_is_d(self):
         # with no determinant twist the printed coefficients reduce to the
@@ -333,26 +334,25 @@ class TestBicomplex:
         for m in (0, 1):
             bc = build_bicomplex(3, 2, m)
             d, _ = structure_map("d", TwistedSpace(3, 1, 1, m))
-            assert bc.horizontal[(1, 0)] is d
+            assert bc.d[1] is d and bc.d[1].scale(complexes._h_scalar(1, 0)) is d
 
     @pytest.mark.parametrize("t", range(1, 7))
     def test_grid_maps_are_the_cached_matrices(self, t):
-        """Each horizontal map is the cached d scaled by (-1)^c b/(b+c),
-        its columns shared, and each vertical map is the cached d0, in
-        every weight block."""
+        """The row holds the cached d and d0 of each space, and the
+        horizontal map at (b, c) scales d by (-1)^c b/(b+c), in every
+        weight block."""
         for m in range(3):
             self._grid_maps_are_the_cached_matrices(build_bicomplex(4, t, m))
 
     @staticmethod
     def _grid_maps_are_the_cached_matrices(bc):
-        for (b, c), m in bc.horizontal.items():
-            d, _ = structure_map("d", bc.grid[b][c])
-            assert m.columns() is d.columns(), (b, c)
-            # a zero matrix, as in some blocks, keeps the scalar 1
-            scalar = 1 if d.is_zero() else d.scalar * Fraction((-1) ** c * b, b + c)
-            assert m.scalar == scalar, (b, c)
-        for (b, c), m in bc.vertical.items():
-            assert m is structure_map("d0", bc.grid[b][c])[0], (b, c)
+        for a, space in enumerate(bc.spaces):
+            if a < bc.t:
+                assert bc.d[a] is structure_map("d", space)[0], a
+            if a:
+                assert bc.d0[a] is structure_map("d0", space)[0], a
+        for b, c in ((b, c) for b in range(1, bc.t + 1) for c in range(bc.t - b + 1)):
+            assert complexes._h_scalar(b, c) == Fraction((-1) ** c * b, b + c), (b, c)
 
     def test_totalize_examples(self):
         def total(t):
@@ -374,30 +374,35 @@ class TestBicomplex:
 
     def test_a_passing_call_forms_only_the_grid_products(self, monkeypatch):
         """A passing call never assembles a total complex, and forms, in each
-        of the 3 weight blocks, every block of the total d o d once as grid
-        products: t(t-1)/2 row compositions, t(t-1)/2 squares of two
-        products each, t(t-1)/2 compositions down the columns and t squares
-        cut off by the antidiagonal, t(2t-1) products in all.  Once the
-        truncation complexes are cached (the second call), they are its only
-        products."""
+        of the 3 weight blocks, every block of the total d o d once per space
+        of the row as products of the grid's maps, the structure maps d and
+        d0 of the spaces of degree t: t - 1 row compositions, 2(t - 1)
+        products for the squares, t - 1 compositions of two d0 and one
+        d0 o d from the bottom of the columns, 4t - 3 in all for t >= 1, and
+        none at t = 0.  Once the truncation complexes are cached (the second
+        call), they are its only products."""
         real_build, real_totalize = complexes.build_bicomplex, complexes.totalize
         real_matmul = SparseRationalMatrix.__matmul__
-        # the current block's grid maps are held, so that no id is reused
-        # while it is counted
+        # the columns of the current block's d and d0, which the cache of
+        # structure matrices keeps alive, so that no id is reused while it
+        # is counted
         held = {}
         products = []
 
         def build(n, t, m):
-            held["bc"] = bc = real_build(n, t, m)
-            held["ids"] = set(map(id, (*bc.horizontal.values(), *bc.vertical.values())))
-            return bc
+            spaces = complexes._spaces(n, t, m)
+            maps = [structure_map("d", space)[0] for space in spaces[:-1]]
+            maps += [structure_map("d0", space)[0] for space in spaces[1:]]
+            held["ids"] = {id(mat.columns()) for mat in maps}
+            return real_build(n, t, m)
 
         def totalize(bc):
             products[-1]["totalize"] += 1
             return real_totalize(bc)
 
         def matmul(x, y):
-            grid = id(x) in held.get("ids", ()) and id(y) in held.get("ids", ())
+            ids = held.get("ids", ())
+            grid = id(x.columns()) in ids and id(y.columns()) in ids
             products[-1]["grid" if grid else "other"] += 1
             return real_matmul(x, y)
 
@@ -409,14 +414,15 @@ class TestBicomplex:
                 products.append({"grid": 0, "other": 0, "totalize": 0})
                 assert verify_bicomplex(4, t).status == "pass"
             first, second = products[-2:]
-            grid = 3 * t * (2 * t - 1)
+            grid = 3 * (4 * t - 3) if t else 0
             assert (first["grid"], first["totalize"]) == (grid, 0), t
             assert second == {"grid": grid, "other": 0, "totalize": 0}, t
 
 
-def column_ranks(bc) -> list[list[int]]:
-    """The exact ranks of the vertical maps down each column of the grid."""
-    return [[rank(bc.vertical[(b, c)]) for c in range(bc.t - b)] for b in range(bc.t + 1)]
+def d0_ranks(bc) -> list[int]:
+    """The exact rank of the vertical map out of each space of the row, 0
+    on S_0, which has none."""
+    return [0, *map(rank, bc.d0[1:])]
 
 
 @pytest.fixture
@@ -464,7 +470,7 @@ class TestTotalCohomologyBound:
             bc = build_bicomplex(n, t, m)
             total = totalize(bc)
             assert total.is_complex
-            got = complexes._total_cohomology(bc, column_ranks(bc))
+            got = complexes._total_cohomology(bc, d0_ranks(bc))
             assert got == cohomology_dims(total), (n, t, m)
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
@@ -480,11 +486,11 @@ class TestTotalCohomologyBound:
         assembled and ranked whole, with the same reports."""
         real = complexes._total_cohomology
 
-        def raised(bc, col_ranks):
+        def raised(bc, ranks):
+            # the rank of d0 on S_t, the vertical map at (0, 0) alone
             if bc.t:
-                col_ranks = [list(ranks) for ranks in col_ranks]
-                col_ranks[0][0] += 1
-            return real(bc, col_ranks)
+                ranks = [*ranks[:-1], ranks[-1] + 1]
+            return real(bc, ranks)
 
         monkeypatch.setattr(complexes, "_total_cohomology", raised)
         assert bicomplex_reports(4) == golden_bicomplex_lines(4)
@@ -510,9 +516,9 @@ class TestTotalCohomologyBound:
 
         real_bound = complexes._total_cohomology
 
-        def bound(bc, col_ranks):
+        def bound(bc, ranks):
             dropped.append(False)
-            return real_bound(bc, col_ranks)
+            return real_bound(bc, ranks)
 
         monkeypatch.setattr(complexes, "pivots_mod_p", pivots)
         monkeypatch.setattr(complexes, "_total_cohomology", bound)

@@ -272,16 +272,10 @@ def test_Et_composition_broken_inside_the_fibers_is_ranked_exactly(
 
 
 def test_unsigned_odd_depths_break_the_squares(monkeypatch):
-    real = complexes.build_bicomplex
-
-    def planted(n, t, m):
-        bc = real(n, t, m)
-        for (b, c), mat in bc.horizontal.items():
-            if c % 2:
-                bc.horizontal[(b, c)] = mat.scale(-1)
-        return bc
-
-    monkeypatch.setattr(complexes, "build_bicomplex", planted)
+    """The horizontal scalar without its sign (-1)^c, at every position: at
+    even depths nothing changes, and at odd ones the map is negated."""
+    real = complexes._h_scalar
+    monkeypatch.setattr(complexes, "_h_scalar", lambda b, c: abs(real(b, c)))
     code, reps = reports(*FIBER_N4, "bicomplex,snake")
     assert code == 1
     for rep in reps:
@@ -293,21 +287,30 @@ def test_unsigned_odd_depths_break_the_squares(monkeypatch):
             assert rep["computed"]["squares"] == 0
 
 
-def test_zero_vertical_map_breaks_its_column(monkeypatch):
-    """The vertical map out of the (1, 0) entry scaled by 0, an empty
-    matrix of rank 0: column 1 is no longer exact below its top, whose
-    kernel is now the whole entry, and the squares and the total complex it
-    enters break.  The same set was derived on the build that kept each map
-    as a (scalar, matrix) pair, with the pair (0, d0) planted."""
+def _plant_d0(monkeypatch, space, change) -> None:
+    """d0 on S_a, a = space(t), replaced in the row by change(d0), and so at
+    every position of its antidiagonal, in each degree t with a >= 1."""
     real = complexes.build_bicomplex
 
     def planted(n, t, m):
         bc = real(n, t, m)
-        if (1, 0) in bc.vertical:
-            bc.vertical[(1, 0)] = bc.vertical[(1, 0)].scale(0)
+        a = space(t)
+        if a >= 1:
+            bc.d0[a] = change(bc.d0[a])
         return bc
 
     monkeypatch.setattr(complexes, "build_bicomplex", planted)
+
+
+def test_zero_vertical_map_breaks_its_column(monkeypatch):
+    """d0 on S_{t-1} scaled by 0, an empty matrix of rank 0, at (1, 0) and
+    (0, 1): column 1 is no longer exact below its top, whose kernel is now
+    the whole entry, column 0 is not exact at depth 1, and the squares and
+    the total complex they enter break.  The same set was derived on the
+    build that kept one map per position, with the map planted at both
+    positions, and, with the map planted at (1, 0) alone, on that build
+    and on the one that kept each map as a (scalar, matrix) pair."""
+    _plant_d0(monkeypatch, lambda t: t - 1, lambda d0: d0.scale(0))
     code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
     assert code == 1
     assert _failing(reps) == {
@@ -319,21 +322,15 @@ def test_zero_vertical_map_breaks_its_column(monkeypatch):
 
 
 def test_negated_vertical_map_breaks_the_squares_and_the_total(monkeypatch):
-    """The vertical map out of the (1, 0) entry negated in the grid: the
-    square it starts no longer anticommutes under the column sign, and the
+    """d0 on S_{t-1} negated in the row, at (1, 0) and (0, 1): the squares
+    it starts and ends no longer anticommute under the column sign, and the
     total d o d is no longer zero.  The same set was derived on the build
-    that decided ``squares`` and ``total_d2`` on the assembled total
-    complex, with the same map planted in the grid, and it is the set of
-    that build's plant of the unsigned map in ``totalize``."""
-    real = complexes.build_bicomplex
-
-    def planted(n, t, m):
-        bc = real(n, t, m)
-        if (1, 0) in bc.vertical:
-            bc.vertical[(1, 0)] = bc.vertical[(1, 0)].scale(-1)
-        return bc
-
-    monkeypatch.setattr(complexes, "build_bicomplex", planted)
+    that kept one map per position, with the map negated at both positions
+    and at (1, 0) alone, on the build that decided ``squares`` and
+    ``total_d2`` on the assembled total complex, with the map at (1, 0)
+    planted in the grid, and it is the set of that build's plant of the
+    unsigned map in ``totalize``."""
+    _plant_d0(monkeypatch, lambda t: t - 1, lambda d0: d0.scale(-1))
     code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
     assert code == 1
     assert _failing(reps) == {
@@ -341,18 +338,59 @@ def test_negated_vertical_map_breaks_the_squares_and_the_total(monkeypatch):
     }
 
 
+def test_zero_bottom_map_breaks_every_column(monkeypatch):
+    """d0 on S_1 scaled by 0, the last vertical map of every column: no
+    column is onto at its bottom.  At t = 1 that bottom is the only exact
+    place of the grid, so ``cols_exact`` fails there on it alone.  The
+    same set was derived on the build that kept one map per position, with
+    the map planted at every position (b, t-1-b)."""
+    _plant_d0(monkeypatch, lambda t: min(t, 1), lambda d0: d0.scale(0))
+    code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
+    assert code == 1
+    assert _failing(reps) == {
+        ("bicomplex", 1): {"cols_exact", "top_kernels", "cohomology_match"},
+        **{
+            ("bicomplex", t): {
+                "cols_exact", "top_kernels", "squares", "total_d2", "cohomology_match"
+            }
+            for t in range(2, 7)
+        },
+    }
+
+
+def test_top_map_with_permuted_columns_breaks_its_top_kernel(monkeypatch):
+    """d0 on S_t, the vertical map at (0, 0) alone, with its columns in
+    reverse order: its rank is unchanged, so only its image of the fiber
+    E^{t,0} shows that the fiber is no longer its kernel, and the squares
+    and the total complex it enters break.  The same set was derived on the
+    build that kept one map per position."""
+    def reverse(d0):
+        return SparseRationalMatrix(d0.nrows, d0.columns()[::-1], d0.scalar)
+
+    _plant_d0(monkeypatch, lambda t: t, reverse)
+    code, reps = reports(*FIBER_N4, "d2zero,cohomology,snake,bicomplex,koszul,ces")
+    assert code == 1
+    assert _failing(reps) == {
+        ("bicomplex", 1): {"top_kernels", "total_d2", "cohomology_match"},
+        **{
+            ("bicomplex", t): {"top_kernels", "squares", "total_d2", "cohomology_match"}
+            for t in range(2, 7)
+        },
+    }
+
+
 def _force_the_fallback(monkeypatch):
-    """One vertical rank raised by one in every block of degree t >= 1, as
-    in ``test_one_raised_column_rank_falls_back`` of
+    """The rank of d0 on S_t, the vertical map at (0, 0) alone, raised by
+    one in every block of degree t >= 1, as in
+    ``test_one_raised_column_rank_falls_back`` of
     ``tests/test_complexes.py``: the rank bound turns negative, and each
     such block assembles its total complex (``totalize``)."""
     real = complexes._total_cohomology
 
-    def raised(bc, col_ranks):
+    def raised(bc, ranks):
         if bc.t:
-            col_ranks = [list(ranks) for ranks in col_ranks]
-            col_ranks[0][0] += 1
-        return real(bc, col_ranks)
+            ranks = [*ranks[:-1], ranks[-1] + 1]
+        return real(bc, ranks)
 
     monkeypatch.setattr(complexes, "_total_cohomology", raised)
 
@@ -377,30 +415,33 @@ def test_totalize_with_one_unsigned_block_fails(monkeypatch, rank_calls):
     real = complexes.totalize
 
     def planted(bc, factor):
-        """The vertical map out of the (1, 0) entry enters the total
-        differential scaled by ``factor``."""
-        if (1, 0) not in bc.vertical:
+        """d0 on S_{t-1}, the vertical map out of the (1, 0) and the (0, 1)
+        entry, enters the total differential scaled by ``factor``."""
+        if bc.t < 2:
             return real(bc)
-        m = bc.vertical[(1, 0)].scale(factor)
-        return real(bc._replace(vertical={**bc.vertical, (1, 0): m}))
+        d0 = list(bc.d0)
+        d0[bc.t - 1] = d0[bc.t - 1].scale(factor)
+        return real(bc._replace(d0=d0))
 
     _force_the_fallback(monkeypatch)
-    # the map without its column sign (-1)^1, and the map dropped.  A total
-    # complex whose (1, 0) map is non-zero is not a complex, so no rank
-    # touches it.  The mod-p ranks are: one product H.E per column
-    # b = 1..t, the horizontal map on the top kernel, in every block (63),
-    # which the bound ranks before it falls back; the 2t total
-    # differentials of the blocks whose total complex is still a complex,
-    # the t = 1 block of each of the 3 weight blocks, which has no (1, 0)
-    # map, and the blocks whose (1, 0) map is 0, (t, m) = (2, 1), (2, 2)
-    # and (3, 2): 3 * 2 + 4 + 4 + 6 = 20; and in the first pass the t
+    # the map negated, which drops the column sign (-1)^1 at (1, 0), and the
+    # map dropped.  A total complex whose d0 on S_{t-1} is non-zero is not
+    # a complex, so no rank touches it.  The mod-p ranks are: one product
+    # H.E per column b = 1..t, the horizontal map on the top kernel, in
+    # every block (63), which the bound ranks before it falls back; the 2t
+    # total differentials of the blocks whose total complex is still a
+    # complex, the t = 1 block of each of the 3 weight blocks, which is not
+    # planted, and the blocks whose d0 on S_{t-1} is 0, (t, m) = (2, 1),
+    # (2, 2) and (3, 2): 3 * 2 + 4 + 4 + 6 = 20; and in the first pass the t
     # differentials of each block of each E^t (63; their cohomology is
     # cached for the second).  The only exact ranks are the 63 d0 of the
     # first pass, which the cached d0 keep for the second.  Where
     # ``totalize`` was the main path and decided ``total_d2``, the same
     # plants with the same fallback forced ranked {"rank": 63,
     # "pivots_mod_p": 63 + 10 + 20} in a fresh first pass: H.E only in the
-    # 10 columns of the blocks that still passed.
+    # 10 columns of the blocks that still passed.  The build that kept one
+    # map per position ranked the same counts, and failed the same reports,
+    # with the map planted at (1, 0) alone and at both (1, 0) and (0, 1).
     for factor, ranks in ((-1, {"rank": 63, "pivots_mod_p": 63 + 63 + 20}),
                           (0, {"rank": 0, "pivots_mod_p": 63 + 20})):
         rank_calls.update(rank=0, pivots_mod_p=0)
@@ -423,7 +464,7 @@ def test_totalize_with_one_shifted_block_fails(monkeypatch):
         return layout, offsets, dims
 
     def planted(bc):
-        if bc.t < 2 or not bc.grid[1][1].dim:
+        if bc.t < 2 or not bc.spaces[bc.t - 2].dim:
             return real(bc)
         with monkeypatch.context() as patch:
             patch.setattr(complexes, "_layout", shifted_layout)

@@ -77,7 +77,8 @@ def _degree_weights(bc) -> list[list[tuple[int, ...]]]:
     vector, in the order of the total complex's rows and columns."""
     layout, _, _ = _layout(bc)
     return [
-        [weight(bc.n, subset) for b, c in blocks for subset, _ in full_basis(bc.grid[b][c])]
+        [weight(bc.n, subset)
+         for b, c in blocks for subset, _ in full_basis(bc.spaces[bc.t - b - c])]
         for blocks in layout
     ]
 
