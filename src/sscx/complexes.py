@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb, lcm
+from math import comb
 from typing import NamedTuple
 
 from .exactlinalg import SparseRationalMatrix, SubspaceEscapeError, pivots_mod_p, rank, restrict
@@ -120,9 +120,6 @@ def cohomology_dims(c: ChainComplex) -> dict[int, int]:
     ranks over Q of the whole differentials are computed as they would be
     without the mod-p attempt, so a report never rests on an uncertified
     mod-p rank.
-
-    The bicomplex's total complexes come here only where the rank bound of
-    ``_total_cohomology`` does not pin their cohomology down.
     """
     if c.is_complex:
         ranks = []
@@ -337,69 +334,6 @@ def build_bicomplex(n: int, t: int, m: int) -> Bicomplex:
     return Bicomplex(n, t, spaces, d, d0)
 
 
-def _layout(bc: Bicomplex) -> tuple[list[list[tuple[int, int]]], dict, list[int]]:
-    """The blocks (b, c) of each total degree c - b from -t to t, by b
-    within a degree; each block's row offset within its degree; and the
-    dimension of each degree."""
-    t = bc.t
-    layout = [
-        [(b, b + deg) for b in range(max(0, -deg), (t - deg) // 2 + 1)]
-        for deg in range(-t, t + 1)
-    ]
-    offsets: dict[tuple[int, int], int] = {}
-    dims = []
-    for blocks in layout:
-        pos = 0
-        for b, c in blocks:
-            offsets[(b, c)] = pos
-            pos += bc.spaces[t - b - c].dim
-        dims.append(pos)
-    return layout, offsets, dims
-
-
-def totalize(bc: Bicomplex) -> ChainComplex:
-    """Direct-sum total complex.
-
-    The (b, c) entry sits in total degree c - b; both structure maps raise
-    that degree by one.  The maps are read from the row: out of (b, c), with
-    a = t-b-c, the horizontal d[a] times ``_h_scalar(b, c)`` and the
-    vertical d0[a], which enters with the column sign (-1)^b that makes the
-    total differential square to zero.  Each degree is one integer matrix
-    with the scalar 1/L, where L is the least common denominator of the
-    scalars of the maps out of its blocks; each map m enters as its stored
-    integer columns times the integer m.scalar L, written at the target
-    entry's row offset.  A non-zero scalar leaves the rank as it is.
-    ``verify_bicomplex`` assembles it only where its rank bound falls back.
-    """
-    t = bc.t
-    layout, offsets, dims = _layout(bc)
-    diffs = []
-    for blocks, nrows in zip(layout, dims[1:]):
-        # per block: the maps out of it as (scalar, columns, row offset);
-        # the two land in different blocks of the next degree
-        pieces = []
-        for b, c in blocks:
-            a = t - b - c
-            maps = []
-            if b:
-                m = bc.d[a].scale(_h_scalar(b, c))
-                maps.append((m.scalar, m.columns(), offsets[(b - 1, c)]))
-            if a:
-                m = bc.d0[a]
-                maps.append(((-1) ** b * m.scalar, m.columns(), offsets[(b, c + 1)]))
-            pieces.append(maps)
-        den = lcm(*(f.denominator for maps in pieces for f, _, _ in maps))
-        cols: list[dict[int, int]] = []
-        for (b, c), maps in zip(blocks, pieces):
-            ints = [((f * den).numerator, mcols, row0) for f, mcols, row0 in maps]
-            for j in range(bc.spaces[t - b - c].dim):
-                cols.append(
-                    {row0 + r: k * v for k, mcols, row0 in ints for r, v in mcols[j].items()}
-                )
-        diffs.append(SparseRationalMatrix(nrows, cols, Fraction(1, den)))
-    return ChainComplex(-t, dims, diffs)
-
-
 def verify_bicomplex(n: int, t: int) -> Report:
     """Full structural verification of the grid, on each weight block:
 
@@ -413,19 +347,19 @@ def verify_bicomplex(n: int, t: int) -> Report:
     (``_bicomplex_flags``): the blocks of the total complex's square are the
     row identities, the squares, the compositions of two vertical maps and
     the squares cut off by the antidiagonal, so ``total_d2`` is those
-    products, and the total complex is not assembled to be squared.  The
-    column ranks are the ones kept on the cached d0 (``rank``), and d0
-    kills the fiber at the top when each vector's integer ``image`` is
-    empty.
+    products, and the total complex is never assembled.  The column ranks
+    are the ones kept on the cached d0 (``rank``), and d0 kills the fiber at
+    the top when each vector's integer ``image`` is empty.
 
     ``cohomology_match`` compares the cohomology of E^t's block with the
-    total complex's, which rests on ``total_d2``: where ``top_kernels``
-    holds too, the column ranks and the horizontal map on the top kernels
-    bound the total ranks, and ``_certified_cohomology`` certifies the
-    cohomology from them (``_total_cohomology``).  Only where that
-    certificate, or ``top_kernels``, fails is the total complex assembled
-    (``totalize``), and its cohomology is read (``cohomology_dims``) only
-    when it squares to zero itself; otherwise ``cohomology_match`` fails.
+    total complex's, which rests on ``total_d2`` and ``top_kernels``: the
+    column ranks and the horizontal map on the top kernels bound the total
+    ranks, and ``_certified_cohomology`` certifies the cohomology from them
+    (``_total_cohomology``).  Where either flag fails, or the certificate
+    decides nothing, ``cohomology_match`` fails.  That is sound, and
+    complete except on a block with exact columns whose total cohomology
+    lies in two degrees; E^t's cohomology, which the block's must then
+    equal, is predicted in at most one degree (``truncation_cohomology``).
     """
     flags = ("rows_ok", "cols_exact", "top_kernels", "squares", "total_d2",
              "cohomology_match", "acyclic_band")
@@ -444,25 +378,29 @@ def _bicomplex_flags(n: int, t: int, m: int) -> dict[str, bool]:
     Every position of an antidiagonal holds the same space, and its maps
     are that space's d (times ``_h_scalar``) and d0, as ``build_bicomplex``
     makes them.  So a row identity and a column identity hold at every
-    position of S_a when they hold on d and d0 once; a square at (b, c),
+    position of S_a when they hold on d and d0 once.  A square at (b, c),
     with a = t-b-c, is x = d[a-1] d0[a] against y = d0[a+1] d[a], each
-    formed once per space and compared at every position under that
-    position's two scalars, so that a wrong scalar at any one position
-    fails.  A passing block forms 4t - 3 products (t >= 1): t - 1 row
-    compositions, 2(t - 1) for the squares, t - 1 compositions of two d0
-    and d0[1] d[0], from the bottom of each column, where only the path
-    through column b - 1 exists."""
+    formed once per space and compared once, at b = 1 under the scalars of
+    (1, c1+1) and (1, c1), c1 = t-a-1; at every other b the two scalars
+    must stand in the same ratio.  Where x or y is non-zero that is the
+    comparison at every position, and where both are zero it is stricter:
+    a wrong scalar at any one position still fails.  A passing block forms
+    4t - 3 products (t >= 1): t - 1 row compositions, 2(t - 1) for the
+    squares, t - 1 compositions of two d0 and d0[1] d[0], from the bottom
+    of each column, where only the path through column b - 1 exists."""
     bc = build_bicomplex(n, t, m)
     spaces, d, d0 = bc.spaces, bc.d, bc.d0
     rows_ok = all((d[a + 1] @ d[a]).is_zero() for a in range(t - 1))
 
     def square(a: int) -> bool:
         # the square at (b, c), c = t-a-b: x times H's scalar at (b, c+1)
-        # against y times H's scalar at (b, c)
+        # against y times H's scalar at (b, c), compared at b = 1; at every
+        # other b the two scalars must keep the ratio they have there
         x, y = d[a - 1] @ d0[a], d0[a + 1] @ d[a]
-        return all(
-            x.scale(_h_scalar(b, t - a - b + 1)) == y.scale(_h_scalar(b, t - a - b))
-            for b in range(1, t - a + 1)
+        h, c1 = _h_scalar, t - a - 1
+        return x.scale(h(1, c1 + 1)) == y.scale(h(1, c1)) and all(
+            h(b, c + 1) * h(1, c1) == h(b, c) * h(1, c1 + 1)
+            for b, c in ((b, t - a - b) for b in range(2, t - a + 1))
         )
 
     squares = all(map(square, range(1, t)))
@@ -484,11 +422,8 @@ def _bicomplex_flags(n: int, t: int, m: int) -> dict[str, bool]:
     cols_exact = all(spaces[a].dim - ranks[a] == ranks[a + 1] for a in range(t))
     et_coh = build_Et(n, t, m).cohomology
     # only a complex has cohomology: the certificate rests on total_d2 and
-    # top_kernels, and the assembled total complex on its own d o d
+    # top_kernels
     total_coh = _total_cohomology(bc, ranks) if total_d2 and top_kernels else None
-    if total_d2 and total_coh is None:
-        total = totalize(bc)
-        total_coh = total.cohomology if total.is_complex else None
     return {
         "rows_ok": rows_ok,
         "cols_exact": cols_exact,
@@ -518,26 +453,38 @@ def _total_cohomology(bc: Bicomplex, ranks: list[int]) -> dict[int, int] | None:
     of (-k, 0) on E) and the vertical maps V, so, by a non-singular minor
     of each diagonal block,
 
-        rank D_k >= l_k = rank_p(H.E) + sum of rank_Q(V) over degree k,
+        rank D_k >= l_k = rank(H.E) + sum of rank_Q(V) over degree k.
 
-    H.E ranked mod P as its stored integers (a lower bound, as in
-    ``pivots_mod_p``).  By the acyclic assembly lemma the bound is tight on
-    exact columns.  Nothing here reads ``build_Et``: the flag
-    ``cohomology_match`` compares two independent computations.
+    H.E is ranked mod P first, as its stored integers (a lower bound, as in
+    ``pivots_mod_p``), and, only where the certificate then decides
+    nothing, over Q (``rank``).  By the acyclic assembly lemma the bound is
+    tight on exact columns.  The dims of degree k are read off the row:
+    S_a sits at (b, t-a-b) for b = 0..t-a.  Nothing here reads
+    ``build_Et``: the flag ``cohomology_match`` compares two independent
+    computations.
     """
     t = bc.t
-    # lower[i] bounds the rank of the total differential out of position i,
-    # degree i - t; d0 on S_a is the vertical map at each (b, t-a-b)
-    lower = [0] * (2 * t)
-    for a in range(1, t + 1):
+    # dims[i] and lower[i] belong to position i, degree i - t: S_a sits at
+    # each (b, t-a-b), position 2t-a-2b, and d0 on S_a is the vertical map
+    # there; lower[i] bounds the rank of the total differential out of it
+    dims, lower = [0] * (2 * t + 1), [0] * (2 * t)
+    for a, space in enumerate(bc.spaces):
         for b in range(t - a + 1):
-            c = t - a - b
-            lower[c - b + t] += ranks[a]
-    # the horizontal map out of (t-a, 0) is d[a], its scalar 1
-    for a in range(t):
-        h, top = bc.d[a], fiber_E(bc.spaces[a]).vectors
-        lower[a] += len(pivots_mod_p(SparseRationalMatrix(h.nrows, list(map(h.image, top)))))
-    return _certified_cohomology(_layout(bc)[2], -t, lower)
+            dims[2 * t - a - 2 * b] += space.dim
+            if a:
+                lower[2 * t - a - 2 * b] += ranks[a]
+    # the horizontal map out of (t-a, 0), position a, is d[a], its scalar 1
+    products = [
+        SparseRationalMatrix(h.nrows, list(map(h.image, fiber_E(space).vectors)))
+        for h, space in zip(bc.d, bc.spaces)
+    ]
+
+    def certified(rank_of) -> dict[int, int] | None:
+        bound = [low + rank_of(he) for low, he in zip(lower, products)] + lower[t:]
+        return _certified_cohomology(dims, -t, bound)
+
+    out = certified(lambda he: len(pivots_mod_p(he)))
+    return certified(rank) if out is None else out
 
 
 def verify_Et_cohomology(n: int, t: int) -> Report:

@@ -17,8 +17,9 @@ bound, through the package's one cohomology certificate,
 from lower bounds on its ranks or decides nothing, and then the caller
 ranks over Q.  ``complexes.cohomology_dims`` passes it the cleared mod-P
 ranks of a complex whose d o d = 0 is verified exactly, and
-``complexes._total_cohomology`` exact column ranks plus the mod-P ranks of
-a bicomplex's horizontal map on its top kernels.
+``complexes._total_cohomology`` exact column ranks plus the ranks of a
+bicomplex's horizontal map on its top kernels, mod P and, where those
+certify nothing, over Q.
 
 Over F_P the ranks of a complex are cleared (Chen and Kerber, "Persistent
 homology computation with a twist", 2011).  Let d_k: C_k -> C_{k+1} and

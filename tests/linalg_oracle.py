@@ -18,18 +18,20 @@ any independent basis by elimination.  The package now certifies the lift
 basis against one rank and reads coordinates off private rows; these are
 the reference it must agree with.
 
-``structure_matrix`` and ``totalize`` are the fiber's structure matrices
-and the total complex as the package built them before its matrices got
-integer columns and one rational scalar: every value a ``Fraction``, d
-built with its weight 1/(B+1) on d1, and each block of a total differential
-scaled value by value.  They are copied verbatim but for the name of the
-matrix class they build, ``FractionMatrix``, the old format, for the
-bicomplex's maps, which are matrices there as they are in the package, for
-the forms, which they read from the package's functions of n, and for the
-space, which is either a weight block ``TwistedSpace`` or a ``FullSpace``.
-``reference_bicomplex`` gives a bicomplex's row those maps, and
-``grid_maps`` expands a row into one map per position of the grid, each
-horizontal one scaled by the grid's coefficient, which ``totalize`` reads.
+``structure_matrix`` is the fiber's structure matrices as the package
+built them before its matrices got integer columns and one rational
+scalar: every value a ``Fraction`` and d built with its weight 1/(B+1) on
+d1.  It is copied verbatim but for the name of the matrix class it builds,
+``FractionMatrix``, the old format, for the forms, which it reads from the
+package's functions of n, and for the space, which is either a weight
+block ``TwistedSpace`` or a ``FullSpace``.
+
+``grid_maps`` expands a bicomplex's row into one map per position of the
+grid, each horizontal one scaled by the grid's coefficient, and
+``totalize`` assembles the total complex from those maps (``_layout``
+orders its blocks).  The package no longer assembles it: its cohomology is
+certified from a rank bound on the grid, and these are the reference that
+bound and the grid's flags are checked against.
 
 The full path: the package builds one torus-weight block per number m of
 non-zero weight entries and sums over the Weyl orbits (``orbit_sum``).
@@ -48,7 +50,7 @@ from functools import cache
 from math import comb, lcm
 
 from sscx import complexes
-from sscx.complexes import Bicomplex, ChainComplex, _layout
+from sscx.complexes import Bicomplex, ChainComplex
 from sscx.exactlinalg import (
     SparseRationalMatrix,
     SubspaceBasis,
@@ -281,7 +283,8 @@ def solve_in_basis(
 class FractionMatrix:
     """A matrix in the format before integer columns: sparse columns of
     non-zero rational values and no scalar.  Only what ``structure_matrix``
-    and ``totalize`` read and write."""
+    writes and the value-by-value ``scale`` that ``test_exactlinalg``
+    checks ``SparseRationalMatrix.scale`` against."""
 
     def __init__(self, nrows: int, cols: list[dict]):
         self.nrows = nrows
@@ -495,15 +498,6 @@ def full_bicomplex(n: int, t: int) -> Bicomplex:
     return Bicomplex(n, t, spaces, d, d0)
 
 
-def reference_bicomplex(bc: Bicomplex) -> Bicomplex:
-    """bc with every map of its row replaced by its ``structure_matrix``
-    build: d and d0 as the package builds them."""
-    return bc._replace(
-        d=[structure_matrix("d", space) for space in bc.spaces[:-1]],
-        d0=[None, *(structure_matrix("d0", space) for space in bc.spaces[1:])],
-    )
-
-
 def grid_maps(bc: Bicomplex) -> tuple[dict, dict]:
     """The row expanded into one horizontal and one vertical map per
     position (b, c), as the grid had them before it was stored as its row:
@@ -519,31 +513,60 @@ def grid_maps(bc: Bicomplex) -> tuple[dict, dict]:
     return horizontal, vertical
 
 
+def _layout(bc: Bicomplex) -> tuple[list[list[tuple[int, int]]], dict, list[int]]:
+    """The blocks (b, c) of each total degree c - b from -t to t, by b
+    within a degree; each block's row offset within its degree; and the
+    dimension of each degree."""
+    t = bc.t
+    layout = [
+        [(b, b + deg) for b in range(max(0, -deg), (t - deg) // 2 + 1)]
+        for deg in range(-t, t + 1)
+    ]
+    offsets: dict[tuple[int, int], int] = {}
+    dims = []
+    for blocks in layout:
+        pos = 0
+        for b, c in blocks:
+            offsets[(b, c)] = pos
+            pos += bc.spaces[t - b - c].dim
+        dims.append(pos)
+    return layout, offsets, dims
+
+
 def totalize(bc: Bicomplex) -> ChainComplex:
-    """Direct-sum total complex.
+    """Direct-sum total complex, which the package never assembles: it
+    certifies the total cohomology from a rank bound on the grid.
 
     The (b, c) entry sits in total degree c - b; both structure maps raise
-    that degree by one.  The vertical map on column b enters with the sign
-    (-1)^b, which makes the total differential square to zero.  The column
-    sign is applied to each vertical map here, one block at a time, and the
-    columns are written at the target entry's row offset.
+    that degree by one.  The maps are the grid's, one per position
+    (``grid_maps``), and the vertical map on column b enters with the sign
+    (-1)^b, which makes the total differential square to zero.  Each
+    degree is one integer matrix with the scalar 1/L, where L is the least
+    common denominator of the scalars of the maps out of its blocks; each
+    map m enters as its stored integer columns times the integer
+    m.scalar L, written at the target entry's row offset.
     """
     layout, offsets, dims = _layout(bc)
     horizontal, vertical = grid_maps(bc)
     diffs = []
     for blocks, nrows in zip(layout, dims[1:]):
-        cols: list[dict[int, Fraction]] = []
+        # per block: the maps out of it with their row offsets; the two land
+        # in different blocks of the next degree
+        pieces = []
         for b, c in blocks:
-            # the two maps out of (b, c) land in different blocks of the next degree
-            pieces = []
+            maps = []
             if (b, c) in horizontal:
-                pieces.append((horizontal[(b, c)], offsets[(b - 1, c)]))
+                maps.append((horizontal[(b, c)], offsets[(b - 1, c)]))
             if (b, c) in vertical:
-                pieces.append((vertical[(b, c)].scale((-1) ** b), offsets[(b, c + 1)]))
+                maps.append((vertical[(b, c)].scale((-1) ** b), offsets[(b, c + 1)]))
+            pieces.append(maps)
+        den = lcm(*(m.scalar.denominator for maps in pieces for m, _ in maps))
+        cols: list[dict[int, int]] = []
+        for (b, c), maps in zip(blocks, pieces):
+            ints = [((m.scalar * den).numerator, m.columns(), row0) for m, row0 in maps]
             for j in range(bc.spaces[bc.t - b - c].dim):
                 cols.append(
-                    {row0 + r: v for m, row0 in pieces for r, v in m.columns()[j].items()}
+                    {row0 + r: k * v for k, mcols, row0 in ints for r, v in mcols[j].items()}
                 )
-        diffs.append(FractionMatrix(nrows, cols))
+        diffs.append(SparseRationalMatrix(nrows, cols, Fraction(1, den)))
     return ChainComplex(-bc.t, dims, diffs)
-

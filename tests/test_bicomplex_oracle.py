@@ -11,15 +11,22 @@ another way, on the grid expanded into one map per position
   read as a sum, and decides ``total_d2`` from the blocks of the total d²:
   each row composition, each square, each composition of two vertical maps
   in a column, and each square cut off by the antidiagonal;
-- ``total_square_flags`` assembles the total complex (``totalize``),
-  squares it, and reads ``rows_ok`` and ``squares`` off the blocks of
-  that square (from the (b, c) block to (b-2, c) the row identity, to
-  (b-1, c+1) the square), and ``total_d2`` off the whole square.
+- ``total_square_flags`` assembles the total complex
+  (``linalg_oracle.totalize``; the package never assembles it), squares
+  it, and reads ``rows_ok`` and ``squares`` off the blocks of that square
+  (from the (b, c) block to (b-2, c) the row identity, to (b-1, c+1) the
+  square), and ``total_d2`` off the whole square.
 
 All three must agree on every degree up to n = 5, the size of the
 benchmark's grid, and on bicomplexes with a planted scalar or a planted
 coefficient of d.  The check conjoins the flags of the weight blocks, and
 so do the oracles (``block_flags``).
+
+One block verdict is stricter than the oracles' by design: the package
+compares a square's two products once and then checks that the scalars
+of the other positions of its antidiagonal stand in the same ratio, so a
+wrong scalar fails ``squares`` even where both products are zero and
+every position's sum vanishes.
 """
 
 from fractions import Fraction
@@ -27,9 +34,9 @@ from fractions import Fraction
 import pytest
 
 from sscx import complexes
-from sscx.complexes import _layout, build_bicomplex, totalize, verify_bicomplex
+from sscx.complexes import build_bicomplex, verify_bicomplex
 from tests.test_faults import CACHED
-from linalg_oracle import grid_maps, matrix_sum
+from linalg_oracle import _layout, grid_maps, matrix_sum, totalize
 
 FLAGS = ("rows_ok", "squares", "total_d2")
 
@@ -196,3 +203,28 @@ def test_planted_d_coefficient_flags_match_the_products(monkeypatch, fresh_cache
         assert flags == oracle_flags(4, lambda m: build_bicomplex(4, t, m)), t
         broken += flags != dict.fromkeys(FLAGS, 1)
     assert broken
+
+
+def test_a_square_of_zero_products_still_checks_its_scalars(monkeypatch, fresh_caches):
+    """At (n, t) = (4, 3) the square at a = 1, positions (1, 1) and (2, 0),
+    composes x = d[0] d0[1] and y = d0[2] d[1], and in weight blocks 1 and
+    2 both are zero.  With the scalar at (2, 0) negated, every position's
+    sum still vanishes there, so the products pass the block; the package
+    fails ``squares``, and with it ``total_d2``, because the scalars at
+    (2, 1) and (2, 0) no longer stand in the ratio of those at (1, 2) and
+    (1, 1).  In block 0, where x and y are not zero, the verdicts agree.
+    The build that compared the square at every position passed blocks 1
+    and 2."""
+    _negated_h_scalar(monkeypatch, (2, 0))
+    for m in range(3):
+        bc = build_bicomplex(4, 3, m)
+        zero = (bc.d[0] @ bc.d0[1]).is_zero() and (bc.d0[2] @ bc.d[1]).is_zero()
+        assert zero == (m >= 1), m
+        flags = complexes._bicomplex_flags(4, 3, m)
+        assert {flag: int(flags[flag]) for flag in FLAGS} == {
+            "rows_ok": 1, "squares": 0, "total_d2": 0
+        }, m
+        assert product_flags(bc) == (
+            {"rows_ok": 1, "squares": 1, "total_d2": 1} if zero
+            else {"rows_ok": 1, "squares": 0, "total_d2": 0}
+        ), m

@@ -8,7 +8,6 @@ import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, groupby
 from math import comb, perm
 from pathlib import Path
@@ -17,7 +16,7 @@ import pytest
 
 from sscx import complexes, exactlinalg, fiber, weights
 from sscx.cli import run
-from sscx.exactlinalg import SparseRationalMatrix
+from sscx.exactlinalg import SparseRationalMatrix, SubspaceBasis
 import linalg_oracle
 from linalg_oracle import matrix_sum
 from test_staircase_oracle import staircase_terms_gr2
@@ -135,8 +134,8 @@ def rank_calls(monkeypatch):
     horizontal map on a top kernel, that the bicomplex's rank bound
     ranks).  The exact ones are the d0 of
     every fiber (63 at n = 4: 21 in each of 3 weight blocks), the snake's
-    wedge maps, one per degree t (7 at n = 4), and the cohomology's
-    fallback."""
+    wedge maps, one per degree t (7 at n = 4), the cohomology's fallback
+    and the H.E of the rank bound's exact retry."""
     calls = {"rank": 0, "pivots_mod_p": 0}
     real = exactlinalg._eliminate
 
@@ -379,29 +378,77 @@ def test_top_map_with_permuted_columns_breaks_its_top_kernel(monkeypatch):
     }
 
 
+def test_top_fiber_with_a_repeated_vector_fails_its_top_kernel(monkeypatch):
+    """Each top fiber the bicomplex check reads with its first vector
+    repeated: the basis is no longer independent, so ``top_kernels`` fails
+    on its dimension, while H.E has the same rank and the rank bound would
+    still certify the right cohomology.  The bound rests on
+    ``top_kernels``, so ``cohomology_match`` fails too.  The truncation
+    complexes are built with the true fibers first, so only the bicomplex
+    sees the plant.  The build that assembled the total complex where the
+    bound could not be used failed {top_kernels} alone at every t, since
+    that total complex was a complex with the right cohomology."""
+    for t, m in ((t, m) for t in range(7) for m in range(3)):
+        assert complexes.build_Et(4, t, m).cohomology is not None
+    real = complexes.fiber_E
+
+    def planted(space):
+        basis = real(space)
+        if not basis.vectors:
+            return basis
+        return SubspaceBasis(basis.ambient_dim, [*basis.vectors, basis.vectors[0]])
+
+    monkeypatch.setattr(complexes, "fiber_E", planted)
+    code, reps = reports(*FIBER_N4, "bicomplex")
+    assert code == 1
+    assert _failing(reps) == {
+        ("bicomplex", t): {"top_kernels", "cohomology_match"} for t in range(7)
+    }
+
+
 def _force_the_fallback(monkeypatch):
-    """The rank of d0 on S_t, the vertical map at (0, 0) alone, raised by
-    one in every block of degree t >= 1, as in
-    ``test_one_raised_column_rank_falls_back`` of
-    ``tests/test_complexes.py``: the rank bound turns negative, and each
-    such block assembles its total complex (``totalize``)."""
-    real = complexes._total_cohomology
+    """Every product H.E, the horizontal map on a top kernel, ranked mod p
+    as 0, as a prime dividing all its entries would rank it: the mod-p
+    bound is still a lower bound, but in every block with a non-zero H.E
+    it spreads, and ``_total_cohomology`` ranks each H.E over Q and tries
+    the certificate once more.  At n = 4 that is every block but the 3 of
+    degree 0 and (t, m) = (1, 1), (1, 2) and (2, 2), whose H.E are all
+    zero.  ``cohomology_dims`` passes the rows it skips; the bound asks
+    for none."""
+    real = complexes.pivots_mod_p
 
-    def raised(bc, ranks):
-        if bc.t:
-            ranks = [*ranks[:-1], ranks[-1] + 1]
-        return real(bc, ranks)
+    def pivots(m, skip=None):
+        return [] if skip is None else real(m, skip)
 
-    monkeypatch.setattr(complexes, "_total_cohomology", raised)
+    monkeypatch.setattr(complexes, "pivots_mod_p", pivots)
+
+
+def _plant_in_the_bound(monkeypatch, name, plant) -> None:
+    """While ``_total_cohomology`` runs on a block of degree t >= 2, the
+    function ``name`` it reads from ``complexes`` is plant(bc, real)."""
+    real_bound, real = complexes._total_cohomology, getattr(complexes, name)
+
+    def bound(bc, ranks):
+        if bc.t < 2:
+            return real_bound(bc, ranks)
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes, name, plant(bc, real))
+            return real_bound(bc, ranks)
+
+    monkeypatch.setattr(complexes, "_total_cohomology", bound)
 
 
 def _fails_only_the_cohomology_match(reps):
     """Every report below t = 2 passes; from t = 2 on each fails exactly
-    ``cohomology_match``: the grid passes, and the assembled total complex
-    is not a complex, so its ranks are never read.  On the build that
-    decided ``squares`` and ``total_d2`` on the assembled total complex,
-    the same plants, with the same fallback forced, failed ``squares``,
-    ``total_d2`` and ``cohomology_match`` from t = 2 on."""
+    ``cohomology_match``: the grid passes, and the rank bound certifies
+    nothing.  The build that assembled the total complex where the bound
+    fell back failed the same set with the matching defect planted in the
+    total complex (a wrongly signed or dropped d0 on S_{t-1}, or the
+    (0, 0) block one row lower), the same fallback forced: its total
+    complex was not a complex, so its ranks were never read.  On the build
+    that decided ``squares`` and ``total_d2`` on the assembled total
+    complex, those plants failed ``squares``, ``total_d2`` and
+    ``cohomology_match`` from t = 2 on."""
     for rep in reps:
         if rep["params"]["t"] < 2:
             assert rep["status"] == "pass", rep
@@ -411,67 +458,62 @@ def _fails_only_the_cohomology_match(reps):
             assert failing == {"cohomology_match"}, rep
 
 
-def test_totalize_with_one_unsigned_block_fails(monkeypatch, rank_calls):
-    real = complexes.totalize
+def test_exact_retry_with_one_rank_off_fails(monkeypatch, rank_calls):
+    def off_by(k):
+        def plant(bc, real):
+            """The exact rank of the first H.E ranked, on S_0, off by k."""
+            ranked = []
 
-    def planted(bc, factor):
-        """d0 on S_{t-1}, the vertical map out of the (1, 0) and the (0, 1)
-        entry, enters the total differential scaled by ``factor``."""
-        if bc.t < 2:
-            return real(bc)
-        d0 = list(bc.d0)
-        d0[bc.t - 1] = d0[bc.t - 1].scale(factor)
-        return real(bc._replace(d0=d0))
+            def rank(m):
+                ranked.append(m)
+                return real(m) + (k if len(ranked) == 1 else 0)
+
+            return rank
+
+        return plant
 
     _force_the_fallback(monkeypatch)
-    # the map negated, which drops the column sign (-1)^1 at (1, 0), and the
-    # map dropped.  A total complex whose d0 on S_{t-1} is non-zero is not
-    # a complex, so no rank touches it.  The mod-p ranks are: one product
-    # H.E per column b = 1..t, the horizontal map on the top kernel, in
-    # every block (63), which the bound ranks before it falls back; the 2t
-    # total differentials of the blocks whose total complex is still a
-    # complex, the t = 1 block of each of the 3 weight blocks, which is not
-    # planted, and the blocks whose d0 on S_{t-1} is 0, (t, m) = (2, 1),
-    # (2, 2) and (3, 2): 3 * 2 + 4 + 4 + 6 = 20; and in the first pass the t
-    # differentials of each block of each E^t (63; their cohomology is
-    # cached for the second).  The only exact ranks are the 63 d0 of the
-    # first pass, which the cached d0 keep for the second.  Where
-    # ``totalize`` was the main path and decided ``total_d2``, the same
-    # plants with the same fallback forced ranked {"rank": 63,
-    # "pivots_mod_p": 63 + 10 + 20} in a fresh first pass: H.E only in the
-    # 10 columns of the blocks that still passed.  The build that kept one
-    # map per position ranked the same counts, and failed the same reports,
-    # with the map planted at (1, 0) alone and at both (1, 0) and (0, 1).
-    for factor, ranks in ((-1, {"rank": 63, "pivots_mod_p": 63 + 63 + 20}),
-                          (0, {"rank": 0, "pivots_mod_p": 63 + 20})):
+    # forced alone, the retry certifies every block
+    golden = (GOLDEN / "fiber-n4.ndjson").read_text(encoding="ascii").splitlines()
+    code, reps = reports(*FIBER_N4, "bicomplex")
+    assert code == 0
+    assert reps == [json.loads(line) for line in golden if '"suite":"bicomplex"' in line]
+    # one rank raised, which turns u negative, and one lowered, which
+    # spreads it, on the exact retry of every block of degree t >= 2 that
+    # retries.  The exact ranks are the 63 d0 and the H.E of every block
+    # that retries, 63 - 4 = 59: the t of each block of degree t, less the
+    # 4 of the blocks (1, 1), (1, 2) and (2, 2), which do not.  The mod-p
+    # ranks are the t differentials of each block of each E^t (63); the
+    # forced H.E ranks eliminate nothing.  On the build that assembled the
+    # total complex, its plants ranked {"rank": 63, "pivots_mod_p": 146}
+    # (d0 on S_{t-1} negated) and {"rank": 0, "pivots_mod_p": 83} (dropped),
+    # with the d0 ranks cached by the first of the two runs.
+    for k in (1, -1):
+        for f in CACHED:
+            f.cache_clear()
         rank_calls.update(rank=0, pivots_mod_p=0)
         with monkeypatch.context() as patch:
-            patch.setattr(complexes, "totalize", partial(planted, factor=factor))
+            _plant_in_the_bound(patch, "rank", off_by(k))
             code, reps = reports(*FIBER_N4, "bicomplex")
         assert code == 1
         _fails_only_the_cohomology_match(reps)
-        assert rank_calls == ranks
+        assert rank_calls == {"rank": 63 + 59, "pivots_mod_p": 63}, k
 
 
-def test_totalize_with_one_shifted_block_fails(monkeypatch):
-    real, real_layout = complexes.totalize, complexes._layout
+def test_degree_dims_with_one_space_shifted_fail(monkeypatch):
+    def shifted(bc, real):
+        """S_t, the (0, 0) entry, counted in total degree 1 instead of 0."""
 
-    def shifted_layout(bc):
-        """The (0, 0) block of total degree 0 one row lower, onto the first
-        row of the (1, 1) block after it."""
-        layout, offsets, dims = real_layout(bc)
-        offsets[(0, 0)] += 1
-        return layout, offsets, dims
+        def certified(dims, offset, lower):
+            dims = list(dims)
+            dims[bc.t] -= bc.spaces[bc.t].dim
+            dims[bc.t + 1] += bc.spaces[bc.t].dim
+            return real(dims, offset, lower)
 
-    def planted(bc):
-        if bc.t < 2 or not bc.spaces[bc.t - 2].dim:
-            return real(bc)
-        with monkeypatch.context() as patch:
-            patch.setattr(complexes, "_layout", shifted_layout)
-            return real(bc)
+        return certified
 
     _force_the_fallback(monkeypatch)
-    monkeypatch.setattr(complexes, "totalize", planted)
+    _plant_in_the_bound(monkeypatch, "_certified_cohomology", shifted)
     code, reps = reports(*FIBER_N4, "bicomplex")
     assert code == 1
     _fails_only_the_cohomology_match(reps)

@@ -1,13 +1,11 @@
 """Differential test of the integer structure matrices against the Fraction
-build they replaced (``linalg_oracle.structure_matrix`` and
-``linalg_oracle.totalize``): the scalar times the stored integers must be
-the old matrix, value for value, for every structure matrix at n <= 5 and
-every total differential at n <= 4, in every weight block."""
+build they replaced (``linalg_oracle.structure_matrix``): the scalar times
+the stored integers must be the old matrix, value for value, for every
+structure matrix at n <= 5, in every weight block."""
 
 import pytest
 
 from sscx import fiber
-from sscx.complexes import build_bicomplex, totalize
 from sscx.fiber import TwistedSpace
 import linalg_oracle as oracle
 from linalg_oracle import value_columns
@@ -34,15 +32,3 @@ def test_structure_matrices_match_the_fraction_build(n):
         old = oracle.structure_matrix(kind, space)
         assert new.nrows == old.nrows, (kind, a, B, m)
         assert value_columns(new) == old.columns(), (kind, a, B, m)
-
-
-@pytest.mark.parametrize("n", (2, 3, 4))
-def test_total_differentials_match_the_fraction_build(n):
-    for t, m in ((t, m) for t in range(2 * n - 1) for m in range(n - 1)):
-        bc = build_bicomplex(n, t, m)
-        new = totalize(bc)
-        old = oracle.totalize(oracle.reference_bicomplex(bc))
-        assert (new.degree_offset, new.dims) == (old.degree_offset, old.dims), t
-        for mine, theirs in zip(new.differentials, old.differentials):
-            assert mine.nrows == theirs.nrows, t
-            assert value_columns(mine) == theirs.columns(), t

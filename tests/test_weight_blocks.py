@@ -10,9 +10,10 @@ weight has m non-zero entries carries m inert 1-forms, and the Weyl group
 blocks with the same m.  The package builds only the block of the
 representative weight (+1)^m 0^(N-m) for each m and sums over the orbits;
 the full path of ``linalg_oracle`` builds every weight at once.  Checked
-here, for the total differentials, the differentials of every truncation
-complex and every Koszul complex, every d0 and the snake's wedge map with
-the reduced form:
+here, for the total differentials (assembled by ``linalg_oracle.totalize``
+from the package's grid and from the full one), the differentials of every
+truncation complex and every Koszul complex, every d0 and the snake's
+wedge map with the reduced form:
 
 - no full map has an entry joining two different weights;
 - the dims and exact ranks of a full map's blocks depend only on m, so the
@@ -40,7 +41,7 @@ from math import comb
 import pytest
 
 from sscx import fiber
-from sscx.complexes import _layout, build_bicomplex, build_Et, build_koszul_S, totalize
+from sscx.complexes import build_bicomplex, build_Et, build_koszul_S
 from sscx.exactlinalg import SparseRationalMatrix, rank
 from sscx.fiber import (
     TwistedSpace,
@@ -54,6 +55,7 @@ from sscx.fiber import (
 from sscx.weights import rank_K
 from linalg_oracle import (
     FullSpace,
+    _layout,
     full_basis,
     full_bicomplex,
     full_fiber_E,
@@ -62,6 +64,7 @@ from linalg_oracle import (
     full_structure_map,
     orbit_sum,
     representative,
+    totalize,
     weight,
 )
 

@@ -372,6 +372,21 @@ class TestEulerAndVanishing:
                 assert sum((-1) ** -d * dim for d, dim in predicted.items()) == chi
                 assert euler_check_Kt(n, 2, t).expected == {"chi": chi}, (n, t)
 
+    def test_truncation_cohomology_sits_in_at_most_one_degree(self):
+        """The one case the bicomplex's rank bound gives up is a block
+        whose total cohomology lies in two degrees: the certificate decides
+        nothing there, and ``cohomology_match`` fails.  Where that
+        cohomology would have matched E^t's block, E^t's block lies in two
+        degrees too, and so does the orbit sum of the blocks, which the
+        cohomology suite compares with this prediction: that suite fails
+        at the same (n, t), since the prediction sits in at most one
+        degree."""
+        for n in range(2, 31):
+            for t in range(2 * n - 1):
+                predicted = truncation_cohomology(n, 2, t)
+                assert len(predicted) <= 1, (n, t, predicted)
+                assert all(dim > 0 for dim in predicted.values()), (n, t)
+
     def test_vanishing_band(self):
         for k in range(3, 6):
             for n in range(k, 6):
